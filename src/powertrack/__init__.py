@@ -38,6 +38,7 @@ from .demand import (
     JumpSpec,
     LognormalHeight,
     NormalHeight,
+    PathEnsemble,
     QuadratureError,
     SinusoidMean,
     StepNoise,
@@ -52,6 +53,7 @@ from .demand import (
     substream,
 )
 from .experiments import (
+    ArtifactError,
     ConfigError,
     Scenario,
     confidence_bands,

@@ -8,7 +8,11 @@ overrides (flags win over config values):
     powertrack bands    <config> --levels 0.5,0.9,0.975 [--preset ...] [...]
 
 On success the exit code is 0; on failure a single JSON error line is
-printed to stderr and the exit code is nonzero.
+printed to stderr and the exit code is nonzero.  The line always carries
+``error`` (the message) and ``field`` (the config field at fault, or null);
+an artifact that would hold a non-finite number is not written, and its
+line also names the ``artifact`` file and the ``column``.  Floating-point
+warnings are silenced, so stderr carries nothing but that line.
 """
 
 from __future__ import annotations
@@ -17,7 +21,12 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
+from .costopt import ConvergenceError
+from .demand import QuadratureError
 from .experiments import (
+    ArtifactError,
     ConfigError,
     load_config,
     run_scenario,
@@ -76,32 +85,45 @@ def _scenario(args: argparse.Namespace):
                                 seed=args.seed, paths=args.paths)
 
 
+def _fail(code: int, err: Exception, field: str | None, **extra) -> int:
+    print(json.dumps({"error": str(err), "field": field, **extra}),
+          file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = _scenario(args)
-        if args.command == "run":
-            written = run_scenario(scenario, args.out_dir)
-            for name, path in written.items():
-                print(f"{name}: {path}")
-        elif args.command == "converge":
-            path = write_convergence(scenario, args.dtup, args.out_dir,
-                                     solver=args.solver)
-            print(f"convergence: {path}")
-        elif args.command == "bands":
-            if args.levels is not None:
-                from dataclasses import replace
-                scenario = replace(scenario, levels=tuple(args.levels))
-            path = write_bands(scenario, args.out_dir)
-            print(f"bands: {path}")
-        return 0
+        with np.errstate(all="ignore"):
+            return _run(args)
     except ConfigError as err:
-        print(json.dumps({"error": str(err), "field": err.field}),
-              file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as err:
-        print(json.dumps({"error": str(err), "field": None}), file=sys.stderr)
-        return 1
+        return _fail(2, err, err.field)
+    except ArtifactError as err:
+        return _fail(1, err, None, artifact=err.artifact, column=err.column)
+    except QuadratureError as err:
+        # only the tabulated forecast is integrated numerically
+        return _fail(1, err, "mean")
+    except (ConvergenceError, OSError, ValueError) as err:
+        return _fail(1, err, None)
+
+
+def _run(args: argparse.Namespace) -> int:
+    scenario = _scenario(args)
+    if args.command == "run":
+        written = run_scenario(scenario, args.out_dir)
+        for name, path in written.items():
+            print(f"{name}: {path}")
+    elif args.command == "converge":
+        path = write_convergence(scenario, args.dtup, args.out_dir,
+                                 solver=args.solver)
+        print(f"convergence: {path}")
+    elif args.command == "bands":
+        if args.levels is not None:
+            from dataclasses import replace
+            scenario = replace(scenario, levels=tuple(args.levels))
+        path = write_bands(scenario, args.out_dir)
+        print(f"bands: {path}")
+    return 0
 
 
 if __name__ == "__main__":

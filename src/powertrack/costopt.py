@@ -14,12 +14,12 @@ re-observed on a schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .control import UpdateSchedule, cm1_control, cm3_control
-from .demand import DemandParams, DemandPath, MeanFunction
+from .demand import DemandParams, DemandPath, MeanFunction, PathEnsemble
 from .moments import (
     conditional_mean,
     conditional_variance,
@@ -186,15 +186,27 @@ def deterministic_cost(model: DemandModel, grid: Grid, u: ControlSignal,
                       times=out_t, per_time=per_time)
 
 
+def _control_for(self, path: DemandPath, grid: Grid) -> ControlSignal:
+    """The policy's control on one path: row 0 of its block over that path."""
+    return ControlSignal(grid.control_times(),
+                         self.control_block(path.values[np.newaxis], grid)[0])
+
+
+# Each policy maps an (n, nt+1) block of path values to an (n, k) block of
+# controls on the control lattice; ``control_for`` is row 0 of that block.
+
 @dataclass(frozen=True)
 class Cm1Policy:
     """Apply the no-update law: injection fixed at start time."""
 
     params: DemandParams
 
-    def control_for(self, path: DemandPath, grid: Grid) -> ControlSignal:
+    def control_block(self, values: np.ndarray, grid: Grid) -> np.ndarray:
         ct = grid.control_times()
-        return ControlSignal(ct, cm1_control(self.params, grid.speed, ct))
+        u = cm1_control(self.params, grid.speed, ct)
+        return np.broadcast_to(u, (values.shape[0], ct.size))
+
+    control_for = _control_for
 
 
 @dataclass(frozen=True)
@@ -204,13 +216,14 @@ class Cm2Policy:
     params: DemandParams
     schedule: UpdateSchedule
 
-    def control_for(self, path: DemandPath, grid: Grid) -> ControlSignal:
+    def control_block(self, values: np.ndarray, grid: Grid) -> np.ndarray:
         ct = grid.control_times()
-        obs_idx = _lattice_indices(self.schedule.times, grid, path)
-        t_hat, obs = _conditioning_at(
-            UpdateInfo(self.schedule, path.values[obs_idx]), ct)
-        u = conditional_mean(self.params, t_hat, obs, ct + grid.delay)
-        return ControlSignal(ct, u)
+        obs_idx = _lattice_indices(self.schedule.times, grid, values.shape[1])
+        last = self.schedule.last_index(ct)
+        return conditional_mean(self.params, self.schedule.times[last],
+                                values[:, obs_idx[last]], ct + grid.delay)
+
+    control_for = _control_for
 
 
 @dataclass(frozen=True)
@@ -219,60 +232,66 @@ class Cm3Policy:
 
     params: DemandParams
 
-    def control_for(self, path: DemandPath, grid: Grid) -> ControlSignal:
+    def control_block(self, values: np.ndarray, grid: Grid) -> np.ndarray:
         ct = grid.control_times()
-        y_now = path.values[:ct.size]
-        return ControlSignal(ct, cm3_control(self.params, grid.speed, ct, y_now))
+        return cm3_control(self.params, grid.speed, ct, values[:, :ct.size])
+
+    control_for = _control_for
 
 
 Policy = Union[Cm1Policy, Cm2Policy, Cm3Policy]
 
 
-def _lattice_indices(times: np.ndarray, grid: Grid, path: DemandPath) -> np.ndarray:
+def _lattice_indices(times: np.ndarray, grid: Grid, n_times: int) -> np.ndarray:
     idx = np.round(np.asarray(times, dtype=float) / grid.dt).astype(int)
-    if np.any(np.abs(idx * grid.dt - times) > 1e-9) or np.any(idx >= path.times.size):
+    if np.any(np.abs(idx * grid.dt - times) > 1e-9) or np.any(idx >= n_times):
         raise ValueError("times are not aligned with the path lattice")
     return idx
 
 
-def _check_path_lattice(path: DemandPath, grid_times: np.ndarray) -> None:
-    if path.times.shape != grid_times.shape or not np.allclose(
-            path.times, grid_times, atol=1e-9):
+def _check_path_lattice(path_times: np.ndarray, grid_times: np.ndarray) -> None:
+    if path_times.shape != grid_times.shape or not np.allclose(
+            path_times, grid_times, atol=1e-9):
         raise ValueError("path grid does not match the transport lattice")
 
 
-def mc_cost_estimate(paths: list[DemandPath], grid: Grid,
+def _path_values(paths: PathEnsemble | Sequence[DemandPath],
+                 grid_times: np.ndarray) -> np.ndarray:
+    """The (n, nt+1) values of an ensemble, or of a list of paths stacked."""
+    if isinstance(paths, PathEnsemble):
+        _check_path_lattice(paths.times, grid_times)
+        return paths.values
+    shared = paths[0].times
+    _check_path_lattice(shared, grid_times)
+    for p in paths:
+        if p.times is not shared:
+            _check_path_lattice(p.times, grid_times)
+    return np.stack([p.values for p in paths])
+
+
+def mc_cost_estimate(paths: PathEnsemble | Sequence[DemandPath], grid: Grid,
                      control: Union[ControlSignal, Policy]) -> CostReport:
     """Monte-Carlo tracking cost of a fixed control or of a causal policy.
 
-    Policies read each path only through what their information level allows
-    (CM2 at update times, CM3 continuously) and always act one transport
-    delay later.  Returns per-time means with standard errors; the cumrmse
+    ``paths`` is a :class:`PathEnsemble` (a list of paths is stacked into
+    one value block first).  A policy builds the controls of all paths as
+    one (n, k) block; policies read the paths only through what their
+    information level allows (CM2 at update times, CM3 continuously) and
+    always act one transport delay later.  The squared deviations of all
+    paths then reduce to per-time means with standard errors; the cumrmse
     standard error comes from the delta method.
     """
     if len(paths) < 2:
         raise ValueError("need at least 2 paths for a Monte-Carlo estimate")
-    gt = grid.times()
-    shared = paths[0].times
-    for p in paths:
-        if p.times is not shared:
-            _check_path_lattice(p, gt)
-    _check_path_lattice(paths[0], gt)
-
-    out_t = grid.output_times()
-    d0 = grid.delay_steps
-    if isinstance(control, Cm1Policy):  # path-independent, build once
-        control = control.control_for(paths[0], grid)
-    fixed_y = None
+    values = _path_values(paths, grid.times())
     if isinstance(control, ControlSignal):
         _check_control_lattice(control, grid)
-        fixed_y = control.values
-
-    n = len(paths)
-    dev2 = np.empty((n, out_t.size))
-    for j, p in enumerate(paths):
-        y = fixed_y if fixed_y is not None else control.control_for(p, grid).values
-        dev2[j] = (p.values[d0:] - y) ** 2
+        y = control.values
+    else:
+        y = control.control_block(values, grid)
+    out_t = grid.output_times()
+    n = values.shape[0]
+    dev2 = (values[:, grid.delay_steps:] - y) ** 2
 
     per_time = dev2.mean(axis=0)
     per_time_se = dev2.std(axis=0, ddof=1) / np.sqrt(n)
@@ -410,9 +429,9 @@ def sequential_update_solve(
         raise ValueError("solver must be 'direct' or 'iterative'")
     if abs(grid.courant - 1.0) > 1e-9:
         raise ValueError("sequential update solve requires a Courant-1 grid")
-    _check_path_lattice(path, grid.times())
+    _check_path_lattice(path.times, grid.times())
     k_ctl = grid.control_steps
-    upd = _lattice_indices(schedule.times, grid, path)
+    upd = _lattice_indices(schedule.times, grid, path.times.size)
     if np.any(upd > k_ctl):
         raise ValueError("update times must lie on the control horizon")
     cfg = config or OptimizerConfig()

@@ -11,15 +11,23 @@ solution of the SDE, so transitions between arbitrary grid times are exact
 independent cross-check.
 
 Every sampled path carries its full noise record (standard-normal draws,
-jump times, jump heights), so paths can be rebuilt bit-exactly and ensembles
-can share one realisation of the noise across different initial values.
+jump times, jump heights and the grid step of each jump), so paths can be
+rebuilt bit-exactly and ensembles can share one realisation of the noise
+across different initial values.
+
+Monte-Carlo ensembles are a :class:`PathEnsemble`: values and gaussians as
+(paths, steps) arrays and the jump events of all paths in one compressed-row
+record.  Each path still draws from its own ``substream(seed, i)``; the
+exact recursion then runs step by step over all paths at once.  Indexing an
+ensemble gives :class:`DemandPath` views of its rows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -35,6 +43,7 @@ __all__ = [
     "DemandParams",
     "StepNoise",
     "DemandPath",
+    "PathEnsemble",
     "QuadratureError",
     "substream",
     "draw_step_noise",
@@ -333,8 +342,10 @@ class DemandPath:
     """One sampled trajectory together with the noise that generated it.
 
     ``gaussians`` holds one standard-normal draw per grid step; jump events
-    are stored globally with strictly increasing times.  Rebuilding the
-    values from this record (see :func:`rebuild_values`) is bit-exact.
+    are stored globally in step order, with ``jump_steps`` naming the grid
+    step (t_k, t_{k+1}] of each event and times increasing within a step.
+    Rebuilding the values from this record (see :func:`rebuild_values`) is
+    bit-exact.
     """
 
     times: np.ndarray
@@ -342,6 +353,7 @@ class DemandPath:
     gaussians: np.ndarray
     jump_times: np.ndarray
     jump_heights: np.ndarray
+    jump_steps: np.ndarray
 
     def index_of(self, t: float) -> int:
         """Index of grid time ``t``; raises if ``t`` is not on the grid."""
@@ -352,6 +364,44 @@ class DemandPath:
 
     def value_at(self, t: float) -> float:
         return float(self.values[self.index_of(t)])
+
+
+@dataclass(frozen=True, eq=False)
+class PathEnsemble:
+    """``n`` trajectories on one grid, held as arrays.
+
+    ``values`` is (n, nt+1) and ``gaussians`` is (n, nt).  The jump events of
+    all paths form one compressed-row record: the events of path ``i`` are
+    ``jump_times[offsets[i]:offsets[i + 1]]``, and likewise for
+    ``jump_heights`` and ``jump_steps``, laid out as in :class:`DemandPath`.
+
+    The ensemble is a sequence: ``len``, integer indexing and iteration give
+    :class:`DemandPath` views of its rows.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    gaussians: np.ndarray
+    offsets: np.ndarray
+    jump_times: np.ndarray
+    jump_heights: np.ndarray
+    jump_steps: np.ndarray
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, i: int) -> DemandPath:
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"path index {i} out of range for {n} paths")
+        i %= n
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return DemandPath(times=self.times, values=self.values[i],
+                          gaussians=self.gaussians[i],
+                          jump_times=self.jump_times[a:b],
+                          jump_heights=self.jump_heights[a:b],
+                          jump_steps=self.jump_steps[a:b])
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -366,32 +416,6 @@ def substream(seed: int, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Exact transition sampling
 # ---------------------------------------------------------------------------
-
-def _step_coeffs(params: DemandParams, t0: float, t1: float) -> tuple[float, float, float]:
-    """Deterministic pieces of the exact transition over [t0, t1]:
-    decay factor, mean-tracking drift, and Gaussian standard deviation."""
-    kappa = params.kappa
-    delta = t1 - t0
-    decay = math.exp(-kappa * delta)
-    drift = float(params.mean.weighted_integral(kappa, t0, t1))
-    # -expm1 keeps 1 - e^{-2 kappa delta} accurate for tiny steps
-    sd = params.sigma * math.sqrt(-math.expm1(-2.0 * kappa * delta) / (2.0 * kappa))
-    return decay, drift, sd
-
-
-def _jump_decay_sum(kappa: float, t1: float, jump_times: np.ndarray,
-                    jump_heights: np.ndarray) -> float:
-    return float(np.sum(jump_heights * np.exp(-kappa * (t1 - jump_times))))
-
-
-def _apply_step(y: float, decay: float, drift: float, sd: float, gaussian: float,
-                kappa: float, t1: float, jump_times: np.ndarray,
-                jump_heights: np.ndarray) -> float:
-    out = y * decay + drift + sd * gaussian
-    if jump_times.size:
-        out += _jump_decay_sum(kappa, t1, jump_times, jump_heights)
-    return out
-
 
 def draw_step_noise(params: DemandParams, t: float, delta: float,
                     rng: np.random.Generator) -> StepNoise:
@@ -423,9 +447,13 @@ def exact_step(params: DemandParams, t: float, y: float, delta: float,
     """
     if delta <= 0:
         raise ValueError("step length must be > 0")
-    decay, drift, sd = _step_coeffs(params, t, t + delta)
-    return _apply_step(y, decay, drift, sd, noise.gaussian, params.kappa,
-                       t + delta, noise.jump_times, noise.jump_heights)
+    t1 = t + delta
+    decay, drift, sd = _grid_coeffs(params, np.array([t, t1]))
+    out = float(y * decay[0] + drift[0] + sd[0] * noise.gaussian)
+    if noise.jump_times.size:
+        out += float(np.sum(noise.jump_heights
+                            * np.exp(-params.kappa * (t1 - noise.jump_times))))
+    return out
 
 
 def _validate_grid(times: np.ndarray) -> np.ndarray:
@@ -439,65 +467,170 @@ def _validate_grid(times: np.ndarray) -> np.ndarray:
     return times
 
 
-_NO_JUMPS = np.empty(0)
+class _NoiseRecord(NamedTuple):
+    """The noise of ``n`` paths, laid out as in :class:`PathEnsemble`."""
+
+    gaussians: np.ndarray
+    offsets: np.ndarray
+    jump_times: np.ndarray
+    jump_heights: np.ndarray
+    jump_steps: np.ndarray
 
 
-class _GridCoeffs:
-    """Per-step transition constants shared by all paths on one grid.
+def _path_record(path: DemandPath) -> _NoiseRecord:
+    return _NoiseRecord(path.gaussians[np.newaxis],
+                        np.array([0, path.jump_times.size]), path.jump_times,
+                        path.jump_heights, path.jump_steps)
 
-    Kept as plain-float lists: the per-path recursion runs in Python and
-    numpy scalar arithmetic would dominate its cost.
+
+def _draw_noise(params: DemandParams, times: np.ndarray,
+                rngs: Iterable[np.random.Generator], n: int) -> _NoiseRecord:
+    """Noise for ``n`` paths on the grid, path ``i`` from the ``i``-th generator.
+
+    Each path draws its per-step jump counts first, then one gaussian per
+    step, then the uniforms and heights of each step that holds events.  A
+    uniform U becomes the time t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}];
+    times are sorted within each step, heights keep their draw order.
     """
+    law = params.jump.height_law
+    lam = params.jump.intensity * np.diff(times)
+    nsteps = lam.size
+    counts = np.empty((n, nsteps), dtype=np.int64)
+    gaussians = np.empty((n, nsteps))
+    uniforms: list[np.ndarray] = []
+    heights: list[np.ndarray] = []
+    for i, rng in enumerate(rngs):
+        row = counts[i]
+        row[:] = rng.poisson(lam)
+        rng.standard_normal(out=gaussians[i])
+        # one array per path: per-step pieces would cost memory per step
+        u = np.empty(int(row.sum()))
+        h = np.empty(u.size)
+        a = 0
+        for c in row[row > 0].tolist():
+            rng.random(out=u[a:a + c])
+            h[a:a + c] = law.sample(rng, c)
+            a += c
+        uniforms.append(u)
+        heights.append(h)
+    per_path = counts.sum(axis=1)
+    steps = np.repeat(np.tile(np.arange(nsteps), n), counts.ravel())
+    t0 = times[steps]
+    raw = t0 + (times[steps + 1] - t0) * (1.0 - np.concatenate(uniforms))
+    order = np.lexsort((raw, steps, np.repeat(np.arange(n), per_path)))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(per_path, out=offsets[1:])
+    return _NoiseRecord(gaussians, offsets, raw[order], np.concatenate(heights),
+                        steps)
 
-    def __init__(self, params: DemandParams, times: np.ndarray):
-        steps = [_step_coeffs(params, float(times[k]), float(times[k + 1]))
-                 for k in range(times.size - 1)]
-        self.decay = [s[0] for s in steps]
-        self.drift = [s[1] for s in steps]
-        self.sd = [s[2] for s in steps]
-        self.t_ends = [float(t) for t in times[1:]]
-        self.lam = params.jump.intensity * np.diff(times)
+
+def _group_sums(weights: np.ndarray, groups: np.ndarray,
+                n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and size of each group of ``weights``; groups are contiguous runs.
+
+    Each sum adds its terms in the order ``np.sum`` uses on the group alone,
+    so results are bit-identical to it: one by one from zero below eight
+    terms (as ``np.bincount`` does), ``np.sum``'s pairwise scheme from eight.
+    """
+    counts = np.bincount(groups, minlength=n_groups)
+    sums = np.bincount(groups, weights=weights, minlength=n_groups)
+    big = np.flatnonzero(counts >= 8)
+    if big.size:
+        ends = np.cumsum(counts)
+        for g in big.tolist():
+            sums[g] = np.sum(weights[ends[g] - counts[g]:ends[g]])
+    return sums, counts
 
 
-def _draw_grid_noise(params: DemandParams, times: np.ndarray, lam: np.ndarray,
-                     rng: np.random.Generator):
-    """Batched noise for a whole path: per-step counts first, then gaussians,
-    then jump times and heights step by step."""
-    nsteps = times.size - 1
-    counts = rng.poisson(lam) if nsteps else np.empty(0, dtype=int)
-    gaussians = rng.standard_normal(nsteps)
-    jt_steps: list[np.ndarray] = [_NO_JUMPS] * nsteps
-    jh_steps: list[np.ndarray] = [_NO_JUMPS] * nsteps
-    for k in np.flatnonzero(counts):
-        c = int(counts[k])
-        t0, t1 = times[k], times[k + 1]
-        jt_steps[k] = np.sort(t0 + (t1 - t0) * (1.0 - rng.random(c)))
-        jh_steps[k] = params.jump.height_law.sample(rng, c)
-    return gaussians, jt_steps, jh_steps
+def _grid_coeffs(params: DemandParams,
+                 times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic pieces of the exact transition over each grid step:
+    decay factor, mean-tracking drift, and Gaussian standard deviation.
 
-
-def _build_path(params: DemandParams, times: np.ndarray, coeffs: _GridCoeffs,
-                gaussians: np.ndarray, jt_steps: list[np.ndarray],
-                jh_steps: list[np.ndarray], y0: float) -> DemandPath:
+    The decay and the deviation call the C library's ``exp`` and ``expm1``
+    per step, since numpy's vectorised ``exp`` can differ from it in the
+    last bit, and that would move every sampled value.
+    """
     kappa = params.kappa
+    t0, t1 = times[:-1], times[1:]
+    deltas = (t1 - t0).tolist()
+    decay = np.array([math.exp(-kappa * d) for d in deltas])
+    drift = np.asarray(params.mean.weighted_integral(kappa, t0, t1),
+                       dtype=float).reshape(-1)
+    # -expm1 keeps 1 - e^{-2 kappa delta} accurate for tiny steps
+    one_minus = np.array([-math.expm1(-2.0 * kappa * d) for d in deltas])
+    sd = params.sigma * np.sqrt(one_minus / (2.0 * kappa))
+    return decay, drift, sd
+
+
+def _exact_values(params: DemandParams, times: np.ndarray, y0,
+                  noise: _NoiseRecord) -> np.ndarray:
+    """Exact transitions driven by ``noise``, one grid step at a time and
+    vectorised over paths; returns the (paths, nt+1) values.
+
+    Each step is :func:`exact_step` on every row: y maps to
+    y e^{-kappa dt} + drift + sd xi, and then, if the step holds events,
+    sum_i gamma_i e^{-kappa (t_{k+1} - t_i)} is added.  ``y0``
+    broadcasts against the noise rows, so one noise row can drive several
+    initial values.
+    """
+    decay, drift, sd = _grid_coeffs(params, times)
+    nsteps = decay.size
+    rows = noise.gaussians.shape[0]
+    steps = noise.jump_steps
+    groups = np.repeat(np.arange(rows), np.diff(noise.offsets)) * nsteps + steps
+    weights = noise.jump_heights * np.exp(
+        -params.kappa * (times[1:][steps] - noise.jump_times))
+    sums, counts = _group_sums(weights, groups, rows * nsteps)
+    sums = sums.reshape(rows, nsteps).T
+    has_jumps = (counts > 0).reshape(rows, nsteps).T
+    step_has_jumps = has_jumps.any(axis=1).tolist()
+    diffusion = (sd * noise.gaussians).T
+    out = np.empty((nsteps + 1,) + np.broadcast_shapes(np.shape(y0), (rows,)))
+    out[0] = y0
+    decay, drift = decay.tolist(), drift.tolist()
+    for k in range(nsteps):
+        y = out[k + 1]
+        np.multiply(out[k], decay[k], out=y)
+        y += drift[k]
+        y += diffusion[k]
+        if step_has_jumps[k]:
+            np.add(y, sums[k], out=y, where=has_jumps[k])
+    return np.ascontiguousarray(out.T)
+
+
+def _euler_values(params: DemandParams, times: np.ndarray, y0: float,
+                  noise: _NoiseRecord) -> np.ndarray:
+    """Euler-Maruyama recursion driven by the single path in ``noise``:
+
+        Y_{k+1} = Y_k + kappa (mu(t_k) - Y_k) dt + sigma sqrt(dt) xi
+                  + the sum of the jump heights in the step.
+    """
+    nsteps = times.size - 1
+    sums, counts = _group_sums(noise.jump_heights, noise.jump_steps, nsteps)
+    jumps = sums.tolist()
+    has_jumps = (counts > 0).tolist()
+    mu_vals = np.asarray(params.mean.at(times[:-1]), dtype=float).reshape(-1).tolist()
+    dts = np.diff(times).tolist()
+    xi = noise.gaussians[0].tolist()
+    kappa, sigma = params.kappa, params.sigma
     values = np.empty(times.size)
     values[0] = y0
     y = float(y0)
-    decay, drift, sd = coeffs.decay, coeffs.drift, coeffs.sd
-    t_ends = coeffs.t_ends
-    xi = gaussians.tolist()
-    for k in range(times.size - 1):
-        y = _apply_step(y, decay[k], drift[k], sd[k], xi[k], kappa,
-                        t_ends[k], jt_steps[k], jh_steps[k])
+    for k in range(nsteps):
+        dt = dts[k]
+        y = y + kappa * (mu_vals[k] - y) * dt + sigma * math.sqrt(dt) * xi[k]
+        if has_jumps[k]:
+            y += jumps[k]
         values[k + 1] = y
-    if jt_steps:
-        jump_times = np.concatenate(jt_steps)
-        jump_heights = np.concatenate(jh_steps)
-    else:
-        jump_times = np.empty(0)
-        jump_heights = np.empty(0)
-    return DemandPath(times=times, values=values, gaussians=gaussians,
-                      jump_times=jump_times, jump_heights=jump_heights)
+    return values
+
+
+def _sample(params: DemandParams, times: np.ndarray,
+            rngs: Iterable[np.random.Generator], n: int) -> PathEnsemble:
+    noise = _draw_noise(params, times, rngs, n)
+    return PathEnsemble(times, _exact_values(params, times, params.y0, noise),
+                        *noise)
 
 
 def sample_path(params: DemandParams, times, rng: np.random.Generator) -> DemandPath:
@@ -506,30 +639,23 @@ def sample_path(params: DemandParams, times, rng: np.random.Generator) -> Demand
     Deterministic for a fixed generator state; the returned path records all
     noise so that :func:`rebuild_values` reproduces ``values`` bit-exactly.
     """
-    times = _validate_grid(times)
-    coeffs = _GridCoeffs(params, times)
-    gaussians, jt_steps, jh_steps = _draw_grid_noise(params, times, coeffs.lam, rng)
-    return _build_path(params, times, coeffs, gaussians, jt_steps, jh_steps, params.y0)
+    return _sample(params, _validate_grid(times), [rng], 1)[0]
 
 
-def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> list[DemandPath]:
-    """Sample ``n_paths`` independent trajectories.
+def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEnsemble:
+    """Sample ``n_paths`` independent trajectories as one :class:`PathEnsemble`.
 
-    Path ``i`` is drawn from ``substream(seed, i)``, so the ensemble is
-    independent of generation order and identical to calling
-    :func:`sample_path` path by path.
+    Path ``i`` draws its noise from ``substream(seed, i)``; the exact
+    recursion then runs once over all paths, step by step.  Row ``i`` is
+    bit-identical to ``sample_path(params, times, substream(seed, i))``, so
+    the ensemble does not depend on generation order, and its first ``m``
+    rows are the ensemble of ``m`` paths.
     """
     times = _validate_grid(times)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    coeffs = _GridCoeffs(params, times)
-    out = []
-    for i in range(n_paths):
-        rng = substream(seed, i)
-        gaussians, jt_steps, jh_steps = _draw_grid_noise(params, times, coeffs.lam, rng)
-        out.append(_build_path(params, times, coeffs, gaussians, jt_steps,
-                               jh_steps, params.y0))
-    return out
+    return _sample(params, times, (substream(seed, i) for i in range(n_paths)),
+                   n_paths)
 
 
 def _same_but_y0(a: DemandParams, b: DemandParams) -> bool:
@@ -560,12 +686,14 @@ def sample_ensemble(params_list: list[DemandParams], times,
         if not _same_but_y0(base, p):
             raise ValueError("ensemble members may differ only in y0")
     times = _validate_grid(times)
-    coeffs = _GridCoeffs(base, times)
-    gaussians, jt_steps, jh_steps = _draw_grid_noise(base, times, coeffs.lam, rng)
-    return [
-        _build_path(p, times, coeffs, gaussians, jt_steps, jh_steps, p.y0)
-        for p in params_list
-    ]
+    noise = _draw_noise(base, times, [rng], 1)
+    values = _exact_values(base, times, np.array([p.y0 for p in params_list]),
+                           noise)
+    return [DemandPath(times=times, values=row, gaussians=noise.gaussians[0],
+                       jump_times=noise.jump_times,
+                       jump_heights=noise.jump_heights,
+                       jump_steps=noise.jump_steps)
+            for row in values]
 
 
 def euler_path(params: DemandParams, times, rng: np.random.Generator) -> DemandPath:
@@ -578,38 +706,11 @@ def euler_path(params: DemandParams, times, rng: np.random.Generator) -> DemandP
     deltas = np.diff(times)
     if deltas.size and np.max(params.kappa * deltas) >= 1.0:
         raise ValueError("Euler scheme unstable: kappa * dt must be < 1")
-    lam = params.jump.intensity * deltas
-    gaussians, jt_steps, jh_steps = _draw_grid_noise(params, times, lam, rng)
-    mu_vals = np.asarray(params.mean.at(times[:-1]), dtype=float).reshape(-1).tolist()
-    values = np.empty(times.size)
-    values[0] = params.y0
-    y = float(params.y0)
-    kappa, sigma = params.kappa, params.sigma
-    dts = deltas.tolist()
-    xi = gaussians.tolist()
-    for k in range(times.size - 1):
-        dt = dts[k]
-        y = y + kappa * (mu_vals[k] - y) * dt + sigma * math.sqrt(dt) * xi[k]
-        if jt_steps[k].size:
-            y += float(np.sum(jh_steps[k]))
-        values[k + 1] = y
-    if jt_steps:
-        jump_times = np.concatenate(jt_steps)
-        jump_heights = np.concatenate(jh_steps)
-    else:
-        jump_times = np.empty(0)
-        jump_heights = np.empty(0)
-    return DemandPath(times=times, values=values, gaussians=gaussians,
-                      jump_times=jump_times, jump_heights=jump_heights)
-
-
-def _split_jumps(path: DemandPath) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Reassign the global jump record to grid steps (t_k, t_{k+1}]."""
-    nsteps = path.times.size - 1
-    idx = np.searchsorted(path.times, path.jump_times, side="left") - 1
-    jt_steps = [path.jump_times[idx == k] for k in range(nsteps)]
-    jh_steps = [path.jump_heights[idx == k] for k in range(nsteps)]
-    return jt_steps, jh_steps
+    noise = _draw_noise(params, times, [rng], 1)
+    return DemandPath(times=times,
+                      values=_euler_values(params, times, params.y0, noise),
+                      gaussians=noise.gaussians[0], jump_times=noise.jump_times,
+                      jump_heights=noise.jump_heights, jump_steps=noise.jump_steps)
 
 
 def rebuild_values(params: DemandParams, path: DemandPath,
@@ -619,27 +720,9 @@ def rebuild_values(params: DemandParams, path: DemandPath,
     For paths produced by the matching sampler the result is bit-identical
     to ``path.values``.
     """
-    jt_steps, jh_steps = _split_jumps(path)
     if method == "exact":
-        coeffs = _GridCoeffs(params, path.times)
-        rebuilt = _build_path(params, path.times, coeffs, path.gaussians,
-                              jt_steps, jh_steps, float(path.values[0]))
-        return rebuilt.values
+        return _exact_values(params, path.times, path.values[0],
+                             _path_record(path))[0]
     if method == "euler":
-        times = path.times
-        mu_vals = np.asarray(params.mean.at(times[:-1]),
-                             dtype=float).reshape(-1).tolist()
-        values = np.empty(times.size)
-        values[0] = path.values[0]
-        y = float(path.values[0])
-        kappa, sigma = params.kappa, params.sigma
-        dts = np.diff(times).tolist()
-        xi = path.gaussians.tolist()
-        for k in range(times.size - 1):
-            dt = dts[k]
-            y = y + kappa * (mu_vals[k] - y) * dt + sigma * math.sqrt(dt) * xi[k]
-            if jt_steps[k].size:
-                y += float(np.sum(jh_steps[k]))
-            values[k + 1] = y
-        return values
+        return _euler_values(params, path.times, path.values[0], _path_record(path))
     raise ValueError(f"unknown rebuild method {method!r}")

@@ -10,9 +10,11 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cache, partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.stats import norm
@@ -36,6 +38,7 @@ from .demand import (
     LognormalHeight,
     MeanFunction,
     NormalHeight,
+    PathEnsemble,
     SinusoidMean,
     TabulatedMean,
     sample_path,
@@ -47,6 +50,7 @@ from .transport import ControlSignal, Grid, upwind_solve
 
 __all__ = [
     "ConfigError",
+    "ArtifactError",
     "Scenario",
     "PRESET_NAMES",
     "preset",
@@ -70,6 +74,16 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+class ArtifactError(ValueError):
+    """A computed artifact holds a non-finite value; names the file and column."""
+
+    def __init__(self, artifact: str, column: str, value: float):
+        super().__init__(f"{artifact}: column {column}: non-finite value "
+                         f"{value!r}; the file was not written")
+        self.artifact = artifact
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -123,7 +137,15 @@ def preset(name: str) -> Scenario:
                                 f"choose one of {', '.join(PRESET_NAMES)}")
 
 
+def _check_lattice_fields(scenario: Scenario) -> None:
+    for field in ("speed", "horizon", "dx"):
+        value = getattr(scenario, field)
+        if value is None or not (math.isfinite(value) and value > 0):
+            raise ConfigError(field, f"must be finite and > 0, got {value!r}")
+
+
 def scenario_grid(scenario: Scenario) -> Grid:
+    _check_lattice_fields(scenario)
     try:
         return Grid.make(scenario.speed, scenario.dx, scenario.horizon)
     except ValueError as err:
@@ -140,11 +162,26 @@ def scenario_schedule(scenario: Scenario, grid: Grid) -> UpdateSchedule | None:
         raise ConfigError("update_interval", str(err)) from None
 
 
+def _check_forecast(mean: MeanFunction, horizon: float, field: str) -> None:
+    try:
+        mean.at(np.array([0.0, horizon]))
+    except ValueError as err:
+        raise ConfigError(field, f"{err}: the forecast must cover [0, {horizon!r}]"
+                          ) from None
+
+
 def _validate_scenario(scenario: Scenario) -> None:
-    if scenario.demand_mode == "stochastic" and scenario.params is None:
-        raise ConfigError("params", "stochastic scenarios need demand parameters")
+    _check_lattice_fields(scenario)
+    if scenario.demand_mode == "stochastic":
+        if scenario.params is None:
+            raise ConfigError("params", "stochastic scenarios need demand parameters")
+        _check_forecast(scenario.params.mean, scenario.horizon, "mean")
+    else:
+        _check_forecast(scenario.profile, scenario.horizon, "profile")
     if scenario.mc_paths < 1:
         raise ConfigError("paths", "Monte-Carlo budget must be >= 1")
+    if scenario.n_display_paths < 0:
+        raise ConfigError("n_display_paths", "must be >= 0")
     if scenario.seed < 0:
         raise ConfigError("seed", "seed must be >= 0")
     for level in scenario.levels:
@@ -159,22 +196,48 @@ def _validate_scenario(scenario: Scenario) -> None:
 # CSV helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
+def _fmt(x, artifact: str, column: str) -> str:
+    """One CSV cell: text as is, None as empty, numbers as repr(float)."""
+    if x is None or isinstance(x, str):
+        return x or ""
+    value = float(x)
+    if not math.isfinite(value):
+        raise ArtifactError(artifact, column, value)
+    return repr(value)
 
 
 def _write_csv(path: Path, header: Sequence[str],
                rows: Iterable[Sequence]) -> Path:
+    """Format every cell, then write the file; a non-finite number raises
+    :class:`ArtifactError` before the file is opened."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(x, path.name, column)
+                              for column, x in zip(header, row)))
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
 # ---------------------------------------------------------------------------
 # Confidence bands
 # ---------------------------------------------------------------------------
+
+def _bands(params: DemandParams, times: np.ndarray, levels: Sequence[float],
+           ensemble: Callable[[], PathEnsemble], n_paths: int) -> np.ndarray:
+    """Quantile curves, one row per level: exact (mean + z sqrt(var)) when
+    jumps cannot move the path and the marginal law is Gaussian, otherwise
+    empirical over the first ``n_paths`` rows of ``ensemble()``."""
+    for lv in levels:
+        if not (0.0 < lv < 1.0):
+            raise ValueError(f"confidence level {lv} outside (0, 1)")
+    if not params.jump.active:
+        mean = np.atleast_1d(first_moment(params, times))
+        var = np.atleast_1d(conditional_variance(params, times))
+        sd = np.sqrt(var)
+        return np.vstack([mean + norm.ppf(lv) * sd for lv in levels])
+    return np.quantile(ensemble().values[:n_paths], levels, axis=0)
+
 
 def confidence_bands(params: DemandParams, times, levels, mc_paths: int,
                      seed: int) -> np.ndarray:
@@ -186,17 +249,20 @@ def confidence_bands(params: DemandParams, times, levels, mc_paths: int,
     """
     times = np.asarray(times, dtype=float)
     levels = [float(lv) for lv in levels]
-    for lv in levels:
-        if not (0.0 < lv < 1.0):
-            raise ValueError(f"confidence level {lv} outside (0, 1)")
-    if not params.jump.active:
-        mean = np.atleast_1d(first_moment(params, times))
-        var = np.atleast_1d(conditional_variance(params, times))
-        sd = np.sqrt(var)
-        return np.vstack([mean + norm.ppf(lv) * sd for lv in levels])
-    paths = sample_paths(params, times, mc_paths, seed)
-    values = np.stack([p.values for p in paths])
-    return np.quantile(values, levels, axis=0)
+    return _bands(params, times, levels,
+                  partial(sample_paths, params, times, mc_paths, seed), mc_paths)
+
+
+def _bands_artifact(scenario: Scenario, grid: Grid, out_dir: Path,
+                    ensemble: Callable[[], PathEnsemble]) -> Path:
+    times = grid.times()
+    bands = _bands(scenario.params, times, scenario.levels, ensemble,
+                   scenario.mc_paths)
+    mean = np.atleast_1d(first_moment(scenario.params, times))
+    header = ["time", "mean"] + [f"q{lv}" for lv in scenario.levels]
+    rows = ([times[i], mean[i]] + [bands[j, i] for j in range(len(scenario.levels))]
+            for i in range(times.size))
+    return _write_csv(out_dir / "bands.csv", header, rows)
 
 
 def write_bands(scenario: Scenario, out_dir: str | Path) -> Path:
@@ -205,31 +271,24 @@ def write_bands(scenario: Scenario, out_dir: str | Path) -> Path:
     if scenario.demand_mode != "stochastic":
         raise ConfigError("demand_mode", "bands need a stochastic demand")
     grid = scenario_grid(scenario)
-    times = grid.times()
-    bands = confidence_bands(scenario.params, times, scenario.levels,
-                             scenario.mc_paths, scenario.seed)
-    mean = np.atleast_1d(first_moment(scenario.params, times))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["time", "mean"] + [f"q{lv}" for lv in scenario.levels]
-    rows = ([times[i], mean[i]] + [bands[j, i] for j in range(len(scenario.levels))]
-            for i in range(times.size))
-    return _write_csv(out_dir / "bands.csv", header, rows)
+    return _bands_artifact(scenario, grid, out_dir, partial(
+        sample_paths, scenario.params, grid.times(), scenario.mc_paths,
+        scenario.seed))
 
 
 # ---------------------------------------------------------------------------
 # Scenario runner
 # ---------------------------------------------------------------------------
 
-def _hold_series(u: ControlSignal, grid: Grid) -> np.ndarray:
+def _hold_series(u: ControlSignal, grid: Grid) -> list[float | None]:
     """Control values on the full lattice, None past the control horizon."""
-    full = [None] * (grid.nt + 1)
-    full[: u.values.size] = list(u.values)
-    return full
+    return u.values.tolist() + [None] * (grid.nt + 1 - u.values.size)
 
 
-def _control_artifact_stochastic(scenario: Scenario, grid: Grid,
-                                 out_dir: Path) -> Path:
+def _control_artifact_stochastic(scenario: Scenario, grid: Grid, out_dir: Path,
+                                 ensemble: Callable[[], PathEnsemble]) -> Path:
     params = scenario.params
     times = grid.times()
     mean = np.atleast_1d(first_moment(params, times))
@@ -240,7 +299,7 @@ def _control_artifact_stochastic(scenario: Scenario, grid: Grid,
 
     schedule = scenario_schedule(scenario, grid)
     if schedule is not None:
-        path = sample_path(params, times, substream(scenario.seed, 0))
+        path = ensemble()[0]
         u2, field2, _ = sequential_update_solve(params, grid, schedule, path)
         u3 = Cm3Policy(params).control_for(path, grid)
         y3 = upwind_solve(grid, None, u3).outflow
@@ -264,24 +323,23 @@ def _control_artifact_deterministic(scenario: Scenario, grid: Grid,
                       ["time", "demand", "u", "y"], rows)
 
 
-def _paths_artifact(scenario: Scenario, grid: Grid, out_dir: Path) -> Path:
+def _paths_artifact(scenario: Scenario, grid: Grid, out_dir: Path,
+                    ensemble: Callable[[], PathEnsemble]) -> Path:
     params = scenario.params
     times = grid.times()
     n = min(scenario.n_display_paths, scenario.mc_paths)
-    paths = sample_paths(params, times, n, scenario.seed)
+    values = ensemble().values[:n]
     mean = np.atleast_1d(first_moment(params, times))
     header = ["time", "mean"] + [f"path_{j}" for j in range(n)]
-    rows = ([times[i], mean[i]] + [p.values[i] for p in paths]
-            for i in range(times.size))
+    rows = ([times[i], mean[i]] + values[:, i].tolist() for i in range(times.size))
     return _write_csv(out_dir / "paths.csv", header, rows)
 
 
-def _cost_artifact_stochastic(scenario: Scenario, grid: Grid,
-                              out_dir: Path) -> Path:
+def _cost_artifact_stochastic(scenario: Scenario, grid: Grid, out_dir: Path,
+                              ensemble: Callable[[], PathEnsemble]) -> Path:
     params = scenario.params
     schedule = scenario_schedule(scenario, grid)
-    paths = sample_paths(params, grid.times(), max(scenario.mc_paths, 2),
-                         scenario.seed)
+    paths = ensemble()
     methods: list[tuple[str, object]] = [("CM1", Cm1Policy(params))]
     if schedule is not None:
         methods.append(("CM2", Cm2Policy(params, schedule)))
@@ -295,11 +353,7 @@ def _cost_artifact_stochastic(scenario: Scenario, grid: Grid,
                      report.expected_cost, report.expected_cost_se])
     header = ["method", "cumrmse_analytic", "cumrmse_mc", "cumrmse_mc_se",
               "expected_cost_mc", "expected_cost_mc_se"]
-    with open(out_dir / "cost.csv", "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(row[0] + "," + ",".join(_fmt(x) for x in row[1:]) + "\n")
-    return out_dir / "cost.csv"
+    return _write_csv(out_dir / "cost.csv", header, rows)
 
 
 def _cost_artifact_deterministic(scenario: Scenario, grid: Grid,
@@ -321,6 +375,12 @@ def _cost_artifact_deterministic(scenario: Scenario, grid: Grid,
 def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     """Run the requested pipeline and write one CSV per requested artifact.
 
+    A stochastic run samples one ensemble of ``max(mc_paths, 2)`` paths, on
+    first use, and every artifact reads its rows from it: the Monte-Carlo
+    cost all of them, the bands the first ``mc_paths``, the displayed paths
+    the first ``n_display_paths``, and the control study row 0.  Row ``i``
+    is the path drawn from ``substream(seed, i)`` in every case.
+
     Deterministic given (scenario, seed): repeated runs produce byte-identical
     files.
     """
@@ -330,8 +390,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-    for artifact in scenario.outputs:
-        if scenario.demand_mode == "deterministic":
+    if scenario.demand_mode == "deterministic":
+        for artifact in scenario.outputs:
             if artifact == "control":
                 written[artifact] = _control_artifact_deterministic(
                     scenario, grid, out_dir)
@@ -339,16 +399,13 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
                 written[artifact] = _cost_artifact_deterministic(
                     scenario, grid, out_dir)
             # paths/bands are meaningless without randomness; skip quietly
-            continue
-        if artifact == "paths":
-            written[artifact] = _paths_artifact(scenario, grid, out_dir)
-        elif artifact == "control":
-            written[artifact] = _control_artifact_stochastic(
-                scenario, grid, out_dir)
-        elif artifact == "bands":
-            written[artifact] = write_bands(scenario, out_dir)
-        elif artifact == "cost":
-            written[artifact] = _cost_artifact_stochastic(scenario, grid, out_dir)
+        return written
+    ensemble = cache(partial(sample_paths, scenario.params, grid.times(),
+                             max(scenario.mc_paths, 2), scenario.seed))
+    writers = {"paths": _paths_artifact, "control": _control_artifact_stochastic,
+               "bands": _bands_artifact, "cost": _cost_artifact_stochastic}
+    for artifact in scenario.outputs:
+        written[artifact] = writers[artifact](scenario, grid, out_dir, ensemble)
     return written
 
 
@@ -398,13 +455,10 @@ def write_convergence(scenario: Scenario, update_intervals,
     rows = convergence_study(scenario, update_intervals, solver=solver)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "convergence.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("update_interval,lattice_steps,cumrmse_gap\n")
-        for row in rows:
-            fh.write(f"{_fmt(row['update_interval'])},{row['lattice_steps']},"
-                     f"{_fmt(row['cumrmse_gap'])}\n")
-    return path
+    return _write_csv(out_dir / "convergence.csv",
+                      ["update_interval", "lattice_steps", "cumrmse_gap"],
+                      ([row["update_interval"], str(row["lattice_steps"]),
+                        row["cumrmse_gap"]] for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +527,10 @@ def load_config(path: str | Path) -> dict:
     import yaml
 
     with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except yaml.YAMLError as err:
+            raise ConfigError("config", f"not valid YAML: {err}") from None
     if cfg is None:
         cfg = {}
     if not isinstance(cfg, dict):
@@ -495,22 +552,28 @@ def scenario_from_config(cfg: dict, *, preset_name: str | None = None,
     scenario = preset(chosen) if chosen else Scenario(
         name=str(cfg.get("name", "custom")), speed=1.0, horizon=2.0, dx=0.1)
 
+    def convert(key: str, kind):
+        try:
+            return kind(cfg[key])
+        except (TypeError, ValueError):
+            raise ConfigError(key, f"cannot read {cfg[key]!r}") from None
+
     updates: dict = {}
     if "name" in cfg:
         updates["name"] = str(cfg["name"])
     for field in ("speed", "horizon", "dx", "update_interval"):
         if field in cfg:
-            updates[field] = None if cfg[field] is None else float(cfg[field])
+            updates[field] = None if cfg[field] is None else convert(field, float)
     if "paths" in cfg:
-        updates["mc_paths"] = int(cfg["paths"])
+        updates["mc_paths"] = convert("paths", int)
     if "seed" in cfg:
-        updates["seed"] = int(cfg["seed"])
+        updates["seed"] = convert("seed", int)
     if "n_display_paths" in cfg:
-        updates["n_display_paths"] = int(cfg["n_display_paths"])
+        updates["n_display_paths"] = convert("n_display_paths", int)
     if "outputs" in cfg:
-        updates["outputs"] = tuple(str(a) for a in cfg["outputs"])
+        updates["outputs"] = convert("outputs", lambda v: tuple(str(a) for a in v))
     if "levels" in cfg:
-        updates["levels"] = tuple(float(lv) for lv in cfg["levels"])
+        updates["levels"] = convert("levels", lambda v: tuple(float(lv) for lv in v))
 
     mode = cfg.get("demand_mode", scenario.demand_mode)
     if mode == "deterministic":

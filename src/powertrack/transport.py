@@ -78,6 +78,10 @@ class Grid:
         which makes the upwind solve an exact delay)."""
         if not (0 < courant <= 1.0):
             raise CFLError(courant)
+        for name, value in (("transport speed", speed), ("dx", dx),
+                            ("horizon", horizon)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
         dt = courant * dx / speed
         return cls(speed=speed, dx=dx, dt=dt, nx=_near_int(1.0 / dx),
                    nt=_near_int(horizon / dt), horizon=horizon)

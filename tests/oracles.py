@@ -7,6 +7,8 @@ stepping) rather than against the library code it checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import poisson
@@ -91,6 +93,42 @@ def euler_mc_values(kappa: float, sigma: float, mu, y0: float, nu: float,
         y = (y + kappa * (mu(t) - y) * dt
              + sigma * sqdt * rng.standard_normal(n) + jumps)
     return y
+
+
+def stepwise_path(params, times, rng):
+    """One exact-transition path sampled step by step in Python floats.
+
+    The draws come in the sampler's order: the per-step jump counts, one
+    gaussian per step, then the uniforms and heights of each step with
+    events.  Each step applies the transition formula directly,
+    y e^{-kappa dt} + drift + sd xi, and then adds the np.sum of the step's
+    decayed jumps.  Returns (values, gaussians, jump_times, jump_heights).
+    """
+    times = np.asarray(times, dtype=float)
+    kappa = params.kappa
+    nsteps = times.size - 1
+    counts = rng.poisson(params.jump.intensity * np.diff(times))
+    gaussians = rng.standard_normal(nsteps)
+    values = [float(params.y0)]
+    jump_times, jump_heights = [], []
+    for k in range(nsteps):
+        t0, t1 = float(times[k]), float(times[k + 1])
+        delta = t1 - t0
+        decay = math.exp(-kappa * delta)
+        drift = float(params.mean.weighted_integral(kappa, t0, t1))
+        sd = params.sigma * math.sqrt(-math.expm1(-2.0 * kappa * delta) / (2.0 * kappa))
+        y = values[-1] * decay + drift + sd * float(gaussians[k])
+        c = int(counts[k])
+        if c:
+            step_times = np.sort(times[k] + (times[k + 1] - times[k])
+                                 * (1.0 - rng.random(c)))
+            step_heights = params.jump.height_law.sample(rng, c)
+            y += float(np.sum(step_heights * np.exp(-kappa * (t1 - step_times))))
+            jump_times.append(step_times)
+            jump_heights.append(step_heights)
+        values.append(y)
+    return (np.array(values), gaussians, np.concatenate([np.empty(0)] + jump_times),
+            np.concatenate([np.empty(0)] + jump_heights))
 
 
 def se_mean(x: np.ndarray) -> float:

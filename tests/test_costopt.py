@@ -1,17 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from powertrack import (
     Cm1Policy,
     Cm2Policy,
     Cm3Policy,
+    ConstantHeight,
     ConstantMean,
     ControlSignal,
     ConvergenceError,
+    CostReport,
     DemandParams,
     DeterministicDemand,
     Grid,
+    JumpSpec,
     OptimizerConfig,
     SinusoidMean,
     UpdateInfo,
@@ -138,6 +145,62 @@ class TestMcCostEstimate:
         paths = sample_paths(ps1, ps_grid.times(), 1, seed=2)
         with pytest.raises(ValueError):
             mc_cost_estimate(paths, ps_grid, minimize_control_direct(ps1, ps_grid))
+
+
+def _per_path_cost(paths, grid, control) -> CostReport:
+    """mc_cost_estimate written path by path: one control_for call and one
+    row of squared deviations per path, then the same reductions."""
+    out_t = grid.output_times()
+    d0 = grid.delay_steps
+    n = len(paths)
+    rows = []
+    for p in paths:
+        y = (control.values if isinstance(control, ControlSignal)
+             else control.control_for(p, grid).values)
+        rows.append((p.values[d0:] - y) ** 2)
+    dev2 = np.stack(rows)
+    per_time = dev2.mean(axis=0)
+    costs = np.trapezoid(dev2, out_t, axis=1)
+    root = np.sqrt(per_time)
+    slope = np.divide(0.5, root, out=np.zeros_like(root), where=root > 0)
+    return CostReport(
+        expected_cost=float(costs.mean()),
+        cumrmse=float(np.trapezoid(root, out_t)),
+        times=out_t,
+        per_time=per_time,
+        per_time_se=dev2.std(axis=0, ddof=1) / np.sqrt(n),
+        expected_cost_se=float(costs.std(ddof=1) / np.sqrt(n)),
+        cumrmse_se=float(np.trapezoid(dev2 * slope, out_t, axis=1).std(ddof=1)
+                         / np.sqrt(n)),
+    )
+
+
+class TestMcCostEstimateProperty:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(kappa=st.floats(0.1, 10.0), sigma=st.floats(0.0, 3.0),
+           intensity=st.floats(0.0, 20.0), height=st.floats(-2.0, 2.0),
+           update_steps=st.integers(1, 10), n=st.integers(2, 30),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_path_reference(self, kappa, sigma, intensity, height,
+                                       update_steps, n, seed):
+        grid = Grid.make(4.0, 0.1, 1.0)
+        params = DemandParams(kappa=kappa, sigma=sigma,
+                              mean=SinusoidMean(2.0, 3.0, TWO_PI), y0=1.0,
+                              jump=JumpSpec(intensity, ConstantHeight(height)))
+        paths = sample_paths(params, grid.times(), n, seed)
+        sched = UpdateSchedule.regular(update_steps * grid.dt,
+                                       grid.horizon - grid.delay, grid.dt)
+        ct = grid.control_times()
+        controls = (Cm1Policy(params), Cm2Policy(params, sched), Cm3Policy(params),
+                    ControlSignal(ct, 2.0 + np.sin(TWO_PI * ct)))
+        for control in controls:
+            want = _per_path_cost(list(paths), grid, control)
+            for got in (mc_cost_estimate(paths, grid, control),
+                        mc_cost_estimate(list(paths), grid, control)):
+                for field in dataclasses.fields(CostReport):
+                    a = np.asarray(getattr(got, field.name))
+                    b = np.asarray(getattr(want, field.name))
+                    assert a.tobytes() == b.tobytes(), (type(control), field.name)
 
 
 class TestMinimizeControl:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import oracles
@@ -8,6 +10,9 @@ from powertrack import (
     ConstantMean,
     DemandParams,
     JumpSpec,
+    LognormalHeight,
+    NormalHeight,
+    SinusoidMean,
     conditional_mean,
     conditional_variance,
     draw_step_noise,
@@ -161,6 +166,58 @@ class TestSampleEnsemble:
     def test_heterogeneous_members_rejected(self, ps1, ps2):
         with pytest.raises(ValueError):
             sample_ensemble([ps1, ps2], [0.0, 1.0], substream(0, 0))
+
+
+_HEIGHT_LAWS = st.one_of(
+    st.builds(ConstantHeight, st.floats(-3.0, 3.0)),
+    st.builds(NormalHeight, st.floats(-3.0, 3.0), st.floats(0.0, 2.0)),
+    st.builds(LognormalHeight, st.floats(-2.0, 1.0), st.floats(0.0, 1.0)),
+)
+_MEANS = st.one_of(
+    st.builds(ConstantMean, st.floats(-5.0, 5.0)),
+    st.builds(SinusoidMean, st.floats(-5.0, 5.0), st.floats(0.0, 5.0),
+              st.floats(0.0, 10.0)),
+)
+_NOISE_FIELDS = ("values", "gaussians", "jump_times", "jump_heights")
+
+
+class TestPathEnsemble:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(kappa=st.floats(0.05, 20.0), sigma=st.floats(0.0, 3.0),
+           y0=st.floats(-10.0, 10.0), mean=_MEANS, law=_HEIGHT_LAWS,
+           events_per_step=st.floats(0.0, 10.0),
+           steps=st.lists(st.floats(0.01, 0.5), max_size=24),
+           n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_single_path_samples(self, kappa, sigma, y0, mean, law,
+                                            events_per_step, steps, n, seed):
+        # up to ~10 events per step, so some steps hold 8 or more and their
+        # jump sums take np.sum's pairwise order
+        times = np.concatenate(([0.0], np.cumsum(steps)))
+        intensity = events_per_step / max(steps) if steps else 0.0
+        params = DemandParams(kappa=kappa, sigma=sigma, mean=mean, y0=y0,
+                              jump=JumpSpec(intensity, law))
+        ensemble = sample_paths(params, times, n, seed)
+        assert len(ensemble) == n
+        assert ensemble.values.shape == (n, times.size)
+        for i, row in enumerate(ensemble):
+            solo = sample_path(params, times, substream(seed, i))
+            stepwise = oracles.stepwise_path(params, times, substream(seed, i))
+            for name, ref in zip(_NOISE_FIELDS, stepwise):
+                assert getattr(row, name).tobytes() == getattr(solo, name).tobytes()
+                assert getattr(row, name).tobytes() == ref.tobytes(), name
+            assert np.array_equal(row.jump_steps, solo.jump_steps)
+            assert np.array_equal(rebuild_values(params, row), row.values)
+
+    def test_rows_are_views_of_the_arrays(self, ps3):
+        times = np.linspace(0.0, 1.0, 11)
+        ensemble = sample_paths(ps3, times, 6, seed=3)
+        assert len(list(ensemble)) == 6
+        assert np.shares_memory(ensemble[2].values, ensemble.values)
+        assert np.array_equal(ensemble[-1].values, ensemble.values[5])
+        counts = [p.jump_times.size for p in ensemble]
+        assert counts == np.diff(ensemble.offsets).tolist()
+        with pytest.raises(IndexError):
+            ensemble[6]
 
 
 class TestEulerPath:

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from powertrack import (
     scenario_grid,
     sample_paths,
 )
+from powertrack import costopt
 from powertrack.cli import main
 from powertrack.experiments import load_config, scenario_from_config, write_bands
 
@@ -267,3 +269,44 @@ class TestCli:
                      "--out-dir", str(tmp_path / "x")])
         assert code != 0
         assert "error" in json.loads(capsys.readouterr().err.strip())
+
+    @pytest.mark.parametrize("config, field, budget", [
+        ("preset: PS1\nspeed: 0\n", "speed", None),
+        ("preset: PS1\nkappa: [1\n", "config", None),
+        # the forecast ends at 0.5, before the horizon 1
+        ("preset: PS3\nmean: {type: tabulated, times: [0.0, 0.5], "
+         "values: [1.0, 2.0]}\n", "mean", None),
+        # kappa * (knot spacing) = 5000: Gauss-Legendre at 32 and 64 nodes
+        # disagree, so the quadrature raises QuadratureError
+        ("preset: PS3\nkappa: 5000\nmean: {type: tabulated, "
+         "times: [0.0, 1.0], values: [1.0, 2.0]}\n", "mean", None),
+        # a one-iteration optimizer budget raises ConvergenceError
+        ("preset: deterministic-fig5\n", None, 1),
+    ], ids=["zero-speed", "malformed-yaml", "short-forecast", "quadrature",
+            "convergence"])
+    def test_bad_input_gives_one_json_line(self, tmp_path, capsys, monkeypatch,
+                                           config, field, budget):
+        if budget is not None:
+            monkeypatch.setattr(costopt, "OptimizerConfig", functools.partial(
+                costopt.OptimizerConfig, max_iters=budget))
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(config)
+        code = main(["run", str(cfg), "--paths", "20",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code != 0
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["field"] == field
+
+    def test_non_finite_artifact_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text("y0: 1.0e+308\n")
+        out = tmp_path / "x"
+        code = main(["run", str(cfg), "--preset", "PS1", "--paths", "50",
+                     "--out-dir", str(out)])
+        assert code != 0
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["artifact"], err["column"]) == ("cost.csv", "cumrmse_mc")
+        assert not (out / "cost.csv").exists()
