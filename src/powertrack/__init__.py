@@ -39,7 +39,6 @@ from .demand import (
     LognormalHeight,
     NormalHeight,
     PathEnsemble,
-    QuadratureError,
     SinusoidMean,
     StepNoise,
     TabulatedMean,

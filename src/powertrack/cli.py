@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from .costopt import ConvergenceError
-from .demand import QuadratureError
 from .experiments import (
     ArtifactError,
     ConfigError,
@@ -100,10 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(2, err, err.field)
     except ArtifactError as err:
         return _fail(1, err, None, artifact=err.artifact, column=err.column)
-    except QuadratureError as err:
-        # only the tabulated forecast is integrated numerically
-        return _fail(1, err, "mean")
     except (ConvergenceError, OSError, ValueError) as err:
+        # a stopped optimizer, an unreadable file or a rejected value
         return _fail(1, err, None)
 
 

@@ -13,6 +13,7 @@ re-observed on a schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -26,7 +27,7 @@ from .moments import (
     first_moment,
     second_moment,
 )
-from .transport import ControlSignal, FieldState, Grid, validate_cfl
+from .transport import ControlSignal, FieldState, Grid, upwind_solve, validate_cfl
 
 __all__ = [
     "DeterministicDemand",
@@ -320,7 +321,9 @@ def _descend(targets: np.ndarray, weights: np.ndarray, u0: np.ndarray,
     The objective equals the discretised tracking cost up to a constant, so
     the line search behaves identically on either.  Steps start at the
     inverse curvature bound and continue with Barzilai-Borwein estimates,
-    each safeguarded by an Armijo backtracking search.
+    each safeguarded by an Armijo backtracking search.  The descent stops
+    at the first iterate whose objective is not finite (it overflowed) and
+    raises :class:`ConvergenceError` with the last finite iterate.
     """
     u = u0.astype(float).copy()
 
@@ -333,17 +336,22 @@ def _descend(targets: np.ndarray, weights: np.ndarray, u0: np.ndarray,
     step = 1.0 / (2.0 * float(np.max(weights)))
     g = gradient(u)
     prev_u = prev_g = None
+    reason = (f"did not reach tolerance {cfg.grad_tol} "
+              f"within {cfg.max_iters} iterations")
     for _ in range(cfg.max_iters):
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        gnorm = float(np.max(np.abs(g)))
         if gnorm < cfg.grad_tol:
             return u
+        j0 = value(u)
+        if not math.isfinite(j0):
+            reason = f"stopped at a non-finite objective ({j0})"
+            break
         if prev_u is not None:
             s = u - prev_u
             yv = g - prev_g
             sy = float(np.dot(s, yv))
             if sy > 0:
                 step = float(np.dot(s, s)) / sy
-        j0 = value(u)
         gg = float(np.dot(g, g))
         alpha = step
         for _ in range(60):
@@ -354,12 +362,12 @@ def _descend(targets: np.ndarray, weights: np.ndarray, u0: np.ndarray,
         prev_u, prev_g = u, g
         u = u - alpha * g
         g = gradient(u)
+    if prev_u is not None and not np.all(np.isfinite(u)):
+        u, g = prev_u, prev_g  # its objective was finite, so it is too
     raise ConvergenceError(
-        f"gradient descent did not reach tolerance {cfg.grad_tol} "
-        f"within {cfg.max_iters} iterations",
-        control=ControlSignal(np.arange(u.size, dtype=float), u)
-        if u.size else ControlSignal(np.array([0.0]), np.array([0.0])),
-        grad_norm=float(np.max(np.abs(g))) if g.size else 0.0,
+        f"gradient descent {reason}",
+        control=ControlSignal(np.arange(u.size, dtype=float), u),
+        grad_norm=float(np.max(np.abs(g))),
     )
 
 
@@ -420,70 +428,41 @@ def sequential_update_solve(
 ) -> tuple[ControlSignal, FieldState, CostReport]:
     """Re-optimise the injection on each update interval of a realised path.
 
-    At every update time the demand is read off the path, the tracking cost
-    conditional on that observation is minimised over the interval's control
-    values, and the transport field is advanced from the carried state.  The
-    concatenated control is then scored against the realised trajectory.
+    A composition of existing parts: the control is the CM2 law of
+    :class:`Cm2Policy` on this path (the conditional mean one delay ahead,
+    given the value observed at the last update), and the field is
+    :func:`upwind_solve` of that control from ``z0``.  With
+    ``solver="iterative"`` the gradient descent minimises the tracking cost
+    of each update interval in turn instead.  The control is then scored
+    against the realised trajectory.
     """
     if solver not in ("direct", "iterative"):
         raise ValueError("solver must be 'direct' or 'iterative'")
     if abs(grid.courant - 1.0) > 1e-9:
         raise ValueError("sequential update solve requires a Courant-1 grid")
     _check_path_lattice(path.times, grid.times())
-    k_ctl = grid.control_steps
     upd = _lattice_indices(schedule.times, grid, path.times.size)
-    if np.any(upd > k_ctl):
+    if np.any(upd > grid.control_steps):
         raise ValueError("update times must lie on the control horizon")
-    cfg = config or OptimizerConfig()
-    ct = grid.control_times()
-    weights = _trapezoid_weights(grid.output_times())
-    delay = grid.delay
+    u = Cm2Policy(params, schedule).control_block(path.values[np.newaxis], grid)[0]
+    if solver == "iterative":
+        cfg = config or OptimizerConfig()
+        weights = _trapezoid_weights(grid.output_times())
+        bounds = np.append(upd, u.size).tolist()
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            u[a:b] = _descend(u[a:b], weights[a:b], np.zeros(b - a), cfg)
 
-    u = np.empty(k_ctl + 1)
-    nx, nt = grid.nx, grid.nt
-    z = np.empty((nx + 1, nt + 1))
-    z[:, 0] = 0.0 if z0 is None else np.asarray(z0, dtype=float)
-    c = grid.courant
-
-    marched = 0
-
-    def advance(stop: int) -> None:
-        # boundary value at step n is the control decided for tau_n
-        nonlocal marched
-        for n in range(marched, stop):
-            z[0, n] = u[min(n, k_ctl)]
-            z[1:, n + 1] = z[1:, n] - c * (z[1:, n] - z[:-1, n])
-        marched = max(marched, stop)
-
-    bounds = list(upd) + [k_ctl + 1]
-    for i in range(len(upd)):
-        a, b = bounds[i], bounds[i + 1]
-        if a >= b:
-            continue
-        t_hat = float(schedule.times[i])
-        y_obs = float(path.values[upd[i]])
-        targets = np.atleast_1d(conditional_mean(
-            params, t_hat, y_obs, ct[a:b] + delay))
-        if solver == "direct":
-            u[a:b] = targets
-        else:
-            u[a:b] = _descend(targets, weights[a:b], np.zeros(b - a), cfg)
-        advance(min(b, nt))
-    advance(nt)  # tail: boundary holds the final control value
-    z[0, nt] = u[k_ctl]
-
-    signal = ControlSignal(ct, u)
-    outflow = z[nx, :].copy()
+    signal = ControlSignal(grid.control_times(), u)
+    field = upwind_solve(grid, z0, signal)
     d0 = grid.delay_steps
     out_t = grid.output_times()
-    dev = path.values[d0:] - outflow[d0:]
+    dev = path.values[d0:] - field.outflow[d0:]
     report = CostReport(
         expected_cost=float(np.trapezoid(dev ** 2, out_t)),
         cumrmse=float(np.trapezoid(np.abs(dev), out_t)),
         times=out_t,
         per_time=dev ** 2,
     )
-    field = FieldState(z=z, inflow=signal, outflow=outflow, grid=grid)
     return signal, field, report
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "StepNoise",
     "DemandPath",
     "PathEnsemble",
-    "QuadratureError",
     "substream",
     "draw_step_noise",
     "exact_step",
@@ -54,10 +53,6 @@ __all__ = [
     "euler_path",
     "rebuild_values",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Tabulated-mean quadrature failed to reach the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +166,6 @@ class JumpSpec:
 # Mean (forecast) functions
 # ---------------------------------------------------------------------------
 
-_GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_NODES:
-        _GL_NODES[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_NODES[n]
-
-
 @dataclass(frozen=True)
 class ConstantMean:
     """Flat forecast mu(t) = level."""
@@ -230,13 +216,12 @@ class TabulatedMean:
     """Forecast given at knots, linearly interpolated in between.
 
     The knot range must cover every time the forecast is evaluated at;
-    there is no extrapolation.
+    there is no extrapolation.  The forecast is linear on each knot segment,
+    so its weighted integral is exact (see :meth:`weighted_integral`).
     """
 
     times: np.ndarray
     values: np.ndarray
-    nodes_per_segment: int = 32
-    rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         times = np.atleast_1d(np.asarray(self.times, dtype=float))
@@ -245,8 +230,6 @@ class TabulatedMean:
             raise ValueError("tabulated mean needs matching 1-d knot arrays (>= 2 knots)")
         if np.any(np.diff(times) <= 0):
             raise ValueError("tabulated mean knots must be strictly increasing")
-        if self.nodes_per_segment < 32:
-            raise ValueError("nodes_per_segment must be >= 32")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -260,45 +243,32 @@ class TabulatedMean:
         out = np.interp(t, self.times, self.values)
         return float(out) if out.ndim == 0 else out
 
-    def _quadrature(self, kappa: float, t0: float, t1: float, n: int) -> float:
-        # Composite Gauss-Legendre split at the interior knots, where the
-        # integrand kappa * exp(-kappa (t1 - s)) * mu(s) loses smoothness.
-        if t1 == t0:
-            return 0.0
-        cuts = self.times[(self.times > t0) & (self.times < t1)]
-        edges = np.concatenate(([t0], cuts, [t1]))
-        xi, wi = _gauss_legendre(n)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            s = half * xi + 0.5 * (a + b)
-            f = kappa * np.exp(-kappa * (t1 - s)) * np.interp(s, self.times, self.values)
-            total += half * float(np.dot(wi, f))
-        return total
-
     def weighted_integral(self, kappa: float, t0, t):
-        t0a = np.atleast_1d(np.asarray(t0, dtype=float))
-        ta = np.atleast_1d(np.asarray(t, dtype=float))
-        t0a, ta = np.broadcast_arrays(t0a, ta)
-        self._check_range(t0a)
-        self._check_range(ta)
-        out = np.empty(ta.shape)
-        scale_floor = 1e-300
-        for idx in np.ndindex(ta.shape):
-            coarse = self._quadrature(kappa, float(t0a[idx]), float(ta[idx]),
-                                      self.nodes_per_segment)
-            fine = self._quadrature(kappa, float(t0a[idx]), float(ta[idx]),
-                                    2 * self.nodes_per_segment)
-            scale = max(abs(fine), abs(coarse), scale_floor)
-            if abs(fine - coarse) > self.rel_tol * scale + 1e-14:
-                raise QuadratureError(
-                    f"tabulated-mean quadrature did not converge: "
-                    f"|{fine} - {coarse}| > {self.rel_tol} (relative)"
-                )
-            out[idx] = fine
-        if np.asarray(t).ndim == 0 and np.asarray(t0).ndim == 0:
-            return float(out.reshape(-1)[0])
-        return out
+        """kappa * int_{t0}^{t} exp(-kappa (t - s)) mu(s) ds, in closed form.
+
+        Each knot segment, clipped to [t0, t], becomes [a, b] with length
+        h >= 0.  There mu(s) = mu(b) - q (b - s) with the segment's slope q,
+        and with E = 1 - e^{-kappa h} the segment contributes
+
+            e^{-kappa (t - b)} (mu(b) E - q (E - kappa h (1 - E)) / kappa).
+
+        Segments outside [t0, t] have h = 0 and contribute 0.
+        """
+        t0, t = np.broadcast_arrays(np.asarray(t0, dtype=float),
+                                    np.asarray(t, dtype=float))
+        self._check_range(t0)
+        self._check_range(t)
+        x, v = self.times, self.values
+        slope = np.diff(v) / np.diff(x)
+        hi = t[..., np.newaxis]
+        b = np.minimum(x[1:], hi)
+        h = np.maximum(b - np.maximum(x[:-1], t0[..., np.newaxis]), 0.0)
+        e = -np.expm1(-kappa * h)
+        mu_b = v[1:] - slope * (x[1:] - b)
+        seg = np.exp(-kappa * (hi - b)) * (
+            mu_b * e - slope * (e - kappa * h * (1.0 - e)) / kappa)
+        out = seg.sum(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
 MeanFunction = Union[ConstantMean, SinusoidMean, TabulatedMean]

@@ -62,8 +62,8 @@ def _as_times(t, lower=0.0, name: str = "t"):
 def weighted_mean_integral(mean: MeanFunction, kappa: float, t0, t):
     """kappa * int_{t0}^{t} exp(-kappa (t - s)) mu(s) ds.
 
-    Closed form for constant and sinusoidal forecasts; verified composite
-    Gauss-Legendre quadrature for tabulated ones.
+    Closed form for all three forecasts: constant, sinusoidal and tabulated
+    (piecewise linear, integrated exactly segment by segment).
     """
     if kappa <= 0:
         raise ValueError("kappa must be > 0")

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from powertrack import Grid, preset
+
+# Every property test runs without a per-example deadline (examples vary
+# widely in size) and without an example database (runs stay independent).
+settings.register_profile("powertrack", deadline=None, database=None)
+settings.load_profile("powertrack")
 
 
 @pytest.fixture(scope="session")

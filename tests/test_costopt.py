@@ -28,6 +28,7 @@ from powertrack import (
     conditional_variance,
     cumrmse_analytic,
     deterministic_cost,
+    exact_shift_output,
     first_moment,
     mc_cost_estimate,
     minimize_control,
@@ -176,7 +177,7 @@ def _per_path_cost(paths, grid, control) -> CostReport:
 
 
 class TestMcCostEstimateProperty:
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(kappa=st.floats(0.1, 10.0), sigma=st.floats(0.0, 3.0),
            intensity=st.floats(0.0, 20.0), height=st.floats(-2.0, 2.0),
            update_steps=st.integers(1, 10), n=st.integers(2, 30),
@@ -355,6 +356,42 @@ class TestSequentialUpdateSolve:
         assert report.expected_cost == pytest.approx(
             float(np.trapezoid(dev ** 2, report.times)))
         assert report.cumrmse >= 0.0
+
+
+class TestSequentialUpdateSolveProperty:
+    @settings(max_examples=50)
+    @given(kappa=st.floats(0.1, 10.0), sigma=st.floats(0.0, 3.0),
+           intensity=st.floats(0.0, 20.0), height=st.floats(-2.0, 2.0),
+           nx=st.integers(2, 40), update_steps=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1), with_z0=st.booleans())
+    def test_cm2_law_sent_down_the_line(self, kappa, sigma, intensity, height,
+                                        nx, update_steps, seed, with_z0):
+        grid = Grid.make(4.0, 1.0 / nx, 1.0)
+        params = DemandParams(kappa=kappa, sigma=sigma,
+                              mean=SinusoidMean(2.0, 3.0, TWO_PI), y0=1.0,
+                              jump=JumpSpec(intensity, ConstantHeight(height)))
+        path = sample_path(params, grid.times(), substream(seed, 0))
+        sched = UpdateSchedule.regular(update_steps * grid.dt,
+                                       grid.horizon - grid.delay, grid.dt)
+        z0 = (np.random.default_rng(seed).uniform(-5.0, 5.0, nx + 1)
+              if with_z0 else None)
+        u, field, _ = sequential_update_solve(params, grid, sched, path, z0=z0)
+
+        # CM2 law: the update in force at lattice step k is k // update_steps
+        last = np.arange(u.values.size) // update_steps
+        want = [cm2_control(params, grid.speed, t, sched.times[i],
+                            path.values[i * update_steps])
+                for t, i in zip(grid.control_times(), last)]
+        np.testing.assert_allclose(u.values, want, rtol=1e-12, atol=1e-12)
+        shifted = exact_shift_output(grid.speed, z0, u, grid.times())
+        np.testing.assert_allclose(field.outflow, shifted, rtol=1e-12, atol=1e-12)
+
+        # the descent stops once every |2 w_k (u_k - m_k)| < grad_tol, and
+        # each trapezoid weight w_k is at least dt / 2
+        cfg = OptimizerConfig()
+        u_it, _, _ = sequential_update_solve(params, grid, sched, path,
+                                             solver="iterative", config=cfg)
+        assert np.max(np.abs(u_it.values - u.values)) < cfg.grad_tol / grid.dt
 
 
 class TestCumrmseAnalytic:

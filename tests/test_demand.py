@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import oracles
+import strategies
 from powertrack import (
     ConstantHeight,
     ConstantMean,
     DemandParams,
     JumpSpec,
-    LognormalHeight,
-    NormalHeight,
-    SinusoidMean,
     conditional_mean,
     conditional_variance,
     draw_step_noise,
@@ -163,28 +161,40 @@ class TestSampleEnsemble:
         assert np.allclose(hi_path.values - lo_path.values,
                            8.0 * np.exp(-ps1.kappa * times), atol=1e-12)
 
+    @settings(max_examples=100)
+    @given(kappa=st.floats(0.05, 20.0), sigma=st.floats(0.0, 3.0),
+           mean=strategies.MEANS, law=strategies.HEIGHT_LAWS,
+           intensity=st.floats(0.0, 20.0),
+           y0s=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=4),
+           steps=st.lists(st.floats(0.01, 0.5), max_size=24),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_differ_by_the_decayed_initial_gap(self, kappa, sigma, mean,
+                                                    law, intensity, y0s, steps,
+                                                    seed):
+        times = np.concatenate(([0.0], np.cumsum(steps)))
+        members = [DemandParams(kappa=kappa, sigma=sigma, mean=mean, y0=y0,
+                                jump=JumpSpec(intensity, law)) for y0 in y0s]
+        paths = sample_ensemble(members, times, substream(seed, 0))
+        base = paths[0].values
+        for y0, path in zip(y0s[1:], paths[1:]):
+            scale = max(1.0, float(np.max(np.abs(path.values))),
+                        float(np.max(np.abs(base))))
+            want = (y0 - y0s[0]) * np.exp(-kappa * times)
+            assert np.max(np.abs(path.values - base - want)) <= 1e-12 * scale
+
     def test_heterogeneous_members_rejected(self, ps1, ps2):
         with pytest.raises(ValueError):
             sample_ensemble([ps1, ps2], [0.0, 1.0], substream(0, 0))
 
 
-_HEIGHT_LAWS = st.one_of(
-    st.builds(ConstantHeight, st.floats(-3.0, 3.0)),
-    st.builds(NormalHeight, st.floats(-3.0, 3.0), st.floats(0.0, 2.0)),
-    st.builds(LognormalHeight, st.floats(-2.0, 1.0), st.floats(0.0, 1.0)),
-)
-_MEANS = st.one_of(
-    st.builds(ConstantMean, st.floats(-5.0, 5.0)),
-    st.builds(SinusoidMean, st.floats(-5.0, 5.0), st.floats(0.0, 5.0),
-              st.floats(0.0, 10.0)),
-)
 _NOISE_FIELDS = ("values", "gaussians", "jump_times", "jump_heights")
 
 
 class TestPathEnsemble:
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(kappa=st.floats(0.05, 20.0), sigma=st.floats(0.0, 3.0),
-           y0=st.floats(-10.0, 10.0), mean=_MEANS, law=_HEIGHT_LAWS,
+           y0=st.floats(-10.0, 10.0), mean=strategies.MEANS,
+           law=strategies.HEIGHT_LAWS,
            events_per_step=st.floats(0.0, 10.0),
            steps=st.lists(st.floats(0.01, 0.5), max_size=24),
            n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))

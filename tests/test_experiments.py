@@ -270,22 +270,22 @@ class TestCli:
         assert code != 0
         assert "error" in json.loads(capsys.readouterr().err.strip())
 
-    @pytest.mark.parametrize("config, field, budget", [
-        ("preset: PS1\nspeed: 0\n", "speed", None),
-        ("preset: PS1\nkappa: [1\n", "config", None),
+    @pytest.mark.parametrize("config, field, budget, message", [
+        ("preset: PS1\nspeed: 0\n", "speed", None, None),
+        ("preset: PS1\nkappa: [1\n", "config", None, None),
         # the forecast ends at 0.5, before the horizon 1
         ("preset: PS3\nmean: {type: tabulated, times: [0.0, 0.5], "
-         "values: [1.0, 2.0]}\n", "mean", None),
-        # kappa * (knot spacing) = 5000: Gauss-Legendre at 32 and 64 nodes
-        # disagree, so the quadrature raises QuadratureError
-        ("preset: PS3\nkappa: 5000\nmean: {type: tabulated, "
-         "times: [0.0, 1.0], values: [1.0, 2.0]}\n", "mean", None),
+         "values: [1.0, 2.0]}\n", "mean", None, None),
         # a one-iteration optimizer budget raises ConvergenceError
-        ("preset: deterministic-fig5\n", None, 1),
-    ], ids=["zero-speed", "malformed-yaml", "short-forecast", "quadrature",
-            "convergence"])
+        ("preset: deterministic-fig5\n", None, 1, "gradient descent"),
+        # the tracking objective overflows, so the descent stops
+        ("preset: deterministic-fig5\n"
+         "profile: {type: constant, level: 1.0e+200}\n", None, None,
+         "gradient descent"),
+    ], ids=["zero-speed", "malformed-yaml", "short-forecast", "convergence",
+            "overflow"])
     def test_bad_input_gives_one_json_line(self, tmp_path, capsys, monkeypatch,
-                                           config, field, budget):
+                                           config, field, budget, message):
         if budget is not None:
             monkeypatch.setattr(costopt, "OptimizerConfig", functools.partial(
                 costopt.OptimizerConfig, max_iters=budget))
@@ -296,7 +296,24 @@ class TestCli:
         assert code != 0
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["field"] == field
+        err = json.loads(lines[0])
+        assert err["field"] == field
+        if message is not None:
+            assert message in err["error"]
+
+    def test_sharp_tabulated_forecast_runs(self, tmp_path):
+        # kappa times the knot spacing is 5000: the integrand is a narrow
+        # spike at the end of the knot segment
+        cfg = tmp_path / "sharp.yaml"
+        cfg.write_text("preset: PS3\nkappa: 5000\nmean: {type: tabulated, "
+                       "times: [0.0, 1.0], values: [1.0, 2.0]}\n")
+        out = tmp_path / "x"
+        code = main(["run", str(cfg), "--paths", "20", "--out-dir", str(out)])
+        assert code == 0
+        for name in ("paths", "control", "bands", "cost"):
+            _, rows = _read_csv(out / f"{name}.csv")
+            cells = [float(c) for row in rows for c in row[1:] if c]
+            assert cells and np.all(np.isfinite(cells))
 
     def test_non_finite_artifact_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "huge.yaml"

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from powertrack import (
     ConstantHeight,
     ConstantMean,
@@ -66,6 +71,51 @@ class TestWeightedMeanIntegral:
         inner = [k for k in knots if 0.1 < k < 1.9]
         live = oracles.quad_weighted_mean(interp, 2.5, 0.1, 1.9, breakpoints=inner)
         assert got == pytest.approx(live, abs=1e-8)
+
+    @staticmethod
+    def _random_table(rng):
+        knots = np.sort(rng.uniform(-1.0, 2.0, int(rng.integers(2, 12))))
+        scale = 10.0 ** rng.uniform(-2.0, 3.0)
+        return TabulatedMean(knots, rng.normal(0.0, scale, knots.size))
+
+    def test_tabulated_closed_form_against_quadrature_oracle(self):
+        rng = np.random.default_rng(20181012)
+        for _ in range(200):
+            mu = self._random_table(rng)
+            kappa = 10.0 ** rng.uniform(-3.0, 4.0)
+            t0, t = np.sort(rng.uniform(mu.times[0], mu.times[-1], 2))
+            inner = mu.times[(mu.times > t0) & (mu.times < t)]
+            want = oracles.quad_weighted_mean(mu.at, kappa, t0, t,
+                                              breakpoints=inner if inner.size else None)
+            got = weighted_mean_integral(mu, kappa, t0, t)
+            scale = max(1.0, float(np.max(np.abs(mu.values))))
+            assert abs(got - want) <= 1e-12 * scale, (kappa, t0, t)
+
+    def test_tabulated_empty_span_is_zero(self):
+        mu = TabulatedMean([0.0, 0.3, 1.0], [2.0, -1.0, 4.0])
+        t = np.array([0.0, 0.15, 0.3, 0.65, 1.0])
+        for kappa in (1e-3, 1.0, 1e4):
+            assert np.all(weighted_mean_integral(mu, kappa, t, t) == 0.0)
+            assert weighted_mean_integral(mu, kappa, 0.3, 0.3) == 0.0
+
+    def test_tabulated_vectorised_equals_elementwise(self):
+        rng = np.random.default_rng(7)
+        mu = TabulatedMean(np.linspace(0.0, 1.0, 41), rng.normal(2.0, 3.0, 41))
+        t0 = np.sort(rng.uniform(0.0, 1.0, (6, 5)), axis=1)
+        t = np.minimum(t0 + rng.uniform(0.0, 0.5, t0.shape), 1.0)
+        for kappa in (1e-3, 3.0, 5e3):
+            block = weighted_mean_integral(mu, kappa, t0, t)
+            assert block.shape == t0.shape
+            for idx in np.ndindex(t0.shape):
+                one = weighted_mean_integral(mu, kappa, t0[idx], t[idx])
+                assert block[idx] == one
+
+    def test_tabulated_sharp_kernel(self):
+        # mu(s) = 1 + s: kappa int_0^1 e^{-kappa (1-s)} (1 + s) ds
+        # = 2 - (1 - e^{-kappa}) / kappa, which is 2 - 1/kappa in doubles
+        mu = TabulatedMean([0.0, 1.0], [1.0, 2.0])
+        got = weighted_mean_integral(mu, 5000.0, 0.0, 1.0)
+        assert got == pytest.approx(2.0 - 1.0 / 5000.0, rel=1e-14)
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -249,3 +299,51 @@ class TestInvariants:
         assert ms.mean == first_moment(ps3, 0.7)
         assert ms.second_moment == second_moment(ps3, 0.7)
         assert ms.variance == pytest.approx(ms.second_moment - ms.mean ** 2)
+
+
+# tabulated forecasts cover [0, 4], every time these tests evaluate
+_MEANS = st.one_of(
+    strategies.MEANS,
+    st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=12).map(
+        lambda v: TabulatedMean(np.linspace(0.0, 4.0, len(v)), v)),
+)
+_PARAMS = st.builds(DemandParams, kappa=st.floats(0.05, 20.0),
+                    sigma=st.floats(0.0, 3.0), mean=_MEANS,
+                    y0=st.floats(-10.0, 10.0),
+                    jump=st.builds(JumpSpec, st.floats(0.0, 20.0),
+                                   strategies.HEIGHT_LAWS))
+
+
+class TestMomentProperties:
+    @settings(max_examples=100)
+    @given(params=_PARAMS, t0=st.floats(0.0, 2.0), y=st.floats(-10.0, 10.0))
+    def test_conditional_mean_at_the_observation_time(self, params, t0, y):
+        assert conditional_mean(params, t0, y, t0) == y
+
+    @settings(max_examples=100)
+    @given(params=_PARAMS,
+           spans=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=20))
+    def test_conditional_variance_nonnegative_and_nondecreasing(self, params,
+                                                                 spans):
+        v = conditional_variance(params, np.sort(spans))
+        assert np.all(v >= 0.0)
+        # the jump part is a difference of terms; allow its rounding
+        assert np.all(np.diff(v) >= -1e-12 * v[1:])
+
+    @settings(max_examples=100)
+    @given(params=_PARAMS, t0=st.floats(0.0, 2.0), span=st.floats(0.0, 2.0),
+           y=st.floats(-10.0, 10.0))
+    def test_no_jumps_gives_pure_diffusion(self, params, t0, span, y):
+        p = DemandParams(kappa=params.kappa, sigma=params.sigma,
+                         mean=params.mean, y0=params.y0, jump=JumpSpec.none())
+        k, t = p.kappa, t0 + span
+        diffusion_var = lambda d: p.sigma ** 2 * -math.expm1(-2.0 * k * d) / (2.0 * k)
+        mean_t = math.exp(-k * t) * p.y0 + weighted_mean_integral(p.mean, k, 0.0, t)
+        restart = math.exp(-k * span) * y + weighted_mean_integral(p.mean, k, t0, t)
+        close = dict(rel=1e-12, abs=1e-12)
+        assert first_moment(p, t) == pytest.approx(mean_t, **close)
+        assert second_moment(p, t) == pytest.approx(
+            mean_t ** 2 + diffusion_var(t), **close)
+        assert conditional_mean(p, t0, y, t) == pytest.approx(restart, **close)
+        assert conditional_variance(p, span) == pytest.approx(
+            diffusion_var(span), **close)
