@@ -22,7 +22,6 @@ from .costopt import (
     CostReport,
     DeterministicDemand,
     OptimizerConfig,
-    UpdateInfo,
     cumrmse_analytic,
     deterministic_cost,
     mc_cost_estimate,

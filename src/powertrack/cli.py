@@ -85,8 +85,8 @@ def _scenario(args: argparse.Namespace):
 
 
 def _fail(code: int, err: Exception, field: str | None, **extra) -> int:
-    print(json.dumps({"error": str(err), "field": field, **extra}),
-          file=sys.stderr)
+    print(json.dumps({"error": str(err) or type(err).__name__, "field": field,
+                      **extra}), file=sys.stderr)
     return code
 
 
@@ -99,8 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(2, err, err.field)
     except ArtifactError as err:
         return _fail(1, err, None, artifact=err.artifact, column=err.column)
-    except (ConvergenceError, OSError, ValueError) as err:
-        # a stopped optimizer, an unreadable file or a rejected value
+    except (ArithmeticError, ConvergenceError, MemoryError, OSError, ValueError) as err:
+        # overflow, stopped optimizer, failed allocation, unreadable file, bad value
         return _fail(1, err, None)
 
 

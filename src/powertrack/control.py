@@ -55,8 +55,8 @@ class UpdateSchedule:
         When ``lattice_dt`` is given, the interval must be an integer number
         of lattice steps so observations line up with the transport grid.
         """
-        if interval <= 0:
-            raise ValueError("update interval must be > 0")
+        if not 0 < interval < np.inf:
+            raise ValueError("update interval must be finite and > 0")
         if lattice_dt is not None:
             steps = interval / lattice_dt
             if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
@@ -90,9 +90,14 @@ def cm1_control(params: DemandParams, speed: float, t):
     return first_moment(params, np.asarray(t, dtype=float) + 1.0 / speed)
 
 
-def cm2_control(params: DemandParams, speed: float, t, t_hat: float, y_obs: float):
+def cm2_control(params: DemandParams, speed: float, t, t_hat, y_obs):
     """Optimal injection given the demand ``y_obs`` observed at the last
-    update ``t_hat``: E[Y_{t + 1/speed} | Y_{t_hat} = y_obs]."""
+    update ``t_hat``: E[Y_{t + 1/speed} | Y_{t_hat} = y_obs].
+
+    ``t_hat`` may be a scalar or an array of the update in force at each
+    control time in ``t``; ``y_obs`` broadcasts against them, so an (n, k)
+    block of observations gives the (n, k) block of controls of n paths.
+    """
     _check_horizon(t)
     if np.any(np.asarray(t, dtype=float) < t_hat - 1e-12):
         raise ValueError("control time t must be >= the update time t_hat")

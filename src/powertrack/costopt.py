@@ -15,23 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .control import UpdateSchedule, cm1_control, cm3_control
+from .control import UpdateSchedule, cm1_control, cm2_control, cm3_control
 from .demand import DemandParams, DemandPath, MeanFunction, PathEnsemble
-from .moments import (
-    conditional_mean,
-    conditional_variance,
-    first_moment,
-    second_moment,
-)
+from .moments import conditional_variance, first_moment, second_moment
 from .transport import ControlSignal, FieldState, Grid, upwind_solve, validate_cfl
 
 __all__ = [
     "DeterministicDemand",
-    "UpdateInfo",
     "CostReport",
     "OptimizerConfig",
     "ConvergenceError",
@@ -61,20 +55,6 @@ DemandModel = Union[DemandParams, DeterministicDemand]
 
 
 @dataclass(frozen=True)
-class UpdateInfo:
-    """Observations attached to an update schedule, one value per update."""
-
-    schedule: UpdateSchedule
-    observations: np.ndarray
-
-    def __post_init__(self) -> None:
-        obs = np.atleast_1d(np.asarray(self.observations, dtype=float))
-        if obs.shape != self.schedule.times.shape:
-            raise ValueError("need exactly one observation per update time")
-        object.__setattr__(self, "observations", obs)
-
-
-@dataclass(frozen=True)
 class CostReport:
     """Time-integrated tracking cost over the scored window [1/speed, T].
 
@@ -96,21 +76,17 @@ class CostReport:
 class OptimizerConfig:
     max_iters: int = 500
     grad_tol: float = 1e-10
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    initial_guess: str = "zero"  # "zero" or "forecast"
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be > 0")
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must be in (0, 1)")
-        if not (0.0 < self.armijo <= 0.5):
-            raise ValueError("armijo must be in (0, 0.5]")
-        if self.initial_guess not in ("zero", "forecast"):
-            raise ValueError("initial_guess must be 'zero' or 'forecast'")
+
+
+# Armijo sufficient-decrease constant and backtracking factor of the descent
+_ARMIJO = 1e-4
+_SHRINK = 0.5
 
 
 class ConvergenceError(RuntimeError):
@@ -126,28 +102,15 @@ class ConvergenceError(RuntimeError):
 # Moment series on the lattice
 # ---------------------------------------------------------------------------
 
-def _conditioning_at(info: UpdateInfo, decision_times: np.ndarray):
-    """Update time and observed value in force at each decision time."""
-    idx = info.schedule.last_index(decision_times)
-    return info.schedule.times[idx], info.observations[idx]
-
-
-def _moment_series(model: DemandModel, grid: Grid,
-                   info: UpdateInfo | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and second moment of the demand at the scored output times, under
-    whatever conditioning the information structure provides."""
+def _moment_series(model: DemandModel,
+                   grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unconditional mean and second moment of the demand at the scored
+    output times."""
     out_t = grid.output_times()
     if isinstance(model, DeterministicDemand):
         m1 = np.atleast_1d(np.asarray(model.mean_at(out_t), dtype=float))
         return out_t, m1, m1 ** 2
-    if info is None:
-        return out_t, first_moment(model, out_t), second_moment(model, out_t)
-    # The output at time t was decided at t - delay; it uses the last
-    # observation at or before that decision time.
-    t_hat, obs = _conditioning_at(info, out_t - grid.delay)
-    m1 = conditional_mean(model, t_hat, obs, out_t)
-    m2 = m1 ** 2 + conditional_variance(model, out_t - t_hat)
-    return out_t, m1, m2
+    return out_t, first_moment(model, out_t), second_moment(model, out_t)
 
 
 def _check_control_lattice(u: ControlSignal, grid: Grid) -> None:
@@ -168,8 +131,7 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 # Cost evaluation
 # ---------------------------------------------------------------------------
 
-def deterministic_cost(model: DemandModel, grid: Grid, u: ControlSignal,
-                       info: UpdateInfo | None = None) -> CostReport:
+def deterministic_cost(model: DemandModel, grid: Grid, u: ControlSignal) -> CostReport:
     """Exact expected tracking cost of a fixed injection plan.
 
     The injection is propagated as an exact shift (outflow at t equals the
@@ -178,7 +140,7 @@ def deterministic_cost(model: DemandModel, grid: Grid, u: ControlSignal,
     and its square root are integrated by the trapezoid rule.
     """
     _check_control_lattice(u, grid)
-    out_t, m1, m2 = _moment_series(model, grid, info)
+    out_t, m1, m2 = _moment_series(model, grid)
     y = u.values
     per_time = m2 - 2.0 * y * m1 + y ** 2
     expected = float(np.trapezoid(per_time, out_t))
@@ -221,8 +183,8 @@ class Cm2Policy:
         ct = grid.control_times()
         obs_idx = _lattice_indices(self.schedule.times, grid, values.shape[1])
         last = self.schedule.last_index(ct)
-        return conditional_mean(self.params, self.schedule.times[last],
-                                values[:, obs_idx[last]], ct + grid.delay)
+        return cm2_control(self.params, grid.speed, ct, self.schedule.times[last],
+                           values[:, obs_idx[last]])
 
     control_for = _control_for
 
@@ -256,35 +218,22 @@ def _check_path_lattice(path_times: np.ndarray, grid_times: np.ndarray) -> None:
         raise ValueError("path grid does not match the transport lattice")
 
 
-def _path_values(paths: PathEnsemble | Sequence[DemandPath],
-                 grid_times: np.ndarray) -> np.ndarray:
-    """The (n, nt+1) values of an ensemble, or of a list of paths stacked."""
-    if isinstance(paths, PathEnsemble):
-        _check_path_lattice(paths.times, grid_times)
-        return paths.values
-    shared = paths[0].times
-    _check_path_lattice(shared, grid_times)
-    for p in paths:
-        if p.times is not shared:
-            _check_path_lattice(p.times, grid_times)
-    return np.stack([p.values for p in paths])
-
-
-def mc_cost_estimate(paths: PathEnsemble | Sequence[DemandPath], grid: Grid,
+def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
                      control: Union[ControlSignal, Policy]) -> CostReport:
     """Monte-Carlo tracking cost of a fixed control or of a causal policy.
 
-    ``paths`` is a :class:`PathEnsemble` (a list of paths is stacked into
-    one value block first).  A policy builds the controls of all paths as
-    one (n, k) block; policies read the paths only through what their
-    information level allows (CM2 at update times, CM3 continuously) and
-    always act one transport delay later.  The squared deviations of all
+    ``paths`` is a :class:`PathEnsemble` on the grid's time lattice; its
+    (n, nt+1) value block is scored as it is.  A policy builds the controls
+    of all paths as one (n, k) block; policies read the paths only through
+    what their information level allows (CM2 at update times, CM3
+    continuously) and always act one transport delay later.  The squared deviations of all
     paths then reduce to per-time means with standard errors; the cumrmse
     standard error comes from the delta method.
     """
     if len(paths) < 2:
         raise ValueError("need at least 2 paths for a Monte-Carlo estimate")
-    values = _path_values(paths, grid.times())
+    _check_path_lattice(paths.times, grid.times())
+    values = paths.values
     if isinstance(control, ControlSignal):
         _check_control_lattice(control, grid)
         y = control.values
@@ -314,18 +263,20 @@ def mc_cost_estimate(paths: PathEnsemble | Sequence[DemandPath], grid: Grid,
 # Optimisation
 # ---------------------------------------------------------------------------
 
-def _descend(targets: np.ndarray, weights: np.ndarray, u0: np.ndarray,
+def _descend(targets: np.ndarray, weights: np.ndarray, times: np.ndarray,
              cfg: OptimizerConfig) -> np.ndarray:
     """Gradient descent with backtracking on J(u) = sum_k w_k (u_k - m_k)^2.
 
-    The objective equals the discretised tracking cost up to a constant, so
-    the line search behaves identically on either.  Steps start at the
-    inverse curvature bound and continue with Barzilai-Borwein estimates,
-    each safeguarded by an Armijo backtracking search.  The descent stops
-    at the first iterate whose objective is not finite (it overflowed) and
-    raises :class:`ConvergenceError` with the last finite iterate.
+    ``times`` are the lattice control times of the entries of ``u``.  The
+    objective equals the discretised tracking cost up to a constant, so the
+    line search behaves identically on either.  The descent starts from
+    zero; steps start at the inverse curvature bound and continue with
+    Barzilai-Borwein estimates, each safeguarded by an Armijo backtracking
+    search of at most 60 halvings.  If the budget runs out, or at the first
+    iterate whose objective is not finite (it overflowed), it raises
+    :class:`ConvergenceError` with the last finite iterate on ``times``.
     """
-    u = u0.astype(float).copy()
+    u = np.zeros(targets.size)
 
     def value(v: np.ndarray) -> float:
         return float(np.sum(weights * (v - targets) ** 2))
@@ -356,9 +307,9 @@ def _descend(targets: np.ndarray, weights: np.ndarray, u0: np.ndarray,
         alpha = step
         for _ in range(60):
             trial = u - alpha * g
-            if value(trial) <= j0 - cfg.armijo * alpha * gg:
+            if value(trial) <= j0 - _ARMIJO * alpha * gg:
                 break
-            alpha *= cfg.shrink
+            alpha *= _SHRINK
         prev_u, prev_g = u, g
         u = u - alpha * g
         g = gradient(u)
@@ -366,23 +317,13 @@ def _descend(targets: np.ndarray, weights: np.ndarray, u0: np.ndarray,
         u, g = prev_u, prev_g  # its objective was finite, so it is too
     raise ConvergenceError(
         f"gradient descent {reason}",
-        control=ControlSignal(np.arange(u.size, dtype=float), u),
+        control=ControlSignal(times, u),
         grad_norm=float(np.max(np.abs(g))),
     )
 
 
-def _initial_guess(model: DemandModel, grid: Grid, cfg: OptimizerConfig) -> np.ndarray:
-    ct = grid.control_times()
-    if cfg.initial_guess == "zero":
-        return np.zeros(ct.size)
-    if isinstance(model, DeterministicDemand):
-        return np.atleast_1d(np.asarray(model.mean_at(ct + grid.delay), dtype=float))
-    return np.atleast_1d(np.asarray(model.mean.at(ct + grid.delay), dtype=float))
-
-
 def minimize_control(model: DemandModel, grid: Grid,
-                     config: OptimizerConfig | None = None,
-                     info: UpdateInfo | None = None) -> ControlSignal:
+                     config: OptimizerConfig | None = None) -> ControlSignal:
     """Minimise the discretised tracking cost over the control vector.
 
     The objective is a separable quadratic, so its gradient is analytic;
@@ -392,24 +333,16 @@ def minimize_control(model: DemandModel, grid: Grid,
     """
     validate_cfl(grid)
     cfg = config or OptimizerConfig()
-    _, m1, _ = _moment_series(model, grid, info)
+    _, m1, _ = _moment_series(model, grid)
     weights = _trapezoid_weights(grid.output_times())
-    u0 = _initial_guess(model, grid, cfg)
     ct = grid.control_times()
-    try:
-        u = _descend(np.asarray(m1, dtype=float), weights, u0, cfg)
-    except ConvergenceError as err:
-        raise ConvergenceError(str(err),
-                               control=ControlSignal(ct, err.control.values),
-                               grad_norm=err.grad_norm) from None
-    return ControlSignal(ct, u)
+    return ControlSignal(ct, _descend(np.asarray(m1, dtype=float), weights, ct, cfg))
 
 
-def minimize_control_direct(model: DemandModel, grid: Grid,
-                            info: UpdateInfo | None = None) -> ControlSignal:
-    """Closed-form minimiser: inject the (conditional) mean demand one
-    transport delay ahead.  Serves as the oracle for the iterative solver."""
-    _, m1, _ = _moment_series(model, grid, info)
+def minimize_control_direct(model: DemandModel, grid: Grid) -> ControlSignal:
+    """Closed-form minimiser: inject the mean demand one transport delay
+    ahead.  Serves as the oracle for the iterative solver."""
+    _, m1, _ = _moment_series(model, grid)
     return ControlSignal(grid.control_times(), np.asarray(m1, dtype=float))
 
 
@@ -445,14 +378,15 @@ def sequential_update_solve(
     if np.any(upd > grid.control_steps):
         raise ValueError("update times must lie on the control horizon")
     u = Cm2Policy(params, schedule).control_block(path.values[np.newaxis], grid)[0]
+    ct = grid.control_times()
     if solver == "iterative":
         cfg = config or OptimizerConfig()
         weights = _trapezoid_weights(grid.output_times())
         bounds = np.append(upd, u.size).tolist()
         for a, b in zip(bounds[:-1], bounds[1:]):
-            u[a:b] = _descend(u[a:b], weights[a:b], np.zeros(b - a), cfg)
+            u[a:b] = _descend(u[a:b], weights[a:b], ct[a:b], cfg)
 
-    signal = ControlSignal(grid.control_times(), u)
+    signal = ControlSignal(ct, u)
     field = upwind_solve(grid, z0, signal)
     d0 = grid.delay_steps
     out_t = grid.output_times()
@@ -470,9 +404,11 @@ def sequential_update_solve(
 # Analytic cumulative RMSE of the optimal laws
 # ---------------------------------------------------------------------------
 
+_POINTS_PER_SEGMENT = 801
+
+
 def cumrmse_analytic(params: DemandParams, speed: float, method: str,
-                     horizon: float, update_interval: float | None = None,
-                     points_per_segment: int = 801) -> float:
+                     horizon: float, update_interval: float | None = None) -> float:
     """Time integral of the root expected squared error of the optimal law.
 
     Under the optimal injection the expected squared error at output time t
@@ -480,7 +416,7 @@ def cumrmse_analytic(params: DemandParams, speed: float, method: str,
     the full elapsed time for the no-update law, the time since the last
     update plus the delay for the scheduled law, and exactly the delay for
     the continuously informed law.  Integration is trapezoidal on segments
-    split at the information-refresh instants.
+    split at the information-refresh instants, with 801 points on each.
     """
     delay = 1.0 / speed
     if horizon <= delay:
@@ -506,7 +442,7 @@ def cumrmse_analytic(params: DemandParams, speed: float, method: str,
 
     total = 0.0
     for a, b, t_hat in segments:
-        t = np.linspace(a, b, points_per_segment)
+        t = np.linspace(a, b, _POINTS_PER_SEGMENT)
         span = np.full_like(t, delay) if t_hat is None else t - t_hat
         total += float(np.trapezoid(
             np.sqrt(conditional_variance(params, span)), t))

@@ -494,6 +494,8 @@ def _jump_from_config(cfg: dict, field: str) -> JumpSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(field, "expected a mapping")
     height_cfg = cfg.get("height", {"type": "constant", "value": 0.0})
+    if not isinstance(height_cfg, dict):
+        raise ConfigError(f"{field}.height", "expected a mapping")
     kind = height_cfg.get("type")
     try:
         if kind == "constant":
@@ -520,6 +522,13 @@ _KNOWN_KEYS = {
     "mean", "jump", "update_interval", "paths", "seed", "outputs", "levels",
     "demand_mode", "profile", "n_display_paths",
 }
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing a float that is not a whole number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def load_config(path: str | Path) -> dict:
@@ -565,11 +574,11 @@ def scenario_from_config(cfg: dict, *, preset_name: str | None = None,
         if field in cfg:
             updates[field] = None if cfg[field] is None else convert(field, float)
     if "paths" in cfg:
-        updates["mc_paths"] = convert("paths", int)
+        updates["mc_paths"] = convert("paths", _integer)
     if "seed" in cfg:
-        updates["seed"] = convert("seed", int)
+        updates["seed"] = convert("seed", _integer)
     if "n_display_paths" in cfg:
-        updates["n_display_paths"] = convert("n_display_paths", int)
+        updates["n_display_paths"] = convert("n_display_paths", _integer)
     if "outputs" in cfg:
         updates["outputs"] = convert("outputs", lambda v: tuple(str(a) for a in v))
     if "levels" in cfg:
@@ -590,9 +599,9 @@ def scenario_from_config(cfg: dict, *, preset_name: str | None = None,
         needs = [k for k in ("kappa", "sigma", "y0", "mean") if k in cfg]
         if base is None or needs or "jump" in cfg:
             try:
-                kappa = float(cfg["kappa"]) if "kappa" in cfg else base.kappa
-                sigma = float(cfg["sigma"]) if "sigma" in cfg else base.sigma
-                y0 = float(cfg["y0"]) if "y0" in cfg else base.y0
+                kappa = convert("kappa", float) if "kappa" in cfg else base.kappa
+                sigma = convert("sigma", float) if "sigma" in cfg else base.sigma
+                y0 = convert("y0", float) if "y0" in cfg else base.y0
                 mean = (_mean_from_config(cfg["mean"], "mean")
                         if "mean" in cfg else base.mean)
                 jump = (_jump_from_config(cfg["jump"], "jump")
@@ -601,15 +610,12 @@ def scenario_from_config(cfg: dict, *, preset_name: str | None = None,
                 raise ConfigError(
                     "params", "custom scenarios must define kappa, sigma, y0, "
                               "mean and jump (or start from a preset)") from None
-            except (TypeError, ValueError) as err:
-                if isinstance(err, ConfigError):
-                    raise
-                raise ConfigError("params", str(err)) from None
             try:
                 updates["params"] = DemandParams(kappa=kappa, sigma=sigma,
                                                  mean=mean, y0=y0, jump=jump)
             except ValueError as err:
-                raise ConfigError("params", str(err)) from None
+                # each message starts with the coefficient at fault
+                raise ConfigError(str(err).split()[0], str(err)) from None
     else:
         raise ConfigError("demand_mode",
                           "must be 'stochastic' or 'deterministic'")

@@ -69,6 +69,7 @@ class TestCm1:
                            atol=1e-14)
 
     def test_ps3_against_monte_carlo(self, ps3):
+        """One seeded two-sided 3-sigma gate: a false-failure rate of 0.27%."""
         draws = np.array([p.values[-1]
                           for p in sample_paths(ps3, [0.0, 0.75], 60_000, seed=25)])
         got = cm1_control(ps3, SPEED, 0.5)
@@ -91,6 +92,7 @@ class TestCm2:
         assert cm2_control(params, SPEED, 0.4, 0.25, 10.0) == pytest.approx(10.0)
 
     def test_ps1_restart_against_monte_carlo(self, ps1):
+        """One seeded two-sided 3-sigma gate: a false-failure rate of 0.27%."""
         path = sample_path(ps1, np.linspace(0.0, 1.0, 41), substream(33, 0))
         y_obs = path.value_at(0.5)
         got = cm2_control(ps1, SPEED, 0.6, 0.5, y_obs)

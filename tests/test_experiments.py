@@ -1,9 +1,16 @@
+import contextlib
 import functools
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powertrack import (
     ConfigError,
@@ -21,9 +28,15 @@ from powertrack import (
     scenario_grid,
     sample_paths,
 )
-from powertrack import costopt
+from powertrack import cli, costopt
 from powertrack.cli import main
-from powertrack.experiments import load_config, scenario_from_config, write_bands
+from powertrack.experiments import (
+    _KNOWN_KEYS,
+    PRESET_NAMES,
+    load_config,
+    scenario_from_config,
+    write_bands,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -212,6 +225,13 @@ class TestConfig:
             scenario_from_config({"preset": "PS1", "speeed": 3.0})
         assert err.value.field == "speeed"
 
+    def test_integral_float_counts_read(self):
+        sc = scenario_from_config({"preset": "PS1", "paths": 1000.0,
+                                   "seed": 3.0, "n_display_paths": 2.0})
+        assert (sc.mc_paths, sc.seed, sc.n_display_paths) == (1000, 3, 2)
+        assert all(type(v) is int
+                   for v in (sc.mc_paths, sc.seed, sc.n_display_paths))
+
     def test_incomplete_custom_scenario_rejected(self):
         with pytest.raises(ConfigError) as err:
             scenario_from_config({"kappa": 1.0})
@@ -282,8 +302,24 @@ class TestCli:
         ("preset: deterministic-fig5\n"
          "profile: {type: constant, level: 1.0e+200}\n", None, None,
          "gradient descent"),
+        ("preset: PS1\nkappa: abc\n", "kappa", None, None),
+        ("preset: PS1\nkappa: -1\n", "kappa", None, None),
+        ("preset: PS1\nsigma: [1, 2]\n", "sigma", None, None),
+        ("preset: PS1\ny0: .inf\n", "y0", None, None),
+        # a valid but extreme kappa overflows a closed form (kappa ** 2)
+        ("preset: PS1\nkappa: 1.0e+300\n", None, None, None),
+        ("preset: PS1\nupdate_interval: .inf\n", "update_interval", None, None),
+        ("preset: PS1\njump: {intensity: 1, height: 3}\n", "jump.height",
+         None, "expected a mapping"),
+        # counts must be whole numbers; they are not rounded down
+        ("preset: PS1\npaths: 2.7\n", "paths", None, None),
+        ("preset: PS1\nseed: 1.5\n", "seed", None, None),
+        ("preset: PS1\nn_display_paths: 1.9\n", "n_display_paths", None, None),
     ], ids=["zero-speed", "malformed-yaml", "short-forecast", "convergence",
-            "overflow"])
+            "overflow", "kappa-text", "kappa-negative", "sigma-list",
+            "y0-infinite", "kappa-overflow", "interval-infinite",
+            "jump-height-scalar", "paths-fraction",
+            "seed-fraction", "display-fraction"])
     def test_bad_input_gives_one_json_line(self, tmp_path, capsys, monkeypatch,
                                            config, field, budget, message):
         if budget is not None:
@@ -300,6 +336,19 @@ class TestCli:
         assert err["field"] == field
         if message is not None:
             assert message in err["error"]
+
+    def test_memory_error_gives_one_json_line(self, tmp_path, capsys,
+                                              monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+        code = main(["run", self._empty_cfg(tmp_path), "--preset", "PS1",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code != 0
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "MemoryError", "field": None}
 
     def test_sharp_tabulated_forecast_runs(self, tmp_path):
         # kappa times the knot spacing is 5000: the integrand is a narrow
@@ -327,3 +376,127 @@ class TestCli:
         err = json.loads(lines[0])
         assert (err["artifact"], err["column"]) == ("cost.csv", "cumrmse_mc")
         assert not (out / "cost.csv").exists()
+
+
+# Values of the wrong kind for any key; none of them can size an array.
+_NON_NUMBERS = st.one_of(
+    st.none(), st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2))
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_ODD = st.one_of(_NON_NUMBERS, st.booleans(), st.integers(-3, 3), _ANY_FLOAT)
+_BAD_SIZES = st.one_of(st.sampled_from(
+    [0.0, -1.0, 2.7, math.nan, math.inf, -math.inf, 0.3, 2.0]), _NON_NUMBERS)
+
+
+def _mean_config(number):
+    knots = st.lists(st.floats(0.0, 6.0, exclude_min=True, exclude_max=True),
+                     min_size=2, max_size=4, unique=True)
+    return st.one_of(
+        st.fixed_dictionaries({"type": st.just("constant"), "level": number}),
+        st.fixed_dictionaries({"type": st.just("sinusoid"), "offset": number,
+                               "amplitude": number, "angular_freq": number}),
+        # knots from 0 to 6 cover every horizon drawn below
+        knots.map(lambda ts: {"type": "tabulated", "times": sorted(ts + [0.0, 6.0]),
+                              "values": [float(i % 3) for i in range(len(ts) + 2)]}))
+
+
+def _jump_config(number, intensity):
+    height = st.one_of(
+        st.fixed_dictionaries({"type": st.just("constant"), "value": number}),
+        st.fixed_dictionaries({"type": st.just("normal"), "loc": number,
+                               "scale": number}),
+        st.fixed_dictionaries({"type": st.just("lognormal"),
+                               "log_mean": number, "log_std": number}))
+    return st.fixed_dictionaries({}, optional={"intensity": intensity,
+                                               "height": height})
+
+
+_UNIT = st.floats(-3.0, 3.0)
+# Valid values for every known key.  Speed, horizon and dx keep the lattice
+# at most 400 x 20 cells, and ``paths`` (always set) keeps a run to at most
+# 40 paths.  A preset is nearly always needed, so it is always set too.
+_GOOD = {
+    "name": st.text(max_size=5),
+    "preset": st.sampled_from(PRESET_NAMES),
+    "speed": st.sampled_from([1.0, 2.0, 4.0]),
+    "horizon": st.sampled_from([1.0, 2.0, 5.0]),
+    "dx": st.sampled_from([0.05, 0.1, 0.25, 0.5]),
+    "kappa": st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300])),
+    "sigma": st.floats(0.0, 10.0),
+    "y0": st.floats(-1e3, 1e3),
+    "mean": _mean_config(_UNIT),
+    "jump": _jump_config(_UNIT, st.floats(0.0, 50.0)),
+    "update_interval": st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.5]),
+    "paths": st.one_of(st.integers(1, 40), st.just(20.0)),
+    "seed": st.one_of(st.integers(0, 2 ** 64), st.sampled_from([2 ** 70, 1.0e30])),
+    "outputs": st.lists(st.sampled_from(["paths", "control", "bands", "cost"]),
+                        max_size=4),
+    "levels": st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+    "demand_mode": st.sampled_from(["stochastic", "deterministic"]),
+    "profile": _mean_config(_UNIT),
+    "n_display_paths": st.one_of(st.integers(0, 8), st.just(3.0)),
+}
+# Invalid values: numbers (nan, inf, negatives, huge), text, lists,
+# mappings and null; sizes stay bounded as above.
+_BAD = {key: _ODD for key in _GOOD}
+_BAD.update({
+    "preset": st.one_of(st.just("PS9"), _ODD),
+    "speed": _BAD_SIZES, "horizon": _BAD_SIZES, "dx": _BAD_SIZES,
+    "paths": _BAD_SIZES, "n_display_paths": _BAD_SIZES,
+    "mean": st.one_of(_mean_config(_ODD), _ODD),
+    "profile": st.one_of(_mean_config(_ODD), _ODD),
+    "jump": st.one_of(_jump_config(_ODD, st.one_of(
+        st.sampled_from([-1.0, math.nan, math.inf]), _NON_NUMBERS)), _ODD),
+    "outputs": st.one_of(st.just(["plots"]), _ODD),
+    "levels": st.one_of(st.lists(_ANY_FLOAT, max_size=3), _ODD),
+})
+
+
+@st.composite
+def _configs(draw):
+    """A config over the known keys: ``paths``, ``preset`` and a few more,
+    at most two of them invalid, and sometimes one unknown key."""
+    keys = ["paths", "preset"] + draw(st.lists(
+        st.sampled_from(sorted(_GOOD.keys() - {"paths", "preset"})),
+        unique=True, max_size=6))
+    bad = draw(st.lists(st.sampled_from(keys), unique=True, max_size=2))
+    cfg = {key: draw((_BAD if key in bad else _GOOD)[key]) for key in keys}
+    if draw(st.sampled_from([False, False, False, True])):
+        cfg[draw(st.text(min_size=1, max_size=6).filter(
+            lambda k: k not in _GOOD))] = draw(_ODD)
+    return cfg
+
+
+def _check_finite_csvs(out_dir: Path) -> None:
+    """Every cell is a finite number, except text columns and the control
+    columns, which are empty past the control horizon."""
+    for path in out_dir.glob("*.csv"):
+        header, rows = _read_csv(path)
+        for row in rows:
+            assert len(row) == len(header), path.name
+            for column, cell in zip(header, row):
+                if column == "method" or (cell == "" and column.split("_")[0] == "u"):
+                    continue
+                assert math.isfinite(float(cell)), (path.name, column, cell)
+
+
+class TestCliFuzz:
+    def test_every_known_key_is_drawn(self):
+        assert set(_GOOD) == set(_BAD) == _KNOWN_KEYS
+
+    @settings(max_examples=60)
+    @given(cfg=_configs())
+    def test_runs_to_finite_csvs_or_fails_with_one_json_line(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.yaml"
+            cfg_path.write_text(yaml.safe_dump(cfg))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", str(cfg_path), "--out-dir", str(Path(tmp) / "o")])
+            if code == 0:
+                assert err.getvalue() == ""
+                _check_finite_csvs(Path(tmp) / "o")
+            else:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, lines
+                assert {"error", "field"} <= json.loads(lines[0]).keys()

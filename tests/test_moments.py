@@ -141,6 +141,7 @@ class TestJumpSumMoments:
     @pytest.mark.parametrize("nu,kappa,gamma", [(5.0, 1.0, 1.0), (5.0, 3.0, 1.0),
                                                 (2.0, 1.0, 2.0)])
     def test_against_brute_force_simulation(self, nu, kappa, gamma):
+        """Two 3-sigma gates, 0.27% each: 0.54% per case, 1.6% over three (union bound)."""
         spec = JumpSpec(nu, ConstantHeight(gamma))
         law = spec.height_law
         sums = oracles.decayed_jump_sums(nu, kappa, 1.0, law.sample, 1_000_000,
@@ -148,13 +149,12 @@ class TestJumpSumMoments:
         jm = jump_sum_moments(spec, kappa, 1.0)
         series = oracles.jump_sum_second_moment_series(nu, kappa, 1.0, gamma, gamma ** 2)
         assert jm.second_moment == pytest.approx(series, rel=1e-12, abs=0.0)
-        # Two two-sided 3-sigma gates, 0.27% each: at most 0.54% per case
-        # and 1.6% over the three cases (union bound).
         assert abs(sums.mean() - jm.mean) < 3 * oracles.se_mean(sums)
         assert abs(np.mean(sums ** 2) - jm.second_moment) < 3 * oracles.se_mean(sums ** 2)
 
     @pytest.mark.parametrize("law", [NormalHeight(0.5, 0.8), LognormalHeight(-0.2, 0.4)])
     def test_random_height_laws_against_simulation(self, law):
+        """Two 3-sigma gates, 0.27% each: 0.54% per case, 1.1% over two (union bound)."""
         spec = JumpSpec(3.0, law)
         sums = oracles.decayed_jump_sums(3.0, 2.0, 0.7, law.sample, 400_000, seed=77)
         jm = jump_sum_moments(spec, 2.0, 0.7)
@@ -172,6 +172,7 @@ class TestFirstMoment:
                                                           abs=1e-12)
 
     def test_ps3_against_monte_carlo(self, ps3):
+        """One seeded two-sided 3-sigma gate: a false-failure rate of 0.27%."""
         draws = np.array([p.values[-1]
                           for p in sample_paths(ps3, [0.0, 1.0], 60_000, seed=14)])
         assert abs(draws.mean() - first_moment(ps3, 1.0)) < 3 * oracles.se_mean(draws)
@@ -192,6 +193,7 @@ class TestConditionalMean:
                                first_moment(params, t), atol=1e-12)
 
     def test_ps3_restart_against_monte_carlo(self, ps3):
+        """One seeded two-sided 3-sigma gate: a false-failure rate of 0.27%."""
         draws = _restart_draws(ps3, 0.5, 2.0, 0.25, 30_000, seed=15)
         expected = conditional_mean(ps3, 0.5, 2.0, 0.75)
         assert abs(draws.mean() - expected) < 3 * oracles.se_mean(draws)
@@ -213,6 +215,7 @@ class TestSecondMoment:
         assert var == pytest.approx(1.7293, abs=1e-4)
 
     def test_ps3_against_monte_carlo(self, ps3):
+        """One seeded two-sided 3-sigma gate: a false-failure rate of 0.27%."""
         draws = np.array([p.values[-1]
                           for p in sample_paths(ps3, [0.0, 1.0], 60_000, seed=16)])
         sq = draws ** 2
@@ -227,6 +230,7 @@ class TestConditionalVariance:
         assert conditional_variance(ps1, 800.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_ps3_restart_against_monte_carlo(self, ps3):
+        """One seeded two-sided 3-sigma gate: a false-failure rate of 0.27%."""
         draws = _restart_draws(ps3, 0.3, 1.7, 0.25, 30_000, seed=18)
         want = conditional_variance(ps3, 0.25)
         assert abs(draws.var(ddof=1) - want) < 3 * oracles.se_variance(draws)
@@ -260,6 +264,7 @@ class TestExpectedQuadraticDeviation:
             pytest.approx(0.0, abs=1e-12)
 
     def test_ps3_against_monte_carlo(self, ps3):
+        """One seeded two-sided 3-sigma gate: a false-failure rate of 0.27%."""
         draws = np.array([p.values[-1]
                           for p in sample_paths(ps3, [0.0, 0.5], 60_000, seed=19)])
         dev = (draws - 2.0) ** 2
