@@ -99,18 +99,14 @@ class ConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Moment series on the lattice
+# Mean series on the lattice
 # ---------------------------------------------------------------------------
 
-def _moment_series(model: DemandModel,
-                   grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unconditional mean and second moment of the demand at the scored
-    output times."""
-    out_t = grid.output_times()
+def _mean_series(model: DemandModel, out_t: np.ndarray) -> np.ndarray:
+    """Unconditional mean of the demand at the output times ``out_t``."""
     if isinstance(model, DeterministicDemand):
-        m1 = np.atleast_1d(np.asarray(model.mean_at(out_t), dtype=float))
-        return out_t, m1, m1 ** 2
-    return out_t, first_moment(model, out_t), second_moment(model, out_t)
+        return np.atleast_1d(np.asarray(model.mean_at(out_t), dtype=float))
+    return first_moment(model, out_t)
 
 
 def _check_control_lattice(u: ControlSignal, grid: Grid) -> None:
@@ -140,7 +136,10 @@ def deterministic_cost(model: DemandModel, grid: Grid, u: ControlSignal) -> Cost
     and its square root are integrated by the trapezoid rule.
     """
     _check_control_lattice(u, grid)
-    out_t, m1, m2 = _moment_series(model, grid)
+    out_t = grid.output_times()
+    m1 = _mean_series(model, out_t)
+    m2 = (m1 ** 2 if isinstance(model, DeterministicDemand)
+          else second_moment(model, out_t))
     y = u.values
     per_time = m2 - 2.0 * y * m1 + y ** 2
     expected = float(np.trapezoid(per_time, out_t))
@@ -333,8 +332,9 @@ def minimize_control(model: DemandModel, grid: Grid,
     """
     validate_cfl(grid)
     cfg = config or OptimizerConfig()
-    _, m1, _ = _moment_series(model, grid)
-    weights = _trapezoid_weights(grid.output_times())
+    out_t = grid.output_times()
+    m1 = _mean_series(model, out_t)
+    weights = _trapezoid_weights(out_t)
     ct = grid.control_times()
     return ControlSignal(ct, _descend(np.asarray(m1, dtype=float), weights, ct, cfg))
 
@@ -342,7 +342,7 @@ def minimize_control(model: DemandModel, grid: Grid,
 def minimize_control_direct(model: DemandModel, grid: Grid) -> ControlSignal:
     """Closed-form minimiser: inject the mean demand one transport delay
     ahead.  Serves as the oracle for the iterative solver."""
-    _, m1, _ = _moment_series(model, grid)
+    m1 = _mean_series(model, grid.output_times())
     return ControlSignal(grid.control_times(), np.asarray(m1, dtype=float))
 
 

@@ -59,6 +59,10 @@ __all__ = [
 # Jump height laws
 # ---------------------------------------------------------------------------
 
+# Largest argument of math.exp whose result is finite.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class ConstantHeight:
     """Degenerate jump height: every jump has size ``value``."""
@@ -110,6 +114,12 @@ class LognormalHeight:
     def __post_init__(self) -> None:
         if self.log_std < 0:
             raise ValueError("jump height log_std must be >= 0")
+        # The exponent of mean_square, with log_std * log_std, which saturates
+        # to inf where log_std ** 2 raises; nan fails the comparison too.
+        if not (2.0 * self.log_mean + 2.0 * self.log_std * self.log_std
+                <= _LOG_FLOAT_MAX):
+            raise ValueError("jump height second moment exp(2 log_mean + "
+                             "2 log_std^2) exceeds the float range")
 
     @property
     def mean(self) -> float:

@@ -508,12 +508,15 @@ def _jump_from_config(cfg: dict, field: str) -> JumpSpec:
         else:
             raise ConfigError(f"{field}.height",
                               f"type must be one of {', '.join(_HEIGHT_TYPES)}")
-        return JumpSpec(intensity=float(cfg.get("intensity", 0.0)), height_law=law)
     except KeyError as err:
         raise ConfigError(f"{field}.height", f"missing key {err.args[0]!r}") from None
     except (TypeError, ValueError) as err:
         if isinstance(err, ConfigError):
             raise
+        raise ConfigError(f"{field}.height", str(err)) from None
+    try:
+        return JumpSpec(intensity=float(cfg.get("intensity", 0.0)), height_law=law)
+    except (TypeError, ValueError) as err:
         raise ConfigError(field, str(err)) from None
 
 

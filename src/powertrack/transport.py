@@ -7,10 +7,15 @@ z(1, t) therefore reproduces the inflow delayed by the transport time
 number exactly 1 the scheme is an exact shift, which is the default grid
 construction.  Sub-unit Courant numbers are supported for convergence
 experiments only.
+
+The scheme marches one contiguous state vector over the spatial lattice and
+keeps only the outflow.  The space-time field is built on its first read, by
+the same march, so callers that need only the outflow never hold a field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,14 +158,50 @@ class ControlSignal:
         return float(out) if out.ndim == 0 else out
 
 
+def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
+           rows: np.ndarray | None = None) -> np.ndarray:
+    """March the upwind scheme from ``z0`` with inflow ``boundary`` and
+    return the outflow; with ``rows``, also store each time level in
+    ``rows[i]``.  Both the outflow and the field come from this one loop,
+    so they agree bit for bit."""
+    x = z0.copy()
+    x[0] = boundary[0]  # inflow boundary wins at the (0, 0) corner
+    inner, left = x[1:], x[:-1]  # views made once, not per step
+    tmp = np.empty(x.size - 1)
+    outflow = np.empty(boundary.size)
+    outflow[0] = x[-1]
+    if rows is not None:
+        rows[0] = x
+    for i in range(1, boundary.size):
+        np.subtract(inner, left, out=tmp)
+        tmp *= c
+        inner -= tmp
+        x[0] = boundary[i]
+        outflow[i] = x[-1]
+        if rows is not None:
+            rows[i] = x
+    return outflow
+
+
 @dataclass(frozen=True)
 class FieldState:
-    """Discrete field z over (space x time), with its inflow and outflow."""
+    """Outflow of an upwind solve, with its inflow and the field on demand.
 
-    z: np.ndarray
+    ``z[j, i]`` is the field over (space x time).  Its first read re-runs the
+    march from the initial profile and inflow boundary copied at solve time.
+    """
+
     inflow: ControlSignal
     outflow: np.ndarray
     grid: Grid
+    _z0: np.ndarray
+    _boundary: np.ndarray
+
+    @functools.cached_property
+    def z(self) -> np.ndarray:
+        rows = np.empty((self.grid.nt + 1, self.grid.nx + 1))
+        _march(self.grid.courant, self._z0, self._boundary, rows)
+        return rows.T
 
 
 def validate_cfl(grid: Grid) -> float:
@@ -177,21 +218,18 @@ def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
         z_j^{i+1} = z_j^i - c (z_j^i - z_{j-1}^i),   c = speed dt / dx,
 
     with boundary z_0^i = u(tau_i) and initial profile ``z0`` (array on the
-    spatial lattice, or None for an empty line).
+    spatial lattice, or None for an empty line).  Only the outflow z_{nx}^i
+    is kept; the field ``z`` of the result is built on first read.
     """
     c = validate_cfl(grid)
     if z0 is None:
         z0 = np.zeros(grid.nx + 1)
-    z0 = np.asarray(z0, dtype=float)
+    z0 = np.array(z0, dtype=float)  # a copy: the field may be built later
     if z0.shape != (grid.nx + 1,):
         raise ValueError(f"z0 must have {grid.nx + 1} lattice values")
-    z = np.empty((grid.nx + 1, grid.nt + 1))
-    z[:, 0] = z0
-    boundary = np.atleast_1d(np.asarray(u.at(grid.times()), dtype=float))
-    z[0, :] = boundary  # inflow boundary wins at the (0, 0) corner
-    for i in range(grid.nt):
-        z[1:, i + 1] = z[1:, i] - c * (z[1:, i] - z[:-1, i])
-    return FieldState(z=z, inflow=u, outflow=z[grid.nx, :].copy(), grid=grid)
+    boundary = np.array(np.atleast_1d(u.at(grid.times())), dtype=float)
+    return FieldState(inflow=u, outflow=_march(c, z0, boundary), grid=grid,
+                      _z0=z0, _boundary=boundary)
 
 
 def exact_shift_output(speed: float, z0, u: ControlSignal, t):

@@ -131,6 +131,23 @@ def stepwise_path(params, times, rng):
             np.concatenate([np.empty(0)] + jump_heights))
 
 
+def strided_upwind(grid, z0, u):
+    """The upwind march written as a full (nx+1, nt+1) field filled one
+    strided column per time step, z[1:, i+1] = z[1:, i] - c (z[1:, i] -
+    z[:-1, i]).  Returns (z, outflow)."""
+    c = grid.courant
+    if z0 is None:
+        z0 = np.zeros(grid.nx + 1)
+    z0 = np.asarray(z0, dtype=float)
+    z = np.empty((grid.nx + 1, grid.nt + 1))
+    z[:, 0] = z0
+    boundary = np.atleast_1d(np.asarray(u.at(grid.times()), dtype=float))
+    z[0, :] = boundary  # inflow boundary wins at the (0, 0) corner
+    for i in range(grid.nt):
+        z[1:, i + 1] = z[1:, i] - c * (z[1:, i] - z[:-1, i])
+    return z, z[grid.nx, :].copy()
+
+
 def se_mean(x: np.ndarray) -> float:
     """Standard error of the sample mean."""
     x = np.asarray(x, dtype=float)

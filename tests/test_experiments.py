@@ -311,6 +311,9 @@ class TestCli:
         ("preset: PS1\nupdate_interval: .inf\n", "update_interval", None, None),
         ("preset: PS1\njump: {intensity: 1, height: 3}\n", "jump.height",
          None, "expected a mapping"),
+        # exp(2 log_mean + 2 log_std^2), the height's second moment, overflows
+        ("preset: PS3\njump: {intensity: 1.0, height: {type: lognormal, "
+         "log_mean: 400.0, log_std: 1.0}}\n", "jump.height", None, None),
         # counts must be whole numbers; they are not rounded down
         ("preset: PS1\npaths: 2.7\n", "paths", None, None),
         ("preset: PS1\nseed: 1.5\n", "seed", None, None),
@@ -318,7 +321,7 @@ class TestCli:
     ], ids=["zero-speed", "malformed-yaml", "short-forecast", "convergence",
             "overflow", "kappa-text", "kappa-negative", "sigma-list",
             "y0-infinite", "kappa-overflow", "interval-infinite",
-            "jump-height-scalar", "paths-fraction",
+            "jump-height-scalar", "lognormal-overflow", "paths-fraction",
             "seed-fraction", "display-fraction"])
     def test_bad_input_gives_one_json_line(self, tmp_path, capsys, monkeypatch,
                                            config, field, budget, message):

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from powertrack import (
     CFLError,
     ControlSignal,
@@ -135,6 +140,50 @@ class TestUpwindSolve:
         fs_a = upwind_solve(g, za, ua)
         fs_b = upwind_solve(g, zb, ub)
         assert np.max(np.abs(fs_sum.z - (fs_a.z + fs_b.z))) < 1e-12
+
+    @settings(max_examples=60)
+    @given(speed=st.sampled_from([0.5, 1.0, 2.0, 4.0]), nx=st.integers(1, 30),
+           extra_steps=st.integers(0, 30), later_steps=st.integers(1, 40),
+           with_z0=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_strided_field_march(self, speed, nx, extra_steps,
+                                                  later_steps, with_z0, seed):
+        # dx = 1/nx and a delay of nx + extra_steps time steps give every
+        # Courant number nx / (nx + extra_steps) in (0, 1]
+        delay_steps = nx + extra_steps
+        dt = 1.0 / (speed * delay_steps)
+        nt = delay_steps + later_steps
+        g = Grid(speed, 1.0 / nx, dt, nx, nt, nt * dt)
+        rng = np.random.default_rng(seed)
+        z0 = rng.normal(size=nx + 1) if with_z0 else None
+        u = ControlSignal(g.control_times(), rng.normal(size=g.control_steps + 1))
+        z, outflow = oracles.strided_upwind(g, z0, u)
+        fs = upwind_solve(g, z0, u)
+        assert np.array_equal(fs.outflow, outflow)
+        assert np.array_equal(fs.z, z)
+
+    def test_outflow_holds_no_field_and_field_is_built_once_read(self):
+        g = Grid.make(4.0, 5e-4, 1.0)  # 2001 x 8001 cells, 122 MiB as a field
+        u = ControlSignal(g.control_times(), np.sin(g.control_times()))
+        tracemalloc.start()
+        try:
+            upwind_solve(g, np.ones(g.nx + 1), u).outflow
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+        g = Grid.make(4.0, 0.1, 1.0, courant=0.5)
+        z0 = np.linspace(0.0, 1.0, g.nx + 1)
+        values = np.sin(g.control_times())
+        fs = upwind_solve(g, z0, ControlSignal(g.control_times(), values))
+        expected, _ = oracles.strided_upwind(
+            g, z0.copy(), ControlSignal(g.control_times(), values.copy()))
+        assert "z" not in vars(fs)
+        # the field comes from the inputs as they were at solve time
+        z0[:] = -1.0
+        values[:] = 7.0
+        assert np.array_equal(fs.z, expected)
+        assert "z" in vars(fs)
 
     def test_mismatched_initial_profile_rejected(self):
         g = Grid.make(4.0, 0.1, 1.0)
