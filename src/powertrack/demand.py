@@ -17,8 +17,12 @@ across different initial values.
 
 Monte-Carlo ensembles are a :class:`PathEnsemble`: values and gaussians as
 (paths, steps) arrays and the jump events of all paths in one compressed-row
-record.  Each path still draws from its own ``substream(seed, i)``; the
-exact recursion then runs step by step over all paths at once.  Indexing an
+record.  Row ``i`` is still exactly the stream of ``substream(seed, i)``, but
+the generator states of all rows are derived at once, by numpy's
+``SeedSequence`` algorithm (NEP 19) and PCG64's seeding step (O'Neill,
+HMC-CS-2014-0905), and set on one reused generator.  A constant-height law
+draws nothing, so each path draws its jump uniforms in one call.  The exact
+recursion then runs step by step over all paths at once.  Indexing an
 ensemble gives :class:`DemandPath` views of its rows.
 """
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -69,6 +73,11 @@ class ConstantHeight:
 
     value: float
 
+    def __post_init__(self) -> None:
+        # value * value saturates to inf where value ** 2 raises
+        if not math.isfinite(self.value * self.value):
+            raise ValueError("jump height second moment value^2 must be finite")
+
     @property
     def mean(self) -> float:
         return self.value
@@ -91,6 +100,10 @@ class NormalHeight:
     def __post_init__(self) -> None:
         if self.scale < 0:
             raise ValueError("jump height scale must be >= 0")
+        # squares saturate to inf where ** 2 raises; nan fails the test too
+        if not math.isfinite(self.loc * self.loc + self.scale * self.scale):
+            raise ValueError("jump height second moment loc^2 + scale^2 "
+                             "must be finite")
 
     @property
     def mean(self) -> float:
@@ -388,9 +401,94 @@ def substream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for path ``index`` of ensemble ``seed``.
 
     Derived from the pair ``(seed, index)`` so ensemble members do not depend
-    on generation order or parallel scheduling.
+    on generation order or parallel scheduling.  :func:`sample_paths` draws
+    row ``i`` from exactly this stream, but for seeds and indices in
+    [0, 2**32) it derives the PCG64 states of all rows at once (see
+    :func:`_pcg64_states`) instead of building one generator per row.
     """
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
+# Constants of numpy's SeedSequence hash (NEP 19) and of the 128-bit PCG
+# multiplier (O'Neill, HMC-CS-2014-0905).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_SHIFT = np.uint32(16)
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy's SeedSequence hash of uint32 arrays; each call advances the
+    multiplier, whatever the data, exactly as one scalar call would."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _SHIFT)
+
+    return hashmix
+
+
+def _pcg64_states(seed: int, index: np.ndarray) -> Iterator[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``substream(seed, i)`` for each ``i`` in
+    the uint32 array ``index``, in order.
+
+    Needs ``seed`` in [0, 2**32), so that the entropy ``(seed, i)`` is the
+    two uint32 words [seed, i].  ``SeedSequence`` (NEP 19) hashes them and
+    two zero words into a pool of four words with ``hashmix``, mixes every
+    pool word into every other with ``mix``, and ``generate_state(4,
+    uint64)`` hashes the pool cyclically into eight words, read pairwise as
+    the little-endian uint64 words w0..w3.  The hash does not branch on the
+    data, so all of ``index`` is hashed at once in uint32 arithmetic, where
+    the wrap-around is the algorithm's.  PCG64 then seeds
+    as ``pcg_setseq_128_srandom_r`` (O'Neill): with initstate = w0 w1 and
+    initseq = w2 w3 as 128-bit integers, inc = 2 initseq + 1 and
+    state = (inc + initstate) M + inc mod 2**128, in Python ints per path.
+    """
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _SHIFT)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(index.shape, dtype=np.uint32)
+    entropy = (np.full(index.shape, seed, dtype=np.uint32), index, zeros, zeros)
+    with np.errstate(over="ignore"):
+        pool = [hashmix(word) for word in entropy]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        generate = _hasher(_INIT_B, _MULT_B)
+        words = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    halves = [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist()
+              for k in range(4)]
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        yield ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _substreams(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """``substream(seed, i)`` for ``i`` in range(n), each valid until the next.
+
+    Seeds and indices in [0, 2**32) reuse one generator whose state is set
+    from :func:`_pcg64_states`; anything else (a negative seed raises
+    ``ValueError`` there) goes through :func:`substream`.
+    """
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= _MASK32
+            and n - 1 <= _MASK32):
+        yield from (substream(seed, i) for i in range(n))
+        return
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for state, inc in _pcg64_states(int(seed), np.arange(n, dtype=np.uint32)):
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +567,13 @@ def _draw_noise(params: DemandParams, times: np.ndarray,
 
     Each path draws its per-step jump counts first, then one gaussian per
     step, then the uniforms and heights of each step that holds events.  A
-    uniform U becomes the time t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}];
-    times are sorted within each step, heights keep their draw order.
+    constant-height law draws nothing, so there the uniforms of a path are
+    one run of its stream and are drawn in one call.  A uniform U becomes
+    the time t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}]; times are sorted
+    within each step, heights keep their draw order.
     """
     law = params.jump.height_law
+    constant = isinstance(law, ConstantHeight)
     lam = params.jump.intensity * np.diff(times)
     nsteps = lam.size
     counts = np.empty((n, nsteps), dtype=np.int64)
@@ -485,14 +586,17 @@ def _draw_noise(params: DemandParams, times: np.ndarray,
         rng.standard_normal(out=gaussians[i])
         # one array per path: per-step pieces would cost memory per step
         u = np.empty(int(row.sum()))
-        h = np.empty(u.size)
-        a = 0
-        for c in row[row > 0].tolist():
-            rng.random(out=u[a:a + c])
-            h[a:a + c] = law.sample(rng, c)
-            a += c
+        if constant:
+            rng.random(out=u)
+        else:
+            h = np.empty(u.size)
+            a = 0
+            for c in row[row > 0].tolist():
+                rng.random(out=u[a:a + c])
+                h[a:a + c] = law.sample(rng, c)
+                a += c
+            heights.append(h)
         uniforms.append(u)
-        heights.append(h)
     per_path = counts.sum(axis=1)
     steps = np.repeat(np.tile(np.arange(nsteps), n), counts.ravel())
     t0 = times[steps]
@@ -500,8 +604,9 @@ def _draw_noise(params: DemandParams, times: np.ndarray,
     order = np.lexsort((raw, steps, np.repeat(np.arange(n), per_path)))
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(per_path, out=offsets[1:])
-    return _NoiseRecord(gaussians, offsets, raw[order], np.concatenate(heights),
-                        steps)
+    jump_heights = (np.full(raw.size, float(law.value)) if constant
+                    else np.concatenate(heights))
+    return _NoiseRecord(gaussians, offsets, raw[order], jump_heights, steps)
 
 
 def _group_sums(weights: np.ndarray, groups: np.ndarray,
@@ -630,12 +735,19 @@ def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEn
     bit-identical to ``sample_path(params, times, substream(seed, i))``, so
     the ensemble does not depend on generation order, and its first ``m``
     rows are the ensemble of ``m`` paths.
+
+    For ``seed`` and ``n_paths - 1`` in [0, 2**32) the streams are not built
+    one by one: the PCG64 states of all rows are derived at once by numpy's
+    ``SeedSequence`` algorithm (NEP 19) and PCG64's seeding step (O'Neill,
+    HMC-CS-2014-0905), then set in turn on one reused generator.  Other
+    seeds go through :func:`substream`, so a negative seed raises its
+    ``ValueError``.  Under a constant-height law each path draws its jump
+    uniforms in one call.
     """
     times = _validate_grid(times)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    return _sample(params, times, (substream(seed, i) for i in range(n_paths)),
-                   n_paths)
+    return _sample(params, times, _substreams(seed, n_paths), n_paths)
 
 
 def _same_but_y0(a: DemandParams, b: DemandParams) -> bool:

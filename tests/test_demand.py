@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
@@ -11,6 +11,7 @@ from powertrack import (
     ConstantMean,
     DemandParams,
     JumpSpec,
+    NormalHeight,
     conditional_mean,
     conditional_variance,
     draw_step_noise,
@@ -23,6 +24,7 @@ from powertrack import (
     sample_paths,
     substream,
 )
+from powertrack.demand import _pcg64_states
 
 
 def _flat(level=10.0, kappa=1.0, sigma=0.0, y0=6.0, jump=None):
@@ -233,6 +235,60 @@ class TestPathEnsemble:
         assert counts == np.diff(ensemble.offsets).tolist()
         with pytest.raises(IndexError):
             ensemble[6]
+
+
+_MAX_WORD = 2 ** 32 - 1
+
+
+class TestVectorisedSeeding:
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, _MAX_WORD),
+           indices=st.lists(st.integers(0, _MAX_WORD), min_size=1, max_size=8))
+    @example(seed=0, indices=[0, _MAX_WORD])
+    @example(seed=_MAX_WORD, indices=[_MAX_WORD, 0])
+    def test_states_equal_substream(self, seed, indices):
+        states = list(_pcg64_states(seed, np.array(indices, dtype=np.uint32)))
+        assert len(states) == len(indices)
+        for index, (state, inc) in zip(indices, states):
+            ref = substream(seed, index)
+            ref_state = ref.bit_generator.state["state"]
+            assert (state, inc) == (ref_state["state"], ref_state["inc"])
+            bit_gen = np.random.PCG64(0)
+            bit_gen.state = {"bit_generator": "PCG64",
+                             "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            assert np.random.Generator(bit_gen).random() == ref.random()
+
+    @pytest.mark.parametrize("seed", [2 ** 32, 2 ** 40])
+    def test_seed_beyond_one_word_uses_substream(self, ps3, seed):
+        times = np.linspace(0.0, 1.0, 21)
+        ensemble = sample_paths(ps3, times, 5, seed)
+        assert ensemble.jump_times.size > 0
+        for i, row in enumerate(ensemble):
+            solo = sample_path(ps3, times, substream(seed, i))
+            for name in _NOISE_FIELDS + ("jump_steps",):
+                assert getattr(row, name).tobytes() == getattr(solo, name).tobytes()
+
+    def test_negative_seed_rejected(self, ps3):
+        with pytest.raises(ValueError):
+            sample_paths(ps3, [0.0, 1.0], 3, seed=-1)
+
+
+class TestHeightLaws:
+    @pytest.mark.parametrize("make", [
+        lambda: ConstantHeight(1e200), lambda: ConstantHeight(-1e155),
+        lambda: ConstantHeight(float("nan")), lambda: NormalHeight(0.0, 1e200),
+        lambda: NormalHeight(1e200, 0.0), lambda: NormalHeight(1e154, 1e154),
+        lambda: NormalHeight(float("nan"), 1.0),
+    ], ids=["constant", "constant-negative", "constant-nan", "normal-scale",
+            "normal-loc", "normal-sum", "normal-nan"])
+    def test_second_moment_beyond_float_range_rejected(self, make):
+        with pytest.raises(ValueError, match="second moment"):
+            make()
+
+    def test_largest_finite_second_moments_accepted(self):
+        assert np.isfinite(ConstantHeight(1e154).mean_square)
+        assert np.isfinite(NormalHeight(1e153, 1e153).mean_square)
 
 
 class TestEulerPath:

@@ -314,6 +314,11 @@ class TestCli:
         # exp(2 log_mean + 2 log_std^2), the height's second moment, overflows
         ("preset: PS3\njump: {intensity: 1.0, height: {type: lognormal, "
          "log_mean: 400.0, log_std: 1.0}}\n", "jump.height", None, None),
+        # value^2 and loc^2 + scale^2, the heights' second moments, overflow
+        ("preset: PS3\njump: {intensity: 1.0, height: {type: constant, "
+         "value: 1.0e+200}}\n", "jump.height", None, None),
+        ("preset: PS3\njump: {intensity: 1.0, height: {type: normal, "
+         "loc: 0, scale: 1.0e+200}}\n", "jump.height", None, None),
         # counts must be whole numbers; they are not rounded down
         ("preset: PS1\npaths: 2.7\n", "paths", None, None),
         ("preset: PS1\nseed: 1.5\n", "seed", None, None),
@@ -321,7 +326,8 @@ class TestCli:
     ], ids=["zero-speed", "malformed-yaml", "short-forecast", "convergence",
             "overflow", "kappa-text", "kappa-negative", "sigma-list",
             "y0-infinite", "kappa-overflow", "interval-infinite",
-            "jump-height-scalar", "lognormal-overflow", "paths-fraction",
+            "jump-height-scalar", "lognormal-overflow", "constant-overflow",
+            "normal-overflow", "paths-fraction",
             "seed-fraction", "display-fraction"])
     def test_bad_input_gives_one_json_line(self, tmp_path, capsys, monkeypatch,
                                            config, field, budget, message):
