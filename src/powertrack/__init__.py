@@ -12,7 +12,6 @@ from .control import (
     cm1_control,
     cm2_control,
     cm3_control,
-    pathwise_control_gap,
 )
 from .costopt import (
     Cm1Policy,
@@ -39,12 +38,7 @@ from .demand import (
     NormalHeight,
     PathEnsemble,
     SinusoidMean,
-    StepNoise,
     TabulatedMean,
-    draw_step_noise,
-    euler_path,
-    exact_step,
-    rebuild_values,
     sample_ensemble,
     sample_path,
     sample_paths,
@@ -62,13 +56,10 @@ from .experiments import (
     scenario_schedule,
 )
 from .moments import (
-    MomentSet,
     conditional_mean,
     conditional_variance,
-    expected_quadratic_deviation,
     first_moment,
     jump_sum_moments,
-    moments_at,
     second_moment,
     weighted_mean_integral,
 )
@@ -77,7 +68,6 @@ from .transport import (
     ControlSignal,
     FieldState,
     Grid,
-    exact_shift_output,
     upwind_solve,
     validate_cfl,
 )

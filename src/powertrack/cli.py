@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -116,7 +117,6 @@ def _run(args: argparse.Namespace) -> int:
         print(f"convergence: {path}")
     elif args.command == "bands":
         if args.levels is not None:
-            from dataclasses import replace
             scenario = replace(scenario, levels=tuple(args.levels))
         path = write_bands(scenario, args.out_dir)
         print(f"bands: {path}")

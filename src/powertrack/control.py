@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandParams, DemandPath
+from .demand import DemandParams
 from .moments import conditional_mean, first_moment
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "cm1_control",
     "cm2_control",
     "cm3_control",
-    "pathwise_control_gap",
 ]
 
 
@@ -111,18 +110,3 @@ def cm3_control(params: DemandParams, speed: float, t, y_now: float):
     _check_horizon(t)
     t = np.asarray(t, dtype=float)
     return conditional_mean(params, t, y_now, t + 1.0 / speed)
-
-
-def pathwise_control_gap(params: DemandParams, speed: float, path: DemandPath,
-                         schedule: UpdateSchedule, t: float) -> float:
-    """Realised difference between the continuously-informed injection and the
-    periodically-updated one at time ``t`` on a given path.
-
-    Both controls read the same trajectory; the gap shrinks to zero as the
-    update interval does, and vanishes exactly at update instants.
-    """
-    t_hat = schedule.last_update(t)
-    y_now = path.value_at(t)
-    y_obs = path.value_at(t_hat)
-    return float(cm3_control(params, speed, t, y_now)
-                 - cm2_control(params, speed, t, t_hat, y_obs))

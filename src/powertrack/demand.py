@@ -7,13 +7,11 @@ The demand Y_t follows
 where N_t is a Poisson process of rate ``nu`` and the jump heights gamma_t
 are i.i.d. draws from a configurable law.  Sampling uses the explicit
 solution of the SDE, so transitions between arbitrary grid times are exact
-(no discretisation bias); an Euler-Maruyama sampler is kept purely as an
-independent cross-check.
+(no discretisation bias).
 
 Every sampled path carries its full noise record (standard-normal draws,
-jump times, jump heights and the grid step of each jump), so paths can be
-rebuilt bit-exactly and ensembles can share one realisation of the noise
-across different initial values.
+jump times, jump heights and the grid step of each jump), so ensembles can
+share one realisation of the noise across different initial values.
 
 Monte-Carlo ensembles are a :class:`PathEnsemble`: values and gaussians as
 (paths, steps) arrays and the jump events of all paths in one compressed-row
@@ -45,17 +43,12 @@ __all__ = [
     "TabulatedMean",
     "MeanFunction",
     "DemandParams",
-    "StepNoise",
     "DemandPath",
     "PathEnsemble",
     "substream",
-    "draw_step_noise",
-    "exact_step",
     "sample_path",
     "sample_paths",
     "sample_ensemble",
-    "euler_path",
-    "rebuild_values",
 ]
 
 
@@ -251,6 +244,9 @@ class TabulatedMean:
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("tabulated mean needs matching 1-d knot arrays (>= 2 knots)")
+        # nan compares False, so the increasing test below would let it pass
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("tabulated mean knot times and values must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("tabulated mean knots must be strictly increasing")
         object.__setattr__(self, "times", times)
@@ -321,24 +317,12 @@ class DemandParams:
 
 
 @dataclass(frozen=True)
-class StepNoise:
-    """Noise consumed by one exact transition: one standard-normal draw plus
-    the jump events that occurred inside the step."""
-
-    gaussian: float
-    jump_times: np.ndarray
-    jump_heights: np.ndarray
-
-
-@dataclass(frozen=True)
 class DemandPath:
     """One sampled trajectory together with the noise that generated it.
 
     ``gaussians`` holds one standard-normal draw per grid step; jump events
     are stored globally in step order, with ``jump_steps`` naming the grid
     step (t_k, t_{k+1}] of each event and times increasing within a step.
-    Rebuilding the values from this record (see :func:`rebuild_values`) is
-    bit-exact.
     """
 
     times: np.ndarray
@@ -347,16 +331,6 @@ class DemandPath:
     jump_times: np.ndarray
     jump_heights: np.ndarray
     jump_steps: np.ndarray
-
-    def index_of(self, t: float) -> int:
-        """Index of grid time ``t``; raises if ``t`` is not on the grid."""
-        i = int(np.searchsorted(self.times, t - 1e-12))
-        if i >= self.times.size or abs(self.times[i] - t) > 1e-9:
-            raise ValueError(f"time {t} is not on the path grid")
-        return i
-
-    def value_at(self, t: float) -> float:
-        return float(self.values[self.index_of(t)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,45 +469,6 @@ def _substreams(seed: int, n: int) -> Iterator[np.random.Generator]:
 # Exact transition sampling
 # ---------------------------------------------------------------------------
 
-def draw_step_noise(params: DemandParams, t: float, delta: float,
-                    rng: np.random.Generator) -> StepNoise:
-    """Draw the noise for one transition of length ``delta`` starting at ``t``.
-
-    Jump count is Poisson(nu * delta); jump times are uniform on (t, t+delta].
-    """
-    if delta <= 0:
-        raise ValueError("step length must be > 0")
-    count = int(rng.poisson(params.jump.intensity * delta))
-    # 1 - U maps [0, 1) draws onto (0, 1], i.e. times in (t, t + delta]
-    jump_times = np.sort(t + delta * (1.0 - rng.random(count)))
-    jump_heights = params.jump.height_law.sample(rng, count)
-    gaussian = float(rng.standard_normal())
-    return StepNoise(gaussian=gaussian, jump_times=jump_times, jump_heights=jump_heights)
-
-
-def exact_step(params: DemandParams, t: float, y: float, delta: float,
-               noise: StepNoise) -> float:
-    """Exact transition of the demand from (t, y) to time t + delta.
-
-    Returns
-
-        y e^{-kappa delta} + kappa int_t^{t+delta} e^{-kappa (t+delta-s)} mu(s) ds
-        + sigma * sqrt((1 - e^{-2 kappa delta}) / (2 kappa)) * xi
-        + sum_i gamma_i e^{-kappa (t+delta - t_i)}
-
-    with xi and the jump events taken from ``noise``.
-    """
-    if delta <= 0:
-        raise ValueError("step length must be > 0")
-    t1 = t + delta
-    decay, drift, sd = _grid_coeffs(params, np.array([t, t1]))
-    out = float(y * decay[0] + drift[0] + sd[0] * noise.gaussian)
-    if noise.jump_times.size:
-        out += float(np.sum(noise.jump_heights
-                            * np.exp(-params.kappa * (t1 - noise.jump_times))))
-    return out
-
-
 def _validate_grid(times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -553,12 +488,6 @@ class _NoiseRecord(NamedTuple):
     jump_times: np.ndarray
     jump_heights: np.ndarray
     jump_steps: np.ndarray
-
-
-def _path_record(path: DemandPath) -> _NoiseRecord:
-    return _NoiseRecord(path.gaussians[np.newaxis],
-                        np.array([0, path.jump_times.size]), path.jump_times,
-                        path.jump_heights, path.jump_steps)
 
 
 def _draw_noise(params: DemandParams, times: np.ndarray,
@@ -653,11 +582,11 @@ def _exact_values(params: DemandParams, times: np.ndarray, y0,
     """Exact transitions driven by ``noise``, one grid step at a time and
     vectorised over paths; returns the (paths, nt+1) values.
 
-    Each step is :func:`exact_step` on every row: y maps to
+    Each step is the exact transition on every row: y maps to
     y e^{-kappa dt} + drift + sd xi, and then, if the step holds events,
-    sum_i gamma_i e^{-kappa (t_{k+1} - t_i)} is added.  ``y0``
-    broadcasts against the noise rows, so one noise row can drive several
-    initial values.
+    sum_i gamma_i e^{-kappa (t_{k+1} - t_i)} is added; drift and sd come
+    from :func:`_grid_coeffs`.  ``y0`` broadcasts against the noise rows,
+    so one noise row can drive several initial values.
     """
     decay, drift, sd = _grid_coeffs(params, times)
     nsteps = decay.size
@@ -684,33 +613,6 @@ def _exact_values(params: DemandParams, times: np.ndarray, y0,
     return np.ascontiguousarray(out.T)
 
 
-def _euler_values(params: DemandParams, times: np.ndarray, y0: float,
-                  noise: _NoiseRecord) -> np.ndarray:
-    """Euler-Maruyama recursion driven by the single path in ``noise``:
-
-        Y_{k+1} = Y_k + kappa (mu(t_k) - Y_k) dt + sigma sqrt(dt) xi
-                  + the sum of the jump heights in the step.
-    """
-    nsteps = times.size - 1
-    sums, counts = _group_sums(noise.jump_heights, noise.jump_steps, nsteps)
-    jumps = sums.tolist()
-    has_jumps = (counts > 0).tolist()
-    mu_vals = np.asarray(params.mean.at(times[:-1]), dtype=float).reshape(-1).tolist()
-    dts = np.diff(times).tolist()
-    xi = noise.gaussians[0].tolist()
-    kappa, sigma = params.kappa, params.sigma
-    values = np.empty(times.size)
-    values[0] = y0
-    y = float(y0)
-    for k in range(nsteps):
-        dt = dts[k]
-        y = y + kappa * (mu_vals[k] - y) * dt + sigma * math.sqrt(dt) * xi[k]
-        if has_jumps[k]:
-            y += jumps[k]
-        values[k + 1] = y
-    return values
-
-
 def _sample(params: DemandParams, times: np.ndarray,
             rngs: Iterable[np.random.Generator], n: int) -> PathEnsemble:
     noise = _draw_noise(params, times, rngs, n)
@@ -721,8 +623,8 @@ def _sample(params: DemandParams, times: np.ndarray,
 def sample_path(params: DemandParams, times, rng: np.random.Generator) -> DemandPath:
     """Sample one trajectory on the given grid using exact transitions.
 
-    Deterministic for a fixed generator state; the returned path records all
-    noise so that :func:`rebuild_values` reproduces ``values`` bit-exactly.
+    Deterministic for a fixed generator state; the returned path records
+    all the noise that drove it.
     """
     return _sample(params, _validate_grid(times), [rng], 1)[0]
 
@@ -786,35 +688,3 @@ def sample_ensemble(params_list: list[DemandParams], times,
                        jump_heights=noise.jump_heights,
                        jump_steps=noise.jump_steps)
             for row in values]
-
-
-def euler_path(params: DemandParams, times, rng: np.random.Generator) -> DemandPath:
-    """Euler-Maruyama sampler, used only as an independent discretisation oracle.
-
-    Y_{k+1} = Y_k + kappa (mu(t_k) - Y_k) dt + sigma sqrt(dt) xi + sum of jump
-    heights in the step.  Requires kappa * dt < 1 on every step.
-    """
-    times = _validate_grid(times)
-    deltas = np.diff(times)
-    if deltas.size and np.max(params.kappa * deltas) >= 1.0:
-        raise ValueError("Euler scheme unstable: kappa * dt must be < 1")
-    noise = _draw_noise(params, times, [rng], 1)
-    return DemandPath(times=times,
-                      values=_euler_values(params, times, params.y0, noise),
-                      gaussians=noise.gaussians[0], jump_times=noise.jump_times,
-                      jump_heights=noise.jump_heights, jump_steps=noise.jump_steps)
-
-
-def rebuild_values(params: DemandParams, path: DemandPath,
-                   method: str = "exact") -> np.ndarray:
-    """Recompute path values from the stored noise record.
-
-    For paths produced by the matching sampler the result is bit-identical
-    to ``path.values``.
-    """
-    if method == "exact":
-        return _exact_values(params, path.times, path.values[0],
-                             _path_record(path))[0]
-    if method == "euler":
-        return _euler_values(params, path.times, path.values[0], _path_record(path))
-    raise ValueError(f"unknown rebuild method {method!r}")

@@ -26,7 +26,9 @@ from .costopt import (
     Cm3Policy,
     DeterministicDemand,
     cumrmse_analytic,
+    deterministic_cost,
     mc_cost_estimate,
+    minimize_control,
     minimize_control_direct,
     sequential_update_solve,
 )
@@ -358,8 +360,6 @@ def _cost_artifact_stochastic(scenario: Scenario, grid: Grid, out_dir: Path,
 
 def _cost_artifact_deterministic(scenario: Scenario, grid: Grid,
                                  out_dir: Path) -> Path:
-    from .costopt import deterministic_cost, minimize_control
-
     model = DeterministicDemand(scenario.profile)
     u = minimize_control(model, grid)
     y = upwind_solve(grid, None, u).outflow
@@ -535,7 +535,8 @@ def _integer(value) -> int:
 
 
 def load_config(path: str | Path) -> dict:
-    """Read a YAML scenario file (see README for the schema)."""
+    """Read a YAML scenario file into a mapping (see
+    :func:`scenario_from_config` for the accepted keys)."""
     import yaml
 
     with open(path) as fh:
@@ -555,7 +556,26 @@ def scenario_from_config(cfg: dict, *, preset_name: str | None = None,
     """Build a scenario from a config mapping plus CLI overrides.
 
     Flag values (preset, seed, paths) override the corresponding config
-    entries; scalar config entries override preset fields.
+    entries; scalar config entries override preset fields.  Any other key
+    is refused.  The keys are:
+
+    - ``preset``: PS1, PS2, PS3 or deterministic-fig5, the starting point;
+      ``name``: the scenario's name.
+    - ``speed``, ``horizon``, ``dx``, ``update_interval``: numbers (the
+      interval may be null); ``paths``, ``seed``, ``n_display_paths``:
+      whole numbers; ``outputs``: artifact names out of paths, control,
+      bands and cost; ``levels``: confidence levels in (0, 1).
+    - ``demand_mode``: ``stochastic`` or ``deterministic``; the preset's
+      mode by default.
+    - Stochastic demand: ``kappa``, ``sigma``, ``y0`` numbers, a ``mean``
+      forecast, and ``jump: {intensity, height}``, where ``height`` is
+      ``{type: constant, value}``, ``{type: normal, loc, scale}`` or
+      ``{type: lognormal, log_mean, log_std}`` (default constant 0).
+    - Deterministic demand: a ``profile`` forecast.
+    - A forecast (``mean`` or ``profile``) is ``{type: constant, level}``,
+      ``{type: sinusoid, offset, amplitude, angular_freq}`` or
+      ``{type: tabulated, times, values}`` with finite, strictly
+      increasing knot times covering the horizon.
     """
     for key in cfg:
         if key not in _KNOWN_KEYS:

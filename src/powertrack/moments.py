@@ -13,7 +13,6 @@ never suffers catastrophic cancellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from .demand import DemandParams, JumpSpec, MeanFunction
 
 __all__ = [
-    "MomentSet",
     "JumpMoments",
     "weighted_mean_integral",
     "jump_sum_moments",
@@ -29,22 +27,7 @@ __all__ = [
     "conditional_mean",
     "second_moment",
     "conditional_variance",
-    "expected_quadratic_deviation",
-    "moments_at",
 ]
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """First two moments of the demand at one time."""
-
-    t: float
-    mean: float
-    second_moment: float
-
-    @property
-    def variance(self) -> float:
-        return self.second_moment - self.mean ** 2
 
 
 class JumpMoments(NamedTuple):
@@ -152,18 +135,3 @@ def conditional_variance(params: DemandParams, delta):
     jm = jump_sum_moments(params.jump, params.kappa, delta)
     out = diff_var + (jm.second_moment - np.square(jm.mean))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def expected_quadratic_deviation(params: DemandParams, t, y_out):
-    """E[(Y_t - y_out)^2] for a deterministic output level ``y_out``:
-    second_moment(t) - 2 y_out first_moment(t) + y_out^2."""
-    t = _as_times(t)
-    y_out = np.asarray(y_out, dtype=float)
-    out = second_moment(params, t) - 2.0 * y_out * first_moment(params, t) + y_out ** 2
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def moments_at(params: DemandParams, t: float) -> MomentSet:
-    """Bundle mean and second moment at one time."""
-    return MomentSet(t=float(t), mean=first_moment(params, t),
-                     second_moment=second_moment(params, t))

@@ -28,7 +28,6 @@ __all__ = [
     "FieldState",
     "validate_cfl",
     "upwind_solve",
-    "exact_shift_output",
 ]
 
 
@@ -111,9 +110,6 @@ class Grid:
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.nt + 1)
-
-    def positions(self) -> np.ndarray:
-        return self.dx * np.arange(self.nx + 1)
 
     def control_times(self) -> np.ndarray:
         """Lattice times of the control horizon [0, T - 1/speed]."""
@@ -230,30 +226,3 @@ def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
     boundary = np.array(np.atleast_1d(u.at(grid.times())), dtype=float)
     return FieldState(inflow=u, outflow=_march(c, z0, boundary), grid=grid,
                       _z0=z0, _boundary=boundary)
-
-
-def exact_shift_output(speed: float, z0, u: ControlSignal, t):
-    """Outflow of the exact solution: u(t - 1/speed) once the first injection
-    arrives, and the advected initial profile z0(1 - speed t) before that."""
-    if speed <= 0:
-        raise ValueError("transport speed must be > 0")
-    delay = 1.0 / speed
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    horizon = u.times[-1] + delay
-    if np.any(t_arr < -1e-12) or np.any(t_arr > horizon + 1e-9):
-        raise ValueError("output time outside [0, horizon]")
-    out = np.empty(t_arr.shape)
-    late = t_arr >= delay - 1e-12
-    if np.any(late):
-        out[late] = np.atleast_1d(u.at(np.maximum(t_arr[late] - delay, 0.0)))
-    if np.any(~late):
-        x = 1.0 - speed * t_arr[~late]
-        if z0 is None:
-            out[~late] = 0.0
-        elif callable(z0):
-            out[~late] = np.asarray([z0(xx) for xx in x], dtype=float)
-        else:
-            z0 = np.asarray(z0, dtype=float)
-            xs = np.linspace(0.0, 1.0, z0.size)
-            out[~late] = np.interp(x, xs, z0)
-    return float(out[0]) if np.ndim(t) == 0 else out

@@ -2,7 +2,14 @@
 
 Everything here is deliberately written against the underlying definitions
 (adaptive quadrature, brute-force event simulation, vectorised Euler
-stepping) rather than against the library code it checks.
+stepping) rather than against the library code it checks.  Two of them
+stand beside a library routine as its reference:
+
+- :func:`euler_values`, the Euler-Maruyama recursion driven by the noise
+  record of a sampled ensemble, a discretisation that converges to the
+  library's exact transitions;
+- :func:`exact_shift_output`, the exact outflow of the transport equation,
+  which the upwind scheme reproduces at Courant number 1.
 """
 
 from __future__ import annotations
@@ -95,6 +102,41 @@ def euler_mc_values(kappa: float, sigma: float, mu, y0: float, nu: float,
     return y
 
 
+def euler_values(params, ensemble) -> np.ndarray:
+    """Euler-Maruyama values of every row of ``ensemble`` (a ``PathEnsemble``
+    from ``sample_paths``), driven by that row's gaussians and jump heights:
+
+        Y_{k+1} = Y_k + kappa (mu(t_k) - Y_k) dt + sigma sqrt(dt) xi_k
+                  + the sum of the jump heights in the step.
+
+    The heights of a step are summed in the order np.sum uses on them alone.
+    Requires kappa * dt < 1 on every step.  Returns the (paths, nt+1) values.
+    """
+    times = ensemble.times
+    dts = np.diff(times)
+    if dts.size and np.max(params.kappa * dts) >= 1.0:
+        raise ValueError("Euler scheme unstable: kappa * dt must be < 1")
+    n, nsteps = ensemble.gaussians.shape
+    groups = (np.repeat(np.arange(n), np.diff(ensemble.offsets)) * nsteps
+              + ensemble.jump_steps)
+    counts = np.bincount(groups, minlength=n * nsteps)
+    sums = np.bincount(groups, weights=ensemble.jump_heights, minlength=n * nsteps)
+    ends = np.cumsum(counts)
+    for g in np.flatnonzero(counts >= 8):  # np.sum turns pairwise from 8 terms
+        sums[g] = np.sum(ensemble.jump_heights[ends[g] - counts[g]:ends[g]])
+    sums, has_jumps = sums.reshape(n, nsteps), counts.reshape(n, nsteps) > 0
+    mu = np.asarray(params.mean.at(times[:-1]), dtype=float).reshape(-1)
+    out = np.empty((nsteps + 1, n))
+    out[0] = params.y0
+    for k in range(nsteps):
+        dt = float(dts[k])
+        y = (out[k] + params.kappa * (float(mu[k]) - out[k]) * dt
+             + params.sigma * math.sqrt(dt) * ensemble.gaussians[:, k])
+        np.add(y, sums[:, k], out=y, where=has_jumps[:, k])
+        out[k + 1] = y
+    return out.T
+
+
 def stepwise_path(params, times, rng):
     """One exact-transition path sampled step by step in Python floats.
 
@@ -146,6 +188,35 @@ def strided_upwind(grid, z0, u):
     for i in range(grid.nt):
         z[1:, i + 1] = z[1:, i] - c * (z[1:, i] - z[:-1, i])
     return z, z[grid.nx, :].copy()
+
+
+def exact_shift_output(speed: float, z0, u, t):
+    """Outflow of the exact transport solution for the control signal ``u``:
+    u(t - 1/speed) once the first injection arrives, and the advected initial
+    profile z0(1 - speed t) before that.  ``z0`` is None (an empty line), a
+    callable, or values on an evenly spaced lattice of [0, 1]."""
+    if speed <= 0:
+        raise ValueError("transport speed must be > 0")
+    delay = 1.0 / speed
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    horizon = u.times[-1] + delay
+    if np.any(t_arr < -1e-12) or np.any(t_arr > horizon + 1e-9):
+        raise ValueError("output time outside [0, horizon]")
+    out = np.empty(t_arr.shape)
+    late = t_arr >= delay - 1e-12
+    if np.any(late):
+        out[late] = np.atleast_1d(u.at(np.maximum(t_arr[late] - delay, 0.0)))
+    if np.any(~late):
+        x = 1.0 - speed * t_arr[~late]
+        if z0 is None:
+            out[~late] = 0.0
+        elif callable(z0):
+            out[~late] = np.asarray([z0(xx) for xx in x], dtype=float)
+        else:
+            z0 = np.asarray(z0, dtype=float)
+            xs = np.linspace(0.0, 1.0, z0.size)
+            out[~late] = np.interp(x, xs, z0)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def se_mean(x: np.ndarray) -> float:

@@ -27,7 +27,6 @@ from powertrack import (
     UpdateSchedule,
     cumrmse_analytic,
     deterministic_cost,
-    exact_shift_output,
     first_moment,
     jump_sum_moments,
     minimize_control,
@@ -165,7 +164,7 @@ def test_criterion_5_upwind_exactness_and_convergence():
     ct = g1.control_times()
     u = ControlSignal(ct, np.sin(TWO_PI * ct) + 0.5)
     fs = upwind_solve(g1, None, u)
-    exact = exact_shift_output(g1.speed, None, u, g1.times())
+    exact = oracles.exact_shift_output(g1.speed, None, u, g1.times())
     courant1_err = float(np.max(np.abs(fs.outflow - exact)))
 
     def sup_err(dx):
@@ -173,7 +172,7 @@ def test_criterion_5_upwind_exactness_and_convergence():
         t = g.times()
         sig = ControlSignal(t, np.sin(TWO_PI * t))
         solved = upwind_solve(g, None, sig)
-        ref = exact_shift_output(g.speed, None, sig, t)
+        ref = oracles.exact_shift_output(g.speed, None, sig, t)
         mask = t >= 2.0 * g.delay - 1e-12  # past the startup layer
         return float(np.max(np.abs(solved.outflow[mask] - ref[mask])))
 

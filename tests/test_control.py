@@ -14,10 +14,7 @@ from powertrack import (
     cm2_control,
     cm3_control,
     conditional_variance,
-    draw_step_noise,
-    exact_step,
     first_moment,
-    pathwise_control_gap,
     sample_path,
     sample_paths,
     substream,
@@ -94,13 +91,12 @@ class TestCm2:
     def test_ps1_restart_against_monte_carlo(self, ps1):
         """One seeded two-sided 3-sigma gate: a false-failure rate of 0.27%."""
         path = sample_path(ps1, np.linspace(0.0, 1.0, 41), substream(33, 0))
-        y_obs = path.value_at(0.5)
+        y_obs = path.values[20]  # the demand at t = 0.5
         got = cm2_control(ps1, SPEED, 0.6, 0.5, y_obs)
-        rng = substream(34, 0)
-        draws = np.empty(30_000)
-        for i in range(draws.size):
-            noise = draw_step_noise(ps1, 0.5, 0.35, rng)
-            draws[i] = exact_step(ps1, 0.5, y_obs, 0.35, noise)
+        # Y_0.85 - e^{-0.35 kappa} Y_0.5 is independent of Y_0.5, so moving
+        # each path to y_obs at t = 0.5 gives exact draws of the restart
+        values = sample_paths(ps1, [0.0, 0.5, 0.85], 30_000, seed=34).values
+        draws = values[:, 2] + np.exp(-ps1.kappa * 0.35) * (y_obs - values[:, 1])
         assert abs(draws.mean() - got) < 3 * oracles.se_mean(draws)
 
     def test_control_before_update_rejected(self, ps1):
@@ -141,38 +137,6 @@ class TestCm3:
             y = float(rng.uniform(-3, 6))
             assert cm3_control(params, SPEED, t, y) == pytest.approx(
                 cm2_control(params, SPEED, t, t, y), abs=1e-12)
-
-
-class TestPathwiseGap:
-    def test_zero_at_update_instants(self, ps3, ps_grid):
-        path = sample_path(ps3, ps_grid.times(), substream(5, 0))
-        sched = UpdateSchedule.regular(0.25, 0.75, ps_grid.dt)
-        for t_hat in sched.times:
-            assert pathwise_control_gap(ps3, SPEED, path, sched, float(t_hat)) == \
-                pytest.approx(0.0, abs=1e-14)
-
-    def test_deterministic_path_has_no_gap(self, ps_grid):
-        params = _flat(y0=6.0)
-        path = sample_path(params, ps_grid.times(), substream(1, 0))
-        sched = UpdateSchedule.regular(ps_grid.dt, 0.75, ps_grid.dt)
-        gaps = [abs(pathwise_control_gap(params, SPEED, path, sched, float(t)))
-                for t in ps_grid.control_times()]
-        assert max(gaps) <= 1e-10 * 10.0
-
-    def test_sup_gap_shrinks_with_update_interval(self, ps3, ps_grid):
-        path = sample_path(ps3, ps_grid.times(), substream(5, 0))
-        sups = []
-        for dtup in (0.2, 0.1, 0.05):
-            sched = UpdateSchedule.regular(dtup, 0.75, ps_grid.dt)
-            sups.append(max(abs(pathwise_control_gap(ps3, SPEED, path, sched, float(t)))
-                            for t in ps_grid.control_times()))
-        assert sups[0] >= sups[1] >= sups[2]
-
-    def test_off_grid_time_rejected(self, ps3, ps_grid):
-        path = sample_path(ps3, ps_grid.times(), substream(5, 0))
-        sched = UpdateSchedule.regular(0.25, 0.75, ps_grid.dt)
-        with pytest.raises(ValueError):
-            pathwise_control_gap(ps3, SPEED, path, sched, 0.26001)
 
 
 class TestInformationOrdering:

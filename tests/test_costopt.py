@@ -27,7 +27,6 @@ from powertrack import (
     conditional_variance,
     cumrmse_analytic,
     deterministic_cost,
-    exact_shift_output,
     first_moment,
     mc_cost_estimate,
     minimize_control,
@@ -378,7 +377,7 @@ class TestSequentialUpdateSolveProperty:
                             path.values[i * update_steps])
                 for t, i in zip(grid.control_times(), last)]
         np.testing.assert_allclose(u.values, want, rtol=1e-12, atol=1e-12)
-        shifted = exact_shift_output(grid.speed, z0, u, grid.times())
+        shifted = oracles.exact_shift_output(grid.speed, z0, u, grid.times())
         np.testing.assert_allclose(field.outflow, shifted, rtol=1e-12, atol=1e-12)
 
         # the descent stops once every |2 w_k (u_k - m_k)| < grad_tol, and

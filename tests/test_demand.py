@@ -14,11 +14,7 @@ from powertrack import (
     NormalHeight,
     conditional_mean,
     conditional_variance,
-    draw_step_noise,
-    euler_path,
-    exact_step,
     first_moment,
-    rebuild_values,
     sample_ensemble,
     sample_path,
     sample_paths,
@@ -35,31 +31,23 @@ def _flat(level=10.0, kappa=1.0, sigma=0.0, y0=6.0, jump=None):
 class TestExactStep:
     def test_long_horizon_relaxes_to_level(self):
         params = _flat()
-        noise = draw_step_noise(params, 0.0, 800.0, substream(0, 0))
-        assert exact_step(params, 0.0, 6.0, 800.0, noise) == pytest.approx(10.0, abs=1e-12)
+        end = sample_paths(params, [0.0, 800.0], 1, seed=0).values[0, -1]
+        assert end == pytest.approx(10.0, abs=1e-12)
 
     def test_tiny_step_is_identity(self):
         params = _flat()
-        noise = draw_step_noise(params, 0.0, 1e-12, substream(0, 0))
-        assert exact_step(params, 0.0, 6.0, 1e-12, noise) == pytest.approx(6.0, abs=1e-9)
+        end = sample_paths(params, [0.0, 1e-12], 1, seed=0).values[0, -1]
+        assert end == pytest.approx(6.0, abs=1e-9)
 
     @pytest.mark.parametrize("delta", [0.0, -0.5])
     def test_nonpositive_step_rejected(self, delta):
-        params = _flat()
-        noise = draw_step_noise(params, 0.0, 1.0, substream(0, 0))
         with pytest.raises(ValueError):
-            exact_step(params, 0.0, 6.0, delta, noise)
-        with pytest.raises(ValueError):
-            draw_step_noise(params, 0.0, delta, substream(0, 0))
+            sample_paths(_flat(), [0.0, delta], 1, seed=0)
 
     def test_ps3_one_step_mean_matches_conditional_mean(self, ps3):
         """One seeded two-sided 3-sigma gate: a false-failure rate of 0.27%."""
-        rng = substream(42, 0)
-        draws = np.empty(100_000)
-        for i in range(draws.size):
-            noise = draw_step_noise(ps3, 0.0, 0.025, rng)
-            draws[i] = exact_step(ps3, 0.0, 1.0, 0.025, noise)
-        expected = conditional_mean(ps3, 0.0, 1.0, 0.025)
+        draws = sample_paths(ps3, [0.0, 0.025], 100_000, seed=42).values[:, 1]
+        expected = conditional_mean(ps3, 0.0, ps3.y0, 0.025)
         assert abs(draws.mean() - expected) < 3 * oracles.se_mean(draws)
 
 
@@ -101,12 +89,6 @@ class TestSamplePath:
     def test_bad_grid_rejected(self, ps1, bad):
         with pytest.raises(ValueError):
             sample_path(ps1, bad, substream(0, 0))
-
-    def test_rebuild_is_bit_exact(self, ps3):
-        times = np.linspace(0.0, 1.0, 41)
-        path = sample_path(ps3, times, substream(21, 0))
-        assert path.jump_times.size > 0
-        assert np.array_equal(rebuild_values(ps3, path), path.values)
 
     def test_grid_refinement_invariant_in_law(self, ps1):
         """Two seeded two-sided 4-sigma gates, 0.0063% each: 0.013% (union bound)."""
@@ -223,7 +205,6 @@ class TestPathEnsemble:
                 assert getattr(row, name).tobytes() == getattr(solo, name).tobytes()
                 assert getattr(row, name).tobytes() == ref.tobytes(), name
             assert np.array_equal(row.jump_steps, solo.jump_steps)
-            assert np.array_equal(rebuild_values(params, row), row.values)
 
     def test_rows_are_views_of_the_arrays(self, ps3):
         times = np.linspace(0.0, 1.0, 11)
@@ -295,21 +276,21 @@ class TestEulerPath:
     def test_scalar_linear_ode(self):
         params = _flat(level=0.0, y0=1.0)
         times = np.arange(0.0, 1.0 + 1e-12, 1e-4)
-        path = euler_path(params, times, substream(2, 0))
-        assert abs(path.values[-1] - np.exp(-1.0)) < 1e-4
+        euler = oracles.euler_values(params, sample_paths(params, times, 1, seed=2))
+        assert abs(euler[0, -1] - np.exp(-1.0)) < 1e-4
 
     def test_instability_rejected(self):
         params = _flat(kappa=3.0)
         with pytest.raises(ValueError):
-            euler_path(params, [0.0, 0.5], substream(0, 0))
+            oracles.euler_values(params, sample_paths(params, [0.0, 0.5], 1, seed=0))
 
     def test_compensated_level_shifts_long_run_mean(self):
         # mu = 0 but jumps push the stationary mean to gbar * nu / kappa = 5
         params = _flat(level=0.0, y0=0.0, jump=JumpSpec(5.0, ConstantHeight(1.0)))
         dt = 0.05
         times = np.arange(0.0, 400.0 + 1e-9, dt)
-        path = euler_path(params, times, substream(17, 0))
-        tail = path.values[times > 5.0]
+        euler = oracles.euler_values(params, sample_paths(params, times, 1, seed=17))
+        tail = euler[0, times > 5.0]
         assert abs(tail.mean() - 5.0) < 0.4
 
     def test_moments_agree_with_exact_sampler(self, ps1):
@@ -317,11 +298,8 @@ class TestEulerPath:
         each while the Euler bias stays inside it, 0.54% (union bound)."""
         n, dt, t_end = 30_000, 0.01, 1.0
         times = np.arange(0.0, t_end + 1e-12, dt)
-        exact_end = np.array([p.values[-1]
-                              for p in sample_paths(ps1, [0.0, t_end], n, seed=51)])
-        euler_end = np.empty(n)
-        for i in range(n):
-            euler_end[i] = euler_path(ps1, times, substream(52, i)).values[-1]
+        exact_end = sample_paths(ps1, [0.0, t_end], n, seed=51).values[:, -1]
+        euler_end = oracles.euler_values(ps1, sample_paths(ps1, times, n, seed=52))[:, -1]
         se1 = np.hypot(oracles.se_mean(exact_end), oracles.se_mean(euler_end))
         scale = max(1.0, abs(exact_end.mean()))
         # 3 SE plus an O(dt) discretisation allowance
@@ -329,16 +307,3 @@ class TestEulerPath:
         m2_exact, m2_euler = np.mean(exact_end ** 2), np.mean(euler_end ** 2)
         se2 = np.hypot(oracles.se_mean(exact_end ** 2), oracles.se_mean(euler_end ** 2))
         assert abs(m2_exact - m2_euler) < 3 * se2 + 4.0 * dt * max(1.0, m2_exact)
-
-    def test_rebuild_is_bit_exact(self, ps3):
-        times = np.linspace(0.0, 1.0, 101)
-        path = euler_path(ps3, times, substream(23, 0))
-        assert np.array_equal(rebuild_values(ps3, path, method="euler"), path.values)
-
-
-class TestPathAccessors:
-    def test_value_at_exact_grid_time(self, ps1):
-        path = sample_path(ps1, [0.0, 0.25, 0.5], substream(1, 1))
-        assert path.value_at(0.25) == path.values[1]
-        with pytest.raises(ValueError):
-            path.value_at(0.3)

@@ -296,6 +296,11 @@ class TestCli:
         # the forecast ends at 0.5, before the horizon 1
         ("preset: PS3\nmean: {type: tabulated, times: [0.0, 0.5], "
          "values: [1.0, 2.0]}\n", "mean", None, None),
+        # non-finite knots: nan passes a strictly-increasing test
+        ("preset: PS3\nmean: {type: tabulated, times: [0, .nan, 1], "
+         "values: [1, 2, 3]}\n", "mean", None, "finite"),
+        ("preset: PS3\nmean: {type: tabulated, times: [0, 0.5, .inf], "
+         "values: [1, 2, 3]}\n", "mean", None, "finite"),
         # a one-iteration optimizer budget raises ConvergenceError
         ("preset: deterministic-fig5\n", None, 1, "gradient descent"),
         # the tracking objective overflows, so the descent stops
@@ -323,7 +328,8 @@ class TestCli:
         ("preset: PS1\npaths: 2.7\n", "paths", None, None),
         ("preset: PS1\nseed: 1.5\n", "seed", None, None),
         ("preset: PS1\nn_display_paths: 1.9\n", "n_display_paths", None, None),
-    ], ids=["zero-speed", "malformed-yaml", "short-forecast", "convergence",
+    ], ids=["zero-speed", "malformed-yaml", "short-forecast", "tabulated-nan",
+            "tabulated-inf", "convergence",
             "overflow", "kappa-text", "kappa-negative", "sigma-list",
             "y0-infinite", "kappa-overflow", "interval-infinite",
             "jump-height-scalar", "lognormal-overflow", "constant-overflow",

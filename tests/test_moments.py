@@ -18,15 +18,10 @@ from powertrack import (
     TabulatedMean,
     conditional_mean,
     conditional_variance,
-    draw_step_noise,
-    exact_step,
-    expected_quadratic_deviation,
     first_moment,
     jump_sum_moments,
-    moments_at,
     sample_paths,
     second_moment,
-    substream,
     weighted_mean_integral,
 )
 
@@ -38,12 +33,11 @@ WMI_SINUSOID_K3_T1 = 0.7920300444271913
 
 
 def _restart_draws(params, t0, y, delta, n, seed):
-    rng = substream(seed, 0)
-    out = np.empty(n)
-    for i in range(n):
-        noise = draw_step_noise(params, t0, delta, rng)
-        out[i] = exact_step(params, t0, y, delta, noise)
-    return out
+    """Draws of Y_{t0 + delta} given Y_{t0} = y.  The last step's noise,
+    Y_{t0 + delta} - e^{-kappa delta} Y_{t0}, is independent of Y_{t0}, so
+    moving each path to y at t0 makes the draws exact in law."""
+    values = sample_paths(params, [0.0, t0, t0 + delta], n, seed).values
+    return values[:, 2] + np.exp(-params.kappa * delta) * (y - values[:, 1])
 
 
 class TestWeightedMeanIntegral:
@@ -246,32 +240,6 @@ class TestConditionalVariance:
             conditional_variance(ps1, -0.1)
 
 
-class TestExpectedQuadraticDeviation:
-    def test_minimised_at_the_mean(self, ps3):
-        t = 0.6
-        mean = first_moment(ps3, t)
-        var = second_moment(ps3, t) - mean ** 2
-        at_vertex = expected_quadratic_deviation(ps3, t, mean)
-        assert at_vertex == pytest.approx(var, rel=1e-12)
-        h = 1e-3
-        assert expected_quadratic_deviation(ps3, t, mean + h) > at_vertex
-        assert expected_quadratic_deviation(ps3, t, mean - h) > at_vertex
-
-    def test_zero_for_deterministic_tracking(self):
-        params = DemandParams(kappa=1.0, sigma=0.0, mean=ConstantMean(10.0), y0=6.0)
-        t = 0.8
-        assert expected_quadratic_deviation(params, t, first_moment(params, t)) == \
-            pytest.approx(0.0, abs=1e-12)
-
-    def test_ps3_against_monte_carlo(self, ps3):
-        """One seeded two-sided 3-sigma gate: a false-failure rate of 0.27%."""
-        draws = np.array([p.values[-1]
-                          for p in sample_paths(ps3, [0.0, 0.5], 60_000, seed=19)])
-        dev = (draws - 2.0) ** 2
-        want = expected_quadratic_deviation(ps3, 0.5, 2.0)
-        assert abs(dev.mean() - want) < 3 * oracles.se_mean(dev)
-
-
 class TestInvariants:
     def test_variance_never_negative(self):
         rng = np.random.default_rng(123)
@@ -298,12 +266,6 @@ class TestInvariants:
         assert np.allclose(second_moment(ps1, t), second_moment(no_jump, t), atol=1e-12)
         assert np.allclose(conditional_variance(ps1, t),
                            conditional_variance(no_jump, t), atol=1e-12)
-
-    def test_moment_set_bundle(self, ps3):
-        ms = moments_at(ps3, 0.7)
-        assert ms.mean == first_moment(ps3, 0.7)
-        assert ms.second_moment == second_moment(ps3, 0.7)
-        assert ms.variance == pytest.approx(ms.second_moment - ms.mean ** 2)
 
 
 # tabulated forecasts cover [0, 4], every time these tests evaluate
