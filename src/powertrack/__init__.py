@@ -19,8 +19,6 @@ from .costopt import (
     Cm3Policy,
     ConvergenceError,
     CostReport,
-    DeterministicDemand,
-    OptimizerConfig,
     cumrmse_analytic,
     deterministic_cost,
     mc_cost_estimate,

@@ -25,9 +25,7 @@ from .moments import conditional_variance, first_moment, second_moment
 from .transport import ControlSignal, FieldState, Grid, upwind_solve, validate_cfl
 
 __all__ = [
-    "DeterministicDemand",
     "CostReport",
-    "OptimizerConfig",
     "ConvergenceError",
     "Cm1Policy",
     "Cm2Policy",
@@ -41,17 +39,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeterministicDemand:
-    """Perfectly known demand profile: mean = profile, variance = 0."""
-
-    profile: MeanFunction
-
-    def mean_at(self, t):
-        return self.profile.at(t)
-
-
-DemandModel = Union[DemandParams, DeterministicDemand]
+# A forecast alone is a perfectly known demand: mean = forecast, variance = 0.
+DemandModel = Union[DemandParams, MeanFunction]
 
 
 @dataclass(frozen=True)
@@ -72,19 +61,10 @@ class CostReport:
     cumrmse_se: float | None = None
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iters: int = 500
-    grad_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be > 0")
-
-
-# Armijo sufficient-decrease constant and backtracking factor of the descent
+# Iteration budget, gradient sup-norm tolerance, Armijo sufficient-decrease
+# constant and backtracking factor of the descent
+_MAX_ITERS = 500
+_GRAD_TOL = 1e-10
 _ARMIJO = 1e-4
 _SHRINK = 0.5
 
@@ -104,9 +84,9 @@ class ConvergenceError(RuntimeError):
 
 def _mean_series(model: DemandModel, out_t: np.ndarray) -> np.ndarray:
     """Unconditional mean of the demand at the output times ``out_t``."""
-    if isinstance(model, DeterministicDemand):
-        return np.atleast_1d(np.asarray(model.mean_at(out_t), dtype=float))
-    return first_moment(model, out_t)
+    if isinstance(model, DemandParams):
+        return first_moment(model, out_t)
+    return np.atleast_1d(np.asarray(model.at(out_t), dtype=float))
 
 
 def _check_control_lattice(u: ControlSignal, grid: Grid) -> None:
@@ -130,16 +110,18 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 def deterministic_cost(model: DemandModel, grid: Grid, u: ControlSignal) -> CostReport:
     """Exact expected tracking cost of a fixed injection plan.
 
-    The injection is propagated as an exact shift (outflow at t equals the
-    injection at t - 1/speed), the squared-error integrand is evaluated from
-    the closed-form moments at every scored lattice time, and both the cost
-    and its square root are integrated by the trapezoid rule.
+    ``model`` is a stochastic demand, or a forecast alone, which is scored
+    as a perfectly known demand.  The injection is propagated as an exact
+    shift (outflow at t equals the injection at t - 1/speed), the
+    squared-error integrand is evaluated from the closed-form moments at
+    every scored lattice time, and both the cost and its square root are
+    integrated by the trapezoid rule.
     """
     _check_control_lattice(u, grid)
     out_t = grid.output_times()
     m1 = _mean_series(model, out_t)
-    m2 = (m1 ** 2 if isinstance(model, DeterministicDemand)
-          else second_moment(model, out_t))
+    m2 = (second_moment(model, out_t) if isinstance(model, DemandParams)
+          else m1 ** 2)
     y = u.values
     per_time = m2 - 2.0 * y * m1 + y ** 2
     expected = float(np.trapezoid(per_time, out_t))
@@ -262,8 +244,8 @@ def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
 # Optimisation
 # ---------------------------------------------------------------------------
 
-def _descend(targets: np.ndarray, weights: np.ndarray, times: np.ndarray,
-             cfg: OptimizerConfig) -> np.ndarray:
+def _descend(targets: np.ndarray, weights: np.ndarray,
+             times: np.ndarray) -> np.ndarray:
     """Gradient descent with backtracking on J(u) = sum_k w_k (u_k - m_k)^2.
 
     ``times`` are the lattice control times of the entries of ``u``.  The
@@ -286,11 +268,11 @@ def _descend(targets: np.ndarray, weights: np.ndarray, times: np.ndarray,
     step = 1.0 / (2.0 * float(np.max(weights)))
     g = gradient(u)
     prev_u = prev_g = None
-    reason = (f"did not reach tolerance {cfg.grad_tol} "
-              f"within {cfg.max_iters} iterations")
-    for _ in range(cfg.max_iters):
+    reason = (f"did not reach tolerance {_GRAD_TOL} "
+              f"within {_MAX_ITERS} iterations")
+    for _ in range(_MAX_ITERS):
         gnorm = float(np.max(np.abs(g)))
-        if gnorm < cfg.grad_tol:
+        if gnorm < _GRAD_TOL:
             return u
         j0 = value(u)
         if not math.isfinite(j0):
@@ -321,22 +303,20 @@ def _descend(targets: np.ndarray, weights: np.ndarray, times: np.ndarray,
     )
 
 
-def minimize_control(model: DemandModel, grid: Grid,
-                     config: OptimizerConfig | None = None) -> ControlSignal:
+def minimize_control(model: DemandModel, grid: Grid) -> ControlSignal:
     """Minimise the discretised tracking cost over the control vector.
 
     The objective is a separable quadratic, so its gradient is analytic;
-    convergence is declared when the gradient sup-norm falls below the
-    configured tolerance.  Raises :class:`ConvergenceError` (with the last
-    iterate attached) if the iteration budget runs out.
+    convergence is declared when the gradient sup-norm falls below
+    ``_GRAD_TOL``.  Raises :class:`ConvergenceError` (with the last iterate
+    attached) if ``_MAX_ITERS`` iterations do not reach it.
     """
     validate_cfl(grid)
-    cfg = config or OptimizerConfig()
     out_t = grid.output_times()
     m1 = _mean_series(model, out_t)
     weights = _trapezoid_weights(out_t)
     ct = grid.control_times()
-    return ControlSignal(ct, _descend(np.asarray(m1, dtype=float), weights, ct, cfg))
+    return ControlSignal(ct, _descend(np.asarray(m1, dtype=float), weights, ct))
 
 
 def minimize_control_direct(model: DemandModel, grid: Grid) -> ControlSignal:
@@ -356,18 +336,15 @@ def sequential_update_solve(
     schedule: UpdateSchedule,
     path: DemandPath,
     solver: str = "direct",
-    config: OptimizerConfig | None = None,
-    z0: np.ndarray | None = None,
-) -> tuple[ControlSignal, FieldState, CostReport]:
+) -> tuple[ControlSignal, FieldState]:
     """Re-optimise the injection on each update interval of a realised path.
 
     A composition of existing parts: the control is the CM2 law of
     :class:`Cm2Policy` on this path (the conditional mean one delay ahead,
     given the value observed at the last update), and the field is
-    :func:`upwind_solve` of that control from ``z0``.  With
+    :func:`upwind_solve` of that control from an empty line.  With
     ``solver="iterative"`` the gradient descent minimises the tracking cost
-    of each update interval in turn instead.  The control is then scored
-    against the realised trajectory.
+    of each update interval in turn instead.
     """
     if solver not in ("direct", "iterative"):
         raise ValueError("solver must be 'direct' or 'iterative'")
@@ -380,24 +357,13 @@ def sequential_update_solve(
     u = Cm2Policy(params, schedule).control_block(path.values[np.newaxis], grid)[0]
     ct = grid.control_times()
     if solver == "iterative":
-        cfg = config or OptimizerConfig()
         weights = _trapezoid_weights(grid.output_times())
         bounds = np.append(upd, u.size).tolist()
         for a, b in zip(bounds[:-1], bounds[1:]):
-            u[a:b] = _descend(u[a:b], weights[a:b], ct[a:b], cfg)
+            u[a:b] = _descend(u[a:b], weights[a:b], ct[a:b])
 
     signal = ControlSignal(ct, u)
-    field = upwind_solve(grid, z0, signal)
-    d0 = grid.delay_steps
-    out_t = grid.output_times()
-    dev = path.values[d0:] - field.outflow[d0:]
-    report = CostReport(
-        expected_cost=float(np.trapezoid(dev ** 2, out_t)),
-        cumrmse=float(np.trapezoid(np.abs(dev), out_t)),
-        times=out_t,
-        per_time=dev ** 2,
-    )
-    return signal, field, report
+    return signal, upwind_solve(grid, None, signal)
 
 
 # ---------------------------------------------------------------------------

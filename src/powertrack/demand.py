@@ -188,6 +188,10 @@ class ConstantMean:
 
     level: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.level):
+            raise ValueError("constant mean level must be finite")
+
     def at(self, t):
         t = np.asarray(t, dtype=float)
         out = np.full_like(t, float(self.level))
@@ -207,6 +211,11 @@ class SinusoidMean:
     offset: float
     amplitude: float
     angular_freq: float
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite,
+                       (self.offset, self.amplitude, self.angular_freq))):
+            raise ValueError("sinusoid mean parameters must be finite")
 
     def at(self, t):
         t = np.asarray(t, dtype=float)

@@ -24,7 +24,6 @@ from .costopt import (
     Cm1Policy,
     Cm2Policy,
     Cm3Policy,
-    DeterministicDemand,
     cumrmse_analytic,
     deterministic_cost,
     mc_cost_estimate,
@@ -302,7 +301,7 @@ def _control_artifact_stochastic(scenario: Scenario, grid: Grid, out_dir: Path,
     schedule = scenario_schedule(scenario, grid)
     if schedule is not None:
         path = ensemble()[0]
-        u2, field2, _ = sequential_update_solve(params, grid, schedule, path)
+        u2, field2 = sequential_update_solve(params, grid, schedule, path)
         u3 = Cm3Policy(params).control_for(path, grid)
         y3 = upwind_solve(grid, None, u3).outflow
         header += ["path", "u_cm2", "y_cm2", "u_cm3", "y_cm3"]
@@ -314,10 +313,10 @@ def _control_artifact_stochastic(scenario: Scenario, grid: Grid, out_dir: Path,
 
 def _control_artifact_deterministic(scenario: Scenario, grid: Grid,
                                     out_dir: Path) -> Path:
-    model = DeterministicDemand(scenario.profile)
+    profile = scenario.profile
     times = grid.times()
-    demand = np.atleast_1d(np.asarray(model.mean_at(times), dtype=float))
-    u = minimize_control_direct(model, grid)
+    demand = np.atleast_1d(np.asarray(profile.at(times), dtype=float))
+    u = minimize_control_direct(profile, grid)
     y = upwind_solve(grid, None, u).outflow
     u_full = _hold_series(u, grid)
     rows = ([times[i], demand[i], u_full[i], y[i]] for i in range(times.size))
@@ -360,13 +359,13 @@ def _cost_artifact_stochastic(scenario: Scenario, grid: Grid, out_dir: Path,
 
 def _cost_artifact_deterministic(scenario: Scenario, grid: Grid,
                                  out_dir: Path) -> Path:
-    model = DeterministicDemand(scenario.profile)
-    u = minimize_control(model, grid)
+    profile = scenario.profile
+    u = minimize_control(profile, grid)
     y = upwind_solve(grid, None, u).outflow
     demand = np.atleast_1d(np.asarray(
-        model.mean_at(grid.output_times()), dtype=float))
+        profile.at(grid.output_times()), dtype=float))
     sup_err = float(np.max(np.abs(y[grid.delay_steps:] - demand)))
-    report = deterministic_cost(model, grid, u)
+    report = deterministic_cost(profile, grid, u)
     return _write_csv(out_dir / "cost.csv",
                       ["sup_tracking_error", "expected_cost", "cumrmse"],
                       [[sup_err, report.expected_cost, report.cumrmse]])
@@ -439,8 +438,8 @@ def convergence_study(scenario: Scenario, update_intervals,
                                               grid.horizon - grid.delay, grid.dt)
         except ValueError as err:
             raise ConfigError("dtup", str(err)) from None
-        _, field, _ = sequential_update_solve(params, grid, schedule, path,
-                                              solver=solver)
+        _, field = sequential_update_solve(params, grid, schedule, path,
+                                           solver=solver)
         gap = float(np.trapezoid(np.abs(field.outflow[d0:] - y3[d0:]), out_t))
         rows.append({
             "update_interval": float(dtup),

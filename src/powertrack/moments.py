@@ -1,10 +1,12 @@
 """Closed-form moments of the jump-diffusion demand process.
 
-All quantities follow from the explicit solution of the SDE.  With
-D(t) = e^{-kappa t} y0 + kappa int_0^t e^{-kappa (t-s)} mu(s) ds denoting the
-deterministic part, the first moment is D(t) plus the mean of the decayed
-jump sum, and the second moment adds the diffusion variance, the second
-moment of the decayed jump sum and the cross term.  Setting the jump height
+All quantities follow from the explicit solution of the SDE.  The one
+derivation is the Markov restart: given Y_{t0} = y, the conditional mean is
+the decayed observation plus the weighted mean integral plus the mean of
+the decayed jump sum, and the conditional variance adds the diffusion
+variance to the variance of the decayed jump sum.  The unconditional
+moments restart from the fixed Y_0 = y0: E[Y_t] is the conditional mean
+from time 0, and E[Y_t^2] = Var[Y_t] + E[Y_t]^2.  Setting the jump height
 moments to zero collapses everything to the pure-diffusion formulas.
 
 Near-zero time spans are evaluated with expm1 so that 1 - e^{-kappa dt}
@@ -81,17 +83,9 @@ def jump_sum_moments(jump: JumpSpec, kappa: float, delta) -> JumpMoments:
     return JumpMoments(mean, second)
 
 
-def _deterministic_part(params: DemandParams, t0, t):
-    decay = np.exp(-params.kappa * (np.asarray(t, dtype=float) - np.asarray(t0, dtype=float)))
-    return decay * params.y0 + weighted_mean_integral(params.mean, params.kappa, t0, t)
-
-
 def first_moment(params: DemandParams, t):
-    """E[Y_t] = e^{-kappa t} y0 + weighted mean integral + jump-sum mean."""
-    t = _as_times(t)
-    out = (_deterministic_part(params, 0.0, t)
-           + jump_sum_moments(params.jump, params.kappa, t).mean)
-    return float(out) if np.ndim(out) == 0 else out
+    """E[Y_t], the conditional mean restarted from Y_0 = y0 at time 0."""
+    return conditional_mean(params, 0.0, params.y0, _as_times(t))
 
 
 def conditional_mean(params: DemandParams, t0, y_t0, t):
@@ -108,19 +102,10 @@ def conditional_mean(params: DemandParams, t0, y_t0, t):
 
 
 def second_moment(params: DemandParams, t):
-    """E[Y_t^2] from the closed form:
-
-        D(t)^2 + sigma^2 (1 - e^{-2 kappa t}) / (2 kappa)
-        + E[(jump sum)^2] + 2 D(t) * E[jump sum]
-
-    with D(t) the deterministic part of the solution.
-    """
+    """E[Y_t^2] = Var[Y_t] + E[Y_t]^2; Y_0 is fixed, so the variance is
+    :func:`conditional_variance` over the whole span t."""
     t = _as_times(t)
-    det = _deterministic_part(params, 0.0, t)
-    diff_var = params.sigma ** 2 * (-np.expm1(-2.0 * params.kappa * t)) / (2.0 * params.kappa)
-    jm = jump_sum_moments(params.jump, params.kappa, t)
-    out = det ** 2 + diff_var + jm.second_moment + 2.0 * det * jm.mean
-    return float(out) if np.ndim(out) == 0 else out
+    return conditional_variance(params, t) + first_moment(params, t) ** 2
 
 
 def conditional_variance(params: DemandParams, delta):

@@ -181,13 +181,12 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
 
 @dataclass(frozen=True)
 class FieldState:
-    """Outflow of an upwind solve, with its inflow and the field on demand.
+    """Outflow of an upwind solve, with the field on demand.
 
     ``z[j, i]`` is the field over (space x time).  Its first read re-runs the
     march from the initial profile and inflow boundary copied at solve time.
     """
 
-    inflow: ControlSignal
     outflow: np.ndarray
     grid: Grid
     _z0: np.ndarray
@@ -224,5 +223,5 @@ def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
     if z0.shape != (grid.nx + 1,):
         raise ValueError(f"z0 must have {grid.nx + 1} lattice values")
     boundary = np.array(np.atleast_1d(u.at(grid.times())), dtype=float)
-    return FieldState(inflow=u, outflow=_march(c, z0, boundary), grid=grid,
+    return FieldState(outflow=_march(c, z0, boundary), grid=grid,
                       _z0=z0, _boundary=boundary)

@@ -19,7 +19,6 @@ from powertrack import (
     ConstantMean,
     ControlSignal,
     DemandParams,
-    DeterministicDemand,
     Grid,
     JumpSpec,
     Scenario,
@@ -148,10 +147,10 @@ def test_criterion_3_optimizer_equals_theory(ps1, ps2, ps3, ps_grid):
 
 def test_criterion_4_deterministic_demand_tracked_exactly():
     grid = Grid.make(2.0, 0.5, 5.0)
-    model = DeterministicDemand(SinusoidMean(2.0, 1.0, 0.5 * np.pi))
-    u = minimize_control(model, grid)
+    profile = SinusoidMean(2.0, 1.0, 0.5 * np.pi)
+    u = minimize_control(profile, grid)
     out = upwind_solve(grid, None, u).outflow[grid.delay_steps:]
-    target = np.asarray(model.mean_at(grid.output_times()))
+    target = np.asarray(profile.at(grid.output_times()))
     sup = float(np.max(np.abs(out - target)))
     ok = sup <= 1e-8
     _report(4, "deterministic sine demand tracking", ok,

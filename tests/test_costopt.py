@@ -16,10 +16,8 @@ from powertrack import (
     ConvergenceError,
     CostReport,
     DemandParams,
-    DeterministicDemand,
     Grid,
     JumpSpec,
-    OptimizerConfig,
     SinusoidMean,
     UpdateSchedule,
     cm1_control,
@@ -37,6 +35,7 @@ from powertrack import (
     substream,
     upwind_solve,
 )
+from powertrack import costopt
 
 TWO_PI = 2.0 * np.pi
 
@@ -221,10 +220,10 @@ class TestMinimizeControl:
 
     def test_deterministic_sine_demand_is_tracked_exactly(self):
         grid = Grid.make(2.0, 0.5, 5.0)
-        model = DeterministicDemand(SinusoidMean(2.0, 1.0, 0.5 * np.pi))
-        u = minimize_control(model, grid)
+        profile = SinusoidMean(2.0, 1.0, 0.5 * np.pi)
+        u = minimize_control(profile, grid)
         out = upwind_solve(grid, None, u).outflow[grid.delay_steps:]
-        target = np.asarray(model.mean_at(grid.output_times()))
+        target = np.asarray(profile.at(grid.output_times()))
         assert np.max(np.abs(out - target)) <= 1e-8
 
     def test_gradient_matches_central_differences(self, ps1, ps_grid):
@@ -262,10 +261,10 @@ class TestMinimizeControl:
                     ps3, ps_grid, ControlSignal(u.times, bumped)).expected_cost
                 assert cost >= base - 1e-12
 
-    def test_iteration_budget_exhaustion_raises(self, ps1, ps_grid):
-        cfg = OptimizerConfig(max_iters=1, grad_tol=1e-16)
+    def test_iteration_budget_exhaustion_raises(self, ps1, ps_grid, monkeypatch):
+        monkeypatch.setattr(costopt, "_MAX_ITERS", 1)
         with pytest.raises(ConvergenceError) as err:
-            minimize_control(ps1, ps_grid, cfg)
+            minimize_control(ps1, ps_grid)
         assert err.value.grad_norm > 0
         assert err.value.control.values.size == ps_grid.control_steps + 1
 
@@ -281,7 +280,7 @@ class TestSequentialUpdateSolve:
     def test_single_interval_equals_no_update_solve(self, ps3, ps_grid):
         path = sample_path(ps3, ps_grid.times(), substream(12, 1))
         sched = UpdateSchedule.regular(1.0, 0.75, ps_grid.dt)
-        u, field, _ = sequential_update_solve(ps3, ps_grid, sched, path)
+        u, field = sequential_update_solve(ps3, ps_grid, sched, path)
         base = minimize_control_direct(ps3, ps_grid)
         assert np.allclose(u.values, base.values, atol=1e-12)
         # the carried field reproduces a one-shot solve of the same control
@@ -294,7 +293,7 @@ class TestSequentialUpdateSolve:
         controls = []
         for interval in (0.75, 0.25, 0.05):
             sched = UpdateSchedule.regular(interval, 0.75, ps_grid.dt)
-            u, _, _ = sequential_update_solve(params, ps_grid, sched, path)
+            u, _ = sequential_update_solve(params, ps_grid, sched, path)
             controls.append(u.values)
         for values in controls[1:]:
             assert np.allclose(values, controls[0], atol=1e-12)
@@ -309,8 +308,8 @@ class TestSequentialUpdateSolve:
         gaps = []
         for steps in (5, 3, 2, 1):
             sched = UpdateSchedule.regular(steps * ps_grid.dt, 0.75, ps_grid.dt)
-            _, field, _ = sequential_update_solve(ps3, ps_grid, sched, path,
-                                                  solver=solver)
+            _, field = sequential_update_solve(ps3, ps_grid, sched, path,
+                                               solver=solver)
             gaps.append(float(np.trapezoid(
                 np.abs(field.outflow[d0:] - y3[d0:]), out_t)))
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -329,27 +328,31 @@ class TestSequentialUpdateSolve:
         with pytest.raises(ValueError):
             sequential_update_solve(ps3, grid, sched, path)
 
-    def test_budget_exhaustion_reports_the_interval_times(self, ps1, ps_grid):
+    @staticmethod
+    def _first_interval_times(grid, sched):
+        # the first update interval [0, 0.125) fails: lattice steps 0..4
+        return grid.control_times()[:round(sched.interval / grid.dt)]
+
+    def test_budget_exhaustion_reports_the_interval_times(self, ps1, ps_grid,
+                                                          monkeypatch):
+        monkeypatch.setattr(costopt, "_MAX_ITERS", 1)
         path = sample_path(ps1, ps_grid.times(), substream(7, 0))
         sched = UpdateSchedule.regular(0.125, 0.75, ps_grid.dt)
-        cfg = OptimizerConfig(max_iters=1, grad_tol=1e-16)
         with pytest.raises(ConvergenceError) as err:
-            sequential_update_solve(ps1, ps_grid, sched, path,
-                                    solver="iterative", config=cfg)
-        # the first update interval [0, 0.125) fails: lattice steps 0..4
-        steps = round(sched.interval / ps_grid.dt)
-        want = ps_grid.control_times()[:steps]
+            sequential_update_solve(ps1, ps_grid, sched, path, solver="iterative")
+        want = self._first_interval_times(ps_grid, sched)
         assert err.value.control.times.tobytes() == want.tobytes()
 
-    def test_realized_cost_report(self, ps3, ps_grid):
-        path = sample_path(ps3, ps_grid.times(), substream(7, 0))
+    def test_overflowing_objective_reports_the_interval_times(self, ps1, ps_grid):
+        # y0 = 1e200 squares past the float range at the first objective
+        params = dataclasses.replace(ps1, y0=1e200)
+        path = sample_path(params, ps_grid.times(), substream(7, 0))
         sched = UpdateSchedule.regular(0.125, 0.75, ps_grid.dt)
-        _, field, report = sequential_update_solve(ps3, ps_grid, sched, path)
-        d0 = ps_grid.delay_steps
-        dev = path.values[d0:] - field.outflow[d0:]
-        assert report.expected_cost == pytest.approx(
-            float(np.trapezoid(dev ** 2, report.times)))
-        assert report.cumrmse >= 0.0
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError) as err:
+            sequential_update_solve(params, ps_grid, sched, path, solver="iterative")
+        assert "non-finite objective" in str(err.value)
+        want = self._first_interval_times(ps_grid, sched)
+        assert err.value.control.times.tobytes() == want.tobytes()
 
 
 class TestSequentialUpdateSolveProperty:
@@ -357,9 +360,9 @@ class TestSequentialUpdateSolveProperty:
     @given(kappa=st.floats(0.1, 10.0), sigma=st.floats(0.0, 3.0),
            intensity=st.floats(0.0, 20.0), height=st.floats(-2.0, 2.0),
            nx=st.integers(2, 40), update_steps=st.integers(1, 60),
-           seed=st.integers(0, 2 ** 32 - 1), with_z0=st.booleans())
+           seed=st.integers(0, 2 ** 32 - 1))
     def test_cm2_law_sent_down_the_line(self, kappa, sigma, intensity, height,
-                                        nx, update_steps, seed, with_z0):
+                                        nx, update_steps, seed):
         grid = Grid.make(4.0, 1.0 / nx, 1.0)
         params = DemandParams(kappa=kappa, sigma=sigma,
                               mean=SinusoidMean(2.0, 3.0, TWO_PI), y0=1.0,
@@ -367,9 +370,7 @@ class TestSequentialUpdateSolveProperty:
         path = sample_path(params, grid.times(), substream(seed, 0))
         sched = UpdateSchedule.regular(update_steps * grid.dt,
                                        grid.horizon - grid.delay, grid.dt)
-        z0 = (np.random.default_rng(seed).uniform(-5.0, 5.0, nx + 1)
-              if with_z0 else None)
-        u, field, _ = sequential_update_solve(params, grid, sched, path, z0=z0)
+        u, field = sequential_update_solve(params, grid, sched, path)
 
         # CM2 law: the update in force at lattice step k is k // update_steps
         last = np.arange(u.values.size) // update_steps
@@ -377,15 +378,14 @@ class TestSequentialUpdateSolveProperty:
                             path.values[i * update_steps])
                 for t, i in zip(grid.control_times(), last)]
         np.testing.assert_allclose(u.values, want, rtol=1e-12, atol=1e-12)
-        shifted = oracles.exact_shift_output(grid.speed, z0, u, grid.times())
+        shifted = oracles.exact_shift_output(grid.speed, None, u, grid.times())
         np.testing.assert_allclose(field.outflow, shifted, rtol=1e-12, atol=1e-12)
 
         # the descent stops once every |2 w_k (u_k - m_k)| < grad_tol, and
         # each trapezoid weight w_k is at least dt / 2
-        cfg = OptimizerConfig()
-        u_it, _, _ = sequential_update_solve(params, grid, sched, path,
-                                             solver="iterative", config=cfg)
-        assert np.max(np.abs(u_it.values - u.values)) < cfg.grad_tol / grid.dt
+        u_it, _ = sequential_update_solve(params, grid, sched, path,
+                                          solver="iterative")
+        assert np.max(np.abs(u_it.values - u.values)) < costopt._GRAD_TOL / grid.dt
 
 
 class TestCumrmseAnalytic:

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import math
@@ -301,6 +300,14 @@ class TestCli:
          "values: [1, 2, 3]}\n", "mean", None, "finite"),
         ("preset: PS3\nmean: {type: tabulated, times: [0, 0.5, .inf], "
          "values: [1, 2, 3]}\n", "mean", None, "finite"),
+        ("preset: PS3\nmean: {type: constant, level: .nan}\n", "mean", None,
+         "finite"),
+        ("preset: PS3\nmean: {type: sinusoid, offset: .nan, amplitude: 1, "
+         "angular_freq: 1}\n", "mean", None, "finite"),
+        ("preset: PS3\nmean: {type: sinusoid, offset: 1, amplitude: 1, "
+         "angular_freq: .inf}\n", "mean", None, "finite"),
+        ("preset: deterministic-fig5\nprofile: {type: constant, level: .inf}\n",
+         "profile", None, "finite"),
         # a one-iteration optimizer budget raises ConvergenceError
         ("preset: deterministic-fig5\n", None, 1, "gradient descent"),
         # the tracking objective overflows, so the descent stops
@@ -329,7 +336,8 @@ class TestCli:
         ("preset: PS1\nseed: 1.5\n", "seed", None, None),
         ("preset: PS1\nn_display_paths: 1.9\n", "n_display_paths", None, None),
     ], ids=["zero-speed", "malformed-yaml", "short-forecast", "tabulated-nan",
-            "tabulated-inf", "convergence",
+            "tabulated-inf", "constant-nan", "sinusoid-nan", "sinusoid-inf",
+            "profile-inf", "convergence",
             "overflow", "kappa-text", "kappa-negative", "sigma-list",
             "y0-infinite", "kappa-overflow", "interval-infinite",
             "jump-height-scalar", "lognormal-overflow", "constant-overflow",
@@ -338,13 +346,12 @@ class TestCli:
     def test_bad_input_gives_one_json_line(self, tmp_path, capsys, monkeypatch,
                                            config, field, budget, message):
         if budget is not None:
-            monkeypatch.setattr(costopt, "OptimizerConfig", functools.partial(
-                costopt.OptimizerConfig, max_iters=budget))
+            monkeypatch.setattr(costopt, "_MAX_ITERS", budget)
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(config)
         code = main(["run", str(cfg), "--paths", "20",
                      "--out-dir", str(tmp_path / "x")])
-        assert code != 0
+        assert code == (2 if field is not None else 1)
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])

@@ -215,6 +215,16 @@ class TestSecondMoment:
         sq = draws ** 2
         assert abs(sq.mean() - second_moment(ps3, 1.0)) < 3 * oracles.se_mean(sq)
 
+    def test_equals_the_variance_where_the_mean_vanishes(self):
+        # the jump-sum mean 1e6 cancels the deterministic part -1e6 at t = 1;
+        # a cross term 2 D(t) E[jump sum] of -2e12 would cancel to rounding
+        height = 1e6 / (1e8 * -math.expm1(-1.0))
+        p = DemandParams(kappa=1.0, sigma=1.0, mean=ConstantMean(-1e6), y0=-1e6,
+                         jump=JumpSpec(1e8, ConstantHeight(height)))
+        assert first_moment(p, 1.0) == 0.0
+        assert second_moment(p, 1.0) == pytest.approx(
+            conditional_variance(p, 1.0), rel=1e-12, abs=0.0)
+
 
 class TestConditionalVariance:
     def test_zero_span(self, ps3):
