@@ -53,8 +53,16 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, so that :func:`main` reports it as the one JSON
+    line; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powertrack",
         description="Optimal electricity injection under uncertain demand",
     )
@@ -68,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(conv_p)
     conv_p.add_argument("--dtup", type=_csv_floats, required=True,
                         help="comma-separated update intervals, e.g. 0.125,0.05,0.025")
-    conv_p.add_argument("--solver", choices=("direct", "iterative"),
-                        default="iterative")
 
     bands_p = sub.add_parser("bands", help="demand confidence bands")
     _add_common(bands_p)
@@ -92,10 +98,12 @@ def _fail(code: int, err: Exception, field: str | None, **extra) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):
             return _run(args)
+    except argparse.ArgumentError as err:
+        return _fail(2, err, None)
     except ConfigError as err:
         return _fail(2, err, err.field)
     except ArtifactError as err:
@@ -112,8 +120,7 @@ def _run(args: argparse.Namespace) -> int:
         for name, path in written.items():
             print(f"{name}: {path}")
     elif args.command == "converge":
-        path = write_convergence(scenario, args.dtup, args.out_dir,
-                                 solver=args.solver)
+        path = write_convergence(scenario, args.dtup, args.out_dir)
         print(f"convergence: {path}")
     elif args.command == "bands":
         if args.levels is not None:

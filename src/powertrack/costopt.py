@@ -6,9 +6,10 @@ becomes a deterministic one in the first two moments of the demand.  On a
 delay-aligned lattice the outflow is the injection shifted by the transport
 time, which makes the discretised objective a separable quadratic in the
 control vector.  This module evaluates that cost (analytically and by Monte
-Carlo), minimises it (iterative gradient descent with an exact closed-form
-solver as its oracle), and chains per-interval solves when the demand is
-re-observed on a schedule.
+Carlo), minimises it by gradient descent, and chains per-interval descents
+when the demand is re-observed on a schedule.  The optimum has a closed form
+at each information level, the conditional mean one delay ahead: the
+policies build it, and the descents are checked against it.
 """
 
 from __future__ import annotations
@@ -335,19 +336,15 @@ def sequential_update_solve(
     grid: Grid,
     schedule: UpdateSchedule,
     path: DemandPath,
-    solver: str = "direct",
 ) -> tuple[ControlSignal, FieldState]:
     """Re-optimise the injection on each update interval of a realised path.
 
-    A composition of existing parts: the control is the CM2 law of
-    :class:`Cm2Policy` on this path (the conditional mean one delay ahead,
-    given the value observed at the last update), and the field is
-    :func:`upwind_solve` of that control from an empty line.  With
-    ``solver="iterative"`` the gradient descent minimises the tracking cost
-    of each update interval in turn instead.
+    On each interval the gradient descent minimises the tracking cost
+    against the conditional mean one delay ahead, given the value observed
+    at the interval's update; the field is :func:`upwind_solve` of the
+    chained control from an empty line.  :class:`Cm2Policy` is that law in
+    closed form, and the descent is checked against it.
     """
-    if solver not in ("direct", "iterative"):
-        raise ValueError("solver must be 'direct' or 'iterative'")
     if abs(grid.courant - 1.0) > 1e-9:
         raise ValueError("sequential update solve requires a Courant-1 grid")
     _check_path_lattice(path.times, grid.times())
@@ -356,12 +353,10 @@ def sequential_update_solve(
         raise ValueError("update times must lie on the control horizon")
     u = Cm2Policy(params, schedule).control_block(path.values[np.newaxis], grid)[0]
     ct = grid.control_times()
-    if solver == "iterative":
-        weights = _trapezoid_weights(grid.output_times())
-        bounds = np.append(upd, u.size).tolist()
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            u[a:b] = _descend(u[a:b], weights[a:b], ct[a:b])
-
+    weights = _trapezoid_weights(grid.output_times())
+    bounds = np.append(upd, u.size).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        u[a:b] = _descend(u[a:b], weights[a:b], ct[a:b])
     signal = ControlSignal(ct, u)
     return signal, upwind_solve(grid, None, signal)
 

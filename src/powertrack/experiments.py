@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .control import UpdateSchedule
 from .costopt import (
@@ -147,6 +146,8 @@ def _check_lattice_fields(scenario: Scenario) -> None:
 
 def scenario_grid(scenario: Scenario) -> Grid:
     _check_lattice_fields(scenario)
+    if scenario.horizon <= 1.0 / scenario.speed:
+        raise ConfigError("horizon", "must exceed the transport delay 1/speed")
     try:
         return Grid.make(scenario.speed, scenario.dx, scenario.horizon)
     except ValueError as err:
@@ -185,6 +186,8 @@ def _validate_scenario(scenario: Scenario) -> None:
         raise ConfigError("n_display_paths", "must be >= 0")
     if scenario.seed < 0:
         raise ConfigError("seed", "seed must be >= 0")
+    if not scenario.levels:
+        raise ConfigError("levels", "need at least one confidence level")
     for level in scenario.levels:
         if not (0.0 < level < 1.0):
             raise ConfigError("levels", f"confidence level {level} outside (0, 1)")
@@ -197,6 +200,9 @@ def _validate_scenario(scenario: Scenario) -> None:
 # CSV helpers
 # ---------------------------------------------------------------------------
 
+Columns = Sequence[tuple[str, Sequence]]
+
+
 def _fmt(x, artifact: str, column: str) -> str:
     """One CSV cell: text as is, None as empty, numbers as repr(float)."""
     if x is None or isinstance(x, str):
@@ -207,14 +213,15 @@ def _fmt(x, artifact: str, column: str) -> str:
     return repr(value)
 
 
-def _write_csv(path: Path, header: Sequence[str],
-               rows: Iterable[Sequence]) -> Path:
-    """Format every cell, then write the file; a non-finite number raises
-    :class:`ArtifactError` before the file is opened."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x, path.name, column)
-                              for column, x in zip(header, row)))
+def _write_csv(path: Path, columns: Columns) -> Path:
+    """Write ``(name, column)`` pairs, names repeating as they come, as a
+    header and one row per index; every cell is formatted, row by row, before
+    the file is opened, so a non-finite number raises :class:`ArtifactError`."""
+    names = [name for name, _ in columns]
+    lines = [",".join(names)]
+    for row in zip(*(column for _, column in columns), strict=True):
+        lines.append(",".join(_fmt(x, path.name, name)
+                              for name, x in zip(names, row)))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -229,14 +236,18 @@ def _bands(params: DemandParams, times: np.ndarray, levels: Sequence[float],
     """Quantile curves, one row per level: exact (mean + z sqrt(var)) when
     jumps cannot move the path and the marginal law is Gaussian, otherwise
     empirical over the first ``n_paths`` rows of ``ensemble()``."""
+    if not levels:
+        raise ValueError("need at least one confidence level")
     for lv in levels:
         if not (0.0 < lv < 1.0):
             raise ValueError(f"confidence level {lv} outside (0, 1)")
     if not params.jump.active:
+        from scipy.special import ndtri  # the standard normal quantile
+
         mean = np.atleast_1d(first_moment(params, times))
         var = np.atleast_1d(conditional_variance(params, times))
         sd = np.sqrt(var)
-        return np.vstack([mean + norm.ppf(lv) * sd for lv in levels])
+        return np.vstack([mean + ndtri(lv) * sd for lv in levels])
     return np.quantile(ensemble().values[:n_paths], levels, axis=0)
 
 
@@ -254,29 +265,14 @@ def confidence_bands(params: DemandParams, times, levels, mc_paths: int,
                   partial(sample_paths, params, times, mc_paths, seed), mc_paths)
 
 
-def _bands_artifact(scenario: Scenario, grid: Grid, out_dir: Path,
-                    ensemble: Callable[[], PathEnsemble]) -> Path:
-    times = grid.times()
-    bands = _bands(scenario.params, times, scenario.levels, ensemble,
-                   scenario.mc_paths)
-    mean = np.atleast_1d(first_moment(scenario.params, times))
-    header = ["time", "mean"] + [f"q{lv}" for lv in scenario.levels]
-    rows = ([times[i], mean[i]] + [bands[j, i] for j in range(len(scenario.levels))]
-            for i in range(times.size))
-    return _write_csv(out_dir / "bands.csv", header, rows)
-
-
 def write_bands(scenario: Scenario, out_dir: str | Path) -> Path:
     """Write the ``bands`` artifact: demand mean and quantile curves."""
     _validate_scenario(scenario)
     if scenario.demand_mode != "stochastic":
         raise ConfigError("demand_mode", "bands need a stochastic demand")
-    grid = scenario_grid(scenario)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _bands_artifact(scenario, grid, out_dir, partial(
-        sample_paths, scenario.params, grid.times(), scenario.mc_paths,
-        scenario.seed))
+    # the bands read no update schedule, so none is built or checked
+    return run_scenario(replace(scenario, outputs=("bands",), update_interval=None),
+                        out_dir)["bands"]
 
 
 # ---------------------------------------------------------------------------
@@ -288,87 +284,85 @@ def _hold_series(u: ControlSignal, grid: Grid) -> list[float | None]:
     return u.values.tolist() + [None] * (grid.nt + 1 - u.values.size)
 
 
-def _control_artifact_stochastic(scenario: Scenario, grid: Grid, out_dir: Path,
-                                 ensemble: Callable[[], PathEnsemble]) -> Path:
+def _injection(suffix: str, u: ControlSignal, grid: Grid) -> Columns:
+    """A control and the outflow it sends down an empty line."""
+    return [(f"u{suffix}", _hold_series(u, grid)),
+            (f"y{suffix}", upwind_solve(grid, None, u).outflow)]
+
+
+def _stochastic_artifacts(scenario: Scenario, grid: Grid,
+                          schedule: UpdateSchedule | None
+                          ) -> dict[str, Callable[[], Columns]]:
+    """The columns of each artifact of a stochastic run, built on call from
+    one mean curve, one list of policies and one lazily sampled ensemble."""
     params = scenario.params
     times = grid.times()
-    mean = np.atleast_1d(first_moment(params, times))
-    u1 = minimize_control_direct(params, grid)
-    y1 = upwind_solve(grid, None, u1).outflow
-    header = ["time", "demand_mean", "u_cm1", "y_cm1"]
-    columns = [times, mean, _hold_series(u1, grid), y1]
+    mean = first_moment(params, times)
+    ensemble = cache(partial(sample_paths, params, times,
+                             max(scenario.mc_paths, 2), scenario.seed))
+    cm2 = [] if schedule is None else [("CM2", Cm2Policy(params, schedule))]
+    policies = [("CM1", Cm1Policy(params)), *cm2, ("CM3", Cm3Policy(params))]
 
-    schedule = scenario_schedule(scenario, grid)
-    if schedule is not None:
-        path = ensemble()[0]
-        u2, field2 = sequential_update_solve(params, grid, schedule, path)
-        u3 = Cm3Policy(params).control_for(path, grid)
-        y3 = upwind_solve(grid, None, u3).outflow
-        header += ["path", "u_cm2", "y_cm2", "u_cm3", "y_cm3"]
-        columns += [path.values, _hold_series(u2, grid), field2.outflow,
-                    _hold_series(u3, grid), y3]
-    rows = ([col[i] for col in columns] for i in range(times.size))
-    return _write_csv(out_dir / "control.csv", header, rows)
+    def paths() -> Columns:
+        n = min(scenario.n_display_paths, scenario.mc_paths)
+        values = ensemble().values[:n]
+        return [("time", times), ("mean", mean),
+                *((f"path_{j}", values[j]) for j in range(n))]
+
+    def control() -> Columns:
+        columns = [("time", times), ("demand_mean", mean),
+                   *_injection("_cm1", minimize_control_direct(params, grid), grid)]
+        if cm2:  # the path, then the CM2 and CM3 controls on it
+            path = ensemble()[0]
+            columns.append(("path", path.values))
+            for name, policy in policies[1:]:
+                columns += _injection(f"_{name.lower()}",
+                                      policy.control_for(path, grid), grid)
+        return columns
+
+    def bands() -> Columns:
+        rows = _bands(params, times, scenario.levels, ensemble, scenario.mc_paths)
+        return [("time", times), ("mean", mean),
+                *((f"q{lv}", row) for lv, row in zip(scenario.levels, rows))]
+
+    def cost() -> Columns:
+        names = [name for name, _ in policies]
+        analytic = [cumrmse_analytic(params, grid.speed, name, grid.horizon,
+                                     update_interval=scenario.update_interval)
+                    for name in names]
+        reports = [mc_cost_estimate(ensemble(), grid, policy)
+                   for _, policy in policies]
+        return [("method", names), ("cumrmse_analytic", analytic),
+                ("cumrmse_mc", [r.cumrmse for r in reports]),
+                ("cumrmse_mc_se", [r.cumrmse_se for r in reports]),
+                ("expected_cost_mc", [r.expected_cost for r in reports]),
+                ("expected_cost_mc_se", [r.expected_cost_se for r in reports])]
+
+    return {"paths": paths, "control": control, "bands": bands, "cost": cost}
 
 
-def _control_artifact_deterministic(scenario: Scenario, grid: Grid,
-                                    out_dir: Path) -> Path:
+def _deterministic_artifacts(scenario: Scenario, grid: Grid
+                             ) -> dict[str, Callable[[], Columns]]:
+    """The control and cost columns of a perfectly known demand; paths and
+    bands are meaningless without randomness, so a run skips them."""
     profile = scenario.profile
     times = grid.times()
-    demand = np.atleast_1d(np.asarray(profile.at(times), dtype=float))
-    u = minimize_control_direct(profile, grid)
-    y = upwind_solve(grid, None, u).outflow
-    u_full = _hold_series(u, grid)
-    rows = ([times[i], demand[i], u_full[i], y[i]] for i in range(times.size))
-    return _write_csv(out_dir / "control.csv",
-                      ["time", "demand", "u", "y"], rows)
 
+    def control() -> Columns:
+        return [("time", times), ("demand", profile.at(times)),
+                *_injection("", minimize_control_direct(profile, grid), grid)]
 
-def _paths_artifact(scenario: Scenario, grid: Grid, out_dir: Path,
-                    ensemble: Callable[[], PathEnsemble]) -> Path:
-    params = scenario.params
-    times = grid.times()
-    n = min(scenario.n_display_paths, scenario.mc_paths)
-    values = ensemble().values[:n]
-    mean = np.atleast_1d(first_moment(params, times))
-    header = ["time", "mean"] + [f"path_{j}" for j in range(n)]
-    rows = ([times[i], mean[i]] + values[:, i].tolist() for i in range(times.size))
-    return _write_csv(out_dir / "paths.csv", header, rows)
+    def cost() -> Columns:
+        u = minimize_control(profile, grid)
+        y = upwind_solve(grid, None, u).outflow
+        sup_err = np.max(np.abs(y[grid.delay_steps:]
+                                - profile.at(grid.output_times())))
+        report = deterministic_cost(profile, grid, u)
+        return [("sup_tracking_error", [sup_err]),
+                ("expected_cost", [report.expected_cost]),
+                ("cumrmse", [report.cumrmse])]
 
-
-def _cost_artifact_stochastic(scenario: Scenario, grid: Grid, out_dir: Path,
-                              ensemble: Callable[[], PathEnsemble]) -> Path:
-    params = scenario.params
-    schedule = scenario_schedule(scenario, grid)
-    paths = ensemble()
-    methods: list[tuple[str, object]] = [("CM1", Cm1Policy(params))]
-    if schedule is not None:
-        methods.append(("CM2", Cm2Policy(params, schedule)))
-    methods.append(("CM3", Cm3Policy(params)))
-    rows = []
-    for name, policy in methods:
-        analytic = cumrmse_analytic(params, grid.speed, name, grid.horizon,
-                                    update_interval=scenario.update_interval)
-        report = mc_cost_estimate(paths, grid, policy)
-        rows.append([name, analytic, report.cumrmse, report.cumrmse_se,
-                     report.expected_cost, report.expected_cost_se])
-    header = ["method", "cumrmse_analytic", "cumrmse_mc", "cumrmse_mc_se",
-              "expected_cost_mc", "expected_cost_mc_se"]
-    return _write_csv(out_dir / "cost.csv", header, rows)
-
-
-def _cost_artifact_deterministic(scenario: Scenario, grid: Grid,
-                                 out_dir: Path) -> Path:
-    profile = scenario.profile
-    u = minimize_control(profile, grid)
-    y = upwind_solve(grid, None, u).outflow
-    demand = np.atleast_1d(np.asarray(
-        profile.at(grid.output_times()), dtype=float))
-    sup_err = float(np.max(np.abs(y[grid.delay_steps:] - demand)))
-    report = deterministic_cost(profile, grid, u)
-    return _write_csv(out_dir / "cost.csv",
-                      ["sup_tracking_error", "expected_cost", "cumrmse"],
-                      [[sup_err, report.expected_cost, report.cumrmse]])
+    return {"control": control, "cost": cost}
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
@@ -385,35 +379,21 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     """
     _validate_scenario(scenario)
     grid = scenario_grid(scenario)
-    scenario_schedule(scenario, grid)  # alignment check up front
+    schedule = scenario_schedule(scenario, grid)
+    artifacts = (_deterministic_artifacts(scenario, grid)
+                 if scenario.demand_mode == "deterministic"
+                 else _stochastic_artifacts(scenario, grid, schedule))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    if scenario.demand_mode == "deterministic":
-        for artifact in scenario.outputs:
-            if artifact == "control":
-                written[artifact] = _control_artifact_deterministic(
-                    scenario, grid, out_dir)
-            elif artifact == "cost":
-                written[artifact] = _cost_artifact_deterministic(
-                    scenario, grid, out_dir)
-            # paths/bands are meaningless without randomness; skip quietly
-        return written
-    ensemble = cache(partial(sample_paths, scenario.params, grid.times(),
-                             max(scenario.mc_paths, 2), scenario.seed))
-    writers = {"paths": _paths_artifact, "control": _control_artifact_stochastic,
-               "bands": _bands_artifact, "cost": _cost_artifact_stochastic}
-    for artifact in scenario.outputs:
-        written[artifact] = writers[artifact](scenario, grid, out_dir, ensemble)
-    return written
+    return {name: _write_csv(out_dir / f"{name}.csv", artifacts[name]())
+            for name in scenario.outputs if name in artifacts}
 
 
 # ---------------------------------------------------------------------------
 # Update-interval convergence study
 # ---------------------------------------------------------------------------
 
-def convergence_study(scenario: Scenario, update_intervals,
-                      solver: str = "iterative") -> list[dict]:
+def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     """Gap between the re-optimised scheduled control and the continuously
     informed one, on a single seeded path, for each update interval.
 
@@ -438,8 +418,7 @@ def convergence_study(scenario: Scenario, update_intervals,
                                               grid.horizon - grid.delay, grid.dt)
         except ValueError as err:
             raise ConfigError("dtup", str(err)) from None
-        _, field = sequential_update_solve(params, grid, schedule, path,
-                                           solver=solver)
+        _, field = sequential_update_solve(params, grid, schedule, path)
         gap = float(np.trapezoid(np.abs(field.outflow[d0:] - y3[d0:]), out_t))
         rows.append({
             "update_interval": float(dtup),
@@ -450,14 +429,14 @@ def convergence_study(scenario: Scenario, update_intervals,
 
 
 def write_convergence(scenario: Scenario, update_intervals,
-                      out_dir: str | Path, solver: str = "iterative") -> Path:
-    rows = convergence_study(scenario, update_intervals, solver=solver)
+                      out_dir: str | Path) -> Path:
+    rows = convergence_study(scenario, update_intervals)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _write_csv(out_dir / "convergence.csv",
-                      ["update_interval", "lattice_steps", "cumrmse_gap"],
-                      ([row["update_interval"], str(row["lattice_steps"]),
-                        row["cumrmse_gap"]] for row in rows))
+    return _write_csv(out_dir / "convergence.csv", [
+        ("update_interval", [row["update_interval"] for row in rows]),
+        ("lattice_steps", [str(row["lattice_steps"]) for row in rows]),
+        ("cumrmse_gap", [row["cumrmse_gap"] for row in rows])])
 
 
 # ---------------------------------------------------------------------------

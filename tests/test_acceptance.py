@@ -208,8 +208,7 @@ def test_criterion_7_update_convergence_on_fixed_path():
     from powertrack import convergence_study
 
     start = time.perf_counter()
-    rows = convergence_study(preset("PS3"), [0.125, 0.075, 0.05, 0.025],
-                             solver="iterative")
+    rows = convergence_study(preset("PS3"), [0.125, 0.075, 0.05, 0.025])
     elapsed = time.perf_counter() - start
     gaps = [r["cumrmse_gap"] for r in rows]
     monotone = all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))

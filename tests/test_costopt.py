@@ -280,10 +280,11 @@ class TestSequentialUpdateSolve:
     def test_single_interval_equals_no_update_solve(self, ps3, ps_grid):
         path = sample_path(ps3, ps_grid.times(), substream(12, 1))
         sched = UpdateSchedule.regular(1.0, 0.75, ps_grid.dt)
-        u, field = sequential_update_solve(ps3, ps_grid, sched, path)
+        u = Cm2Policy(ps3, sched).control_for(path, ps_grid)
         base = minimize_control_direct(ps3, ps_grid)
         assert np.allclose(u.values, base.values, atol=1e-12)
-        # the carried field reproduces a one-shot solve of the same control
+        # the field of the CM2 control reproduces that of the no-update solve
+        field = upwind_solve(ps_grid, None, u)
         one_shot = upwind_solve(ps_grid, None, base)
         assert np.allclose(field.outflow, one_shot.outflow, atol=1e-12)
 
@@ -293,13 +294,14 @@ class TestSequentialUpdateSolve:
         controls = []
         for interval in (0.75, 0.25, 0.05):
             sched = UpdateSchedule.regular(interval, 0.75, ps_grid.dt)
-            u, _ = sequential_update_solve(params, ps_grid, sched, path)
-            controls.append(u.values)
+            controls.append(Cm2Policy(params, sched).control_for(path, ps_grid).values)
         for values in controls[1:]:
             assert np.allclose(values, controls[0], atol=1e-12)
 
-    @pytest.mark.parametrize("solver", ["direct", "iterative"])
-    def test_gap_to_continuous_law_shrinks_with_interval(self, ps3, ps_grid, solver):
+    @pytest.mark.parametrize("route", ["direct", "iterative"])
+    def test_gap_to_continuous_law_shrinks_with_interval(self, ps3, ps_grid, route):
+        """``direct`` sends the closed-form CM2 law down the line,
+        ``iterative`` the per-interval descent."""
         path = sample_path(ps3, ps_grid.times(), substream(7, 0))
         u3 = Cm3Policy(ps3).control_for(path, ps_grid)
         y3 = upwind_solve(ps_grid, None, u3).outflow
@@ -308,8 +310,11 @@ class TestSequentialUpdateSolve:
         gaps = []
         for steps in (5, 3, 2, 1):
             sched = UpdateSchedule.regular(steps * ps_grid.dt, 0.75, ps_grid.dt)
-            _, field = sequential_update_solve(ps3, ps_grid, sched, path,
-                                               solver=solver)
+            if route == "direct":
+                u = Cm2Policy(ps3, sched).control_for(path, ps_grid)
+                field = upwind_solve(ps_grid, None, u)
+            else:
+                _, field = sequential_update_solve(ps3, ps_grid, sched, path)
             gaps.append(float(np.trapezoid(
                 np.abs(field.outflow[d0:] - y3[d0:]), out_t)))
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -339,7 +344,7 @@ class TestSequentialUpdateSolve:
         path = sample_path(ps1, ps_grid.times(), substream(7, 0))
         sched = UpdateSchedule.regular(0.125, 0.75, ps_grid.dt)
         with pytest.raises(ConvergenceError) as err:
-            sequential_update_solve(ps1, ps_grid, sched, path, solver="iterative")
+            sequential_update_solve(ps1, ps_grid, sched, path)
         want = self._first_interval_times(ps_grid, sched)
         assert err.value.control.times.tobytes() == want.tobytes()
 
@@ -349,7 +354,7 @@ class TestSequentialUpdateSolve:
         path = sample_path(params, ps_grid.times(), substream(7, 0))
         sched = UpdateSchedule.regular(0.125, 0.75, ps_grid.dt)
         with np.errstate(over="ignore"), pytest.raises(ConvergenceError) as err:
-            sequential_update_solve(params, ps_grid, sched, path, solver="iterative")
+            sequential_update_solve(params, ps_grid, sched, path)
         assert "non-finite objective" in str(err.value)
         want = self._first_interval_times(ps_grid, sched)
         assert err.value.control.times.tobytes() == want.tobytes()
@@ -370,7 +375,8 @@ class TestSequentialUpdateSolveProperty:
         path = sample_path(params, grid.times(), substream(seed, 0))
         sched = UpdateSchedule.regular(update_steps * grid.dt,
                                        grid.horizon - grid.delay, grid.dt)
-        u, field = sequential_update_solve(params, grid, sched, path)
+        u = Cm2Policy(params, sched).control_for(path, grid)
+        field = upwind_solve(grid, None, u)
 
         # CM2 law: the update in force at lattice step k is k // update_steps
         last = np.arange(u.values.size) // update_steps
@@ -383,9 +389,10 @@ class TestSequentialUpdateSolveProperty:
 
         # the descent stops once every |2 w_k (u_k - m_k)| < grad_tol, and
         # each trapezoid weight w_k is at least dt / 2
-        u_it, _ = sequential_update_solve(params, grid, sched, path,
-                                          solver="iterative")
+        u_it, field_it = sequential_update_solve(params, grid, sched, path)
         assert np.max(np.abs(u_it.values - u.values)) < costopt._GRAD_TOL / grid.dt
+        shifted = oracles.exact_shift_output(grid.speed, None, u_it, grid.times())
+        np.testing.assert_allclose(field_it.outflow, shifted, rtol=1e-12, atol=1e-12)
 
 
 class TestCumrmseAnalytic:

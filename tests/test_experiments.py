@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from powertrack import (
     scenario_grid,
     sample_paths,
 )
+import powertrack
 from powertrack import cli, costopt
 from powertrack.cli import main
 from powertrack.experiments import (
@@ -162,9 +166,12 @@ class TestConfidenceBands:
         values = np.stack([p.values for p in sample_paths(ps3, times, 2_000, seed=4)])
         assert np.allclose(bands, np.quantile(values, [0.25, 0.9], axis=0))
 
-    def test_invalid_level_rejected(self, ps1):
+    def test_invalid_level_rejected(self, ps1, ps3):
         with pytest.raises(ValueError):
             confidence_bands(ps1, [0.0, 1.0], [0.0], 10, seed=1)
+        for params in (ps1, ps3):  # exact and empirical quantiles alike
+            with pytest.raises(ValueError, match="at least one"):
+                confidence_bands(params, [0.0, 1.0], [], 10, seed=1)
 
     def test_bands_artifact_for_deterministic_demand_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -335,6 +342,9 @@ class TestCli:
         ("preset: PS1\npaths: 2.7\n", "paths", None, None),
         ("preset: PS1\nseed: 1.5\n", "seed", None, None),
         ("preset: PS1\nn_display_paths: 1.9\n", "n_display_paths", None, None),
+        ("preset: PS1\nlevels: []\n", "levels", None, None),
+        # the transport delay 1/speed is 0.25
+        ("preset: PS1\nhorizon: 0.2\n", "horizon", None, "transport delay"),
     ], ids=["zero-speed", "malformed-yaml", "short-forecast", "tabulated-nan",
             "tabulated-inf", "constant-nan", "sinusoid-nan", "sinusoid-inf",
             "profile-inf", "convergence",
@@ -342,7 +352,7 @@ class TestCli:
             "y0-infinite", "kappa-overflow", "interval-infinite",
             "jump-height-scalar", "lognormal-overflow", "constant-overflow",
             "normal-overflow", "paths-fraction",
-            "seed-fraction", "display-fraction"])
+            "seed-fraction", "display-fraction", "levels-empty", "horizon-short"])
     def test_bad_input_gives_one_json_line(self, tmp_path, capsys, monkeypatch,
                                            config, field, budget, message):
         if budget is not None:
@@ -358,6 +368,50 @@ class TestCli:
         assert err["field"] == field
         if message is not None:
             assert message in err["error"]
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("run", ["--paths", "abc"], "invalid int value"),
+        ("run", ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ("converge", [], "required: --dtup"),
+        ("converge", ["--dtup", "0.1", "--solver", "direct"],
+         "unrecognized arguments: --solver direct"),
+    ], ids=["paths-text", "unknown-flag", "dtup-missing", "solver-flag"])
+    def test_usage_error_gives_one_json_line(self, tmp_path, capsys, command,
+                                             flags, message):
+        code = main([command, self._empty_cfg(tmp_path), *flags])
+        assert code == 2
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["field"] is None and message in err["error"]
+
+    def test_help_prints_usage_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bands", "--help"])
+        assert exit_.value.code == 0
+        out, err = capsys.readouterr()
+        assert "--levels" in out and err == ""
+
+    @pytest.mark.parametrize("name", ["PS1", "PS3"])
+    def test_bands_command_writes_the_run_bands(self, tmp_path, name):
+        """Exact quantiles for PS1, empirical ones for PS3."""
+        args = [self._empty_cfg(tmp_path), "--preset", name, "--paths", "300",
+                "--seed", "7", "--out-dir"]
+        assert main(["bands", *args, str(tmp_path / "b")]) == 0
+        assert main(["run", *args, str(tmp_path / "r")]) == 0
+        assert ((tmp_path / "b" / "bands.csv").read_bytes()
+                == (tmp_path / "r" / "bands.csv").read_bytes())
+
+    def test_import_loads_no_scipy(self):
+        """Importing scipy.stats took over a second of every CLI call."""
+        probe = ("import sys, powertrack.cli; "
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(powertrack.__file__).parent.parent)}
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_memory_error_gives_one_json_line(self, tmp_path, capsys,
                                               monkeypatch):
