@@ -7,12 +7,13 @@ overrides (flags win over config values):
     powertrack converge <config> --dtup a,b,c [--preset ...] [...]
     powertrack bands    <config> --levels 0.5,0.9,0.975 [--preset ...] [...]
 
-On success the exit code is 0; on failure a single JSON error line is
-printed to stderr and the exit code is nonzero.  The line always carries
-``error`` (the message) and ``field`` (the config field at fault, or null);
-an artifact that would hold a non-finite number is not written, and its
-line also names the ``artifact`` file and the ``column``.  Floating-point
-warnings are silenced, so stderr carries nothing but that line.
+On success the exit code is 0.  On failure a single JSON error line is
+printed to stderr and the exit code is 2 for a usage or config error, 1
+for a run that failed.  The line always carries ``error`` (the message)
+and ``field`` (the config field at fault, or null); an artifact that would
+hold a non-finite number is not written, and its line also names the
+``artifact`` file and the ``column``.  Floating-point warnings are
+silenced, so stderr carries nothing but that line.
 """
 
 from __future__ import annotations
@@ -85,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario(args: argparse.Namespace):
-    cfg = load_config(args.config)
-    return scenario_from_config(cfg, preset_name=args.preset,
-                                seed=args.seed, paths=args.paths)
-
-
 def _fail(code: int, err: Exception, field: str | None, **extra) -> int:
     print(json.dumps({"error": str(err) or type(err).__name__, "field": field,
                       **extra}), file=sys.stderr)
@@ -114,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
+    scenario = scenario_from_config(load_config(args.config), preset_name=args.preset,
+                                    seed=args.seed, paths=args.paths)
     if args.command == "run":
         written = run_scenario(scenario, args.out_dir)
         for name, path in written.items():

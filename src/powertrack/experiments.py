@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 ARTIFACTS = ("paths", "control", "bands", "cost")
+# Expected jump events a stochastic run may sample: each adds about 60 bytes
+# to the peak memory of sampling, so the budget holds it near 1 GiB.
+MAX_JUMP_EVENTS = 2 ** 24
 
 
 class ConfigError(ValueError):
@@ -88,7 +91,8 @@ class ArtifactError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete description of one experiment run."""
+    """Complete description of one experiment run, validated on
+    construction: a field no run can use raises :class:`ConfigError`."""
 
     name: str
     speed: float
@@ -102,6 +106,44 @@ class Scenario:
     n_display_paths: int = 5
     outputs: tuple[str, ...] = ARTIFACTS
     levels: tuple[float, ...] = (0.5, 0.9, 0.975)
+
+    def __post_init__(self) -> None:
+        for field in ("speed", "horizon", "dx"):
+            value = getattr(self, field)
+            if value is None or not (math.isfinite(value) and value > 0):
+                raise ConfigError(field, f"must be finite and > 0, got {value!r}")
+        if self.profile is None and self.params is None:
+            raise ConfigError("params", "stochastic scenarios need demand parameters")
+        field, forecast = (("mean", self.params.mean) if self.profile is None
+                           else ("profile", self.profile))
+        try:
+            forecast.at(np.array([0.0, self.horizon]))
+        except ValueError as err:
+            raise ConfigError(field, f"{err}: the forecast must cover "
+                                     f"[0, {self.horizon!r}]") from None
+        if self.mc_paths < 1:
+            raise ConfigError("paths", "Monte-Carlo budget must be >= 1")
+        # a stochastic run samples max(mc_paths, 2) paths, each with its events
+        events = (0.0 if self.profile is not None else self.params.jump.intensity
+                  * self.horizon * max(self.mc_paths, 2))
+        if events > MAX_JUMP_EVENTS:
+            raise ConfigError("jump.intensity", f"intensity x horizon x paths = "
+                              f"{events:.3g} jump events, over {MAX_JUMP_EVENTS}")
+        if self.n_display_paths < 0:
+            raise ConfigError("n_display_paths", "must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed", "seed must be >= 0")
+        if not self.levels:
+            raise ConfigError("levels", "need at least one confidence level")
+        for level in self.levels:
+            if not (0.0 < level < 1.0):
+                raise ConfigError("levels", f"confidence level {level} outside (0, 1)")
+        for artifact in self.outputs:
+            if artifact not in ARTIFACTS:
+                raise ConfigError("outputs", f"unknown artifact {artifact!r}")
+        if self.horizon <= 1.0 / self.speed:
+            raise ConfigError("horizon", "must exceed the transport delay 1/speed")
+        scenario_grid(self)  # update_interval is checked by the runs that read it
 
     @property
     def demand_mode(self) -> str:
@@ -137,17 +179,7 @@ def preset(name: str) -> Scenario:
                                 f"choose one of {', '.join(PRESET_NAMES)}")
 
 
-def _check_lattice_fields(scenario: Scenario) -> None:
-    for field in ("speed", "horizon", "dx"):
-        value = getattr(scenario, field)
-        if value is None or not (math.isfinite(value) and value > 0):
-            raise ConfigError(field, f"must be finite and > 0, got {value!r}")
-
-
 def scenario_grid(scenario: Scenario) -> Grid:
-    _check_lattice_fields(scenario)
-    if scenario.horizon <= 1.0 / scenario.speed:
-        raise ConfigError("horizon", "must exceed the transport delay 1/speed")
     try:
         return Grid.make(scenario.speed, scenario.dx, scenario.horizon)
     except ValueError as err:
@@ -162,38 +194,6 @@ def scenario_schedule(scenario: Scenario, grid: Grid) -> UpdateSchedule | None:
                                       grid.horizon - grid.delay, grid.dt)
     except ValueError as err:
         raise ConfigError("update_interval", str(err)) from None
-
-
-def _check_forecast(mean: MeanFunction, horizon: float, field: str) -> None:
-    try:
-        mean.at(np.array([0.0, horizon]))
-    except ValueError as err:
-        raise ConfigError(field, f"{err}: the forecast must cover [0, {horizon!r}]"
-                          ) from None
-
-
-def _validate_scenario(scenario: Scenario) -> None:
-    _check_lattice_fields(scenario)
-    if scenario.demand_mode == "stochastic":
-        if scenario.params is None:
-            raise ConfigError("params", "stochastic scenarios need demand parameters")
-        _check_forecast(scenario.params.mean, scenario.horizon, "mean")
-    else:
-        _check_forecast(scenario.profile, scenario.horizon, "profile")
-    if scenario.mc_paths < 1:
-        raise ConfigError("paths", "Monte-Carlo budget must be >= 1")
-    if scenario.n_display_paths < 0:
-        raise ConfigError("n_display_paths", "must be >= 0")
-    if scenario.seed < 0:
-        raise ConfigError("seed", "seed must be >= 0")
-    if not scenario.levels:
-        raise ConfigError("levels", "need at least one confidence level")
-    for level in scenario.levels:
-        if not (0.0 < level < 1.0):
-            raise ConfigError("levels", f"confidence level {level} outside (0, 1)")
-    for artifact in scenario.outputs:
-        if artifact not in ARTIFACTS:
-            raise ConfigError("outputs", f"unknown artifact {artifact!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,6 @@ def confidence_bands(params: DemandParams, times, levels, mc_paths: int,
 
 def write_bands(scenario: Scenario, out_dir: str | Path) -> Path:
     """Write the ``bands`` artifact: demand mean and quantile curves."""
-    _validate_scenario(scenario)
     if scenario.demand_mode != "stochastic":
         raise ConfigError("demand_mode", "bands need a stochastic demand")
     # the bands read no update schedule, so none is built or checked
@@ -377,7 +376,6 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     Deterministic given (scenario, seed): repeated runs produce byte-identical
     files.
     """
-    _validate_scenario(scenario)
     grid = scenario_grid(scenario)
     schedule = scenario_schedule(scenario, grid)
     artifacts = (_deterministic_artifacts(scenario, grid)
@@ -401,9 +399,11 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     scored window; it shrinks to the solver tolerance as the interval
     approaches one lattice step.
     """
-    _validate_scenario(scenario)
     if scenario.demand_mode != "stochastic":
         raise ConfigError("demand_mode", "convergence study needs a stochastic demand")
+    intervals = [float(dtup) for dtup in update_intervals]
+    if not intervals:
+        raise ConfigError("dtup", "need at least one update interval")
     grid = scenario_grid(scenario)
     params = scenario.params
     path = sample_path(params, grid.times(), substream(scenario.seed, 0))
@@ -412,17 +412,16 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     out_t = grid.output_times()
     d0 = grid.delay_steps
     rows = []
-    for dtup in update_intervals:
+    for dtup in intervals:
         try:
-            schedule = UpdateSchedule.regular(float(dtup),
-                                              grid.horizon - grid.delay, grid.dt)
+            schedule = UpdateSchedule.regular(dtup, grid.horizon - grid.delay, grid.dt)
         except ValueError as err:
             raise ConfigError("dtup", str(err)) from None
         _, field = sequential_update_solve(params, grid, schedule, path)
         gap = float(np.trapezoid(np.abs(field.outflow[d0:] - y3[d0:]), out_t))
         rows.append({
-            "update_interval": float(dtup),
-            "lattice_steps": int(round(float(dtup) / grid.dt)),
+            "update_interval": dtup,
+            "lattice_steps": int(round(dtup / grid.dt)),
             "cumrmse_gap": gap,
         })
     return rows
@@ -443,73 +442,88 @@ def write_convergence(scenario: Scenario, update_intervals,
 # Config files
 # ---------------------------------------------------------------------------
 
-_MEAN_TYPES = ("constant", "sinusoid", "tabulated")
-_HEIGHT_TYPES = ("constant", "normal", "lognormal")
-
-
-def _mean_from_config(cfg: dict, field: str) -> MeanFunction:
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise ConfigError(field, "expected a mapping with a 'type' key")
-    kind = cfg["type"]
-    try:
-        if kind == "constant":
-            return ConstantMean(level=float(cfg["level"]))
-        if kind == "sinusoid":
-            return SinusoidMean(offset=float(cfg["offset"]),
-                                amplitude=float(cfg["amplitude"]),
-                                angular_freq=float(cfg["angular_freq"]))
-        if kind == "tabulated":
-            return TabulatedMean(times=np.asarray(cfg["times"], dtype=float),
-                                 values=np.asarray(cfg["values"], dtype=float))
-    except KeyError as err:
-        raise ConfigError(field, f"missing key {err.args[0]!r}") from None
-    except (TypeError, ValueError) as err:
-        raise ConfigError(field, str(err)) from None
-    raise ConfigError(field, f"type must be one of {', '.join(_MEAN_TYPES)}")
-
-
-def _jump_from_config(cfg: dict, field: str) -> JumpSpec:
-    if not isinstance(cfg, dict):
-        raise ConfigError(field, "expected a mapping")
-    height_cfg = cfg.get("height", {"type": "constant", "value": 0.0})
-    if not isinstance(height_cfg, dict):
-        raise ConfigError(f"{field}.height", "expected a mapping")
-    kind = height_cfg.get("type")
-    try:
-        if kind == "constant":
-            law = ConstantHeight(float(height_cfg["value"]))
-        elif kind == "normal":
-            law = NormalHeight(float(height_cfg["loc"]), float(height_cfg["scale"]))
-        elif kind == "lognormal":
-            law = LognormalHeight(float(height_cfg["log_mean"]),
-                                  float(height_cfg["log_std"]))
-        else:
-            raise ConfigError(f"{field}.height",
-                              f"type must be one of {', '.join(_HEIGHT_TYPES)}")
-    except KeyError as err:
-        raise ConfigError(f"{field}.height", f"missing key {err.args[0]!r}") from None
-    except (TypeError, ValueError) as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"{field}.height", str(err)) from None
-    try:
-        return JumpSpec(intensity=float(cfg.get("intensity", 0.0)), height_law=law)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(field, str(err)) from None
-
-
-_KNOWN_KEYS = {
-    "name", "preset", "speed", "horizon", "dx", "kappa", "sigma", "y0",
-    "mean", "jump", "update_interval", "paths", "seed", "outputs", "levels",
-    "demand_mode", "profile", "n_display_paths",
-}
-
-
 def _integer(value) -> int:
     """``int(value)``, refusing a float that is not a whole number."""
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _number(value) -> float | None:
+    """``float(value)``; null is kept, for the Scenario to accept or refuse."""
+    return None if value is None else float(value)
+
+
+def _law_from_config(cfg, field: str, laws: dict):
+    """The law ``{type, <argument keys>}`` out of ``laws``, or ConfigError(field)."""
+    try:  # TypeError: not a mapping, or an unhashable type
+        law, keys, read = laws[cfg["type"]]
+    except (KeyError, TypeError):
+        raise ConfigError(field, f"expected a mapping with a 'type' out of "
+                                 f"{', '.join(laws)}") from None
+    try:
+        return law(*(read(cfg[key]) for key in keys))
+    except KeyError as err:
+        raise ConfigError(field, f"missing key {err.args[0]!r}") from None
+    except (TypeError, ValueError) as err:
+        raise ConfigError(field, str(err)) from None
+
+
+def _jump_from_config(cfg) -> JumpSpec:
+    if not isinstance(cfg, dict):
+        raise ConfigError("jump", "expected a mapping")
+    law = _law_from_config(cfg.get("height", {"type": "constant", "value": 0.0}),
+                           "jump.height", _HEIGHTS)
+    try:
+        return JumpSpec(intensity=float(cfg.get("intensity", 0.0)), height_law=law)
+    except (TypeError, ValueError) as err:
+        raise ConfigError("jump", str(err)) from None
+
+
+# Each scalar config key, in reading order: the Scenario field it sets and
+# the reader of its value.
+_SCALARS: dict[str, tuple[str, Callable]] = {
+    "name": ("name", str),
+    "speed": ("speed", _number),
+    "horizon": ("horizon", _number),
+    "dx": ("dx", _number),
+    "update_interval": ("update_interval", _number),
+    "paths": ("mc_paths", _integer),
+    "seed": ("seed", _integer),
+    "n_display_paths": ("n_display_paths", _integer),
+    "outputs": ("outputs", lambda v: tuple(str(a) for a in v)),
+    "levels": ("levels", lambda v: tuple(float(lv) for lv in v)),
+}
+# Each law family by config type: the class, its argument keys in order and
+# the reader of every argument.
+_FORECASTS = {
+    "constant": (ConstantMean, ("level",), float),
+    "sinusoid": (SinusoidMean, ("offset", "amplitude", "angular_freq"), float),
+    "tabulated": (TabulatedMean, ("times", "values"),
+                  partial(np.asarray, dtype=float)),
+}
+_HEIGHTS = {
+    "constant": (ConstantHeight, ("value",), float),
+    "normal": (NormalHeight, ("loc", "scale"), float),
+    "lognormal": (LognormalHeight, ("log_mean", "log_std"), float),
+}
+# The DemandParams coefficients, in reading order, and their readers.
+_COEFFICIENTS: dict[str, Callable] = {
+    "kappa": float, "sigma": float, "y0": float,
+    "mean": partial(_law_from_config, field="mean", laws=_FORECASTS),
+    "jump": _jump_from_config,
+}
+_KNOWN_KEYS = {*_SCALARS, *_COEFFICIENTS, "preset", "demand_mode", "profile"}
+
+
+def _read(cfg: dict, key: str, reader: Callable):
+    """``reader(cfg[key])``; a value it cannot take is a ConfigError on key."""
+    try:
+        return reader(cfg[key])
+    except ConfigError:  # a law reader names its own field
+        raise
+    except (TypeError, ValueError):
+        raise ConfigError(key, f"cannot read {cfg[key]!r}") from None
 
 
 def load_config(path: str | Path) -> dict:
@@ -533,97 +547,66 @@ def scenario_from_config(cfg: dict, *, preset_name: str | None = None,
                          seed: int | None = None, paths: int | None = None) -> Scenario:
     """Build a scenario from a config mapping plus CLI overrides.
 
-    Flag values (preset, seed, paths) override the corresponding config
-    entries; scalar config entries override preset fields.  Any other key
-    is refused.  The keys are:
+    Config values override the preset's fields; the flags (preset, seed,
+    paths) override the config once every config value is read.  The keys,
+    read by ``_SCALARS`` and ``_COEFFICIENTS``, are these; others are refused:
 
-    - ``preset``: PS1, PS2, PS3 or deterministic-fig5, the starting point;
-      ``name``: the scenario's name.
-    - ``speed``, ``horizon``, ``dx``, ``update_interval``: numbers (the
-      interval may be null); ``paths``, ``seed``, ``n_display_paths``:
-      whole numbers; ``outputs``: artifact names out of paths, control,
-      bands and cost; ``levels``: confidence levels in (0, 1).
-    - ``demand_mode``: ``stochastic`` or ``deterministic``; the preset's
-      mode by default.
-    - Stochastic demand: ``kappa``, ``sigma``, ``y0`` numbers, a ``mean``
-      forecast, and ``jump: {intensity, height}``, where ``height`` is
-      ``{type: constant, value}``, ``{type: normal, loc, scale}`` or
-      ``{type: lognormal, log_mean, log_std}`` (default constant 0).
-    - Deterministic demand: a ``profile`` forecast.
-    - A forecast (``mean`` or ``profile``) is ``{type: constant, level}``,
-      ``{type: sinusoid, offset, amplitude, angular_freq}`` or
-      ``{type: tabulated, times, values}`` with finite, strictly
-      increasing knot times covering the horizon.
+    - ``preset``: PS1, PS2, PS3 or deterministic-fig5; without one, a custom
+      scenario starts from speed 1, horizon 2 and dx 0.1.  ``demand_mode``:
+      ``stochastic`` or ``deterministic``, the preset's mode by default.
+    - Scalars: ``name``; the numbers ``speed``, ``horizon``, ``dx`` and
+      ``update_interval`` (null for none); the whole numbers ``paths``,
+      ``seed`` and ``n_display_paths``; ``outputs``, out of paths, control,
+      bands and cost; ``levels``, confidence levels in (0, 1).
+    - Stochastic demand, read in this order: the numbers ``kappa``,
+      ``sigma`` and ``y0``, a ``mean`` forecast and ``jump: {intensity,
+      height}``, where ``height`` is ``{type: constant, value}`` (value 0 by
+      default), ``{type: normal, loc, scale}`` or ``{type: lognormal,
+      log_mean, log_std}``.  A custom scenario must give all five.
+    - Deterministic demand: a ``profile`` forecast.  A forecast is
+      ``{type: constant, level}``, ``{type: sinusoid, offset, amplitude,
+      angular_freq}`` or ``{type: tabulated, times, values}`` with finite,
+      strictly increasing knot times covering the horizon.
     """
     for key in cfg:
         if key not in _KNOWN_KEYS:
             raise ConfigError(key, "unknown configuration key")
     chosen = preset_name or cfg.get("preset")
-    scenario = preset(chosen) if chosen else Scenario(
-        name=str(cfg.get("name", "custom")), speed=1.0, horizon=2.0, dx=0.1)
+    fields = (dict(vars(preset(chosen))) if chosen else
+              {"name": "custom", "speed": 1.0, "horizon": 2.0, "dx": 0.1})
+    for key, (field, reader) in _SCALARS.items():
+        if key in cfg:
+            fields[field] = _read(cfg, key, reader)
 
-    def convert(key: str, kind):
-        try:
-            return kind(cfg[key])
-        except (TypeError, ValueError):
-            raise ConfigError(key, f"cannot read {cfg[key]!r}") from None
-
-    updates: dict = {}
-    if "name" in cfg:
-        updates["name"] = str(cfg["name"])
-    for field in ("speed", "horizon", "dx", "update_interval"):
-        if field in cfg:
-            updates[field] = None if cfg[field] is None else convert(field, float)
-    if "paths" in cfg:
-        updates["mc_paths"] = convert("paths", _integer)
-    if "seed" in cfg:
-        updates["seed"] = convert("seed", _integer)
-    if "n_display_paths" in cfg:
-        updates["n_display_paths"] = convert("n_display_paths", _integer)
-    if "outputs" in cfg:
-        updates["outputs"] = convert("outputs", lambda v: tuple(str(a) for a in v))
-    if "levels" in cfg:
-        updates["levels"] = convert("levels", lambda v: tuple(float(lv) for lv in v))
-
-    mode = cfg.get("demand_mode", scenario.demand_mode)
+    mode = cfg.get("demand_mode", "stochastic" if fields.get("profile") is None
+                   else "deterministic")
     if mode == "deterministic":
-        profile = scenario.profile
         if "profile" in cfg:
-            profile = _mean_from_config(cfg["profile"], "profile")
-        if profile is None:
+            fields["profile"] = _law_from_config(cfg["profile"], "profile", _FORECASTS)
+        if fields.get("profile") is None:
             raise ConfigError("profile", "deterministic demand needs a profile")
-        updates["profile"] = profile
-        updates["params"] = None
+        fields["params"] = None
     elif mode == "stochastic":
-        updates["profile"] = None
-        base = scenario.params
-        needs = [k for k in ("kappa", "sigma", "y0", "mean") if k in cfg]
-        if base is None or needs or "jump" in cfg:
-            try:
-                kappa = convert("kappa", float) if "kappa" in cfg else base.kappa
-                sigma = convert("sigma", float) if "sigma" in cfg else base.sigma
-                y0 = convert("y0", float) if "y0" in cfg else base.y0
-                mean = (_mean_from_config(cfg["mean"], "mean")
-                        if "mean" in cfg else base.mean)
-                jump = (_jump_from_config(cfg["jump"], "jump")
-                        if "jump" in cfg else base.jump)
-            except AttributeError:
+        base = fields.get("params")
+        coefficients = {}
+        for key, reader in _COEFFICIENTS.items():
+            if key in cfg:
+                coefficients[key] = _read(cfg, key, reader)
+            elif base is None:
                 raise ConfigError(
                     "params", "custom scenarios must define kappa, sigma, y0, "
-                              "mean and jump (or start from a preset)") from None
-            try:
-                updates["params"] = DemandParams(kappa=kappa, sigma=sigma,
-                                                 mean=mean, y0=y0, jump=jump)
-            except ValueError as err:
-                # each message starts with the coefficient at fault
-                raise ConfigError(str(err).split()[0], str(err)) from None
+                              "mean and jump (or start from a preset)")
+            else:
+                coefficients[key] = getattr(base, key)
+        try:
+            fields.update(profile=None, params=DemandParams(**coefficients))
+        except ValueError as err:
+            # each message starts with the coefficient at fault
+            raise ConfigError(str(err).split()[0], str(err)) from None
     else:
-        raise ConfigError("demand_mode",
-                          "must be 'stochastic' or 'deterministic'")
+        raise ConfigError("demand_mode", "must be 'stochastic' or 'deterministic'")
 
-    scenario = replace(scenario, **updates)
-    if seed is not None:
-        scenario = replace(scenario, seed=int(seed))
-    if paths is not None:
-        scenario = replace(scenario, mc_paths=int(paths))
-    return scenario
+    for field, flag in (("seed", seed), ("mc_paths", paths)):
+        if flag is not None:
+            fields[field] = int(flag)
+    return Scenario(**fields)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,17 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strategies
 from powertrack import (
     ConfigError,
     ConstantHeight,
+    ConstantMean,
     JumpSpec,
+    LognormalHeight,
+    NormalHeight,
     Scenario,
     SinusoidMean,
+    TabulatedMean,
     cm1_control,
     confidence_bands,
     conditional_variance,
@@ -42,6 +48,7 @@ from powertrack.experiments import (
 )
 
 TWO_PI = 2.0 * np.pi
+_PS1 = preset("PS1")
 
 
 def _read_csv(path):
@@ -122,23 +129,36 @@ class TestRunScenario:
         assert header[0] == "sup_tracking_error"
         assert float(rows[0][0]) <= 1e-8
 
-    def test_invalid_monte_carlo_budget_rejected(self, tmp_path):
-        sc = preset("PS1")
-        with pytest.raises(ConfigError) as err:
-            run_scenario(Scenario(**{**sc.__dict__, "mc_paths": 0}), tmp_path)
-        assert err.value.field == "paths"
 
-    def test_unknown_artifact_rejected(self, tmp_path):
-        sc = preset("PS1")
+class TestScenario:
+    # PS1 has speed 4, horizon 1, dx 0.1 (dt 0.025), jump intensity 5
+    @pytest.mark.parametrize("base, changes, field", [
+        ("PS1", {"speed": 0.0}, "speed"),
+        ("PS1", {"speed": None}, "speed"),
+        ("PS1", {"horizon": math.inf}, "horizon"),
+        ("PS1", {"dx": -0.1}, "dx"),
+        ("PS1", {"params": None}, "params"),
+        ("PS1", {"params": replace(_PS1.params, mean=TabulatedMean(
+            [0.0, 0.5], [1.0, 2.0]))}, "mean"),
+        ("deterministic-fig5", {"profile": TabulatedMean([0.0, 1.0], [1.0, 2.0])},
+         "profile"),
+        ("PS1", {"mc_paths": 0}, "paths"),
+        # 5 x 1 x 2**23 expected events, over the 2**24 budget
+        ("PS1", {"mc_paths": 2 ** 23}, "jump.intensity"),
+        ("PS1", {"n_display_paths": -1}, "n_display_paths"),
+        ("PS1", {"seed": -1}, "seed"),
+        ("PS1", {"levels": ()}, "levels"),
+        ("PS1", {"levels": (1.5,)}, "levels"),
+        ("PS1", {"outputs": ("plots",)}, "outputs"),
+        ("PS1", {"horizon": 0.2}, "horizon"),  # under the delay 1/speed
+        ("PS1", {"dx": 0.3}, "dx"),  # does not divide the unit line
+    ], ids=["speed", "speed-null", "horizon", "dx", "params", "mean", "profile",
+            "paths", "jump-budget", "display", "seed", "levels-empty",
+            "levels-range", "outputs", "horizon-delay", "dx-lattice"])
+    def test_invalid_field_rejected_on_construction(self, base, changes, field):
         with pytest.raises(ConfigError) as err:
-            run_scenario(Scenario(**{**sc.__dict__, "outputs": ("plots",)}), tmp_path)
-        assert err.value.field == "outputs"
-
-    def test_bad_level_rejected(self, tmp_path):
-        sc = preset("PS1")
-        with pytest.raises(ConfigError) as err:
-            run_scenario(Scenario(**{**sc.__dict__, "levels": (1.5,)}), tmp_path)
-        assert err.value.field == "levels"
+            replace(preset(base), **changes)
+        assert err.value.field == field
 
 
 class TestConfidenceBands:
@@ -194,6 +214,37 @@ class TestConvergenceStudy:
         assert err.value.field == "dtup"
 
 
+# Each law's config type and argument keys, as scenario_from_config lists them.
+_LAW_KEYS = {
+    ConstantMean: ("constant", ("level",)),
+    SinusoidMean: ("sinusoid", ("offset", "amplitude", "angular_freq")),
+    TabulatedMean: ("tabulated", ("times", "values")),
+    ConstantHeight: ("constant", ("value",)),
+    NormalHeight: ("normal", ("loc", "scale")),
+    LognormalHeight: ("lognormal", ("log_mean", "log_std")),
+}
+# knots from 0 to 6 cover the horizons of PS3 (1) and deterministic-fig5 (5)
+_TABULATED = st.lists(st.floats(0.0, 6.0, exclude_min=True, exclude_max=True),
+                      max_size=3, unique=True).flatmap(
+    lambda ts: st.builds(TabulatedMean, st.just([0.0, *sorted(ts), 6.0]),
+                         st.lists(st.floats(-5.0, 5.0), min_size=len(ts) + 2,
+                                  max_size=len(ts) + 2)))
+# (the field a law is read as, the law)
+_FIELD_LAWS = st.one_of(
+    st.tuples(st.sampled_from(["mean", "profile"]),
+              st.one_of(strategies.MEANS, _TABULATED)),
+    st.tuples(st.just("jump.height"), strategies.HEIGHT_LAWS))
+
+
+def _law_config(field: str, law_cfg) -> dict:
+    """A config that reads ``law_cfg`` as ``field``."""
+    if field == "profile":
+        return {"preset": "deterministic-fig5", "profile": law_cfg}
+    if field == "mean":
+        return {"preset": "PS3", "mean": law_cfg}
+    return {"preset": "PS3", "jump": {"intensity": 1.0, "height": law_cfg}}
+
+
 class TestConfig:
     def test_preset_with_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -242,6 +293,26 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             scenario_from_config({"kappa": 1.0})
         assert err.value.field == "params"
+
+    @given(case=_FIELD_LAWS, data=st.data())
+    def test_law_mapping_builds_the_law(self, case, data):
+        """A law's mapping builds the law itself; without any one argument
+        key it is refused, naming the field and the key."""
+        field, law = case
+        kind, keys = _LAW_KEYS[type(law)]
+        law_cfg = {"type": kind,
+                   **{key: np.asarray(getattr(law, key)).tolist() for key in keys}}
+        sc = scenario_from_config(_law_config(field, law_cfg))
+        built = (sc.profile if field == "profile" else sc.params.mean
+                 if field == "mean" else sc.params.jump.height_law)
+        assert type(built) is type(law)
+        assert all(np.array_equal(getattr(built, key), getattr(law, key))
+                   for key in keys)
+        dropped = data.draw(st.sampled_from(keys))
+        del law_cfg[dropped]
+        with pytest.raises(ConfigError, match=f"missing key '{dropped}'") as err:
+            scenario_from_config(_law_config(field, law_cfg))
+        assert err.value.field == field
 
     def test_non_mapping_config_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -345,6 +416,9 @@ class TestCli:
         ("preset: PS1\nlevels: []\n", "levels", None, None),
         # the transport delay 1/speed is 0.25
         ("preset: PS1\nhorizon: 0.2\n", "horizon", None, "transport delay"),
+        # 1e12 x horizon 1 x 20 paths expected events, over the 2**24 budget
+        ("preset: PS3\njump: {intensity: 1.0e+12}\n", "jump.intensity", None,
+         "16777216"),
     ], ids=["zero-speed", "malformed-yaml", "short-forecast", "tabulated-nan",
             "tabulated-inf", "constant-nan", "sinusoid-nan", "sinusoid-inf",
             "profile-inf", "convergence",
@@ -352,7 +426,8 @@ class TestCli:
             "y0-infinite", "kappa-overflow", "interval-infinite",
             "jump-height-scalar", "lognormal-overflow", "constant-overflow",
             "normal-overflow", "paths-fraction",
-            "seed-fraction", "display-fraction", "levels-empty", "horizon-short"])
+            "seed-fraction", "display-fraction", "levels-empty", "horizon-short",
+            "jump-budget"])
     def test_bad_input_gives_one_json_line(self, tmp_path, capsys, monkeypatch,
                                            config, field, budget, message):
         if budget is not None:
@@ -368,6 +443,15 @@ class TestCli:
         assert err["field"] == field
         if message is not None:
             assert message in err["error"]
+
+    def test_empty_dtup_list_gives_one_json_line(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        code = main(["converge", self._empty_cfg(tmp_path), "--preset", "PS1",
+                     "--dtup", ",", "--out-dir", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["field"] == "dtup"
+        assert not (out / "convergence.csv").exists()
 
     @pytest.mark.parametrize("command, flags, message", [
         ("run", ["--paths", "abc"], "invalid int value"),
