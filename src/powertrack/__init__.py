@@ -24,6 +24,7 @@ from .costopt import (
     mc_cost_estimate,
     minimize_control,
     minimize_control_direct,
+    sequential_update_control,
     sequential_update_solve,
 )
 from .demand import (
@@ -66,6 +67,7 @@ from .transport import (
     ControlSignal,
     FieldState,
     Grid,
+    upwind_outflows,
     upwind_solve,
     validate_cfl,
 )

@@ -35,6 +35,7 @@ __all__ = [
     "mc_cost_estimate",
     "minimize_control",
     "minimize_control_direct",
+    "sequential_update_control",
     "sequential_update_solve",
     "cumrmse_analytic",
 ]
@@ -331,19 +332,14 @@ def minimize_control_direct(model: DemandModel, grid: Grid) -> ControlSignal:
 # Sequential re-optimisation under demand updates
 # ---------------------------------------------------------------------------
 
-def sequential_update_solve(
-    params: DemandParams,
-    grid: Grid,
-    schedule: UpdateSchedule,
-    path: DemandPath,
-) -> tuple[ControlSignal, FieldState]:
+def sequential_update_control(params: DemandParams, grid: Grid, schedule: UpdateSchedule,
+                              path: DemandPath) -> ControlSignal:
     """Re-optimise the injection on each update interval of a realised path.
 
     On each interval the gradient descent minimises the tracking cost
     against the conditional mean one delay ahead, given the value observed
-    at the interval's update; the field is :func:`upwind_solve` of the
-    chained control from an empty line.  :class:`Cm2Policy` is that law in
-    closed form, and the descent is checked against it.
+    at the interval's update.  :class:`Cm2Policy` is that law in closed
+    form, and the descent is checked against it.
     """
     if abs(grid.courant - 1.0) > 1e-9:
         raise ValueError("sequential update solve requires a Courant-1 grid")
@@ -357,7 +353,14 @@ def sequential_update_solve(
     bounds = np.append(upd, u.size).tolist()
     for a, b in zip(bounds[:-1], bounds[1:]):
         u[a:b] = _descend(u[a:b], weights[a:b], ct[a:b])
-    signal = ControlSignal(ct, u)
+    return ControlSignal(ct, u)
+
+
+def sequential_update_solve(params: DemandParams, grid: Grid, schedule: UpdateSchedule,
+                            path: DemandPath) -> tuple[ControlSignal, FieldState]:
+    """:func:`sequential_update_control` and its :func:`upwind_solve` from an
+    empty line; :func:`upwind_outflows` marches outflows of many at once."""
+    signal = sequential_update_control(params, grid, schedule, path)
     return signal, upwind_solve(grid, None, signal)
 
 

@@ -20,8 +20,8 @@ the generator states of all rows are derived at once, by numpy's
 ``SeedSequence`` algorithm (NEP 19) and PCG64's seeding step (O'Neill,
 HMC-CS-2014-0905), and set on one reused generator.  A constant-height law
 draws nothing, so each path draws its jump uniforms in one call.  The exact
-recursion then runs step by step over all paths at once.  Indexing an
-ensemble gives :class:`DemandPath` views of its rows.
+recursion then runs step by step over all paths at once, in Python floats
+for a single path.  Indexing an ensemble gives :class:`DemandPath` views.
 """
 
 from __future__ import annotations
@@ -258,6 +258,9 @@ class TabulatedMean:
             raise ValueError("tabulated mean knot times and values must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("tabulated mean knots must be strictly increasing")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(np.diff(values) / np.diff(times))):
+                raise ValueError("tabulated mean knot segment too narrow: slope overflows")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -595,7 +598,9 @@ def _exact_values(params: DemandParams, times: np.ndarray, y0,
     y e^{-kappa dt} + drift + sd xi, and then, if the step holds events,
     sum_i gamma_i e^{-kappa (t_{k+1} - t_i)} is added; drift and sd come
     from :func:`_grid_coeffs`.  ``y0`` broadcasts against the noise rows,
-    so one noise row can drive several initial values.
+    so one noise row can drive several initial values.  One row with a
+    scalar ``y0`` runs the same operations in Python floats, which round as
+    numpy's do, reading the coefficients lazily through memoryviews.
     """
     decay, drift, sd = _grid_coeffs(params, times)
     nsteps = decay.size
@@ -607,18 +612,28 @@ def _exact_values(params: DemandParams, times: np.ndarray, y0,
     sums, counts = _group_sums(weights, groups, rows * nsteps)
     sums = sums.reshape(rows, nsteps).T
     has_jumps = (counts > 0).reshape(rows, nsteps).T
-    step_has_jumps = has_jumps.any(axis=1).tolist()
     diffusion = (sd * noise.gaussians).T
     out = np.empty((nsteps + 1,) + np.broadcast_shapes(np.shape(y0), (rows,)))
     out[0] = y0
-    decay, drift = decay.tolist(), drift.tolist()
-    for k in range(nsteps):
-        y = out[k + 1]
-        np.multiply(out[k], decay[k], out=y)
-        y += drift[k]
-        y += diffusion[k]
-        if step_has_jumps[k]:
-            np.add(y, sums[k], out=y, where=has_jumps[k])
+    if rows == 1 and np.ndim(y0) == 0:
+        values = memoryview(out.reshape(-1))  # a view: out is (nsteps+1, 1)
+        y = values[0]
+        coeffs = (decay, drift, diffusion[:, 0], sums[:, 0], has_jumps[:, 0])
+        for k, (d, dr, df, jump, has) in enumerate(zip(*map(memoryview, coeffs)), 1):
+            y = y * d + dr + df
+            if has:
+                y += jump
+            values[k] = y
+    else:
+        step_has_jumps = has_jumps.any(axis=1).tolist()
+        decay, drift = decay.tolist(), drift.tolist()
+        for k in range(nsteps):
+            y = out[k + 1]
+            np.multiply(out[k], decay[k], out=y)
+            y += drift[k]
+            y += diffusion[k]
+            if step_has_jumps[k]:
+                np.add(y, sums[k], out=y, where=has_jumps[k])
     return np.ascontiguousarray(out.T)
 
 

@@ -28,7 +28,7 @@ from .costopt import (
     mc_cost_estimate,
     minimize_control,
     minimize_control_direct,
-    sequential_update_solve,
+    sequential_update_control,
 )
 from .demand import (
     ConstantHeight,
@@ -46,7 +46,7 @@ from .demand import (
     substream,
 )
 from .moments import conditional_variance, first_moment
-from .transport import ControlSignal, Grid, upwind_solve
+from .transport import ControlSignal, Grid, upwind_outflows
 
 __all__ = [
     "ConfigError",
@@ -283,10 +283,12 @@ def _hold_series(u: ControlSignal, grid: Grid) -> list[float | None]:
     return u.values.tolist() + [None] * (grid.nt + 1 - u.values.size)
 
 
-def _injection(suffix: str, u: ControlSignal, grid: Grid) -> Columns:
-    """A control and the outflow it sends down an empty line."""
-    return [(f"u{suffix}", _hold_series(u, grid)),
-            (f"y{suffix}", upwind_solve(grid, None, u).outflow)]
+def _injections(controls: dict[str, ControlSignal], grid: Grid) -> Columns:
+    """Each control, keyed by column suffix, and the outflow it sends down an
+    empty line; the outflows come from one march."""
+    outflows = upwind_outflows(grid, controls.values())
+    return [column for (suffix, u), y in zip(controls.items(), outflows)
+            for column in ((f"u{suffix}", _hold_series(u, grid)), (f"y{suffix}", y))]
 
 
 def _stochastic_artifacts(scenario: Scenario, grid: Grid,
@@ -309,14 +311,14 @@ def _stochastic_artifacts(scenario: Scenario, grid: Grid,
                 *((f"path_{j}", values[j]) for j in range(n))]
 
     def control() -> Columns:
-        columns = [("time", times), ("demand_mean", mean),
-                   *_injection("_cm1", minimize_control_direct(params, grid), grid)]
-        if cm2:  # the path, then the CM2 and CM3 controls on it
+        controls = {"_cm1": minimize_control_direct(params, grid)}
+        if cm2:  # the CM2 and CM3 controls on the path
             path = ensemble()[0]
-            columns.append(("path", path.values))
-            for name, policy in policies[1:]:
-                columns += _injection(f"_{name.lower()}",
-                                      policy.control_for(path, grid), grid)
+            controls.update((f"_{name.lower()}", policy.control_for(path, grid))
+                            for name, policy in policies[1:])
+        columns = [("time", times), ("demand_mean", mean), *_injections(controls, grid)]
+        if cm2:  # the path goes after the CM1 injection
+            columns.insert(4, ("path", path.values))
         return columns
 
     def bands() -> Columns:
@@ -349,11 +351,11 @@ def _deterministic_artifacts(scenario: Scenario, grid: Grid
 
     def control() -> Columns:
         return [("time", times), ("demand", profile.at(times)),
-                *_injection("", minimize_control_direct(profile, grid), grid)]
+                *_injections({"": minimize_control_direct(profile, grid)}, grid)]
 
     def cost() -> Columns:
         u = minimize_control(profile, grid)
-        y = upwind_solve(grid, None, u).outflow
+        y, = upwind_outflows(grid, [u])
         sup_err = np.max(np.abs(y[grid.delay_steps:]
                                 - profile.at(grid.output_times())))
         report = deterministic_cost(profile, grid, u)
@@ -397,7 +399,9 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
 
     The gap is the time integral of |y_scheduled - y_continuous| over the
     scored window; it shrinks to the solver tolerance as the interval
-    approaches one lattice step.
+    approaches one lattice step.  The CM3 control and each interval's
+    :func:`sequential_update_control` stream into one :func:`upwind_outflows`
+    march; an interval off the lattice raises ConfigError on ``dtup``.
     """
     if scenario.demand_mode != "stochastic":
         raise ConfigError("demand_mode", "convergence study needs a stochastic demand")
@@ -407,24 +411,23 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     grid = scenario_grid(scenario)
     params = scenario.params
     path = sample_path(params, grid.times(), substream(scenario.seed, 0))
-    u3 = Cm3Policy(params).control_for(path, grid)
-    y3 = upwind_solve(grid, None, u3).outflow
+
+    def controls():
+        yield Cm3Policy(params).control_for(path, grid)
+        for dtup in intervals:
+            try:
+                schedule = UpdateSchedule.regular(dtup, grid.horizon - grid.delay,
+                                                  grid.dt)
+            except ValueError as err:
+                raise ConfigError("dtup", str(err)) from None
+            yield sequential_update_control(params, grid, schedule, path)
+
+    y3, *outflows = upwind_outflows(grid, controls(), len(intervals) + 1)[:, grid.delay_steps:]
     out_t = grid.output_times()
-    d0 = grid.delay_steps
-    rows = []
-    for dtup in intervals:
-        try:
-            schedule = UpdateSchedule.regular(dtup, grid.horizon - grid.delay, grid.dt)
-        except ValueError as err:
-            raise ConfigError("dtup", str(err)) from None
-        _, field = sequential_update_solve(params, grid, schedule, path)
-        gap = float(np.trapezoid(np.abs(field.outflow[d0:] - y3[d0:]), out_t))
-        rows.append({
-            "update_interval": dtup,
-            "lattice_steps": int(round(dtup / grid.dt)),
-            "cumrmse_gap": gap,
-        })
-    return rows
+    return [{"update_interval": dtup,
+             "lattice_steps": int(round(dtup / grid.dt)),
+             "cumrmse_gap": float(np.trapezoid(np.abs(y - y3), out_t))}
+            for dtup, y in zip(intervals, outflows)]
 
 
 def write_convergence(scenario: Scenario, update_intervals,

@@ -10,7 +10,8 @@ experiments only.
 
 The scheme marches one contiguous state vector over the spatial lattice and
 keeps only the outflow.  The space-time field is built on its first read, by
-the same march, so callers that need only the outflow never hold a field.
+the same march, so callers that need only the outflow never hold a field;
+several such solves march as the columns of one block (:func:`upwind_outflows`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "FieldState",
     "validate_cfl",
     "upwind_solve",
+    "upwind_outflows",
 ]
 
 
@@ -159,18 +161,21 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
     """March the upwind scheme from ``z0`` with inflow ``boundary`` and
     return the outflow; with ``rows``, also store each time level in
     ``rows[i]``.  Both the outflow and the field come from this one loop,
-    so they agree bit for bit."""
+    so they agree bit for bit.  A trailing batch axis on ``z0`` and
+    ``boundary`` marches several solves elementwise alike; at ``c == 1.0``
+    the scaling is skipped, since ``x * 1.0 == x`` exactly."""
     x = z0.copy()
     x[0] = boundary[0]  # inflow boundary wins at the (0, 0) corner
     inner, left = x[1:], x[:-1]  # views made once, not per step
-    tmp = np.empty(x.size - 1)
-    outflow = np.empty(boundary.size)
+    tmp = np.empty(inner.shape)
+    outflow = np.empty(boundary.shape)
     outflow[0] = x[-1]
     if rows is not None:
         rows[0] = x
-    for i in range(1, boundary.size):
+    for i in range(1, boundary.shape[0]):
         np.subtract(inner, left, out=tmp)
-        tmp *= c
+        if c != 1.0:
+            tmp *= c
         inner -= tmp
         x[0] = boundary[i]
         outflow[i] = x[-1]
@@ -225,3 +230,15 @@ def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
     boundary = np.array(np.atleast_1d(u.at(grid.times())), dtype=float)
     return FieldState(outflow=_march(c, z0, boundary), grid=grid,
                       _z0=z0, _boundary=boundary)
+
+
+def upwind_outflows(grid: Grid, controls, count: int = -1) -> np.ndarray:
+    """(m, nt+1) outflows of ``m`` controls down an empty line, from one
+    march; row ``k`` is ``upwind_solve(grid, None, controls[k]).outflow`` bit
+    for bit.  An iterator of controls streams into the boundary block, which
+    is allocated once, not grown, when ``count`` gives ``m``."""
+    c = validate_cfl(grid)
+    times = grid.times()
+    boundary = np.fromiter((u.at(times) for u in controls),
+                           dtype=(float, times.size), count=count)
+    return _march(c, np.zeros((grid.nx + 1, len(boundary))), boundary.T).T

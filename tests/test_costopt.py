@@ -31,8 +31,10 @@ from powertrack import (
     minimize_control_direct,
     sample_path,
     sample_paths,
+    sequential_update_control,
     sequential_update_solve,
     substream,
+    upwind_outflows,
     upwind_solve,
 )
 from powertrack import costopt
@@ -332,6 +334,15 @@ class TestSequentialUpdateSolve:
         sched = UpdateSchedule.regular(0.125, 0.75, grid.dt)
         with pytest.raises(ValueError):
             sequential_update_solve(ps3, grid, sched, path)
+
+    def test_solve_sends_the_control_down_the_line(self, ps3, ps_grid):
+        path = sample_path(ps3, ps_grid.times(), substream(7, 0))
+        sched = UpdateSchedule.regular(0.125, 0.75, ps_grid.dt)
+        u, field = sequential_update_solve(ps3, ps_grid, sched, path)
+        control = sequential_update_control(ps3, ps_grid, sched, path)
+        assert control.values.tobytes() == u.values.tobytes()
+        assert (upwind_outflows(ps_grid, [control])[0].tobytes()
+                == field.outflow.tobytes())
 
     @staticmethod
     def _first_interval_times(grid, sched):

@@ -213,6 +213,12 @@ class TestConvergenceStudy:
             convergence_study(preset("PS3"), [0.03])
         assert err.value.field == "dtup"
 
+    def test_misaligned_interval_after_a_valid_one_rejected(self):
+        # the controls stream into one march: 0.03 fails as it is reached
+        with pytest.raises(ConfigError) as err:
+            convergence_study(preset("PS3"), [0.125, 0.03])
+        assert err.value.field == "dtup"
+
 
 # Each law's config type and argument keys, as scenario_from_config lists them.
 _LAW_KEYS = {
@@ -223,12 +229,24 @@ _LAW_KEYS = {
     NormalHeight: ("normal", ("loc", "scale")),
     LognormalHeight: ("lognormal", ("log_mean", "log_std")),
 }
+
+
+def _tabulated_or_none(times, values):
+    """The law, or None where it refuses its knots (a segment so narrow
+    that its slope overflows; ``tabulated-narrow`` below covers that)."""
+    try:
+        return TabulatedMean(times, values)
+    except ValueError:
+        return None
+
+
 # knots from 0 to 6 cover the horizons of PS3 (1) and deterministic-fig5 (5)
 _TABULATED = st.lists(st.floats(0.0, 6.0, exclude_min=True, exclude_max=True),
                       max_size=3, unique=True).flatmap(
-    lambda ts: st.builds(TabulatedMean, st.just([0.0, *sorted(ts), 6.0]),
+    lambda ts: st.builds(_tabulated_or_none, st.just([0.0, *sorted(ts), 6.0]),
                          st.lists(st.floats(-5.0, 5.0), min_size=len(ts) + 2,
-                                  max_size=len(ts) + 2)))
+                                  max_size=len(ts) + 2))).filter(
+    lambda law: law is not None)
 # (the field a law is read as, the law)
 _FIELD_LAWS = st.one_of(
     st.tuples(st.sampled_from(["mean", "profile"]),
@@ -378,6 +396,9 @@ class TestCli:
          "values: [1, 2, 3]}\n", "mean", None, "finite"),
         ("preset: PS3\nmean: {type: tabulated, times: [0, 0.5, .inf], "
          "values: [1, 2, 3]}\n", "mean", None, "finite"),
+        # a knot segment of 5e-324 overflows its slope
+        ("preset: PS3\nmean: {type: tabulated, times: [0.0, 5.0e-324, 4.0, "
+         "6.0], values: [1, 2, 3, 4]}\n", "mean", None, "too narrow"),
         ("preset: PS3\nmean: {type: constant, level: .nan}\n", "mean", None,
          "finite"),
         ("preset: PS3\nmean: {type: sinusoid, offset: .nan, amplitude: 1, "
@@ -420,8 +441,8 @@ class TestCli:
         ("preset: PS3\njump: {intensity: 1.0e+12}\n", "jump.intensity", None,
          "16777216"),
     ], ids=["zero-speed", "malformed-yaml", "short-forecast", "tabulated-nan",
-            "tabulated-inf", "constant-nan", "sinusoid-nan", "sinusoid-inf",
-            "profile-inf", "convergence",
+            "tabulated-inf", "tabulated-narrow", "constant-nan", "sinusoid-nan",
+            "sinusoid-inf", "profile-inf", "convergence",
             "overflow", "kappa-text", "kappa-negative", "sigma-list",
             "y0-infinite", "kappa-overflow", "interval-infinite",
             "jump-height-scalar", "lognormal-overflow", "constant-overflow",
@@ -448,6 +469,15 @@ class TestCli:
         out = tmp_path / "c"
         code = main(["converge", self._empty_cfg(tmp_path), "--preset", "PS1",
                      "--dtup", ",", "--out-dir", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["field"] == "dtup"
+        assert not (out / "convergence.csv").exists()
+
+    def test_misaligned_dtup_gives_one_json_line(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        code = main(["converge", self._empty_cfg(tmp_path), "--preset", "PS3",
+                     "--dtup", "0.125,0.03", "--out-dir", str(out)])
         assert code == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["field"] == "dtup"

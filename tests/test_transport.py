@@ -10,6 +10,7 @@ from powertrack import (
     CFLError,
     ControlSignal,
     Grid,
+    upwind_outflows,
     upwind_solve,
     validate_cfl,
 )
@@ -188,6 +189,35 @@ class TestUpwindSolve:
         u = ControlSignal(g.control_times(), np.zeros(g.control_steps + 1))
         with pytest.raises(ValueError):
             upwind_solve(g, np.zeros(g.nx), u)
+
+
+class TestUpwindOutflows:
+    @pytest.mark.parametrize("unit_courant", [True, False])
+    @settings(max_examples=40)
+    @given(speed=st.sampled_from([0.5, 1.0, 2.0, 4.0]), log_nx=st.integers(0, 5),
+           extra_steps=st.integers(1, 30), later_steps=st.integers(1, 40),
+           m=st.integers(1, 6), counted=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_single_solves_bitwise(self, unit_courant, speed, log_nx,
+                                              extra_steps, later_steps, m,
+                                              counted, seed):
+        # with nx a power of two, dx and dt are exact and the Courant number
+        # nx / (nx + extra) is exactly 1 with no extra steps, where the
+        # march skips its scaling, and below 1 otherwise
+        nx = 2 ** log_nx
+        delay_steps = nx + (0 if unit_courant else extra_steps)
+        dt = 1.0 / (speed * delay_steps)
+        nt = delay_steps + later_steps
+        g = Grid(speed, 1.0 / nx, dt, nx, nt, nt * dt)
+        assert (g.courant == 1.0) is unit_courant and 0.0 < g.courant <= 1.0
+        rng = np.random.default_rng(seed)
+        controls = [ControlSignal(g.control_times(),
+                                  rng.normal(size=g.control_steps + 1))
+                    for _ in range(m)]
+        outflows = upwind_outflows(g, iter(controls), m if counted else -1)
+        assert outflows.shape == (m, g.nt + 1)
+        for row, u in zip(outflows, controls):
+            assert row.tobytes() == upwind_solve(g, None, u).outflow.tobytes()
 
 
 class TestExactShiftOutput:
