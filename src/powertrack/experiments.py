@@ -46,7 +46,7 @@ from .demand import (
     substream,
 )
 from .moments import conditional_variance, first_moment
-from .transport import ControlSignal, Grid, upwind_outflows
+from .transport import ControlSignal, Grid, upwind_outflows, upwind_solve
 
 __all__ = [
     "ConfigError",
@@ -283,12 +283,10 @@ def _hold_series(u: ControlSignal, grid: Grid) -> list[float | None]:
     return u.values.tolist() + [None] * (grid.nt + 1 - u.values.size)
 
 
-def _injections(controls: dict[str, ControlSignal], grid: Grid) -> Columns:
-    """Each control, keyed by column suffix, and the outflow it sends down an
-    empty line; the outflows come from one march."""
-    outflows = upwind_outflows(grid, controls.values())
-    return [column for (suffix, u), y in zip(controls.items(), outflows)
-            for column in ((f"u{suffix}", _hold_series(u, grid)), (f"y{suffix}", y))]
+def _injection(suffix: str, u: ControlSignal, grid: Grid) -> Columns:
+    """A control and the outflow it sends down an empty line."""
+    y, = upwind_outflows(grid, [u])
+    return [(f"u{suffix}", _hold_series(u, grid)), (f"y{suffix}", y)]
 
 
 def _stochastic_artifacts(scenario: Scenario, grid: Grid,
@@ -311,14 +309,14 @@ def _stochastic_artifacts(scenario: Scenario, grid: Grid,
                 *((f"path_{j}", values[j]) for j in range(n))]
 
     def control() -> Columns:
-        controls = {"_cm1": minimize_control_direct(params, grid)}
-        if cm2:  # the CM2 and CM3 controls on the path
+        columns = [("time", times), ("demand_mean", mean),
+                   *_injection("_cm1", minimize_control_direct(params, grid), grid)]
+        if cm2:  # the path, then the CM2 and CM3 controls on it
             path = ensemble()[0]
-            controls.update((f"_{name.lower()}", policy.control_for(path, grid))
-                            for name, policy in policies[1:])
-        columns = [("time", times), ("demand_mean", mean), *_injections(controls, grid)]
-        if cm2:  # the path goes after the CM1 injection
-            columns.insert(4, ("path", path.values))
+            columns.append(("path", path.values))
+            for name, policy in policies[1:]:
+                columns += _injection(f"_{name.lower()}",
+                                      policy.control_for(path, grid), grid)
         return columns
 
     def bands() -> Columns:
@@ -351,7 +349,7 @@ def _deterministic_artifacts(scenario: Scenario, grid: Grid
 
     def control() -> Columns:
         return [("time", times), ("demand", profile.at(times)),
-                *_injections({"": minimize_control_direct(profile, grid)}, grid)]
+                *_injection("", minimize_control_direct(profile, grid), grid)]
 
     def cost() -> Columns:
         u = minimize_control(profile, grid)
@@ -399,9 +397,9 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
 
     The gap is the time integral of |y_scheduled - y_continuous| over the
     scored window; it shrinks to the solver tolerance as the interval
-    approaches one lattice step.  The CM3 control and each interval's
-    :func:`sequential_update_control` stream into one :func:`upwind_outflows`
-    march; an interval off the lattice raises ConfigError on ``dtup``.
+    approaches one lattice step.  The CM3 reference is one :func:`upwind_solve`,
+    which ``bench/tracer.py`` times as transport; the interval controls fill
+    one :func:`upwind_outflows` march, built one at a time.
     """
     if scenario.demand_mode != "stochastic":
         raise ConfigError("demand_mode", "convergence study needs a stochastic demand")
@@ -409,25 +407,28 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     if not intervals:
         raise ConfigError("dtup", "need at least one update interval")
     grid = scenario_grid(scenario)
+    try:
+        schedules = [UpdateSchedule.regular(dtup, grid.horizon - grid.delay, grid.dt)
+                     for dtup in intervals]
+    except ValueError as err:
+        raise ConfigError("dtup", str(err)) from None
     params = scenario.params
     path = sample_path(params, grid.times(), substream(scenario.seed, 0))
+    d0 = grid.delay_steps
+    y3 = upwind_solve(grid, None, Cm3Policy(params).control_for(path, grid)).outflow[d0:]
 
-    def controls():
-        yield Cm3Policy(params).control_for(path, grid)
-        for dtup in intervals:
-            try:
-                schedule = UpdateSchedule.regular(dtup, grid.horizon - grid.delay,
-                                                  grid.dt)
-            except ValueError as err:
-                raise ConfigError("dtup", str(err)) from None
-            yield sequential_update_control(params, grid, schedule, path)
+    class Controls:  # sized, and each control built only as the march block takes it
+        def __len__(self):
+            return len(schedules)
 
-    y3, *outflows = upwind_outflows(grid, controls(), len(intervals) + 1)[:, grid.delay_steps:]
+        def __iter__(self):
+            return (sequential_update_control(params, grid, s, path) for s in schedules)
+
     out_t = grid.output_times()
     return [{"update_interval": dtup,
              "lattice_steps": int(round(dtup / grid.dt)),
              "cumrmse_gap": float(np.trapezoid(np.abs(y - y3), out_t))}
-            for dtup, y in zip(intervals, outflows)]
+            for dtup, y in zip(intervals, upwind_outflows(grid, Controls())[:, d0:])]
 
 
 def write_convergence(scenario: Scenario, update_intervals,

@@ -232,13 +232,12 @@ def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
                       _z0=z0, _boundary=boundary)
 
 
-def upwind_outflows(grid: Grid, controls, count: int = -1) -> np.ndarray:
+def upwind_outflows(grid: Grid, controls) -> np.ndarray:
     """(m, nt+1) outflows of ``m`` controls down an empty line, from one
     march; row ``k`` is ``upwind_solve(grid, None, controls[k]).outflow`` bit
-    for bit.  An iterator of controls streams into the boundary block, which
-    is allocated once, not grown, when ``count`` gives ``m``."""
+    for bit.  ``controls`` is sized, so the boundary block is allocated once;
+    a lazy sequence streams into it, holding one control at a time."""
     c = validate_cfl(grid)
     times = grid.times()
-    boundary = np.fromiter((u.at(times) for u in controls),
-                           dtype=(float, times.size), count=count)
+    boundary = np.fromiter((u.at(times) for u in controls), (float, times.size), len(controls))
     return _march(c, np.zeros((grid.nx + 1, len(boundary))), boundary.T).T

@@ -214,7 +214,7 @@ class TestConvergenceStudy:
         assert err.value.field == "dtup"
 
     def test_misaligned_interval_after_a_valid_one_rejected(self):
-        # the controls stream into one march: 0.03 fails as it is reached
+        # every interval is checked, not only the first
         with pytest.raises(ConfigError) as err:
             convergence_study(preset("PS3"), [0.125, 0.03])
         assert err.value.field == "dtup"

@@ -196,11 +196,9 @@ class TestUpwindOutflows:
     @settings(max_examples=40)
     @given(speed=st.sampled_from([0.5, 1.0, 2.0, 4.0]), log_nx=st.integers(0, 5),
            extra_steps=st.integers(1, 30), later_steps=st.integers(1, 40),
-           m=st.integers(1, 6), counted=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1))
+           m=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
     def test_rows_equal_single_solves_bitwise(self, unit_courant, speed, log_nx,
-                                              extra_steps, later_steps, m,
-                                              counted, seed):
+                                              extra_steps, later_steps, m, seed):
         # with nx a power of two, dx and dt are exact and the Courant number
         # nx / (nx + extra) is exactly 1 with no extra steps, where the
         # march skips its scaling, and below 1 otherwise
@@ -214,7 +212,7 @@ class TestUpwindOutflows:
         controls = [ControlSignal(g.control_times(),
                                   rng.normal(size=g.control_steps + 1))
                     for _ in range(m)]
-        outflows = upwind_outflows(g, iter(controls), m if counted else -1)
+        outflows = upwind_outflows(g, controls)
         assert outflows.shape == (m, g.nt + 1)
         for row, u in zip(outflows, controls):
             assert row.tobytes() == upwind_solve(g, None, u).outflow.tobytes()
