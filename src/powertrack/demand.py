@@ -18,10 +18,14 @@ Monte-Carlo ensembles are a :class:`PathEnsemble`: values and gaussians as
 record.  Row ``i`` is still exactly the stream of ``substream(seed, i)``, but
 the generator states of all rows are derived at once, by numpy's
 ``SeedSequence`` algorithm (NEP 19) and PCG64's seeding step (O'Neill,
-HMC-CS-2014-0905), and set on one reused generator.  A constant-height law
-draws nothing, so each path draws its jump uniforms in one call.  The exact
-recursion then runs step by step over all paths at once, in Python floats
-for a single path.  Indexing an ensemble gives :class:`DemandPath` views.
+HMC-CS-2014-0905), and set on one reused generator.  The per-step jump
+counts of all rows are computed together from a block of each stream's
+first doubles, by the multiplication rule numpy's ``Generator.poisson``
+applies below a mean of 10; a second pass over the streams skips those
+doubles and draws the rest per path.  A constant-height law draws nothing,
+so each path draws its jump uniforms in one call.  The exact recursion then
+runs step by step over all paths at once, in Python floats for a single
+path.  Indexing an ensemble gives :class:`DemandPath` views.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -227,12 +231,13 @@ class SinusoidMean:
         t0 = np.asarray(t0, dtype=float)
         t = np.asarray(t, dtype=float)
         w = self.angular_freq
-        decay = np.exp(-kappa * (t - t0))
-        const_part = -self.offset * np.expm1(-kappa * (t - t0))
-        osc = kappa * np.sin(w * t) - w * np.cos(w * t)
-        osc0 = kappa * np.sin(w * t0) - w * np.cos(w * t0)
-        sin_part = self.amplitude * kappa / (kappa ** 2 + w ** 2) * (osc - decay * osc0)
-        out = const_part + sin_part
+        out = -self.offset * np.expm1(-kappa * (t - t0))
+        # a flat sinusoid adds nothing, and at tiny kappa its factor is x/0
+        if w != 0.0:
+            decay = np.exp(-kappa * (t - t0))
+            osc = kappa * np.sin(w * t) - w * np.cos(w * t)
+            osc0 = kappa * np.sin(w * t0) - w * np.cos(w * t0)
+            out = out + self.amplitude * kappa / (kappa ** 2 + w ** 2) * (osc - decay * osc0)
         return float(out) if out.ndim == 0 else out
 
 
@@ -457,24 +462,32 @@ def _pcg64_states(seed: int, index: np.ndarray) -> Iterator[tuple[int, int]]:
         yield ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128, inc
 
 
-def _substreams(seed: int, n: int) -> Iterator[np.random.Generator]:
-    """``substream(seed, i)`` for ``i`` in range(n), each valid until the next.
+Streams = Callable[[], Iterable[np.random.Generator]]
+
+
+def _substreams(seed: int, n: int) -> Streams:
+    """A callable giving ``substream(seed, i)`` for ``i`` in range(n), each
+    valid until the next; every call starts all the streams afresh.
 
     Seeds and indices in [0, 2**32) reuse one generator whose state is set
-    from :func:`_pcg64_states`; anything else (a negative seed raises
-    ``ValueError`` there) goes through :func:`substream`.
+    from :func:`_pcg64_states`, re-derived on each call rather than held;
+    anything else (a negative seed raises ``ValueError`` there) goes through
+    :func:`substream`.
     """
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= _MASK32
             and n - 1 <= _MASK32):
-        yield from (substream(seed, i) for i in range(n))
-        return
+        return lambda: (substream(seed, i) for i in range(n))
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
-    for state, inc in _pcg64_states(int(seed), np.arange(n, dtype=np.uint32)):
-        bit_gen.state = {"bit_generator": "PCG64",
-                         "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-        yield rng
+
+    def streams() -> Iterator[np.random.Generator]:
+        for state, inc in _pcg64_states(int(seed), np.arange(n, dtype=np.uint32)):
+            bit_gen.state = {"bit_generator": "PCG64",
+                             "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+    return streams
 
 
 # ---------------------------------------------------------------------------
@@ -502,31 +515,105 @@ class _NoiseRecord(NamedTuple):
     jump_steps: np.ndarray
 
 
-def _draw_noise(params: DemandParams, times: np.ndarray,
-                rngs: Iterable[np.random.Generator], n: int) -> _NoiseRecord:
-    """Noise for ``n`` paths on the grid, path ``i`` from the ``i``-th generator.
+# numpy's Generator.poisson counts by multiplication below this mean and
+# switches to its PTRS rejection sampler (Hormann, 1993) from it.
+_POISSON_MULT_LIMIT = 10.0
+
+
+def _block_width(lam: np.ndarray) -> int:
+    """Doubles drawn per path for its jump counts by :func:`_poisson_counts`.
+
+    A path uses one double per step with lam > 0 plus one per event, and
+    its event count is Poisson(L), L = sum(lam); the width leaves room for
+    L + 6 sqrt(L) + 8 events, which a path exceeds only rarely.
+    """
+    total = float(lam.sum())
+    room = math.floor(total + 6.0 * math.sqrt(total)) + 8
+    return int(np.count_nonzero(lam)) + room
+
+
+def _poisson_counts(lam: np.ndarray, streams: Streams,
+                    n: int) -> tuple[np.ndarray, list[int]]:
+    """The ``rng.poisson(lam)`` counts of ``n`` paths, computed together.
+
+    For 0 < lam < 10 numpy counts by multiplication (Knuth): with
+    e = exp(-lam) from the C library, it multiplies plain ``random()``
+    doubles of the stream into a product that starts at 1.0 until the
+    product is <= e, and the count is the number of doubles before the one
+    that stopped it; lam = 0 draws nothing.  So each path's generator, at
+    the start of its stream, fills one row of an (n, width) block, and the
+    rule runs one step at a time over all rows at once, bit for bit.
+
+    Returns the (n, steps) counts and, per path, the doubles they used, or
+    -1 where the path must draw its counts with ``rng.poisson`` itself:
+    every path when a step has lam >= 10 or when n <= width (the step loop
+    would cost more than it saves), and a path whose row ran out.
+    """
+    counts = np.zeros((n, lam.size), dtype=np.int64)
+    # nan fails this test too, and rng.poisson then rejects it
+    if not np.all(lam < _POISSON_MULT_LIMIT):
+        return counts, [-1] * n
+    width = _block_width(lam)
+    if n <= width:
+        return counts, [-1] * n
+    block = np.empty((n, width + 1))
+    for row, rng in zip(block, streams()):
+        rng.random(out=row[:width])
+    block[:, width] = 0.0  # read by rows that ran out; stops every product
+    flat = block.reshape(-1)
+    start = np.arange(0, block.size, width + 1)
+    last = start + width
+    pos = start.copy()  # flat index of each row's next double
+    for k in np.flatnonzero(lam).tolist():
+        limit = math.exp(-float(lam[k]))
+        prod = flat[np.minimum(pos, last)]
+        pos += 1
+        rows = np.flatnonzero(prod > limit)
+        while rows.size:
+            counts[rows, k] += 1
+            prod[rows] *= flat[np.minimum(pos[rows], last[rows])]
+            pos[rows] += 1
+            rows = rows[prod[rows] > limit]
+    used = pos - start
+    used[used > width] = -1
+    return counts, used.tolist()
+
+
+def _draw_noise(params: DemandParams, times: np.ndarray, streams: Streams,
+                n: int) -> _NoiseRecord:
+    """Noise for ``n`` paths on the grid, path ``i`` from the ``i``-th
+    generator of ``streams()``.
 
     Each path draws its per-step jump counts first, then one gaussian per
-    step, then the uniforms and heights of each step that holds events.  A
-    constant-height law draws nothing, so there the uniforms of a path are
-    one run of its stream and are drawn in one call.  A uniform U becomes
-    the time t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}]; times are sorted
-    within each step, heights keep their draw order.
+    step, then the uniforms and heights of each step that holds events.
+    The counts come from :func:`_poisson_counts`, which reads the streams
+    once from their start; this pass then restarts them, skips the doubles
+    the counts used and draws the rest, or draws the counts with
+    ``rng.poisson`` for the paths that function leaves.  A constant-height
+    law draws nothing, so there the uniforms of a path are one run of its
+    stream and are drawn in one call.  A uniform U becomes the time
+    t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}]; times are sorted within
+    each step, heights keep their draw order.
     """
     law = params.jump.height_law
     constant = isinstance(law, ConstantHeight)
     lam = params.jump.intensity * np.diff(times)
     nsteps = lam.size
-    counts = np.empty((n, nsteps), dtype=np.int64)
+    counts, used = _poisson_counts(lam, streams, n)
+    per_path = counts.sum(axis=1)
     gaussians = np.empty((n, nsteps))
     uniforms: list[np.ndarray] = []
     heights: list[np.ndarray] = []
-    for i, rng in enumerate(rngs):
+    for i, (rng, skip) in enumerate(zip(streams(), used)):
         row = counts[i]
-        row[:] = rng.poisson(lam)
+        if skip < 0:
+            row[:] = rng.poisson(lam)
+            per_path[i] = row.sum()
+        elif skip:
+            rng.random(skip)
         rng.standard_normal(out=gaussians[i])
         # one array per path: per-step pieces would cost memory per step
-        u = np.empty(int(row.sum()))
+        u = np.empty(per_path[i])
         if constant:
             rng.random(out=u)
         else:
@@ -538,7 +625,6 @@ def _draw_noise(params: DemandParams, times: np.ndarray,
                 a += c
             heights.append(h)
         uniforms.append(u)
-    per_path = counts.sum(axis=1)
     steps = np.repeat(np.tile(np.arange(nsteps), n), counts.ravel())
     t0 = times[steps]
     raw = t0 + (times[steps + 1] - t0) * (1.0 - np.concatenate(uniforms))
@@ -637,9 +723,9 @@ def _exact_values(params: DemandParams, times: np.ndarray, y0,
     return np.ascontiguousarray(out.T)
 
 
-def _sample(params: DemandParams, times: np.ndarray,
-            rngs: Iterable[np.random.Generator], n: int) -> PathEnsemble:
-    noise = _draw_noise(params, times, rngs, n)
+def _sample(params: DemandParams, times: np.ndarray, streams: Streams,
+            n: int) -> PathEnsemble:
+    noise = _draw_noise(params, times, streams, n)
     return PathEnsemble(times, _exact_values(params, times, params.y0, noise),
                         *noise)
 
@@ -650,7 +736,7 @@ def sample_path(params: DemandParams, times, rng: np.random.Generator) -> Demand
     Deterministic for a fixed generator state; the returned path records
     all the noise that drove it.
     """
-    return _sample(params, _validate_grid(times), [rng], 1)[0]
+    return _sample(params, _validate_grid(times), lambda: [rng], 1)[0]
 
 
 def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEnsemble:
@@ -667,8 +753,12 @@ def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEn
     ``SeedSequence`` algorithm (NEP 19) and PCG64's seeding step (O'Neill,
     HMC-CS-2014-0905), then set in turn on one reused generator.  Other
     seeds go through :func:`substream`, so a negative seed raises its
-    ``ValueError``.  Under a constant-height law each path draws its jump
-    uniforms in one call.
+    ``ValueError``.  When ``n_paths`` exceeds the block width of
+    :func:`_poisson_counts` and every step has a jump mean below 10, the
+    jump counts of all paths are computed together from a block of each
+    stream's first doubles, exactly as ``rng.poisson`` would draw them;
+    otherwise each path calls ``rng.poisson``.  Under a constant-height law
+    each path draws its jump uniforms in one call.
     """
     times = _validate_grid(times)
     if n_paths < 1:
@@ -704,7 +794,7 @@ def sample_ensemble(params_list: list[DemandParams], times,
         if not _same_but_y0(base, p):
             raise ValueError("ensemble members may differ only in y0")
     times = _validate_grid(times)
-    noise = _draw_noise(base, times, [rng], 1)
+    noise = _draw_noise(base, times, lambda: [rng], 1)
     values = _exact_values(base, times, np.array([p.y0 for p in params_list]),
                            noise)
     return [DemandPath(times=times, values=row, gaussians=noise.gaussians[0],

@@ -20,6 +20,7 @@ from powertrack import (
     sample_paths,
     substream,
 )
+from powertrack import demand
 from powertrack.demand import _pcg64_states
 
 
@@ -84,6 +85,15 @@ class TestSamplePath:
         for i, path in enumerate(bulk):
             solo = sample_path(ps3, times, substream(11, i))
             assert np.array_equal(path.values, solo.values)
+
+    def test_stream_ends_where_the_stepwise_oracle_leaves_it(self, ps3):
+        params = DemandParams(kappa=ps3.kappa, sigma=ps3.sigma, mean=ps3.mean,
+                              y0=ps3.y0, jump=JumpSpec(5.0, NormalHeight(1.0, 0.5)))
+        times = np.linspace(0.0, 1.0, 11)
+        rng, twin = substream(5, 0), substream(5, 0)
+        sample_path(params, times, rng)
+        oracles.stepwise_path(params, times, twin)
+        assert rng.random() == twin.random()
 
     @pytest.mark.parametrize("bad", [[], [0.0, 0.5, 0.5], [0.0, 0.5, 0.2], [0.1, 0.5]])
     def test_bad_grid_rejected(self, ps1, bad):
@@ -205,6 +215,49 @@ class TestPathEnsemble:
                 assert getattr(row, name).tobytes() == getattr(solo, name).tobytes()
                 assert getattr(row, name).tobytes() == ref.tobytes(), name
             assert np.array_equal(row.jump_steps, solo.jump_steps)
+
+    # n is above the block width of any grid drawn here with every lam < 10,
+    # so the counts come from the block, not from rng.poisson
+    @settings(max_examples=25)
+    @given(kappa=st.floats(0.05, 20.0), sigma=st.floats(0.0, 3.0),
+           y0=st.floats(-10.0, 10.0), mean=strategies.MEANS,
+           law=strategies.HEIGHT_LAWS,
+           events_per_step=st.floats(0.0, 12.0, exclude_max=True),
+           steps=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=6),
+           n=st.integers(150, 300), seed=st.integers(0, 2 ** 32 - 1))
+    # lam 2.2 and 11: a step of numpy's PTRS branch sends every row to rng.poisson
+    @example(kappa=1.0, sigma=1.0, y0=0.0, mean=ConstantMean(1.0),
+             law=NormalHeight(1.0, 0.5), events_per_step=11.0,
+             steps=[0.1, 0.5], n=150, seed=3)
+    @example(kappa=1.0, sigma=1.0, y0=0.0, mean=ConstantMean(1.0),
+             law=ConstantHeight(1.0), events_per_step=0.0,
+             steps=[0.1, 0.5], n=150, seed=3)
+    def test_block_rows_equal_stepwise_paths(self, kappa, sigma, y0, mean, law,
+                                             events_per_step, steps, n, seed):
+        times = np.concatenate(([0.0], np.cumsum(steps)))
+        params = DemandParams(kappa=kappa, sigma=sigma, mean=mean, y0=y0,
+                              jump=JumpSpec(events_per_step / max(steps), law))
+        lam = params.jump.intensity * np.diff(times)
+        assert lam.max() >= 10.0 or n > demand._block_width(lam)
+        ensemble = sample_paths(params, times, n, seed)
+        for i, row in enumerate(ensemble):
+            stepwise = oracles.stepwise_path(params, times, substream(seed, i))
+            for name, ref in zip(_NOISE_FIELDS, stepwise):
+                assert getattr(row, name).tobytes() == ref.tobytes(), (i, name)
+
+    def test_rows_that_outrun_the_block_draw_their_own_counts(self, ps3,
+                                                              monkeypatch):
+        times = np.linspace(0.0, 1.0, 21)
+        want = sample_paths(ps3, times, 200, seed=21)
+        # room for one event per path: a path with more runs out
+        monkeypatch.setattr(demand, "_block_width", lambda lam: lam.size + 1)
+        lam = ps3.jump.intensity * np.diff(times)
+        _, used = demand._poisson_counts(lam, demand._substreams(21, 200), 200)
+        assert 0 < used.count(-1) < 200
+        got = sample_paths(ps3, times, 200, seed=21)
+        for name in ("values", "gaussians", "offsets", "jump_times",
+                     "jump_heights", "jump_steps"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_rows_are_views_of_the_arrays(self, ps3):
         times = np.linspace(0.0, 1.0, 11)

@@ -58,6 +58,18 @@ def _read_csv(path):
     return header, rows
 
 
+def _assert_runs_to_finite_csvs(tmp_path, config):
+    """``run`` on ``config`` exits 0 and writes every artefact, all finite."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "x"
+    assert main(["run", str(cfg), "--paths", "20", "--out-dir", str(out)]) == 0
+    for name in ("paths", "control", "bands", "cost"):
+        _, rows = _read_csv(out / f"{name}.csv")
+        cells = [float(c) for row in rows for c in row[1:] if c]
+        assert cells and np.all(np.isfinite(cells))
+
+
 class TestPresets:
     def test_ps1_parameter_table(self):
         sc = preset("PS1")
@@ -543,16 +555,20 @@ class TestCli:
     def test_sharp_tabulated_forecast_runs(self, tmp_path):
         # kappa times the knot spacing is 5000: the integrand is a narrow
         # spike at the end of the knot segment
-        cfg = tmp_path / "sharp.yaml"
-        cfg.write_text("preset: PS3\nkappa: 5000\nmean: {type: tabulated, "
-                       "times: [0.0, 1.0], values: [1.0, 2.0]}\n")
-        out = tmp_path / "x"
-        code = main(["run", str(cfg), "--paths", "20", "--out-dir", str(out)])
-        assert code == 0
-        for name in ("paths", "control", "bands", "cost"):
-            _, rows = _read_csv(out / f"{name}.csv")
-            cells = [float(c) for row in rows for c in row[1:] if c]
-            assert cells and np.all(np.isfinite(cells))
+        _assert_runs_to_finite_csvs(
+            tmp_path, "preset: PS3\nkappa: 5000\nmean: {type: tabulated, "
+                      "times: [0.0, 1.0], values: [1.0, 2.0]}\n")
+
+    # At kappa 1e-300, kappa^2 and (1 - e^{-kappa dt})^2 underflow to 0: the
+    # zero-height jumps' gbar^2 term was 0/0 and the flat sinusoid's
+    # amplitude * kappa / (kappa^2 + w^2) was x/0.
+    @pytest.mark.parametrize("config", [
+        "preset: PS1\nkappa: 1.0e-300\n",
+        "preset: PS1\nkappa: 1.0e-300\nmean: {type: sinusoid, offset: 2, "
+        "amplitude: 3, angular_freq: 0}\n",
+    ], ids=["zero-height-jumps", "flat-sinusoid"])
+    def test_tiny_kappa_runs(self, tmp_path, config):
+        _assert_runs_to_finite_csvs(tmp_path, config)
 
     def test_non_finite_artifact_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "huge.yaml"
