@@ -15,25 +15,23 @@ share one realisation of the noise across different initial values.
 
 Monte-Carlo ensembles are a :class:`PathEnsemble`: values and gaussians as
 (paths, steps) arrays and the jump events of all paths in one compressed-row
-record.  Row ``i`` is still exactly the stream of ``substream(seed, i)``, but
-the generator states of all rows are derived at once, by numpy's
-``SeedSequence`` algorithm (NEP 19) and PCG64's seeding step (O'Neill,
-HMC-CS-2014-0905), and set on one reused generator.  The per-step jump
-counts of all rows are computed together from a block of each stream's
-first doubles, by the multiplication rule numpy's ``Generator.poisson``
-applies below a mean of 10; a second pass over the streams skips those
-doubles and draws the rest per path.  A constant-height law draws nothing,
-so each path draws its jump uniforms in one call.  The exact recursion then
-runs step by step over all paths at once, in Python floats for a single
-path.  Indexing an ensemble gives :class:`DemandPath` views.
+record.  Row ``i`` is exactly the stream of ``substream(seed, i)``, but the
+PCG64 states of all rows are derived at once (NEP 19's ``SeedSequence`` and
+O'Neill's PCG, HMC-CS-2014-0905), and the per-step jump counts of all rows
+come from one walk of those states in uint64 arithmetic, by the rule numpy's
+``Generator.poisson`` applies below a mean of 10.  One reused generator is
+then set once per path, where its counts ended, and draws the rest.  The
+exact recursion runs step by step over all paths at once, in Python floats
+for a single path.  Indexing an ensemble gives :class:`DemandPath` views.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -237,7 +235,13 @@ class SinusoidMean:
             decay = np.exp(-kappa * (t - t0))
             osc = kappa * np.sin(w * t) - w * np.cos(w * t)
             osc0 = kappa * np.sin(w * t0) - w * np.cos(w * t0)
-            out = out + self.amplitude * kappa / (kappa ** 2 + w ** 2) * (osc - decay * osc0)
+            # x / 1.0 is exact; m = max(kappa, |w|) only where the squares overflow
+            try:
+                m = 1.0 if math.isfinite(kappa ** 2 + w ** 2) else max(kappa, abs(w))
+            except OverflowError:  # a float's ** raises where numpy's gives inf
+                m = max(kappa, abs(w))
+            gain = self.amplitude * (kappa / m) / ((kappa / m) ** 2 + (w / m) ** 2) / m
+            out = out + gain * (osc - decay * osc0)
         return float(out) if out.ndim == 0 else out
 
 
@@ -394,19 +398,21 @@ def substream(seed: int, index: int) -> np.random.Generator:
     Derived from the pair ``(seed, index)`` so ensemble members do not depend
     on generation order or parallel scheduling.  :func:`sample_paths` draws
     row ``i`` from exactly this stream, but for seeds and indices in
-    [0, 2**32) it derives the PCG64 states of all rows at once (see
-    :func:`_pcg64_states`) instead of building one generator per row.
+    [0, 2**32) it derives the PCG64 state words of all rows at once and
+    walks their first doubles in uint64 arithmetic (:func:`_walk_counts`).
     """
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-# Constants of numpy's SeedSequence hash (NEP 19) and of the 128-bit PCG
-# multiplier (O'Neill, HMC-CS-2014-0905).
+# Constants of numpy's SeedSequence hash (NEP 19), and the 64-bit words of
+# the 128-bit PCG multiplier M, with the 32-bit halves of its low word
+# (O'Neill, HMC-CS-2014-0905).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_M_HI, _M_LO = divmod(0x2360ED051FC65DA44385DF649FCCF645, 1 << 64)
+_M_LO_HI, _M_LO_LO = divmod(_M_LO, 1 << 32)
+_MASK32 = (1 << 32) - 1
 _SHIFT = np.uint32(16)
 
 
@@ -424,9 +430,31 @@ def _hasher(hash_const: int, mult: int):
     return hashmix
 
 
-def _pcg64_states(seed: int, index: np.ndarray) -> Iterator[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``substream(seed, i)`` for each ``i`` in
-    the uint32 array ``index``, in order.
+# PCG64 states and increments of a set of streams, as uint64 word arrays.
+_Words = namedtuple("_Words", "state_hi state_lo inc_hi inc_lo")
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 step, s M + inc mod 2**128, on uint64 word arrays: only the
+    high word of lo * M_lo needs 32-bit limbs (mulhi, Hacker's Delight)."""
+    a1, a0 = lo >> 32, lo & _MASK32
+    mid = a1 * _M_LO_LO + (a0 * _M_LO_LO >> 32)
+    low = (mid & _MASK32) + a0 * _M_LO_HI
+    hi = a1 * _M_LO_HI + (mid >> 32) + (low >> 32) + hi * _M_LO + lo * _M_HI
+    lo = lo * _M_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo  # with the carry of the low word
+
+
+def _next_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """numpy's ``random()`` double from a PCG64 state just stepped: the
+    XSL-RR output rotr(hi ^ lo, hi >> 58), then (x >> 11) * 2**-53."""
+    x, rot = hi ^ lo, hi >> 58
+    return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0 ** -53
+
+
+def _pcg64_states(seed: int, index: np.ndarray) -> _Words:
+    """PCG64 state and inc words of ``substream(seed, i)`` for each ``i`` in
+    the uint32 array ``index``.
 
     Needs ``seed`` in [0, 2**32), so that the entropy ``(seed, i)`` is the
     two uint32 words [seed, i].  ``SeedSequence`` (NEP 19) hashes them and
@@ -435,10 +463,10 @@ def _pcg64_states(seed: int, index: np.ndarray) -> Iterator[tuple[int, int]]:
     uint64)`` hashes the pool cyclically into eight words, read pairwise as
     the little-endian uint64 words w0..w3.  The hash does not branch on the
     data, so all of ``index`` is hashed at once in uint32 arithmetic, where
-    the wrap-around is the algorithm's.  PCG64 then seeds
-    as ``pcg_setseq_128_srandom_r`` (O'Neill): with initstate = w0 w1 and
-    initseq = w2 w3 as 128-bit integers, inc = 2 initseq + 1 and
-    state = (inc + initstate) M + inc mod 2**128, in Python ints per path.
+    the wrap-around is the algorithm's.  PCG64 then seeds as
+    ``pcg_setseq_128_srandom_r`` (O'Neill): with initstate = w0 w1 and
+    initseq = w2 w3, inc = 2 initseq + 1 and state = (inc + initstate) M +
+    inc mod 2**128, one add with carry and one :func:`_lcg_step`.
     """
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
@@ -455,39 +483,26 @@ def _pcg64_states(seed: int, index: np.ndarray) -> Iterator[tuple[int, int]]:
                     pool[dst] = mix(pool[dst], hashmix(pool[src]))
         generate = _hasher(_INIT_B, _MULT_B)
         words = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    halves = [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist()
-              for k in range(4)]
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        yield ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128, inc
+    state_hi, state_lo, seq_hi, seq_lo = (words[2 * k] | words[2 * k + 1] << 32
+                                          for k in range(4))
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    state_lo = state_lo + inc[1]
+    state_hi = state_hi + inc[0] + (state_lo < inc[1])
+    return _Words(*_lcg_step(state_hi, state_lo, *inc), *inc)
 
 
-Streams = Callable[[], Iterable[np.random.Generator]]
-
-
-def _substreams(seed: int, n: int) -> Streams:
-    """A callable giving ``substream(seed, i)`` for ``i`` in range(n), each
-    valid until the next; every call starts all the streams afresh.
-
-    Seeds and indices in [0, 2**32) reuse one generator whose state is set
-    from :func:`_pcg64_states`, re-derived on each call rather than held;
-    anything else (a negative seed raises ``ValueError`` there) goes through
-    :func:`substream`.
-    """
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= _MASK32
-            and n - 1 <= _MASK32):
-        return lambda: (substream(seed, i) for i in range(n))
+def _generators(words: _Words) -> Iterator[np.random.Generator]:
+    """One reused generator, set at each row's words in turn; ints built lazily."""
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
+    for s_hi, s_lo, i_hi, i_lo in zip(*map(memoryview, words)):
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                         "has_uint32": 0, "uinteger": 0}
+        yield rng
 
-    def streams() -> Iterator[np.random.Generator]:
-        for state, inc in _pcg64_states(int(seed), np.arange(n, dtype=np.uint32)):
-            bit_gen.state = {"bit_generator": "PCG64",
-                             "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-            yield rng
 
-    return streams
+Streams = Union[_Words, Iterable[np.random.Generator]]  # or a generator per path
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +515,8 @@ def _validate_grid(times: np.ndarray) -> np.ndarray:
         raise ValueError("time grid must be a non-empty 1-d array")
     if times[0] != 0.0:
         raise ValueError("time grid must start at 0")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time grid times must be finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
     return times
@@ -521,10 +538,10 @@ _POISSON_MULT_LIMIT = 10.0
 
 
 def _block_width(lam: np.ndarray) -> int:
-    """Doubles drawn per path for its jump counts by :func:`_poisson_counts`.
+    """Most doubles :func:`_walk_counts` draws per path for its jump counts.
 
     A path uses one double per step with lam > 0 plus one per event, and
-    its event count is Poisson(L), L = sum(lam); the width leaves room for
+    its event count is Poisson(L), L = sum(lam); the cap leaves room for
     L + 6 sqrt(L) + 8 events, which a path exceeds only rarely.
     """
     total = float(lam.sum())
@@ -532,85 +549,85 @@ def _block_width(lam: np.ndarray) -> int:
     return int(np.count_nonzero(lam)) + room
 
 
-def _poisson_counts(lam: np.ndarray, streams: Streams,
-                    n: int) -> tuple[np.ndarray, list[int]]:
-    """The ``rng.poisson(lam)`` counts of ``n`` paths, computed together.
+def _walk_counts(lam: np.ndarray,
+                 words: _Words) -> tuple[np.ndarray, np.ndarray, _Words]:
+    """The ``rng.poisson(lam)`` counts of the streams at ``words``, together.
 
-    For 0 < lam < 10 numpy counts by multiplication (Knuth): with
-    e = exp(-lam) from the C library, it multiplies plain ``random()``
-    doubles of the stream into a product that starts at 1.0 until the
-    product is <= e, and the count is the number of doubles before the one
-    that stopped it; lam = 0 draws nothing.  So each path's generator, at
-    the start of its stream, fills one row of an (n, width) block, and the
-    rule runs one step at a time over all rows at once, bit for bit.
+    For 0 < lam < 10 numpy multiplies ``random()`` doubles into a product
+    that starts at 1.0 until it is <= e = exp(-lam) (the C library's), and
+    counts the doubles before the one that stopped it (Knuth); lam = 0 draws
+    nothing.  Column k of the walk steps every row once and advances its
+    rule by its double; a row that ends its last step records its words.
 
-    Returns the (n, steps) counts and, per path, the doubles they used, or
-    -1 where the path must draw its counts with ``rng.poisson`` itself:
-    every path when a step has lam >= 10 or when n <= width (the step loop
-    would cost more than it saves), and a path whose row ran out.
+    Returns the (n, steps) counts, the doubles used per row, and the words
+    to draw the rest from.  Used is -1 where the row must call
+    ``rng.poisson`` from its stream start: every row when a step has
+    lam >= 10 or n <= width (the walk would cost more than it saves), and a
+    row still counting after :func:`_block_width` doubles.
     """
+    n = words.state_hi.size
     counts = np.zeros((n, lam.size), dtype=np.int64)
-    # nan fails this test too, and rng.poisson then rejects it
-    if not np.all(lam < _POISSON_MULT_LIMIT):
-        return counts, [-1] * n
-    width = _block_width(lam)
-    if n <= width:
-        return counts, [-1] * n
-    block = np.empty((n, width + 1))
-    for row, rng in zip(block, streams()):
-        rng.random(out=row[:width])
-    block[:, width] = 0.0  # read by rows that ran out; stops every product
-    flat = block.reshape(-1)
-    start = np.arange(0, block.size, width + 1)
-    last = start + width
-    pos = start.copy()  # flat index of each row's next double
-    for k in np.flatnonzero(lam).tolist():
-        limit = math.exp(-float(lam[k]))
-        prod = flat[np.minimum(pos, last)]
-        pos += 1
-        rows = np.flatnonzero(prod > limit)
-        while rows.size:
-            counts[rows, k] += 1
-            prod[rows] *= flat[np.minimum(pos[rows], last[rows])]
-            pos[rows] += 1
-            rows = rows[prod[rows] > limit]
-    used = pos - start
-    used[used > width] = -1
-    return counts, used.tolist()
+    used = np.full(n, -1)
+    # nan and inf fail this test too, and rng.poisson then rejects them
+    if not np.all(lam < _POISSON_MULT_LIMIT) or n <= (width := _block_width(lam)):
+        return counts, used, words
+    steps = np.flatnonzero(lam)
+    if not steps.size:
+        return counts, np.zeros(n, dtype=np.int64), words
+    hi, lo = state_hi, state_lo = words.state_hi.copy(), words.state_lo.copy()
+    # exp(-lam) per step with lam > 0, then +inf: ended rows stop every product
+    limits = np.array([math.exp(-x) for x in lam[steps].tolist()] + [math.inf])
+    step = np.zeros(n, dtype=np.int64)  # index into steps of each row
+    limit, prod = np.full(n, limits[0]), np.ones(n)
+    for k in range(width):
+        hi, lo = _lcg_step(hi, lo, words.inc_hi, words.inc_lo)
+        prod *= _next_double(hi, lo)
+        stop = prod <= limit
+        go = np.flatnonzero(~stop)
+        counts[go, steps[step[go]]] += 1
+        prod[stop] = 1.0
+        step += stop
+        limit = limits.take(step, mode="clip")
+        ended = np.flatnonzero(step == steps.size)
+        used[ended] = k + 1
+        state_hi[ended], state_lo[ended] = hi[ended], lo[ended]
+        if ended.size and used.min() >= 0:
+            break
+    return counts, used, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
 
 
 def _draw_noise(params: DemandParams, times: np.ndarray, streams: Streams,
                 n: int) -> _NoiseRecord:
     """Noise for ``n`` paths on the grid, path ``i`` from the ``i``-th
-    generator of ``streams()``.
+    generator or the ``i``-th row of the words in ``streams``.
 
     Each path draws its per-step jump counts first, then one gaussian per
     step, then the uniforms and heights of each step that holds events.
-    The counts come from :func:`_poisson_counts`, which reads the streams
-    once from their start; this pass then restarts them, skips the doubles
-    the counts used and draws the rest, or draws the counts with
-    ``rng.poisson`` for the paths that function leaves.  A constant-height
-    law draws nothing, so there the uniforms of a path are one run of its
-    stream and are drawn in one call.  A uniform U becomes the time
-    t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}]; times are sorted within
-    each step, heights keep their draw order.
+    From words, the counts come from :func:`_walk_counts` and each path's
+    generator is set once, where its counts ended; the other paths call
+    ``rng.poisson``.  A constant-height law draws nothing, so there a path's
+    uniforms are one run of its stream, drawn in one call.  A uniform U
+    becomes the time t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}]; times
+    are sorted within each step, heights keep their draw order.
     """
     law = params.jump.height_law
     constant = isinstance(law, ConstantHeight)
     lam = params.jump.intensity * np.diff(times)
     nsteps = lam.size
-    counts, used = _poisson_counts(lam, streams, n)
+    if isinstance(streams, _Words):
+        counts, used, words = _walk_counts(lam, streams)
+        streams = _generators(words)
+    else:
+        counts, used = np.zeros((n, nsteps), dtype=np.int64), np.full(n, -1)
     per_path = counts.sum(axis=1)
     gaussians = np.empty((n, nsteps))
     uniforms: list[np.ndarray] = []
     heights: list[np.ndarray] = []
-    for i, (rng, skip) in enumerate(zip(streams(), used)):
+    for i, (rng, walked) in enumerate(zip(streams, memoryview(used))):
         row = counts[i]
-        if skip < 0:
+        if walked < 0:
             row[:] = rng.poisson(lam)
             per_path[i] = row.sum()
-        elif skip:
-            rng.random(skip)
         rng.standard_normal(out=gaussians[i])
         # one array per path: per-step pieces would cost memory per step
         u = np.empty(per_path[i])
@@ -736,7 +753,7 @@ def sample_path(params: DemandParams, times, rng: np.random.Generator) -> Demand
     Deterministic for a fixed generator state; the returned path records
     all the noise that drove it.
     """
-    return _sample(params, _validate_grid(times), lambda: [rng], 1)[0]
+    return _sample(params, _validate_grid(times), [rng], 1)[0]
 
 
 def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEnsemble:
@@ -748,22 +765,24 @@ def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEn
     the ensemble does not depend on generation order, and its first ``m``
     rows are the ensemble of ``m`` paths.
 
-    For ``seed`` and ``n_paths - 1`` in [0, 2**32) the streams are not built
-    one by one: the PCG64 states of all rows are derived at once by numpy's
-    ``SeedSequence`` algorithm (NEP 19) and PCG64's seeding step (O'Neill,
-    HMC-CS-2014-0905), then set in turn on one reused generator.  Other
-    seeds go through :func:`substream`, so a negative seed raises its
-    ``ValueError``.  When ``n_paths`` exceeds the block width of
-    :func:`_poisson_counts` and every step has a jump mean below 10, the
-    jump counts of all paths are computed together from a block of each
-    stream's first doubles, exactly as ``rng.poisson`` would draw them;
-    otherwise each path calls ``rng.poisson``.  Under a constant-height law
-    each path draws its jump uniforms in one call.
+    For ``seed`` and ``n_paths - 1`` in [0, 2**32) no stream is built: the
+    PCG64 state words of all rows are derived at once (:func:`_pcg64_states`).
+    When ``n_paths`` exceeds the cap of :func:`_block_width` and every step
+    has a jump mean below 10, one walk of those words gives the jump counts
+    of all paths, exactly as ``rng.poisson`` would draw them; otherwise each
+    path calls ``rng.poisson``.  Each path then sets one reused generator
+    once.  Other seeds go through :func:`substream`, so a negative seed
+    raises its ``ValueError``.
     """
     times = _validate_grid(times)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    return _sample(params, times, _substreams(seed, n_paths), n_paths)
+    if (isinstance(seed, (int, np.integer)) and 0 <= seed <= _MASK32
+            and n_paths - 1 <= _MASK32):
+        streams = _pcg64_states(int(seed), np.arange(n_paths, dtype=np.uint32))
+    else:  # a negative seed raises substream's ValueError
+        streams = (substream(seed, i) for i in range(n_paths))
+    return _sample(params, times, streams, n_paths)
 
 
 def _same_but_y0(a: DemandParams, b: DemandParams) -> bool:
@@ -794,7 +813,7 @@ def sample_ensemble(params_list: list[DemandParams], times,
         if not _same_but_y0(base, p):
             raise ValueError("ensemble members may differ only in y0")
     times = _validate_grid(times)
-    noise = _draw_noise(base, times, lambda: [rng], 1)
+    noise = _draw_noise(base, times, [rng], 1)
     values = _exact_values(base, times, np.array([p.y0 for p in params_list]),
                            noise)
     return [DemandPath(times=times, values=row, gaussians=noise.gaussians[0],

@@ -95,9 +95,10 @@ class TestSamplePath:
         oracles.stepwise_path(params, times, twin)
         assert rng.random() == twin.random()
 
-    @pytest.mark.parametrize("bad", [[], [0.0, 0.5, 0.5], [0.0, 0.5, 0.2], [0.1, 0.5]])
+    @pytest.mark.parametrize("bad", [[], [0.0, 0.5, 0.5], [0.0, 0.5, 0.2], [0.1, 0.5],
+                                     [0.0, np.inf], [0.0, 0.5, np.nan]])
     def test_bad_grid_rejected(self, ps1, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="time grid"):
             sample_path(ps1, bad, substream(0, 0))
 
     def test_grid_refinement_invariant_in_law(self, ps1):
@@ -252,12 +253,19 @@ class TestPathEnsemble:
         # room for one event per path: a path with more runs out
         monkeypatch.setattr(demand, "_block_width", lambda lam: lam.size + 1)
         lam = ps3.jump.intensity * np.diff(times)
-        _, used = demand._poisson_counts(lam, demand._substreams(21, 200), 200)
-        assert 0 < used.count(-1) < 200
+        _, used, _ = demand._walk_counts(
+            lam, _pcg64_states(21, np.arange(200, dtype=np.uint32)))
+        assert 0 < np.count_nonzero(used == -1) < 200
         got = sample_paths(ps3, times, 200, seed=21)
         for name in ("values", "gaussians", "offsets", "jump_times",
                      "jump_heights", "jump_steps"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_infinite_step_mean_is_left_to_rng_poisson(self):
+        # intensity * step overflows to inf, above any walk's cap
+        params = _flat(jump=JumpSpec(1e300, ConstantHeight(1.0)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="lam"):
+            sample_paths(params, [0.0, 1e10], 20, seed=0)
 
     def test_rows_are_views_of_the_arrays(self, ps3):
         times = np.linspace(0.0, 1.0, 11)
@@ -274,6 +282,11 @@ class TestPathEnsemble:
 _MAX_WORD = 2 ** 32 - 1
 
 
+def _joined(hi, lo):
+    """The 128-bit Python ints of uint64 word arrays."""
+    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
 class TestVectorisedSeeding:
     @settings(max_examples=300)
     @given(seed=st.integers(0, _MAX_WORD),
@@ -281,7 +294,9 @@ class TestVectorisedSeeding:
     @example(seed=0, indices=[0, _MAX_WORD])
     @example(seed=_MAX_WORD, indices=[_MAX_WORD, 0])
     def test_states_equal_substream(self, seed, indices):
-        states = list(_pcg64_states(seed, np.array(indices, dtype=np.uint32)))
+        words = _pcg64_states(seed, np.array(indices, dtype=np.uint32))
+        states = list(zip(_joined(words.state_hi, words.state_lo),
+                          _joined(words.inc_hi, words.inc_lo)))
         assert len(states) == len(indices)
         for index, (state, inc) in zip(indices, states):
             ref = substream(seed, index)
@@ -292,6 +307,53 @@ class TestVectorisedSeeding:
                              "state": {"state": state, "inc": inc},
                              "has_uint32": 0, "uinteger": 0}
             assert np.random.Generator(bit_gen).random() == ref.random()
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, _MAX_WORD),
+           indices=st.lists(st.integers(0, _MAX_WORD), min_size=1, max_size=8),
+           k=st.integers(1, 40))
+    @example(seed=0, indices=[0, _MAX_WORD], k=3)
+    @example(seed=_MAX_WORD, indices=[_MAX_WORD, 0], k=3)
+    def test_stepped_doubles_equal_substream(self, seed, indices, k):
+        words = _pcg64_states(seed, np.array(indices, dtype=np.uint32))
+        hi, lo = words.state_hi, words.state_lo
+        doubles = []
+        for _ in range(k):
+            hi, lo = demand._lcg_step(hi, lo, words.inc_hi, words.inc_lo)
+            doubles.append(demand._next_double(hi, lo))
+        doubles = np.array(doubles).T
+        for index, row, state in zip(indices, doubles, _joined(hi, lo)):
+            ref = substream(seed, index)
+            assert row.tobytes() == ref.random(k).tobytes()
+            assert state == ref.bit_generator.state["state"]["state"]
+
+    # 40 or more streams: above the walk's cap, at most 36 doubles here
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, _MAX_WORD),
+           indices=st.lists(st.integers(0, _MAX_WORD), min_size=40, max_size=48),
+           lam=st.lists(st.sampled_from([0.0, 0.05, 0.7, 2.0]),
+                        min_size=1, max_size=4))
+    @example(seed=0, indices=[0] * 20 + [_MAX_WORD] * 20, lam=[0.7, 0.0, 2.0])
+    @example(seed=_MAX_WORD, indices=[_MAX_WORD] * 20 + [0] * 20,
+             lam=[2.0, 2.0, 0.05])
+    def test_walk_ends_where_rng_poisson_leaves_the_stream(self, seed, indices,
+                                                          lam):
+        lam = np.array(lam)
+        assert len(indices) > demand._block_width(lam)
+        counts, used, words = demand._walk_counts(
+            lam, _pcg64_states(seed, np.array(indices, dtype=np.uint32)))
+        states = _joined(words.state_hi, words.state_lo)
+        assert lam.any() or not used.any()
+        for index, row, n_used, state in zip(indices, counts, used.tolist(),
+                                              states):
+            ref = substream(seed, index)
+            start = ref.bit_generator.state["state"]["state"]
+            if n_used < 0:  # still counting at the cap: the stream start
+                assert state == start
+                continue
+            assert row.tolist() == substream(seed, index).poisson(lam).tolist()
+            ref.random(n_used)
+            assert state == ref.bit_generator.state["state"]["state"]
 
     @pytest.mark.parametrize("seed", [2 ** 32, 2 ** 40])
     def test_seed_beyond_one_word_uses_substream(self, ps3, seed):

@@ -429,8 +429,9 @@ class TestCli:
         ("preset: PS1\nkappa: -1\n", "kappa", None, None),
         ("preset: PS1\nsigma: [1, 2]\n", "sigma", None, None),
         ("preset: PS1\ny0: .inf\n", "y0", None, None),
-        # a valid but extreme kappa overflows a closed form (kappa ** 2)
-        ("preset: PS1\nkappa: 1.0e+300\n", None, None, None),
+        # a valid but extreme kappa overflows a closed form: kappa ** 2 in
+        # PS3's jump moments (PS1 runs, see test_huge_kappa_runs)
+        ("preset: PS3\nkappa: 1.0e+300\n", None, None, None),
         ("preset: PS1\nupdate_interval: .inf\n", "update_interval", None, None),
         ("preset: PS1\njump: {intensity: 1, height: 3}\n", "jump.height",
          None, "expected a mapping"),
@@ -569,6 +570,11 @@ class TestCli:
     ], ids=["zero-height-jumps", "flat-sinusoid"])
     def test_tiny_kappa_runs(self, tmp_path, config):
         _assert_runs_to_finite_csvs(tmp_path, config)
+
+    # At kappa 1e300, kappa^2 in the sinusoid's amplitude * kappa /
+    # (kappa^2 + w^2) overflows; the demand snaps to its mean.
+    def test_huge_kappa_runs(self, tmp_path):
+        _assert_runs_to_finite_csvs(tmp_path, "preset: PS1\nkappa: 1.0e+300\n")
 
     def test_non_finite_artifact_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "huge.yaml"

@@ -57,6 +57,14 @@ class TestWeightedMeanIntegral:
                                           3.0, 0.0, 1.0)
         assert got == pytest.approx(live, abs=1e-10)
 
+    # kappa^2 overflows from about 1.34e154; on both sides of that, the
+    # weighted integral over a step of 0.3 is mu(0.3) itself
+    @pytest.mark.parametrize("kappa", [1e150, 1e154, 1e155, 1e300])
+    def test_sinusoid_at_huge_kappa_tracks_the_mean(self, kappa):
+        mu = SinusoidMean(2.0, 3.0, TWO_PI)
+        got = weighted_mean_integral(mu, kappa, 0.0, 0.3)
+        assert got == pytest.approx(mu.at(0.3), rel=1e-12)
+
     def test_tabulated_against_quadrature_oracle(self):
         knots = np.linspace(0.0, 2.0, 41)
         mu = TabulatedMean(knots, 1.0 + np.cos(knots))
