@@ -17,12 +17,16 @@ Monte-Carlo ensembles are a :class:`PathEnsemble`: values and gaussians as
 (paths, steps) arrays and the jump events of all paths in one compressed-row
 record.  Row ``i`` is exactly the stream of ``substream(seed, i)``, but the
 PCG64 states of all rows are derived at once (NEP 19's ``SeedSequence`` and
-O'Neill's PCG, HMC-CS-2014-0905), and the per-step jump counts of all rows
-come from one walk of those states in uint64 arithmetic, by the rule numpy's
-``Generator.poisson`` applies below a mean of 10.  One reused generator is
-then set once per path, where its counts ended, and draws the rest.  The
-exact recursion runs step by step over all paths at once, in Python floats
-for a single path.  Indexing an ensemble gives :class:`DemandPath` views.
+O'Neill's PCG, HMC-CS-2014-0905), and the draws of all rows are walked from
+those states together in uint64 arithmetic: the per-step jump counts by the
+rule numpy's ``Generator.poisson`` applies below a mean of 10, the gaussians
+by numpy's ziggurat (its tables are in :mod:`powertrack._ziggurat`), and,
+under a constant height law, the jump uniforms.  A reused generator is set,
+once, only for the few rows the walks leave: rows left to ``rng.poisson``,
+rows whose gaussians reach the ziggurat's tail, and rows with events under
+a law that draws its heights.  The exact recursion runs step by step over
+all paths at once, in Python floats for a single path.  Indexing an
+ensemble gives :class:`DemandPath` views.
 """
 
 from __future__ import annotations
@@ -399,7 +403,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     on generation order or parallel scheduling.  :func:`sample_paths` draws
     row ``i`` from exactly this stream, but for seeds and indices in
     [0, 2**32) it derives the PCG64 state words of all rows at once and
-    walks their first doubles in uint64 arithmetic (:func:`_walk_counts`).
+    walks their draws in uint64 arithmetic (:func:`_draw_noise`).
     """
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
@@ -445,11 +449,17 @@ def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
     return hi + inc_hi + (lo < inc_lo), lo  # with the carry of the low word
 
 
-def _next_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """numpy's ``random()`` double from a PCG64 state just stepped: the
-    XSL-RR output rotr(hi ^ lo, hi >> 58), then (x >> 11) * 2**-53."""
+def _next_uint64(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """numpy's ``next_uint64`` from a PCG64 state just stepped: the XSL-RR
+    output rotr(hi ^ lo, hi >> 58)."""
     x, rot = hi ^ lo, hi >> 58
-    return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0 ** -53
+    return x >> rot | x << (64 - rot & 63)
+
+
+def _next_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """numpy's ``random()`` double from a PCG64 state just stepped:
+    (next_uint64 >> 11) * 2**-53."""
+    return (_next_uint64(hi, lo) >> 11) * 2.0 ** -53
 
 
 def _pcg64_states(seed: int, index: np.ndarray) -> _Words:
@@ -596,6 +606,87 @@ def _walk_counts(lam: np.ndarray,
     return counts, used, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
 
 
+_MASK52 = (1 << 52) - 1
+
+
+def _walk_normals(nsteps: int, used: np.ndarray,
+                  words: _Words) -> tuple[np.ndarray, np.ndarray, _Words]:
+    """The ``rng.standard_normal(nsteps)`` draws of the streams at ``words``,
+    together, for every row with ``used >= 0``.
+
+    numpy's ziggurat (Marsaglia and Tsang, 2000; its tables are in
+    :mod:`powertrack._ziggurat`) takes r = next_uint64: idx = r & 0xff, the
+    sign is bit 8 and rabs = (r >> 9) & (2**52 - 1).  x = rabs wi[idx],
+    negated for the sign, is accepted when rabs < ki[idx].  Otherwise, for
+    idx > 0, one more double U accepts x when (fi[idx-1] - fi[idx]) U +
+    fi[idx] < exp(-x^2/2) (the C library's), and a rejected x starts over
+    with a fresh r.  Column k of the walk draws one r for every row still
+    short of its normals; a row records its words when it has them all.  A
+    row whose r falls in the idx = 0 tail leaves the walk at its words.
+
+    Returns the (n, nsteps) normals, the mask of rows that have them, and
+    the words to draw the rest from.
+    """
+    from . import _ziggurat  # compiled on a walk's first call, not at import
+
+    n = used.size
+    gaussians = np.empty((n, nsteps))
+    walked = used >= 0
+    rows = np.flatnonzero(walked)
+    if not nsteps or not rows.size:
+        return gaussians, walked, words
+    # indexed by r & 0x1ff: the sign bit picks the negated half of wi
+    ki = np.tile(_ziggurat.KI, 2)
+    wi = np.concatenate((_ziggurat.WI, -_ziggurat.WI))
+    fi = _ziggurat.FI
+    state_hi, state_lo = words.state_hi.copy(), words.state_lo.copy()
+    hi, lo, inc_hi, inc_lo = (w[rows] for w in words)
+    # where each row's next normal goes in gaussians.ravel(); a rejected
+    # draw is written there too, and overwritten by the next one
+    flat, at, ends = gaussians.reshape(-1), rows * nsteps, (rows + 1) * nsteps
+    while rows.size:
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        r = _next_uint64(hi, lo)
+        idx = (r & 0x1FF).astype(np.intp)
+        rabs = r >> 9 & _MASK52
+        flat[at] = x = rabs * wi[idx]
+        ok = rabs < ki[idx]
+        miss = np.flatnonzero(~ok)
+        idx = idx[miss] & 0xFF
+        tail, wedge, j = miss[idx == 0], miss[idx != 0], idx[idx != 0]
+        if wedge.size:
+            hi[wedge], lo[wedge] = _lcg_step(hi[wedge], lo[wedge],
+                                             inc_hi[wedge], inc_lo[wedge])
+            bound = (fi[j - 1] - fi[j]) * _next_double(hi[wedge], lo[wedge]) + fi[j]
+            density = [math.exp(-0.5 * v * v) for v in x[wedge].tolist()]
+            ok[wedge] = bound < density
+        at += ok
+        done = at == ends
+        if tail.size or done.any():
+            state_hi[rows[done]], state_lo[rows[done]] = hi[done], lo[done]
+            walked[rows[tail]] = False
+            done[tail] = True
+            rows, hi, lo, inc_hi, inc_lo, at, ends = (
+                a[~done] for a in (rows, hi, lo, inc_hi, inc_lo, at, ends))
+    return gaussians, walked, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
+
+
+def _walk_doubles(words: _Words, sizes: np.ndarray, starts: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write ``rng.random(sizes[i])`` of the stream at row ``i`` of
+    ``words`` to ``out[starts[i]:starts[i] + sizes[i]]``, for all rows at
+    once, column k stepping each row that draws a k-th double."""
+    rows = np.flatnonzero(sizes)
+    hi, lo, inc_hi, inc_lo = (w[rows] for w in words)
+    for k in range(int(sizes.max(initial=0))):
+        live = sizes[rows] > k
+        if not live.all():
+            rows, hi, lo, inc_hi, inc_lo = (
+                a[live] for a in (rows, hi, lo, inc_hi, inc_lo))
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        out[starts[rows] + k] = _next_double(hi, lo)
+
+
 def _draw_noise(params: DemandParams, times: np.ndarray, streams: Streams,
                 n: int) -> _NoiseRecord:
     """Noise for ``n`` paths on the grid, path ``i`` from the ``i``-th
@@ -603,12 +694,15 @@ def _draw_noise(params: DemandParams, times: np.ndarray, streams: Streams,
 
     Each path draws its per-step jump counts first, then one gaussian per
     step, then the uniforms and heights of each step that holds events.
-    From words, the counts come from :func:`_walk_counts` and each path's
-    generator is set once, where its counts ended; the other paths call
-    ``rng.poisson``.  A constant-height law draws nothing, so there a path's
-    uniforms are one run of its stream, drawn in one call.  A uniform U
-    becomes the time t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}]; times
-    are sorted within each step, heights keep their draw order.
+    From words, :func:`_walk_counts` walks the counts and
+    :func:`_walk_normals` the gaussians of all rows at once; under a
+    constant height law, which draws nothing, a row's uniforms are one run
+    of its stream, walked by :func:`_walk_doubles`.  A reused generator is
+    set once, where its walk stopped, only for the rows that fall back: a
+    row left to ``rng.poisson``, a row that reached the ziggurat's tail,
+    and a row with events under any other height law.  A uniform U becomes
+    the time t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}]; times are
+    sorted within each step, heights keep their draw order.
     """
     law = params.jump.height_law
     constant = isinstance(law, ConstantHeight)
@@ -616,21 +710,23 @@ def _draw_noise(params: DemandParams, times: np.ndarray, streams: Streams,
     nsteps = lam.size
     if isinstance(streams, _Words):
         counts, used, words = _walk_counts(lam, streams)
-        streams = _generators(words)
+        gaussians, walked, words = _walk_normals(nsteps, used, words)
+        back = np.flatnonzero(~walked if constant
+                              else ~walked | counts.any(axis=1))
+        streams = _generators(_Words(*(w[back] for w in words)))
     else:
         counts, used = np.zeros((n, nsteps), dtype=np.int64), np.full(n, -1)
-    per_path = counts.sum(axis=1)
-    gaussians = np.empty((n, nsteps))
-    uniforms: list[np.ndarray] = []
-    heights: list[np.ndarray] = []
-    for i, (rng, walked) in enumerate(zip(streams, memoryview(used))):
+        gaussians, walked = np.empty((n, nsteps)), np.zeros(n, dtype=bool)
+        back = np.arange(n)
+    drawn = []
+    for i, rng in zip(back.tolist(), streams):
         row = counts[i]
-        if walked < 0:
+        if used[i] < 0:
             row[:] = rng.poisson(lam)
-            per_path[i] = row.sum()
-        rng.standard_normal(out=gaussians[i])
+        if not walked[i]:
+            rng.standard_normal(out=gaussians[i])
         # one array per path: per-step pieces would cost memory per step
-        u = np.empty(per_path[i])
+        u, h = np.empty(row.sum()), None
         if constant:
             rng.random(out=u)
         else:
@@ -640,17 +736,32 @@ def _draw_noise(params: DemandParams, times: np.ndarray, streams: Streams,
                 rng.random(out=u[a:a + c])
                 h[a:a + c] = law.sample(rng, c)
                 a += c
-            heights.append(h)
-        uniforms.append(u)
-    steps = np.repeat(np.tile(np.arange(nsteps), n), counts.ravel())
-    t0 = times[steps]
-    raw = t0 + (times[steps + 1] - t0) * (1.0 - np.concatenate(uniforms))
-    order = np.lexsort((raw, steps, np.repeat(np.arange(n), per_path)))
+        drawn.append((i, u, h))
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(per_path, out=offsets[1:])
-    jump_heights = (np.full(raw.size, float(law.value)) if constant
-                    else np.concatenate(heights))
-    return _NoiseRecord(gaussians, offsets, raw[order], jump_heights, steps)
+    np.cumsum(counts.sum(axis=1), out=offsets[1:])
+    uniforms = np.empty(offsets[-1])
+    if constant:
+        jump_heights = np.full(uniforms.size, float(law.value))
+        if walked.any():  # size 0 for the rows a generator drew
+            _walk_doubles(words, np.where(walked, np.diff(offsets), 0),
+                          offsets, uniforms)
+    else:
+        jump_heights = np.empty(uniforms.size)
+    for i, u, h in drawn:
+        uniforms[offsets[i]:offsets[i + 1]] = u
+        if h is not None:
+            jump_heights[offsets[i]:offsets[i + 1]] = h
+    cells = counts.ravel()
+    steps = np.repeat(np.tile(np.arange(nsteps), n), cells)
+    t0 = times[steps]
+    raw = t0 + (times[steps + 1] - t0) * (1.0 - uniforms)
+    # events come in (row, step) order, so only steps holding two or more
+    # need sorting; lexsort is stable, as over all events
+    shared = cells >= 2
+    pos = np.flatnonzero(np.repeat(shared, cells))
+    cell = np.repeat(np.flatnonzero(shared), cells[shared])
+    raw[pos] = raw[pos[np.lexsort((raw[pos], cell))]]
+    return _NoiseRecord(gaussians, offsets, raw, jump_heights, steps)
 
 
 def _group_sums(weights: np.ndarray, groups: np.ndarray,
@@ -768,11 +879,13 @@ def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEn
     For ``seed`` and ``n_paths - 1`` in [0, 2**32) no stream is built: the
     PCG64 state words of all rows are derived at once (:func:`_pcg64_states`).
     When ``n_paths`` exceeds the cap of :func:`_block_width` and every step
-    has a jump mean below 10, one walk of those words gives the jump counts
-    of all paths, exactly as ``rng.poisson`` would draw them; otherwise each
-    path calls ``rng.poisson``.  Each path then sets one reused generator
-    once.  Other seeds go through :func:`substream`, so a negative seed
-    raises its ``ValueError``.
+    has a jump mean below 10, walks of those words give the jump counts,
+    the gaussians and, under a constant height law, the jump uniforms of
+    all paths, exactly as the stream's generator would draw them.  Only the
+    rows the walks leave set a reused generator, once (see
+    :func:`_draw_noise`); otherwise each path sets it and calls
+    ``rng.poisson``.  Other seeds go through :func:`substream`, so a
+    negative seed raises its ``ValueError``.
     """
     times = _validate_grid(times)
     if n_paths < 1:

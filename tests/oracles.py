@@ -173,6 +173,33 @@ def stepwise_path(params, times, rng):
             np.concatenate([np.empty(0)] + jump_heights))
 
 
+def ziggurat_branches(rng, count: int) -> list[str]:
+    """The branch numpy's ``standard_normal`` takes on each of its next
+    ``count`` draws from the PCG64 generator ``rng``, read off its raw
+    words with the tables of :mod:`powertrack._ziggurat`: "fast" (rabs <
+    ki[idx]), "wedge" (accepted by the density test) or "reject" (a wedge
+    draw that starts over, one entry per rejection).  Stops at "tail", the
+    idx = 0 branch, which is not followed.  Advances ``rng`` as
+    ``standard_normal`` would, up to any tail."""
+    from powertrack import _ziggurat
+
+    ki, wi, fi = _ziggurat.KI, _ziggurat.WI, _ziggurat.FI
+    branches = []
+    while branches.count("fast") + branches.count("wedge") < count:
+        r = int(rng.bit_generator.random_raw())
+        idx, rabs = r & 0xFF, (r >> 9) & ((1 << 52) - 1)
+        if rabs < int(ki[idx]):
+            branches.append("fast")
+            continue
+        if idx == 0:
+            return branches + ["tail"]
+        x = rabs * float(wi[idx])
+        u = (int(rng.bit_generator.random_raw()) >> 11) * 2.0 ** -53
+        accept = (fi[idx - 1] - fi[idx]) * u + fi[idx] < math.exp(-0.5 * x * x)
+        branches.append("wedge" if accept else "reject")
+    return branches
+
+
 def strided_upwind(grid, z0, u):
     """The upwind march written as a full (nx+1, nt+1) field filled one
     strided column per time step, z[1:, i+1] = z[1:, i] - c (z[1:, i] -

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +23,7 @@ from powertrack import (
     sample_paths,
     substream,
 )
-from powertrack import demand
+from powertrack import _ziggurat, demand
 from powertrack.demand import _pcg64_states
 
 
@@ -245,6 +248,8 @@ class TestPathEnsemble:
             stepwise = oracles.stepwise_path(params, times, substream(seed, i))
             for name, ref in zip(_NOISE_FIELDS, stepwise):
                 assert getattr(row, name).tobytes() == ref.tobytes(), (i, name)
+        # below a step mean of 10 the gaussians come from the walked words
+        assert _walked_normals(lam, seed, n).any() == (lam.max() < 10.0)
 
     def test_rows_that_outrun_the_block_draw_their_own_counts(self, ps3,
                                                               monkeypatch):
@@ -260,6 +265,65 @@ class TestPathEnsemble:
         for name in ("values", "gaussians", "offsets", "jump_times",
                      "jump_heights", "jump_steps"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_tail_rows_draw_their_own_normals(self, ps3, monkeypatch):
+        times = np.linspace(0.0, 1.0, 21)
+        want = sample_paths(ps3, times, 200, seed=21)
+        # no idx = 0 draw passes the fast test: every one is a tail draw
+        ki = _ziggurat.KI.copy()
+        ki[0] = 0
+        monkeypatch.setattr(_ziggurat, "KI", ki)
+        lam = ps3.jump.intensity * np.diff(times)
+        assert 0 < np.count_nonzero(~_walked_normals(lam, 21, 200)) < 200
+        got = sample_paths(ps3, times, 200, seed=21)
+        for name in ("values", "gaussians", "offsets", "jump_times",
+                     "jump_heights", "jump_steps"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_rows_with_drawn_heights_resume_after_their_normals(self, ps3):
+        params = replace(ps3, jump=JumpSpec(1.5, NormalHeight(1.0, 0.5)))
+        times = np.linspace(0.0, 1.0, 21)
+        lam = params.jump.intensity * np.diff(times)
+        assert 200 > demand._block_width(lam)
+        ensemble = sample_paths(params, times, 200, seed=5)
+        walked = _walked_normals(lam, 5, 200)
+        events = np.diff(ensemble.offsets) > 0
+        # walked rows with events set a generator; those without draw no more
+        assert np.any(walked & events) and np.any(walked & ~events)
+        for i, row in enumerate(ensemble):
+            stepwise = oracles.stepwise_path(params, times, substream(5, i))
+            for name, ref in zip(_NOISE_FIELDS, stepwise):
+                assert getattr(row, name).tobytes() == ref.tobytes(), (i, name)
+
+    def test_wedge_and_tail_rows_equal_stepwise_paths(self, ps3, ps_grid):
+        """On the PS lattice at seed 7, row 2's ziggurat rejects one wedge
+        draw, row 10 rejects one and accepts one, and row 87 reaches the
+        tail (every other normal of these rows takes the fast path)."""
+        times = ps_grid.times()
+        lam = ps3.jump.intensity * np.diff(times)
+        ensemble = sample_paths(ps3, times, 100, seed=7)
+        walked = _walked_normals(lam, 7, 100)
+        for i, rare in ((2, ["reject"]), (10, ["reject", "wedge"]),
+                        (87, ["tail"])):
+            rng = substream(7, i)
+            rng.poisson(lam)
+            branches = oracles.ziggurat_branches(rng, lam.size)
+            assert [b for b in branches if b != "fast"] == rare
+            assert walked[i] == (rare != ["tail"])
+            stepwise = oracles.stepwise_path(ps3, times, substream(7, i))
+            for name, ref in zip(_NOISE_FIELDS, stepwise):
+                assert getattr(ensemble[i], name).tobytes() == ref.tobytes()
+
+    def test_second_seed_at_full_size_equals_per_generator_route(self, ps3,
+                                                                 ps_grid):
+        # the mc-ps3 ensemble at seed 11, whose bytes no stored hash pins
+        times = ps_grid.times()
+        walked = sample_paths(ps3, times, 5000, seed=11)
+        streams = (substream(11, i) for i in range(5000))
+        ref = demand._sample(ps3, times, streams, 5000)
+        for name in ("values", "gaussians", "offsets", "jump_times",
+                     "jump_heights", "jump_steps"):
+            assert getattr(walked, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_infinite_step_mean_is_left_to_rng_poisson(self):
         # intensity * step overflows to inf, above any walk's cap
@@ -277,6 +341,14 @@ class TestPathEnsemble:
         assert counts == np.diff(ensemble.offsets).tolist()
         with pytest.raises(IndexError):
             ensemble[6]
+
+
+def _walked_normals(lam, seed, n):
+    """Mask of the rows of ``sample_paths(..., n, seed)`` whose gaussians
+    come from the walked words, not from a generator."""
+    _, used, words = demand._walk_counts(
+        lam, _pcg64_states(seed, np.arange(n, dtype=np.uint32)))
+    return demand._walk_normals(lam.size, used, words)[1]
 
 
 _MAX_WORD = 2 ** 32 - 1
@@ -368,6 +440,87 @@ class TestVectorisedSeeding:
     def test_negative_seed_rejected(self, ps3):
         with pytest.raises(ValueError):
             sample_paths(ps3, [0.0, 1.0], 3, seed=-1)
+
+
+# The 128-bit PCG multiplier (O'Neill, HMC-CS-2014-0905) and its inverse.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+
+
+def _crafted_state(r: int) -> int:
+    """The PCG64 state, with inc = 1, whose next raw word is ``r``: one step
+    from (r - 1) M^-1 gives the state r, whose high word is 0, so its
+    XSL-RR output is r itself."""
+    return (r - 1) * _PCG_MULT_INV % (1 << 128)
+
+
+def _drawing(r: int) -> np.random.Generator:
+    """A generator whose next raw word is ``r``."""
+    bit_gen = np.random.PCG64(0)
+    bit_gen.state = {"bit_generator": "PCG64",
+                     "state": {"state": _crafted_state(r), "inc": 1},
+                     "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_gen)
+
+
+class TestZigguratTables:
+    """The tables of ``_ziggurat``, and the walk that reads them, against
+    the installed numpy's draws."""
+
+    def test_crafted_state_draws_the_word(self):
+        r = 0xFEDCBA9876543210
+        assert int(_drawing(r).bit_generator.random_raw()) == r
+
+    def test_wi_scales_rabs_one(self):
+        # r = 1 << 9 | k: idx k, positive, rabs 1 (a wedge draw at k = 1)
+        draws = [_drawing(1 << 9 | k).standard_normal() for k in range(256)]
+        assert np.array(draws).tobytes() == _ziggurat.WI.tobytes()
+
+    def test_ki_is_the_exact_fast_threshold(self):
+        # rabs = ki - 1 is accepted on one word, rabs = ki takes more;
+        # ki[1] is 0, so no draw at idx 1 is fast
+        probes = [(k, rabs, rabs < ki)
+                  for k, ki in enumerate(_ziggurat.KI.tolist())
+                  for rabs in (ki - 1, ki) if rabs >= 0]
+        assert len(probes) == 511
+        for k, rabs, one_word in probes:
+            r = rabs << 9 | k
+            rng = _drawing(r)
+            rng.standard_normal()
+            assert (rng.bit_generator.state["state"]["state"] == r) == one_word, k
+
+    def test_walk_at_each_threshold_equals_numpy(self):
+        # first words just below and at each ki threshold, of either sign:
+        # fast draws, wedge draws accepted and rejected, and tail draws
+        probes = [rabs << 9 | sign | k
+                  for k, ki in enumerate(_ziggurat.KI.tolist())
+                  for rabs in (ki - 1, ki) if rabs >= 0 for sign in (0, 1 << 8)]
+        states = [_crafted_state(r) for r in probes]
+        words = demand._Words(*(np.array(w, dtype=np.uint64) for w in (
+            [s >> 64 for s in states], [s & (1 << 64) - 1 for s in states],
+            [0] * len(states), [1] * len(states))))
+        gaussians, walked, after = demand._walk_normals(
+            2, np.zeros(len(probes), dtype=np.int64), words)
+        seen = set()
+        for i, (r, start, end) in enumerate(zip(
+                probes, states, _joined(after.state_hi, after.state_lo))):
+            branches = oracles.ziggurat_branches(_drawing(r), 2)
+            seen.update(branches)
+            assert walked[i] == ("tail" not in branches)
+            if not walked[i]:  # left at its words, for a generator
+                assert end == start
+                continue
+            rng = _drawing(r)
+            assert gaussians[i].tobytes() == rng.standard_normal(2).tobytes()
+            assert end == rng.bit_generator.state["state"]["state"]
+        assert seen == {"fast", "wedge", "reject", "tail"}
+
+    def test_fi_is_the_density_at_each_layer_edge(self):
+        fi, x = _ziggurat.FI, _ziggurat.WI * 2.0 ** 52
+        assert fi[0] == 1.0 and np.all(np.diff(fi) < 0)
+        density = np.array([math.exp(-0.5 * v * v) for v in x[1:].tolist()])
+        # one entry, fi[38], is 1 ulp from the C library's exp
+        assert np.all(np.abs(fi[1:] - density) <= np.spacing(fi[1:]))
 
 
 class TestHeightLaws:

@@ -530,15 +530,26 @@ class TestCli:
         assert ((tmp_path / "b" / "bands.csv").read_bytes()
                 == (tmp_path / "r" / "bands.csv").read_bytes())
 
-    def test_import_loads_no_scipy(self):
-        """Importing scipy.stats took over a second of every CLI call."""
+    @staticmethod
+    def _modules_after_cli_import(test: str) -> str:
+        """The modules ``m`` with ``test`` true after a fresh interpreter
+        imports ``powertrack.cli``."""
         probe = ("import sys, powertrack.cli; "
-                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+                 f"print([m for m in sys.modules if {test}])")
         env = {**os.environ,
                "PYTHONPATH": str(Path(powertrack.__file__).parent.parent)}
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        return result.stdout.strip()
+
+    def test_import_loads_no_scipy(self):
+        """Importing scipy.stats took over a second of every CLI call."""
+        assert self._modules_after_cli_import("m.split('.')[0] == 'scipy'") == "[]"
+
+    def test_import_leaves_the_ziggurat_tables_out(self):
+        """Without written bytecode the tables compile on every start; only
+        a Monte-Carlo walk reads them."""
+        assert self._modules_after_cli_import("m == 'powertrack._ziggurat'") == "[]"
 
     def test_memory_error_gives_one_json_line(self, tmp_path, capsys,
                                               monkeypatch):
