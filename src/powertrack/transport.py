@@ -3,15 +3,19 @@
 The state z(x, t) obeys z_t + speed * z_x = 0 on (0, 1) with inflow boundary
 z(0, t) = u(t) and initial profile z(x, 0) = z0(x).  The outflow y(t) =
 z(1, t) therefore reproduces the inflow delayed by the transport time
-1/speed.  A left-sided upwind scheme discretises the dynamics; at Courant
-number exactly 1 the scheme is an exact shift, which is the default grid
-construction.  Sub-unit Courant numbers are supported for convergence
-experiments only.
+1/speed.  A left-sided upwind scheme discretises the dynamics.  Courant
+number exactly 1, the default grid construction, makes each update
+x - (x - y), which is y in exact arithmetic but not always in doubles
+(x = 1.0 and y = 1e-17 give 0.0, as do x = 0.0 and y = -0.0).  Sub-unit
+Courant numbers are supported for convergence experiments only.
 
 The scheme marches one contiguous state vector over the spatial lattice and
-keeps only the outflow.  The space-time field is built on its first read, by
-the same march, so callers that need only the outflow never hold a field;
-several such solves march as the columns of one block (:func:`upwind_outflows`).
+keeps only the outflow.  At Courant 1, when one vector pass finds that no
+update pair rounds, the outflow is returned as the shifted inputs without a
+march, bit for bit what the march would give.  The space-time field is built
+on its first read, by the march, so callers that need only the outflow never
+hold a field; several such solves go as the columns of one block
+(:func:`upwind_outflows`).
 """
 
 from __future__ import annotations
@@ -160,10 +164,27 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
            rows: np.ndarray | None = None) -> np.ndarray:
     """March the upwind scheme from ``z0`` with inflow ``boundary`` and
     return the outflow; with ``rows``, also store each time level in
-    ``rows[i]``.  Both the outflow and the field come from this one loop,
-    so they agree bit for bit.  A trailing batch axis on ``z0`` and
-    ``boundary`` marches several solves elementwise alike; at ``c == 1.0``
-    the scaling is skipped, since ``x * 1.0 == x`` exactly."""
+    ``rows[i]``.  A trailing batch axis on ``z0`` and ``boundary`` marches
+    several solves elementwise alike; at ``c == 1.0`` the scaling is
+    skipped, since ``x * 1.0 == x`` exactly.
+
+    At ``c == 1.0`` without ``rows``, the march is skipped when it is a
+    shift.  ``w`` lists what each characteristic carries, outflow end first:
+    z0[nx], ..., z0[1], then the inflow (the corner takes boundary[0], so
+    z0[0] never leaves).  If a - (a - b) is bitwise b for every adjacent
+    pair of ``w``, then by induction over the time levels every update of
+    the march moves one value of ``w`` on unchanged, and the outflow is
+    ``w[:nt+1]``.  The check runs the same two subtractions as one march
+    step and compares bits, so a 0.0 never passes for a -0.0; if any pair
+    of any batch column fails, the whole block marches."""
+    n = boundary.shape[0]
+    if rows is None and c == 1.0:
+        w = np.concatenate((z0[:0:-1], boundary))
+        a, b = w[:-1], w[1:]
+        step = np.subtract(a, b)
+        np.subtract(a, step, out=step)
+        if np.array_equal(step.view(np.uint64), b.view(np.uint64)):
+            return w[:n]
     x = z0.copy()
     x[0] = boundary[0]  # inflow boundary wins at the (0, 0) corner
     inner, left = x[1:], x[:-1]  # views made once, not per step
@@ -172,7 +193,7 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
     outflow[0] = x[-1]
     if rows is not None:
         rows[0] = x
-    for i in range(1, boundary.shape[0]):
+    for i in range(1, n):
         np.subtract(inner, left, out=tmp)
         if c != 1.0:
             tmp *= c
@@ -227,14 +248,16 @@ def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
     z0 = np.array(z0, dtype=float)  # a copy: the field may be built later
     if z0.shape != (grid.nx + 1,):
         raise ValueError(f"z0 must have {grid.nx + 1} lattice values")
+    if not np.all(np.isfinite(z0)):
+        raise ValueError("initial profile values must be finite")
     boundary = np.array(np.atleast_1d(u.at(grid.times())), dtype=float)
     return FieldState(outflow=_march(c, z0, boundary), grid=grid,
                       _z0=z0, _boundary=boundary)
 
 
 def upwind_outflows(grid: Grid, controls) -> np.ndarray:
-    """(m, nt+1) outflows of ``m`` controls down an empty line, from one
-    march; row ``k`` is ``upwind_solve(grid, None, controls[k]).outflow`` bit
+    """(m, nt+1) outflows of ``m`` controls down an empty line, solved as
+    one block; row ``k`` is ``upwind_solve(grid, None, controls[k]).outflow`` bit
     for bit.  ``controls`` is sized, so the boundary block is allocated once;
     a lazy sequence streams into it, holding one control at a time."""
     c = validate_cfl(grid)

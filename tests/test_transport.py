@@ -18,6 +18,31 @@ from powertrack import (
 TWO_PI = 2.0 * np.pi
 
 
+def _one_binade(sign, exponent):
+    """Values whose every update pair x - (x - y) rounds back to y: one sign
+    and one binade, so each difference is exact (Sterbenz) and so is the
+    step back."""
+    return st.floats(1.0, 2.0).map(lambda f: sign * f * 2.0 ** exponent)
+
+
+# Values over many binades, with sign changes, subnormals and signed zeros.
+WIDE_VALUES = st.one_of(st.floats(-1e300, 1e300),
+                        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-17, 1.0]))
+
+
+def _pow2_grid(unit_courant, speed, log_nx, extra_steps, later_steps):
+    # with nx a power of two, dx and dt are exact and the Courant number
+    # nx / (nx + extra) is exactly 1 with no extra steps, where the march
+    # skips its scaling, and below 1 otherwise
+    nx = 2 ** log_nx
+    delay_steps = nx + (0 if unit_courant else extra_steps)
+    dt = 1.0 / (speed * delay_steps)
+    nt = delay_steps + later_steps
+    g = Grid(speed, 1.0 / nx, dt, nx, nt, nt * dt)
+    assert (g.courant == 1.0) is unit_courant and 0.0 < g.courant <= 1.0
+    return g
+
+
 class TestGrid:
     def test_default_construction_is_courant_one(self):
         g = Grid.make(4.0, 0.1, 1.0)
@@ -170,6 +195,15 @@ class TestUpwindSolve:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+        controls = [ControlSignal(g.control_times(), 1.0 + 0.5 * np.sin(k * g.control_times()))
+                    for k in range(1, 7)]
+        tracemalloc.start()
+        try:
+            upwind_outflows(g, controls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
         g = Grid.make(4.0, 0.1, 1.0, courant=0.5)
         z0 = np.linspace(0.0, 1.0, g.nx + 1)
@@ -190,6 +224,15 @@ class TestUpwindSolve:
         with pytest.raises(ValueError):
             upwind_solve(g, np.zeros(g.nx), u)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_profile_rejected(self, bad):
+        g = Grid.make(4.0, 0.1, 1.0)
+        u = ControlSignal(g.control_times(), np.zeros(g.control_steps + 1))
+        z0 = np.zeros(g.nx + 1)
+        z0[3] = bad
+        with pytest.raises(ValueError, match="initial profile values must be finite"):
+            upwind_solve(g, z0, u)
+
 
 class TestUpwindOutflows:
     @pytest.mark.parametrize("unit_courant", [True, False])
@@ -199,15 +242,7 @@ class TestUpwindOutflows:
            m=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
     def test_rows_equal_single_solves_bitwise(self, unit_courant, speed, log_nx,
                                               extra_steps, later_steps, m, seed):
-        # with nx a power of two, dx and dt are exact and the Courant number
-        # nx / (nx + extra) is exactly 1 with no extra steps, where the
-        # march skips its scaling, and below 1 otherwise
-        nx = 2 ** log_nx
-        delay_steps = nx + (0 if unit_courant else extra_steps)
-        dt = 1.0 / (speed * delay_steps)
-        nt = delay_steps + later_steps
-        g = Grid(speed, 1.0 / nx, dt, nx, nt, nt * dt)
-        assert (g.courant == 1.0) is unit_courant and 0.0 < g.courant <= 1.0
+        g = _pow2_grid(unit_courant, speed, log_nx, extra_steps, later_steps)
         rng = np.random.default_rng(seed)
         controls = [ControlSignal(g.control_times(),
                                   rng.normal(size=g.control_steps + 1))
@@ -216,6 +251,62 @@ class TestUpwindOutflows:
         assert outflows.shape == (m, g.nt + 1)
         for row, u in zip(outflows, controls):
             assert row.tobytes() == upwind_solve(g, None, u).outflow.tobytes()
+
+
+class TestCheckedShift:
+    """At Courant 1 the outflow is the shifted inputs when no update pair
+    rounds, and the march otherwise; both routes against the oracle march."""
+
+    @pytest.mark.parametrize("unit_courant", [True, False])
+    @settings(max_examples=60)
+    @given(speed=st.sampled_from([0.5, 1.0, 2.0, 4.0]), log_nx=st.integers(0, 5),
+           extra_steps=st.integers(1, 30), later_steps=st.integers(1, 40),
+           m=st.integers(1, 6), with_z0=st.booleans(), wide=st.booleans(),
+           sign=st.sampled_from([1.0, -1.0]), exponent=st.integers(-1000, 1000),
+           data=st.data())
+    def test_outflows_equal_strided_march_bitwise(self, unit_courant, speed, log_nx,
+                                                  extra_steps, later_steps, m, with_z0,
+                                                  wide, sign, exponent, data):
+        g = _pow2_grid(unit_courant, speed, log_nx, extra_steps, later_steps)
+        values = WIDE_VALUES if wide else _one_binade(sign, exponent)
+
+        def draw(size):
+            return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+        z0 = None
+        if with_z0:
+            z0 = draw(g.nx + 1)
+            if wide:
+                z0[data.draw(st.integers(1, g.nx))] = -0.0
+        controls = []
+        for _ in range(m):
+            v = draw(g.control_steps + 1)
+            if wide:
+                v[0] = -0.0  # 0.0 - (0.0 - -0.0) is 0.0
+            controls.append(ControlSignal(g.control_times(), v))
+        outflows = upwind_outflows(g, controls)
+        for row, u in zip(outflows, controls):
+            # bytes, since array_equal takes -0.0 for 0.0
+            assert row.tobytes() == oracles.strided_upwind(g, None, u)[1].tobytes()
+            assert (upwind_solve(g, z0, u).outflow.tobytes()
+                    == oracles.strided_upwind(g, z0, u)[1].tobytes())
+
+    def test_a_rounding_pair_marches_the_whole_block(self):
+        # 1.0 - (1.0 - 1e-17) is 0.0: the march loses the 1e-17 that a
+        # plain shift would carry to the outflow
+        g = Grid.make(4.0, 0.1, 1.0)
+        values = np.ones(g.control_steps + 1)
+        values[1] = 1e-17
+        u = ControlSignal(g.control_times(), values)
+        smooth = ControlSignal(g.control_times(), np.linspace(1.0, 1.5, values.size))
+        _, expected = oracles.strided_upwind(g, None, u)
+        shift = np.concatenate((np.zeros(g.nx), u.at(g.times())))[:g.nt + 1]
+        assert expected[g.delay_steps + 1] == 0.0
+        assert shift[g.delay_steps + 1] == 1e-17
+        assert upwind_solve(g, None, u).outflow.tobytes() == expected.tobytes()
+        block = upwind_outflows(g, [smooth, u])
+        assert block[0].tobytes() == oracles.strided_upwind(g, None, smooth)[1].tobytes()
+        assert block[1].tobytes() == expected.tobytes()
 
 
 class TestExactShiftOutput:
