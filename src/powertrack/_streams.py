@@ -1,0 +1,367 @@
+"""numpy's random streams, drawn for many rows at once in uint64 arithmetic.
+
+One path draws its noise from one generator in this order: the jump counts
+of every grid step, ``rng.poisson(lam)``; one gaussian per step,
+``rng.standard_normal(steps)``; then, for each step holding c > 0 events in
+step order, the uniforms ``rng.random(c)`` and the c heights of the height
+law, which a constant law does not draw.
+
+:func:`draw` returns these draws for ``n`` paths.  From a seed, row ``i`` is
+the stream of ``SeedSequence((seed, i))`` (NEP 19), and the draws of all rows
+are walked together from their PCG64 states (O'Neill, HMC-CS-2014-0905): the
+counts by the rule of numpy's ``Generator.poisson`` below a mean of 10, the
+gaussians by numpy's ziggurat (Marsaglia and Tsang, 2000), and the uniforms
+of a constant height law.  NEP 19 exempts ``Generator``'s draws from stream
+compatibility, so :func:`agrees` first compares crafted draws with the
+installed numpy; if any differs, every row is drawn from its generator.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from collections import namedtuple
+from typing import Callable, Iterable, Iterator, Optional
+
+import numpy as np
+
+# Constants of numpy's SeedSequence hash (NEP 19), and the 64-bit words of
+# the 128-bit PCG multiplier M, with the 32-bit halves of its low word
+# (O'Neill, HMC-CS-2014-0905).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_M_HI, _M_LO = divmod(0x2360ED051FC65DA44385DF649FCCF645, 1 << 64)
+_M_LO_HI, _M_LO_LO = divmod(_M_LO, 1 << 32)
+_MASK32 = (1 << 32) - 1
+_SHIFT = np.uint32(16)
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy's SeedSequence hash of uint32 arrays; each call advances the
+    multiplier, whatever the data, exactly as one scalar call would."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _SHIFT)
+
+    return hashmix
+
+
+# PCG64 states and increments of a set of streams, as uint64 word arrays.
+_Words = namedtuple("_Words", "state_hi state_lo inc_hi inc_lo")
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 step, s M + inc mod 2**128, on uint64 word arrays: only the
+    high word of lo * M_lo needs 32-bit limbs (mulhi, Hacker's Delight)."""
+    a1, a0 = lo >> 32, lo & _MASK32
+    mid = a1 * _M_LO_LO + (a0 * _M_LO_LO >> 32)
+    low = (mid & _MASK32) + a0 * _M_LO_HI
+    hi = a1 * _M_LO_HI + (mid >> 32) + (low >> 32) + hi * _M_LO + lo * _M_HI
+    lo = lo * _M_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo  # with the carry of the low word
+
+
+def _next_uint64(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """numpy's ``next_uint64`` from a PCG64 state just stepped: the XSL-RR
+    output rotr(hi ^ lo, hi >> 58)."""
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << (64 - rot & 63)
+
+
+def _next_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """numpy's ``random()`` double from a PCG64 state just stepped:
+    (next_uint64 >> 11) * 2**-53."""
+    return (_next_uint64(hi, lo) >> 11) * 2.0 ** -53
+
+
+def _pcg64_states(seed: int, index: np.ndarray) -> _Words:
+    """PCG64 state and inc words of ``substream(seed, i)`` for each ``i`` in
+    the uint32 array ``index``.
+
+    Needs ``seed`` in [0, 2**32), so that the entropy ``(seed, i)`` is the
+    two uint32 words [seed, i].  ``SeedSequence`` (NEP 19) hashes them and
+    two zero words into a pool of four words with ``hashmix``, mixes every
+    pool word into every other with ``mix``, and ``generate_state(4,
+    uint64)`` hashes the pool cyclically into eight words, read pairwise as
+    the little-endian uint64 words w0..w3.  The hash does not branch on the
+    data, so all of ``index`` is hashed at once in uint32 arithmetic, where
+    the wrap-around is the algorithm's.  PCG64 then seeds as
+    ``pcg_setseq_128_srandom_r`` (O'Neill): with initstate = w0 w1 and
+    initseq = w2 w3, inc = 2 initseq + 1 and state = (inc + initstate) M +
+    inc mod 2**128, one add with carry and one :func:`_lcg_step`.
+    """
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _SHIFT)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(index.shape, dtype=np.uint32)
+    entropy = (np.full(index.shape, seed, dtype=np.uint32), index, zeros, zeros)
+    with np.errstate(over="ignore"):
+        pool = [hashmix(word) for word in entropy]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        generate = _hasher(_INIT_B, _MULT_B)
+        words = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    state_hi, state_lo, seq_hi, seq_lo = (words[2 * k] | words[2 * k + 1] << 32
+                                          for k in range(4))
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    state_lo = state_lo + inc[1]
+    state_hi = state_hi + inc[0] + (state_lo < inc[1])
+    return _Words(*_lcg_step(state_hi, state_lo, *inc), *inc)
+
+
+def _generators(words: _Words) -> Iterator[np.random.Generator]:
+    """One reused generator, set at each row's words in turn; ints built lazily."""
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for s_hi, s_lo, i_hi, i_lo in zip(*map(memoryview, words)):
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                         "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+# numpy's Generator.poisson counts by multiplication below this mean and
+# switches to its PTRS rejection sampler (Hormann, 1993) from it.
+_POISSON_MULT_LIMIT = 10.0
+
+
+def _block_width(lam: np.ndarray) -> int:
+    """Most doubles :func:`_walk_counts` draws per path for its jump counts.
+
+    A path uses one double per step with lam > 0 plus one per event, and
+    its event count is Poisson(L), L = sum(lam); the cap leaves room for
+    L + 6 sqrt(L) + 8 events, which a path exceeds only rarely.
+    """
+    total = float(lam.sum())
+    room = math.floor(total + 6.0 * math.sqrt(total)) + 8
+    return int(np.count_nonzero(lam)) + room
+
+
+def _walk_counts(lam: np.ndarray,
+                 words: _Words) -> tuple[np.ndarray, np.ndarray, _Words]:
+    """The ``rng.poisson(lam)`` counts of the streams at ``words``, together.
+
+    For 0 < lam < 10 numpy multiplies ``random()`` doubles into a product
+    that starts at 1.0 until it is <= e = exp(-lam) (the C library's), and
+    counts the doubles before the one that stopped it (Knuth); lam = 0 draws
+    nothing.  Column k of the walk steps every row once and advances its
+    rule by its double; a row that ends its last step records its words.
+
+    Returns the (n, steps) counts, the doubles used per row, and the words
+    to draw the rest from.  Used is -1 where the row must call
+    ``rng.poisson`` from its stream start: every row when a step has
+    lam >= 10 or n <= width (the walk would cost more than it saves), and a
+    row still counting after :func:`_block_width` doubles.
+    """
+    n = words.state_hi.size
+    counts = np.zeros((n, lam.size), dtype=np.int64)
+    used = np.full(n, -1)
+    # nan and inf fail this test too, and rng.poisson then rejects them
+    if not np.all(lam < _POISSON_MULT_LIMIT) or n <= (width := _block_width(lam)):
+        return counts, used, words
+    steps = np.flatnonzero(lam)
+    if not steps.size:
+        return counts, np.zeros(n, dtype=np.int64), words
+    hi, lo = state_hi, state_lo = words.state_hi.copy(), words.state_lo.copy()
+    # exp(-lam) per step with lam > 0, then +inf: ended rows stop every product
+    limits = np.array([math.exp(-x) for x in lam[steps].tolist()] + [math.inf])
+    step = np.zeros(n, dtype=np.int64)  # index into steps of each row
+    limit, prod = np.full(n, limits[0]), np.ones(n)
+    for k in range(width):
+        hi, lo = _lcg_step(hi, lo, words.inc_hi, words.inc_lo)
+        prod *= _next_double(hi, lo)
+        stop = prod <= limit
+        go = np.flatnonzero(~stop)
+        counts[go, steps[step[go]]] += 1
+        prod[stop] = 1.0
+        step += stop
+        limit = limits.take(step, mode="clip")
+        ended = np.flatnonzero(step == steps.size)
+        used[ended] = k + 1
+        state_hi[ended], state_lo[ended] = hi[ended], lo[ended]
+        if ended.size and used.min() >= 0:
+            break
+    return counts, used, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
+
+
+_MASK52 = (1 << 52) - 1
+
+
+def _walk_normals(nsteps: int, used: np.ndarray,
+                  words: _Words) -> tuple[np.ndarray, np.ndarray, _Words]:
+    """The ``rng.standard_normal(nsteps)`` draws of the streams at ``words``,
+    together, for every row with ``used >= 0``.
+
+    numpy's ziggurat (Marsaglia and Tsang, 2000; its tables are in
+    :mod:`powertrack._ziggurat`) takes r = next_uint64: idx = r & 0xff, the
+    sign is bit 8 and rabs = (r >> 9) & (2**52 - 1).  x = rabs wi[idx],
+    negated for the sign, is accepted when rabs < ki[idx].  Otherwise, for
+    idx > 0, one more double U accepts x when (fi[idx-1] - fi[idx]) U +
+    fi[idx] < exp(-x^2/2) (the C library's), and a rejected x starts over
+    with a fresh r.  Column k of the walk draws one r for every row still
+    short of its normals; a row records its words when it has them all.  A
+    row whose r falls in the idx = 0 tail leaves the walk at its words.
+
+    Returns the (n, nsteps) normals, the mask of rows that have them, and
+    the words to draw the rest from.
+    """
+    from . import _ziggurat  # compiled on a walk's first call, not at import
+
+    n = used.size
+    gaussians = np.empty((n, nsteps))
+    walked = used >= 0
+    rows = np.flatnonzero(walked)
+    if not nsteps or not rows.size:
+        return gaussians, walked, words
+    # indexed by r & 0x1ff: the sign bit picks the negated half of wi
+    ki = np.tile(_ziggurat.KI, 2)
+    wi = np.concatenate((_ziggurat.WI, -_ziggurat.WI))
+    fi = _ziggurat.FI
+    state_hi, state_lo = words.state_hi.copy(), words.state_lo.copy()
+    hi, lo, inc_hi, inc_lo = (w[rows] for w in words)
+    # where each row's next normal goes in gaussians.ravel(); a rejected
+    # draw is written there too, and overwritten by the next one
+    flat, at, ends = gaussians.reshape(-1), rows * nsteps, (rows + 1) * nsteps
+    while rows.size:
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        r = _next_uint64(hi, lo)
+        idx = (r & 0x1FF).astype(np.intp)
+        rabs = r >> 9 & _MASK52
+        flat[at] = x = rabs * wi[idx]
+        ok = rabs < ki[idx]
+        miss = np.flatnonzero(~ok)
+        idx = idx[miss] & 0xFF
+        tail, wedge, j = miss[idx == 0], miss[idx != 0], idx[idx != 0]
+        if wedge.size:
+            hi[wedge], lo[wedge] = _lcg_step(hi[wedge], lo[wedge],
+                                             inc_hi[wedge], inc_lo[wedge])
+            bound = (fi[j - 1] - fi[j]) * _next_double(hi[wedge], lo[wedge]) + fi[j]
+            density = [math.exp(-0.5 * v * v) for v in x[wedge].tolist()]
+            ok[wedge] = bound < density
+        at += ok
+        done = at == ends
+        if tail.size or done.any():
+            state_hi[rows[done]], state_lo[rows[done]] = hi[done], lo[done]
+            walked[rows[tail]] = False
+            done[tail] = True
+            rows, hi, lo, inc_hi, inc_lo, at, ends = (
+                a[~done] for a in (rows, hi, lo, inc_hi, inc_lo, at, ends))
+    return gaussians, walked, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
+
+
+def _walk_doubles(words: _Words, sizes: np.ndarray, starts: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write ``rng.random(sizes[i])`` of the stream at row ``i`` of
+    ``words`` to ``out[starts[i]:starts[i] + sizes[i]]``, for all rows at
+    once, column k stepping each row that draws a k-th double."""
+    rows = np.flatnonzero(sizes)
+    hi, lo, inc_hi, inc_lo = (w[rows] for w in words)
+    for k in range(int(sizes.max(initial=0))):
+        live = sizes[rows] > k
+        if not live.all():
+            rows, hi, lo, inc_hi, inc_lo = (
+                a[live] for a in (rows, hi, lo, inc_hi, inc_lo))
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        out[starts[rows] + k] = _next_double(hi, lo)
+
+
+def _draw(lam: np.ndarray, n: int, heights: Optional[Callable],
+          words: Optional[_Words], streams: Iterable[np.random.Generator]):
+    """:func:`draw` from the rows of ``words``, walked, or else from ``streams``.
+    A reused generator is set once, where the walks stopped, for each row
+    they leave: a row left to ``rng.poisson``, a row whose gaussians reach
+    the ziggurat's tail, and a row with events under a law that draws its
+    heights.
+    """
+    nsteps = lam.size
+    if words is not None:
+        counts, used, words = _walk_counts(lam, words)
+        gaussians, walked, words = _walk_normals(nsteps, used, words)
+        back = np.flatnonzero(~walked if heights is None
+                              else ~walked | counts.any(axis=1))
+        streams = _generators(_Words(*(w[back] for w in words)))
+    else:
+        counts, used = np.zeros((n, nsteps), dtype=np.int64), np.full(n, -1)
+        gaussians, walked = np.empty((n, nsteps)), np.zeros(n, dtype=bool)
+        back = np.arange(n)
+    drawn = []
+    for i, rng in zip(back.tolist(), streams):
+        row = counts[i]
+        if used[i] < 0:
+            row[:] = rng.poisson(lam)
+        if not walked[i]:
+            rng.standard_normal(out=gaussians[i])
+        # one array per path: per-step pieces would cost memory per step
+        u, h = np.empty(row.sum()), None
+        if heights is None:
+            rng.random(out=u)
+        else:
+            h = np.empty(u.size)
+            a = 0
+            for c in row[row > 0].tolist():
+                rng.random(out=u[a:a + c])
+                h[a:a + c] = heights(rng, c)
+                a += c
+        drawn.append((i, u, h))
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=1), out=starts[1:])
+    uniforms = np.empty(starts[-1])
+    drawn_heights = None if heights is None else np.empty(uniforms.size)
+    if heights is None and walked.any():  # size 0 for the rows a generator drew
+        _walk_doubles(words, np.where(walked, np.diff(starts), 0), starts, uniforms)
+    for i, u, h in drawn:
+        uniforms[starts[i]:starts[i + 1]] = u
+        if h is not None:
+            drawn_heights[starts[i]:starts[i + 1]] = h
+    return counts, gaussians, uniforms, drawn_heights
+
+
+def draw(lam: np.ndarray, n: int, heights: Optional[Callable] = None,
+         seed: Optional[int] = None, streams: Iterable[np.random.Generator] = ()):
+    """The draws of ``n`` paths with per-step jump means ``lam``: the (n,
+    steps) counts and gaussians, then the uniforms and heights of every event
+    in (row, step) order.  ``heights(rng, c)`` draws c heights; None stands
+    for a constant law, which draws none, and then None is returned for them.
+    For ``seed`` and ``n - 1`` in [0, 2**32), on a numpy that :func:`agrees`,
+    the rows are walked; otherwise row ``i`` comes from ``streams``.
+    """
+    words = None
+    if (isinstance(seed, (int, np.integer)) and 0 <= seed <= _MASK32
+            and n - 1 <= _MASK32 and agrees()):
+        words = _pcg64_states(int(seed), np.arange(n, dtype=np.uint32))
+    return _draw(lam, n, heights, words, streams)
+
+
+@functools.cache
+def agrees() -> bool:
+    """Whether the installed numpy draws what the walks compute, checked once.
+
+    The state (r - 1) M^-1 mod 2**128 with inc = 1 steps to the state r,
+    whose XSL-RR output is r itself.  Started on the words r = 2**51 + j
+    2**20, a double near 2**-13, rows j = 2, 452, 500 and 15471 count one
+    event at mean 9.5, then one at mean 0.5, on four doubles.  Their normals
+    take the ziggurat's fast path, and then an accepted wedge, a rejected
+    wedge and a tail draw; their uniforms follow.  Padded to more rows than
+    the counts' cap, the rows are drawn by the walks and by generators.
+    Seeding is not probed: numpy keeps the streams of its bit generators and
+    their seeding stable; only ``Generator``'s methods may draw differently.
+    """
+    inv = pow(_M_HI << 64 | _M_LO, -1, 1 << 128)
+    states = [divmod(((1 << 51) + (j << 20) - 1) * inv % (1 << 128), 1 << 64)
+              for j in [2, 452, 500, 15471] + [2] * 35]
+    words = _Words(*(np.array(w, dtype=np.uint64)
+                     for w in (*zip(*states), [0] * 39, [1] * 39)))
+    lam = np.array([9.5, 0.5])
+    walked = _draw(lam, 39, None, words, ())
+    called = _draw(lam, 4, None, None, _generators(_Words(*(w[:4] for w in words))))
+    return all(a[:len(b)].tobytes() == b.tobytes()
+               for a, b in zip(walked[:3], called[:3]))

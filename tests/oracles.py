@@ -173,6 +173,27 @@ def stepwise_path(params, times, rng):
             np.concatenate([np.empty(0)] + jump_heights))
 
 
+# The 128-bit PCG multiplier (O'Neill, HMC-CS-2014-0905) and its inverse.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+
+
+def crafted_state(r: int) -> int:
+    """The PCG64 state, with inc = 1, whose next raw word is ``r``: one step
+    from (r - 1) M^-1 gives the state r, whose high word is 0, so its
+    XSL-RR output is r itself."""
+    return (r - 1) * _PCG_MULT_INV % (1 << 128)
+
+
+def drawing(r: int) -> np.random.Generator:
+    """A generator whose next raw word is ``r``."""
+    bit_gen = np.random.PCG64(0)
+    bit_gen.state = {"bit_generator": "PCG64",
+                     "state": {"state": crafted_state(r), "inc": 1},
+                     "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_gen)
+
+
 def ziggurat_branches(rng, count: int) -> list[str]:
     """The branch numpy's ``standard_normal`` takes on each of its next
     ``count`` draws from the PCG64 generator ``rng``, read off its raw

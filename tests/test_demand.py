@@ -23,8 +23,8 @@ from powertrack import (
     sample_paths,
     substream,
 )
-from powertrack import _ziggurat, demand
-from powertrack.demand import _pcg64_states
+from powertrack import _streams, _ziggurat, demand
+from powertrack._streams import _pcg64_states
 
 
 def _flat(level=10.0, kappa=1.0, sigma=0.0, y0=6.0, jump=None):
@@ -185,6 +185,21 @@ class TestSampleEnsemble:
             want = (y0 - y0s[0]) * np.exp(-kappa * times)
             assert np.max(np.abs(path.values - base - want)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("name", ["PS1", "PS3", "PS3-normal-heights"])
+    def test_members_equal_their_single_paths_bitwise(self, ps1, ps3, ps_grid,
+                                                      name):
+        params = {"PS1": ps1, "PS3": ps3, "PS3-normal-heights": replace(
+            ps3, jump=JumpSpec(3.0, NormalHeight(1.0, 0.5)))}[name]
+        times = ps_grid.times()
+        members = [replace(params, y0=y0) for y0 in (params.y0, -2.0, 7.5)]
+        for seed in range(30):
+            paths = sample_ensemble(members, times, substream(seed, 0))
+            for member, path in zip(members, paths):
+                solo = sample_path(member, times, substream(seed, 0))
+                for field in _NOISE_FIELDS + ("jump_steps",):
+                    assert (getattr(path, field).tobytes()
+                            == getattr(solo, field).tobytes()), (seed, field)
+
     def test_heterogeneous_members_rejected(self, ps1, ps2):
         with pytest.raises(ValueError):
             sample_ensemble([ps1, ps2], [0.0, 1.0], substream(0, 0))
@@ -242,7 +257,7 @@ class TestPathEnsemble:
         params = DemandParams(kappa=kappa, sigma=sigma, mean=mean, y0=y0,
                               jump=JumpSpec(events_per_step / max(steps), law))
         lam = params.jump.intensity * np.diff(times)
-        assert lam.max() >= 10.0 or n > demand._block_width(lam)
+        assert lam.max() >= 10.0 or n > _streams._block_width(lam)
         ensemble = sample_paths(params, times, n, seed)
         for i, row in enumerate(ensemble):
             stepwise = oracles.stepwise_path(params, times, substream(seed, i))
@@ -256,9 +271,9 @@ class TestPathEnsemble:
         times = np.linspace(0.0, 1.0, 21)
         want = sample_paths(ps3, times, 200, seed=21)
         # room for one event per path: a path with more runs out
-        monkeypatch.setattr(demand, "_block_width", lambda lam: lam.size + 1)
+        monkeypatch.setattr(_streams, "_block_width", lambda lam: lam.size + 1)
         lam = ps3.jump.intensity * np.diff(times)
-        _, used, _ = demand._walk_counts(
+        _, used, _ = _streams._walk_counts(
             lam, _pcg64_states(21, np.arange(200, dtype=np.uint32)))
         assert 0 < np.count_nonzero(used == -1) < 200
         got = sample_paths(ps3, times, 200, seed=21)
@@ -284,7 +299,7 @@ class TestPathEnsemble:
         params = replace(ps3, jump=JumpSpec(1.5, NormalHeight(1.0, 0.5)))
         times = np.linspace(0.0, 1.0, 21)
         lam = params.jump.intensity * np.diff(times)
-        assert 200 > demand._block_width(lam)
+        assert 200 > _streams._block_width(lam)
         ensemble = sample_paths(params, times, 200, seed=5)
         walked = _walked_normals(lam, 5, 200)
         events = np.diff(ensemble.offsets) > 0
@@ -320,7 +335,7 @@ class TestPathEnsemble:
         times = ps_grid.times()
         walked = sample_paths(ps3, times, 5000, seed=11)
         streams = (substream(11, i) for i in range(5000))
-        ref = demand._sample(ps3, times, streams, 5000)
+        ref = demand._sample(ps3, times, 5000, streams=streams)
         for name in ("values", "gaussians", "offsets", "jump_times",
                      "jump_heights", "jump_steps"):
             assert getattr(walked, name).tobytes() == getattr(ref, name).tobytes()
@@ -346,9 +361,9 @@ class TestPathEnsemble:
 def _walked_normals(lam, seed, n):
     """Mask of the rows of ``sample_paths(..., n, seed)`` whose gaussians
     come from the walked words, not from a generator."""
-    _, used, words = demand._walk_counts(
+    _, used, words = _streams._walk_counts(
         lam, _pcg64_states(seed, np.arange(n, dtype=np.uint32)))
-    return demand._walk_normals(lam.size, used, words)[1]
+    return _streams._walk_normals(lam.size, used, words)[1]
 
 
 _MAX_WORD = 2 ** 32 - 1
@@ -391,8 +406,8 @@ class TestVectorisedSeeding:
         hi, lo = words.state_hi, words.state_lo
         doubles = []
         for _ in range(k):
-            hi, lo = demand._lcg_step(hi, lo, words.inc_hi, words.inc_lo)
-            doubles.append(demand._next_double(hi, lo))
+            hi, lo = _streams._lcg_step(hi, lo, words.inc_hi, words.inc_lo)
+            doubles.append(_streams._next_double(hi, lo))
         doubles = np.array(doubles).T
         for index, row, state in zip(indices, doubles, _joined(hi, lo)):
             ref = substream(seed, index)
@@ -411,8 +426,8 @@ class TestVectorisedSeeding:
     def test_walk_ends_where_rng_poisson_leaves_the_stream(self, seed, indices,
                                                           lam):
         lam = np.array(lam)
-        assert len(indices) > demand._block_width(lam)
-        counts, used, words = demand._walk_counts(
+        assert len(indices) > _streams._block_width(lam)
+        counts, used, words = _streams._walk_counts(
             lam, _pcg64_states(seed, np.array(indices, dtype=np.uint32)))
         states = _joined(words.state_hi, words.state_lo)
         assert lam.any() or not used.any()
@@ -442,38 +457,17 @@ class TestVectorisedSeeding:
             sample_paths(ps3, [0.0, 1.0], 3, seed=-1)
 
 
-# The 128-bit PCG multiplier (O'Neill, HMC-CS-2014-0905) and its inverse.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
-
-
-def _crafted_state(r: int) -> int:
-    """The PCG64 state, with inc = 1, whose next raw word is ``r``: one step
-    from (r - 1) M^-1 gives the state r, whose high word is 0, so its
-    XSL-RR output is r itself."""
-    return (r - 1) * _PCG_MULT_INV % (1 << 128)
-
-
-def _drawing(r: int) -> np.random.Generator:
-    """A generator whose next raw word is ``r``."""
-    bit_gen = np.random.PCG64(0)
-    bit_gen.state = {"bit_generator": "PCG64",
-                     "state": {"state": _crafted_state(r), "inc": 1},
-                     "has_uint32": 0, "uinteger": 0}
-    return np.random.Generator(bit_gen)
-
-
 class TestZigguratTables:
     """The tables of ``_ziggurat``, and the walk that reads them, against
     the installed numpy's draws."""
 
     def test_crafted_state_draws_the_word(self):
         r = 0xFEDCBA9876543210
-        assert int(_drawing(r).bit_generator.random_raw()) == r
+        assert int(oracles.drawing(r).bit_generator.random_raw()) == r
 
     def test_wi_scales_rabs_one(self):
         # r = 1 << 9 | k: idx k, positive, rabs 1 (a wedge draw at k = 1)
-        draws = [_drawing(1 << 9 | k).standard_normal() for k in range(256)]
+        draws = [oracles.drawing(1 << 9 | k).standard_normal() for k in range(256)]
         assert np.array(draws).tobytes() == _ziggurat.WI.tobytes()
 
     def test_ki_is_the_exact_fast_threshold(self):
@@ -485,7 +479,7 @@ class TestZigguratTables:
         assert len(probes) == 511
         for k, rabs, one_word in probes:
             r = rabs << 9 | k
-            rng = _drawing(r)
+            rng = oracles.drawing(r)
             rng.standard_normal()
             assert (rng.bit_generator.state["state"]["state"] == r) == one_word, k
 
@@ -495,22 +489,22 @@ class TestZigguratTables:
         probes = [rabs << 9 | sign | k
                   for k, ki in enumerate(_ziggurat.KI.tolist())
                   for rabs in (ki - 1, ki) if rabs >= 0 for sign in (0, 1 << 8)]
-        states = [_crafted_state(r) for r in probes]
-        words = demand._Words(*(np.array(w, dtype=np.uint64) for w in (
+        states = [oracles.crafted_state(r) for r in probes]
+        words = _streams._Words(*(np.array(w, dtype=np.uint64) for w in (
             [s >> 64 for s in states], [s & (1 << 64) - 1 for s in states],
             [0] * len(states), [1] * len(states))))
-        gaussians, walked, after = demand._walk_normals(
+        gaussians, walked, after = _streams._walk_normals(
             2, np.zeros(len(probes), dtype=np.int64), words)
         seen = set()
         for i, (r, start, end) in enumerate(zip(
                 probes, states, _joined(after.state_hi, after.state_lo))):
-            branches = oracles.ziggurat_branches(_drawing(r), 2)
+            branches = oracles.ziggurat_branches(oracles.drawing(r), 2)
             seen.update(branches)
             assert walked[i] == ("tail" not in branches)
             if not walked[i]:  # left at its words, for a generator
                 assert end == start
                 continue
-            rng = _drawing(r)
+            rng = oracles.drawing(r)
             assert gaussians[i].tobytes() == rng.standard_normal(2).tobytes()
             assert end == rng.bit_generator.state["state"]["state"]
         assert seen == {"fast", "wedge", "reject", "tail"}

@@ -429,9 +429,8 @@ class TestCli:
         ("preset: PS1\nkappa: -1\n", "kappa", None, None),
         ("preset: PS1\nsigma: [1, 2]\n", "sigma", None, None),
         ("preset: PS1\ny0: .inf\n", "y0", None, None),
-        # a valid but extreme kappa overflows a closed form: kappa ** 2 in
-        # PS3's jump moments (PS1 runs, see test_huge_kappa_runs)
-        ("preset: PS3\nkappa: 1.0e+300\n", None, None, None),
+        # a valid but extreme y0 overflows the Monte-Carlo squared error
+        ("preset: PS3\ny0: 1.0e+308\n", None, None, "cost.csv: column cumrmse_mc"),
         ("preset: PS1\nupdate_interval: .inf\n", "update_interval", None, None),
         ("preset: PS1\njump: {intensity: 1, height: 3}\n", "jump.height",
          None, "expected a mapping"),
@@ -457,7 +456,7 @@ class TestCli:
             "tabulated-inf", "tabulated-narrow", "constant-nan", "sinusoid-nan",
             "sinusoid-inf", "profile-inf", "convergence",
             "overflow", "kappa-text", "kappa-negative", "sigma-list",
-            "y0-infinite", "kappa-overflow", "interval-infinite",
+            "y0-infinite", "y0-overflow", "interval-infinite",
             "jump-height-scalar", "lognormal-overflow", "constant-overflow",
             "normal-overflow", "paths-fraction",
             "seed-fraction", "display-fraction", "levels-empty", "horizon-short",
@@ -547,9 +546,10 @@ class TestCli:
         assert self._modules_after_cli_import("m.split('.')[0] == 'scipy'") == "[]"
 
     def test_import_leaves_the_ziggurat_tables_out(self):
-        """Without written bytecode the tables compile on every start; only
-        a Monte-Carlo walk reads them."""
-        assert self._modules_after_cli_import("m == 'powertrack._ziggurat'") == "[]"
+        """Without written bytecode the tables and the stream emulation
+        compile on every start; only a draw of noise reads them."""
+        assert self._modules_after_cli_import(
+            "m in ('powertrack._ziggurat', 'powertrack._streams')") == "[]"
 
     def test_memory_error_gives_one_json_line(self, tmp_path, capsys,
                                               monkeypatch):
@@ -582,10 +582,14 @@ class TestCli:
     def test_tiny_kappa_runs(self, tmp_path, config):
         _assert_runs_to_finite_csvs(tmp_path, config)
 
-    # At kappa 1e300, kappa^2 in the sinusoid's amplitude * kappa /
-    # (kappa^2 + w^2) overflows; the demand snaps to its mean.
+    # At kappa 1e300, kappa^2 overflows in the sinusoid's amplitude * kappa /
+    # (kappa^2 + w^2) and in the gbar^2 term of PS3's jump moments; the
+    # demand snaps to its mean.
     def test_huge_kappa_runs(self, tmp_path):
-        _assert_runs_to_finite_csvs(tmp_path, "preset: PS1\nkappa: 1.0e+300\n")
+        for name in ("PS1", "PS3"):
+            (tmp_path / name).mkdir()
+            _assert_runs_to_finite_csvs(tmp_path / name,
+                                        f"preset: {name}\nkappa: 1.0e+300\n")
 
     def test_non_finite_artifact_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "huge.yaml"

@@ -1,0 +1,51 @@
+"""The agreement probe of :mod:`powertrack._streams`: the walks stand in for
+the installed numpy's generators only while the two draw the same."""
+
+import numpy as np
+import pytest
+
+import oracles
+from powertrack import _streams, _ziggurat, sample_paths
+
+_FIELDS = ("values", "gaussians", "offsets", "jump_times", "jump_heights",
+           "jump_steps")
+
+
+def test_installed_numpy_agrees():
+    assert _streams.agrees.__wrapped__()
+
+
+@pytest.mark.parametrize("j, branches", [
+    (2, ["fast", "fast"]), (452, ["fast", "wedge"]),
+    (500, ["fast", "reject", "fast"]), (15471, ["fast", "tail"])])
+def test_probe_rows_take_the_branches_it_names(j, branches):
+    rng = oracles.drawing((1 << 51) + (j << 20))
+    assert rng.poisson([9.5, 0.5]).tolist() == [1, 1]
+    assert oracles.ziggurat_branches(rng, 2) == branches
+
+
+@pytest.mark.parametrize("break_walk", [
+    lambda mp: mp.setattr(_ziggurat, "WI", 2.0 * _ziggurat.WI),
+    lambda mp: mp.setattr(_ziggurat, "KI", np.zeros_like(_ziggurat.KI)),
+    lambda mp: mp.setattr(_streams, "_next_double", lambda hi, lo: 1.0 - (
+        _streams._next_uint64(hi, lo) >> 11) * 2.0 ** -53),
+], ids=["normals", "fast-path", "doubles"])
+def test_probe_sees_a_walk_that_differs(monkeypatch, break_walk):
+    break_walk(monkeypatch)
+    assert not _streams.agrees.__wrapped__()
+
+
+def test_disagreeing_numpy_draws_every_row_from_its_generator(ps3, ps_grid,
+                                                               monkeypatch):
+    # the mc-ps3 ensemble at seed 11: walked, then from 5000 generators
+    times = ps_grid.times()
+    walked = sample_paths(ps3, times, 5000, seed=11)
+
+    def no_walk(*args):
+        raise AssertionError("words walked although numpy disagrees")
+
+    monkeypatch.setattr(_streams, "agrees", lambda: False)
+    monkeypatch.setattr(_streams, "_pcg64_states", no_walk)
+    called = sample_paths(ps3, times, 5000, seed=11)
+    for name in _FIELDS:
+        assert getattr(called, name).tobytes() == getattr(walked, name).tobytes()
