@@ -7,11 +7,14 @@ step order, the uniforms ``rng.random(c)`` and the c heights of the height
 law, which a constant law does not draw.
 
 :func:`draw` returns these draws for ``n`` paths.  From a seed, row ``i`` is
-the stream of ``SeedSequence((seed, i))`` (NEP 19), and the draws of all rows
-are walked together from their PCG64 states (O'Neill, HMC-CS-2014-0905): the
-counts by the rule of numpy's ``Generator.poisson`` below a mean of 10, the
-gaussians by numpy's ziggurat (Marsaglia and Tsang, 2000), and the uniforms
-of a constant height law.  NEP 19 exempts ``Generator``'s draws from stream
+the stream of ``SeedSequence((seed, i))`` (NEP 19).  While every step's mean
+is below 10, the draws of all rows are walked together from their PCG64
+states (O'Neill, HMC-CS-2014-0905): the counts by the rule of numpy's
+``Generator.poisson``, the gaussians by numpy's ziggurat (Marsaglia and
+Tsang, 2000), and the uniforms of a constant height law.  A walked row goes
+on from a generator only at a ziggurat tail draw or for a height law that
+draws; at a mean of 10 or more every row is drawn from a generator set at
+its PCG64 state.  NEP 19 exempts ``Generator``'s draws from stream
 compatibility, so :func:`agrees` first compares crafted draws with the
 installed numpy; if any differs, every row is drawn from its generator.
 """
@@ -134,49 +137,31 @@ def _generators(words: _Words) -> Iterator[np.random.Generator]:
 _POISSON_MULT_LIMIT = 10.0
 
 
-def _block_width(lam: np.ndarray) -> int:
-    """Most doubles :func:`_walk_counts` draws per path for its jump counts.
-
-    A path uses one double per step with lam > 0 plus one per event, and
-    its event count is Poisson(L), L = sum(lam); the cap leaves room for
-    L + 6 sqrt(L) + 8 events, which a path exceeds only rarely.
-    """
-    total = float(lam.sum())
-    room = math.floor(total + 6.0 * math.sqrt(total)) + 8
-    return int(np.count_nonzero(lam)) + room
-
-
-def _walk_counts(lam: np.ndarray,
-                 words: _Words) -> tuple[np.ndarray, np.ndarray, _Words]:
-    """The ``rng.poisson(lam)`` counts of the streams at ``words``, together.
+def _walk_counts(lam: np.ndarray, words: _Words) -> tuple[np.ndarray, _Words]:
+    """The ``rng.poisson(lam)`` counts of the streams at ``words``, together,
+    for every lam < 10.
 
     For 0 < lam < 10 numpy multiplies ``random()`` doubles into a product
     that starts at 1.0 until it is <= e = exp(-lam) (the C library's), and
     counts the doubles before the one that stopped it (Knuth); lam = 0 draws
     nothing.  Column k of the walk steps every row once and advances its
-    rule by its double; a row that ends its last step records its words.
+    rule by its double; a row that ends its last step records its words,
+    and the walk stops when every row has.
 
-    Returns the (n, steps) counts, the doubles used per row, and the words
-    to draw the rest from.  Used is -1 where the row must call
-    ``rng.poisson`` from its stream start: every row when a step has
-    lam >= 10 or n <= width (the walk would cost more than it saves), and a
-    row still counting after :func:`_block_width` doubles.
+    Returns the (n, steps) counts and the words to draw the rest from.
     """
     n = words.state_hi.size
     counts = np.zeros((n, lam.size), dtype=np.int64)
-    used = np.full(n, -1)
-    # nan and inf fail this test too, and rng.poisson then rejects them
-    if not np.all(lam < _POISSON_MULT_LIMIT) or n <= (width := _block_width(lam)):
-        return counts, used, words
     steps = np.flatnonzero(lam)
     if not steps.size:
-        return counts, np.zeros(n, dtype=np.int64), words
+        return counts, words
     hi, lo = state_hi, state_lo = words.state_hi.copy(), words.state_lo.copy()
     # exp(-lam) per step with lam > 0, then +inf: ended rows stop every product
     limits = np.array([math.exp(-x) for x in lam[steps].tolist()] + [math.inf])
     step = np.zeros(n, dtype=np.int64)  # index into steps of each row
     limit, prod = np.full(n, limits[0]), np.ones(n)
-    for k in range(width):
+    left = n
+    while left:
         hi, lo = _lcg_step(hi, lo, words.inc_hi, words.inc_lo)
         prod *= _next_double(hi, lo)
         stop = prod <= limit
@@ -186,20 +171,18 @@ def _walk_counts(lam: np.ndarray,
         step += stop
         limit = limits.take(step, mode="clip")
         ended = np.flatnonzero(step == steps.size)
-        used[ended] = k + 1
         state_hi[ended], state_lo[ended] = hi[ended], lo[ended]
-        if ended.size and used.min() >= 0:
-            break
-    return counts, used, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
+        left -= ended.size
+    return counts, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
 
 
 _MASK52 = (1 << 52) - 1
 
 
-def _walk_normals(nsteps: int, used: np.ndarray,
+def _walk_normals(nsteps: int,
                   words: _Words) -> tuple[np.ndarray, np.ndarray, _Words]:
     """The ``rng.standard_normal(nsteps)`` draws of the streams at ``words``,
-    together, for every row with ``used >= 0``.
+    together.
 
     numpy's ziggurat (Marsaglia and Tsang, 2000; its tables are in
     :mod:`powertrack._ziggurat`) takes r = next_uint64: idx = r & 0xff, the
@@ -216,12 +199,12 @@ def _walk_normals(nsteps: int, used: np.ndarray,
     """
     from . import _ziggurat  # compiled on a walk's first call, not at import
 
-    n = used.size
+    n = words.state_hi.size
     gaussians = np.empty((n, nsteps))
-    walked = used >= 0
-    rows = np.flatnonzero(walked)
-    if not nsteps or not rows.size:
+    walked = np.ones(n, dtype=bool)
+    if not nsteps:
         return gaussians, walked, words
+    rows = np.arange(n)
     # indexed by r & 0x1ff: the sign bit picks the negated half of wi
     ki = np.tile(_ziggurat.KI, 2)
     wi = np.concatenate((_ziggurat.WI, -_ziggurat.WI))
@@ -277,26 +260,25 @@ def _walk_doubles(words: _Words, sizes: np.ndarray, starts: np.ndarray,
 def _draw(lam: np.ndarray, n: int, heights: Optional[Callable],
           words: Optional[_Words], streams: Iterable[np.random.Generator]):
     """:func:`draw` from the rows of ``words``, walked, or else from ``streams``.
-    A reused generator is set once, where the walks stopped, for each row
-    they leave: a row left to ``rng.poisson``, a row whose gaussians reach
-    the ziggurat's tail, and a row with events under a law that draws its
-    heights.
+    A walked row leaves the walks for a reused generator, set once where
+    they stopped, when its gaussians reach the ziggurat's tail or when it
+    has events under a law that draws its heights.
     """
-    nsteps = lam.size
-    if words is not None:
-        counts, used, words = _walk_counts(lam, words)
-        gaussians, walked, words = _walk_normals(nsteps, used, words)
+    nsteps, walk = lam.size, words is not None
+    if walk:
+        counts, words = _walk_counts(lam, words)
+        gaussians, walked, words = _walk_normals(nsteps, words)
         back = np.flatnonzero(~walked if heights is None
                               else ~walked | counts.any(axis=1))
         streams = _generators(_Words(*(w[back] for w in words)))
     else:
-        counts, used = np.zeros((n, nsteps), dtype=np.int64), np.full(n, -1)
+        counts = np.zeros((n, nsteps), dtype=np.int64)
         gaussians, walked = np.empty((n, nsteps)), np.zeros(n, dtype=bool)
         back = np.arange(n)
     drawn = []
     for i, rng in zip(back.tolist(), streams):
         row = counts[i]
-        if used[i] < 0:
+        if not walk:
             row[:] = rng.poisson(lam)
         if not walked[i]:
             rng.standard_normal(out=gaussians[i])
@@ -322,23 +304,30 @@ def _draw(lam: np.ndarray, n: int, heights: Optional[Callable],
         uniforms[starts[i]:starts[i + 1]] = u
         if h is not None:
             drawn_heights[starts[i]:starts[i + 1]] = h
-    return counts, gaussians, uniforms, drawn_heights
+    return counts, gaussians, uniforms, drawn_heights, starts
 
 
 def draw(lam: np.ndarray, n: int, heights: Optional[Callable] = None,
          seed: Optional[int] = None, streams: Iterable[np.random.Generator] = ()):
     """The draws of ``n`` paths with per-step jump means ``lam``: the (n,
     steps) counts and gaussians, then the uniforms and heights of every event
-    in (row, step) order.  ``heights(rng, c)`` draws c heights; None stands
-    for a constant law, which draws none, and then None is returned for them.
+    in (row, step) order, and the n + 1 offsets of each row's events in
+    them.  ``heights(rng, c)`` draws c heights; None stands for a constant
+    law, which draws none, and then None is returned for them.
+
     For ``seed`` and ``n - 1`` in [0, 2**32), on a numpy that :func:`agrees`,
-    the rows are walked; otherwise row ``i`` comes from ``streams``.
+    the rows are walked while every lam < 10, and otherwise each row is drawn
+    from a generator set at its words; in every other case row ``i`` comes
+    from ``streams``.
     """
-    words = None
     if (isinstance(seed, (int, np.integer)) and 0 <= seed <= _MASK32
             and n - 1 <= _MASK32 and agrees()):
         words = _pcg64_states(int(seed), np.arange(n, dtype=np.uint32))
-    return _draw(lam, n, heights, words, streams)
+        # nan and inf fail this test too, and rng.poisson then rejects them
+        if np.all(lam < _POISSON_MULT_LIMIT):
+            return _draw(lam, n, heights, words, ())
+        streams = _generators(words)
+    return _draw(lam, n, heights, None, streams)
 
 
 @functools.cache
@@ -350,18 +339,17 @@ def agrees() -> bool:
     2**20, a double near 2**-13, rows j = 2, 452, 500 and 15471 count one
     event at mean 9.5, then one at mean 0.5, on four doubles.  Their normals
     take the ziggurat's fast path, and then an accepted wedge, a rejected
-    wedge and a tail draw; their uniforms follow.  Padded to more rows than
-    the counts' cap, the rows are drawn by the walks and by generators.
-    Seeding is not probed: numpy keeps the streams of its bit generators and
-    their seeding stable; only ``Generator``'s methods may draw differently.
+    wedge and a tail draw; their uniforms follow.  The rows are drawn by the
+    walks and by generators.  Seeding is not probed: numpy keeps the streams
+    of its bit generators and their seeding stable; only ``Generator``'s
+    methods may draw differently.
     """
     inv = pow(_M_HI << 64 | _M_LO, -1, 1 << 128)
     states = [divmod(((1 << 51) + (j << 20) - 1) * inv % (1 << 128), 1 << 64)
-              for j in [2, 452, 500, 15471] + [2] * 35]
+              for j in (2, 452, 500, 15471)]
     words = _Words(*(np.array(w, dtype=np.uint64)
-                     for w in (*zip(*states), [0] * 39, [1] * 39)))
+                     for w in (*zip(*states), [0] * 4, [1] * 4)))
     lam = np.array([9.5, 0.5])
-    walked = _draw(lam, 39, None, words, ())
-    called = _draw(lam, 4, None, None, _generators(_Words(*(w[:4] for w in words))))
-    return all(a[:len(b)].tobytes() == b.tobytes()
-               for a, b in zip(walked[:3], called[:3]))
+    walked = _draw(lam, 4, None, words, ())
+    called = _draw(lam, 4, None, None, _generators(words))
+    return all(a.tobytes() == b.tobytes() for a, b in zip(walked[:3], called[:3]))

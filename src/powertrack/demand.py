@@ -16,10 +16,10 @@ share one realisation of the noise across different initial values.
 Monte-Carlo ensembles are a :class:`PathEnsemble`: values and gaussians as
 (paths, steps) arrays and the jump events of all paths in one compressed-row
 record.  Row ``i`` is exactly the stream of ``substream(seed, i)``; the draw
-order of one path, and how the draws of all rows are walked at once, are in
-:mod:`powertrack._streams`.  The exact recursion runs step by step over all
-paths at once, in Python floats for a single path.  Indexing an ensemble
-gives :class:`DemandPath` views.
+order of one path, and how the draws of every seeded row are walked at once
+while each step's mean is below 10, are in :mod:`powertrack._streams`.  The
+exact recursion runs step by step over all paths at once, in Python floats
+for a single path.  Indexing an ensemble gives :class:`DemandPath` views.
 """
 
 from __future__ import annotations
@@ -393,8 +393,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
     Derived from the pair ``(seed, index)`` so ensemble members do not depend
     on generation order or parallel scheduling.  :func:`sample_paths` draws
-    row ``i`` from exactly this stream, mostly without building it (see
-    :mod:`powertrack._streams`).
+    row ``i`` from exactly this stream, walked without building it while each
+    step's mean is below 10 (see :mod:`powertrack._streams`).
     """
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
@@ -438,13 +438,11 @@ def _draw_noise(params: DemandParams, times: np.ndarray, n: int, seed: Optional[
 
     law = params.jump.height_law
     constant = isinstance(law, ConstantHeight)
-    counts, gaussians, uniforms, jump_heights = draw(
+    counts, gaussians, uniforms, jump_heights, offsets = draw(
         params.jump.intensity * np.diff(times), n,
         None if constant else law.sample, seed, streams)
     if constant:
         jump_heights = np.full(uniforms.size, float(law.value))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts.sum(axis=1), out=offsets[1:])
     cells = counts.ravel()
     steps = np.repeat(np.tile(np.arange(times.size - 1), n), cells)
     t0 = times[steps]
@@ -566,9 +564,9 @@ def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEn
     recursion then runs once over all paths, step by step.  Row ``i`` is
     bit-identical to ``sample_path(params, times, substream(seed, i))``, so
     the ensemble does not depend on generation order, and its first ``m``
-    rows are the ensemble of ``m`` paths, most of them drawn without building
-    their streams (:mod:`powertrack._streams`).  A negative seed raises
-    :func:`substream`'s ``ValueError``.
+    rows are the ensemble of ``m`` paths, every seeded row walked while each
+    step's mean is below 10 (:mod:`powertrack._streams`).  A negative seed
+    raises :func:`substream`'s ``ValueError``.
     """
     times = _validate_grid(times)
     if n_paths < 1:

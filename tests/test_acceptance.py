@@ -10,7 +10,6 @@ as a human-readable checklist.  Run with:
 import time
 
 import numpy as np
-import pytest
 from scipy.stats import norm
 
 import oracles
@@ -23,7 +22,6 @@ from powertrack import (
     JumpSpec,
     Scenario,
     SinusoidMean,
-    UpdateSchedule,
     cumrmse_analytic,
     deterministic_cost,
     first_moment,

@@ -6,7 +6,6 @@ from powertrack import (
     ConstantHeight,
     ConstantMean,
     DemandParams,
-    Grid,
     JumpSpec,
     SinusoidMean,
     UpdateSchedule,

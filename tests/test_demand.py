@@ -235,15 +235,13 @@ class TestPathEnsemble:
                 assert getattr(row, name).tobytes() == ref.tobytes(), name
             assert np.array_equal(row.jump_steps, solo.jump_steps)
 
-    # n is above the block width of any grid drawn here with every lam < 10,
-    # so the counts come from the block, not from rng.poisson
     @settings(max_examples=25)
     @given(kappa=st.floats(0.05, 20.0), sigma=st.floats(0.0, 3.0),
            y0=st.floats(-10.0, 10.0), mean=strategies.MEANS,
            law=strategies.HEIGHT_LAWS,
            events_per_step=st.floats(0.0, 12.0, exclude_max=True),
            steps=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=6),
-           n=st.integers(150, 300), seed=st.integers(0, 2 ** 32 - 1))
+           n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
     # lam 2.2 and 11: a step of numpy's PTRS branch sends every row to rng.poisson
     @example(kappa=1.0, sigma=1.0, y0=0.0, mean=ConstantMean(1.0),
              law=NormalHeight(1.0, 0.5), events_per_step=11.0,
@@ -251,35 +249,31 @@ class TestPathEnsemble:
     @example(kappa=1.0, sigma=1.0, y0=0.0, mean=ConstantMean(1.0),
              law=ConstantHeight(1.0), events_per_step=0.0,
              steps=[0.1, 0.5], n=150, seed=3)
+    # one walked row, and the two rows of the CLI's ``paths: 1``
+    @example(kappa=1.0, sigma=1.0, y0=0.0, mean=ConstantMean(1.0),
+             law=ConstantHeight(1.0), events_per_step=2.0,
+             steps=[0.1, 0.5], n=1, seed=3)
+    @example(kappa=1.0, sigma=1.0, y0=0.0, mean=ConstantMean(1.0),
+             law=NormalHeight(1.0, 0.5), events_per_step=2.0,
+             steps=[0.1, 0.5], n=2, seed=3)
     def test_block_rows_equal_stepwise_paths(self, kappa, sigma, y0, mean, law,
                                              events_per_step, steps, n, seed):
         times = np.concatenate(([0.0], np.cumsum(steps)))
         params = DemandParams(kappa=kappa, sigma=sigma, mean=mean, y0=y0,
                               jump=JumpSpec(events_per_step / max(steps), law))
         lam = params.jump.intensity * np.diff(times)
-        assert lam.max() >= 10.0 or n > _streams._block_width(lam)
         ensemble = sample_paths(params, times, n, seed)
+        walked = _walked_normals(lam, seed, n)
         for i, row in enumerate(ensemble):
             stepwise = oracles.stepwise_path(params, times, substream(seed, i))
             for name, ref in zip(_NOISE_FIELDS, stepwise):
                 assert getattr(row, name).tobytes() == ref.tobytes(), (i, name)
-        # below a step mean of 10 the gaussians come from the walked words
-        assert _walked_normals(lam, seed, n).any() == (lam.max() < 10.0)
-
-    def test_rows_that_outrun_the_block_draw_their_own_counts(self, ps3,
-                                                              monkeypatch):
-        times = np.linspace(0.0, 1.0, 21)
-        want = sample_paths(ps3, times, 200, seed=21)
-        # room for one event per path: a path with more runs out
-        monkeypatch.setattr(_streams, "_block_width", lambda lam: lam.size + 1)
-        lam = ps3.jump.intensity * np.diff(times)
-        _, used, _ = _streams._walk_counts(
-            lam, _pcg64_states(21, np.arange(200, dtype=np.uint32)))
-        assert 0 < np.count_nonzero(used == -1) < 200
-        got = sample_paths(ps3, times, 200, seed=21)
-        for name in ("values", "gaussians", "offsets", "jump_times",
-                     "jump_heights", "jump_steps"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            # below a step mean of 10 the gaussians come from the walked
+            # words, up to a ziggurat tail draw
+            rng = substream(seed, i)
+            rng.poisson(lam)
+            tail = "tail" in oracles.ziggurat_branches(rng, lam.size)
+            assert walked[i] == (lam.max() < 10.0 and not tail), i
 
     def test_tail_rows_draw_their_own_normals(self, ps3, monkeypatch):
         times = np.linspace(0.0, 1.0, 21)
@@ -299,7 +293,6 @@ class TestPathEnsemble:
         params = replace(ps3, jump=JumpSpec(1.5, NormalHeight(1.0, 0.5)))
         times = np.linspace(0.0, 1.0, 21)
         lam = params.jump.intensity * np.diff(times)
-        assert 200 > _streams._block_width(lam)
         ensemble = sample_paths(params, times, 200, seed=5)
         walked = _walked_normals(lam, 5, 200)
         events = np.diff(ensemble.offsets) > 0
@@ -341,7 +334,7 @@ class TestPathEnsemble:
             assert getattr(walked, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_infinite_step_mean_is_left_to_rng_poisson(self):
-        # intensity * step overflows to inf, above any walk's cap
+        # intensity * step overflows to inf: draw sends every row to rng.poisson
         params = _flat(jump=JumpSpec(1e300, ConstantHeight(1.0)))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="lam"):
             sample_paths(params, [0.0, 1e10], 20, seed=0)
@@ -360,10 +353,13 @@ class TestPathEnsemble:
 
 def _walked_normals(lam, seed, n):
     """Mask of the rows of ``sample_paths(..., n, seed)`` whose gaussians
-    come from the walked words, not from a generator."""
-    _, used, words = _streams._walk_counts(
+    come from the walked words, not from a generator: none when a step's
+    mean is 10 or more, as ``_streams.draw`` decides."""
+    if not np.all(lam < 10.0):
+        return np.zeros(n, dtype=bool)
+    _, words = _streams._walk_counts(
         lam, _pcg64_states(seed, np.arange(n, dtype=np.uint32)))
-    return _streams._walk_normals(lam.size, used, words)[1]
+    return _streams._walk_normals(lam.size, words)[1]
 
 
 _MAX_WORD = 2 ** 32 - 1
@@ -414,10 +410,9 @@ class TestVectorisedSeeding:
             assert row.tobytes() == ref.random(k).tobytes()
             assert state == ref.bit_generator.state["state"]["state"]
 
-    # 40 or more streams: above the walk's cap, at most 36 doubles here
     @settings(max_examples=25)
     @given(seed=st.integers(0, _MAX_WORD),
-           indices=st.lists(st.integers(0, _MAX_WORD), min_size=40, max_size=48),
+           indices=st.lists(st.integers(0, _MAX_WORD), min_size=1, max_size=48),
            lam=st.lists(st.sampled_from([0.0, 0.05, 0.7, 2.0]),
                         min_size=1, max_size=4))
     @example(seed=0, indices=[0] * 20 + [_MAX_WORD] * 20, lam=[0.7, 0.0, 2.0])
@@ -426,20 +421,12 @@ class TestVectorisedSeeding:
     def test_walk_ends_where_rng_poisson_leaves_the_stream(self, seed, indices,
                                                           lam):
         lam = np.array(lam)
-        assert len(indices) > _streams._block_width(lam)
-        counts, used, words = _streams._walk_counts(
+        counts, words = _streams._walk_counts(
             lam, _pcg64_states(seed, np.array(indices, dtype=np.uint32)))
         states = _joined(words.state_hi, words.state_lo)
-        assert lam.any() or not used.any()
-        for index, row, n_used, state in zip(indices, counts, used.tolist(),
-                                              states):
+        for index, row, state in zip(indices, counts, states):
             ref = substream(seed, index)
-            start = ref.bit_generator.state["state"]["state"]
-            if n_used < 0:  # still counting at the cap: the stream start
-                assert state == start
-                continue
-            assert row.tolist() == substream(seed, index).poisson(lam).tolist()
-            ref.random(n_used)
+            assert row.tolist() == ref.poisson(lam).tolist()
             assert state == ref.bit_generator.state["state"]["state"]
 
     @pytest.mark.parametrize("seed", [2 ** 32, 2 ** 40])
@@ -493,8 +480,7 @@ class TestZigguratTables:
         words = _streams._Words(*(np.array(w, dtype=np.uint64) for w in (
             [s >> 64 for s in states], [s & (1 << 64) - 1 for s in states],
             [0] * len(states), [1] * len(states))))
-        gaussians, walked, after = _streams._walk_normals(
-            2, np.zeros(len(probes), dtype=np.int64), words)
+        gaussians, walked, after = _streams._walk_normals(2, words)
         seen = set()
         for i, (r, start, end) in enumerate(zip(
                 probes, states, _joined(after.state_hi, after.state_lo))):
