@@ -262,18 +262,18 @@ def _descend(targets: np.ndarray, weights: np.ndarray,
     u = np.zeros(targets.size)
 
     def value(v: np.ndarray) -> float:
-        return float(np.sum(weights * (v - targets) ** 2))
+        return float((weights * (v - targets) ** 2).sum())
 
     def gradient(v: np.ndarray) -> np.ndarray:
         return 2.0 * weights * (v - targets)
 
-    step = 1.0 / (2.0 * float(np.max(weights)))
+    step = 1.0 / (2.0 * float(weights.max()))
     g = gradient(u)
     prev_u = prev_g = None
     reason = (f"did not reach tolerance {_GRAD_TOL} "
               f"within {_MAX_ITERS} iterations")
     for _ in range(_MAX_ITERS):
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(np.abs(g).max())
         if gnorm < _GRAD_TOL:
             return u
         j0 = value(u)
@@ -301,7 +301,7 @@ def _descend(targets: np.ndarray, weights: np.ndarray,
     raise ConvergenceError(
         f"gradient descent {reason}",
         control=ControlSignal(times, u),
-        grad_norm=float(np.max(np.abs(g))),
+        grad_norm=float(np.abs(g).max()),
     )
 
 

@@ -402,8 +402,8 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     approaches one lattice step.  The CM3 reference is one :func:`upwind_solve`,
     which ``bench/tracer.py`` times as transport; the interval controls fill
     one :func:`upwind_outflows` block, built one at a time.  At Courant 1
-    both return the shifted controls after a check that no update rounds,
-    and march only when that check fails.
+    both return the shifted controls after a check that no update rounds;
+    where updates round, they re-run only those updates.
     """
     if scenario.demand_mode != "stochastic":
         raise ConfigError("demand_mode", "convergence study needs a stochastic demand")

@@ -10,11 +10,13 @@ x - (x - y), which is y in exact arithmetic but not always in doubles
 Courant numbers are supported for convergence experiments only.
 
 The scheme marches one contiguous state vector over the spatial lattice and
-keeps only the outflow.  At Courant 1, when one vector pass finds that no
-update pair rounds, the outflow is returned as the shifted inputs without a
-march, bit for bit what the march would give.  The space-time field is built
-on its first read, by the march, so callers that need only the outflow never
-hold a field; several such solves go as the columns of one block
+keeps only the outflow.  At Courant 1 the outflow is the shifted inputs, bit
+for bit what the march would give, once one vector pass finds that no update
+pair rounds.  Where pairs do round, only those are re-run, at the levels
+where they sit inside the line, and the march takes over only from a level
+where most levels need a re-run.  The space-time field is built on its first
+read, by the march, so callers that need only the outflow never hold a
+field; several such solves go as the columns of one block
 (:func:`upwind_outflows`).
 """
 
@@ -160,6 +162,55 @@ class ControlSignal:
         return float(out) if out.ndim == 0 else out
 
 
+def _repair(w: np.ndarray, nx: int, n: int) -> int | None:
+    """Make ``w[:n]`` the Courant-1 outflow in place by re-running only the
+    update pairs that round; return None when done, or the level i from
+    whose state ``w[i:nx+i+1]`` (outflow end first) the march should go on.
+
+    ``w`` is C-contiguous, so its batch columns flatten to one array with
+    index m * columns + column.  At level i the march sets w[m] = w[m-1] -
+    (w[m-1] - w[m]) for every m in [i, nx+i-1] at once; call that update
+    pair m.  Characteristic m leaves as outflow m, so pairs m >= n never
+    reach the outflow.  A value moves only where its update rounds, and a
+    pair that does not round stays so until one of its two values moves.
+    The pairs that one vector check of pairs 1 to n-1 finds rounding wait,
+    sorted, until they are inside the line.  The repair jumps to the first
+    level at which a waiting or marked pair is inside the line, re-runs
+    those pairs there with the march's two subtractions and a bit compare,
+    and marks the two pairs of each value that moved for the next level.
+    Once 32 of the last 64 levels needed a re-run, the march's whole-vector
+    steps are the cheaper way on."""
+    cols = w[0].size
+    flat = w.reshape(-1)
+    a, b = w[:n - 1], w[1:n]
+    step = np.subtract(a, b)
+    np.subtract(a, step, out=step)
+    waiting = np.flatnonzero(step.view(np.uint64) != b.view(np.uint64)) + cols
+    marked = waiting[:0]
+    level, rerun = 0, []
+    while marked.size or waiting.size:
+        level += 1
+        if not marked.size:
+            # pair m is inside the line at levels max(1, m - nx + 1) to m
+            level = max(level, int(waiting[0]) // cols - nx + 1)
+        enter = np.searchsorted(waiting, (level + nx) * cols)
+        pairs = np.concatenate((marked, waiting[:enter]))
+        waiting = waiting[enter:]
+        pairs.sort()
+        pairs = pairs[np.diff(pairs, prepend=-1) > 0]
+        a, b = flat[pairs - cols], flat[pairs]
+        step = a - (a - b)
+        moved = step.view(np.uint64) != b.view(np.uint64)
+        pairs = pairs[moved]
+        flat[pairs] = step[moved]  # read before written: all pairs at once
+        rerun.append(level)
+        if len(rerun) >= 32 and level - rerun[-32] < 64:
+            return level
+        marked = np.concatenate((pairs, pairs + cols))
+        marked = marked[(marked >= (level + 1) * cols) & (marked < n * cols)]
+    return None
+
+
 def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
            rows: np.ndarray | None = None) -> np.ndarray:
     """March the upwind scheme from ``z0`` with inflow ``boundary`` and
@@ -172,28 +223,37 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
     shift.  ``w`` lists what each characteristic carries, outflow end first:
     z0[nx], ..., z0[1], then the inflow (the corner takes boundary[0], so
     z0[0] never leaves).  If a - (a - b) is bitwise b for every adjacent
-    pair of ``w``, then by induction over the time levels every update of
-    the march moves one value of ``w`` on unchanged, and the outflow is
-    ``w[:nt+1]``.  The check runs the same two subtractions as one march
-    step and compares bits, so a 0.0 never passes for a -0.0; if any pair
-    of any batch column fails, the whole block marches."""
+    pair of ``w[:nt+1]``, then by induction over the time levels every
+    update of the march moves one of these values on unchanged, and the
+    outflow is ``w[:nt+1]``.  The check runs the same two subtractions as
+    one march step and compares bits, so a 0.0 never passes for a -0.0.
+    Where pairs round, :func:`_repair` re-runs only those, and the march
+    runs only from a level where most levels need a re-run."""
     n = boundary.shape[0]
+    nx = z0.shape[0] - 1
     if rows is None and c == 1.0:
-        w = np.concatenate((z0[:0:-1], boundary))
-        a, b = w[:-1], w[1:]
-        step = np.subtract(a, b)
-        np.subtract(a, step, out=step)
-        if np.array_equal(step.view(np.uint64), b.view(np.uint64)):
+        # built C-contiguous, so that _repair's flat view is a view; with
+        # nx == 1, concatenating onto the F-ordered boundary.T of
+        # upwind_outflows would give an F-ordered w
+        w = np.empty((nx + n,) + z0.shape[1:])
+        w[:nx] = z0[:0:-1]
+        w[nx:] = boundary
+        level = _repair(w, nx, n)
+        if level is None:
             return w[:n]
-    x = z0.copy()
-    x[0] = boundary[0]  # inflow boundary wins at the (0, 0) corner
+        x = w[level:level + nx + 1][::-1].copy()
+        outflow = w[:n]  # the march reads x and boundary from here on, never w
+    else:
+        level = 0
+        x = z0.copy()
+        x[0] = boundary[0]  # inflow boundary wins at the (0, 0) corner
+        outflow = np.empty(boundary.shape)
+        outflow[0] = x[-1]
+        if rows is not None:
+            rows[0] = x
     inner, left = x[1:], x[:-1]  # views made once, not per step
     tmp = np.empty(inner.shape)
-    outflow = np.empty(boundary.shape)
-    outflow[0] = x[-1]
-    if rows is not None:
-        rows[0] = x
-    for i in range(1, n):
+    for i in range(level + 1, n):
         np.subtract(inner, left, out=tmp)
         if c != 1.0:
             tmp *= c

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import strategies
 from powertrack import (
     ConfigError,
@@ -35,9 +37,11 @@ from powertrack import (
     run_scenario,
     scenario_grid,
     sample_paths,
+    upwind_outflows,
+    upwind_solve,
 )
 import powertrack
-from powertrack import cli, costopt
+from powertrack import cli, costopt, experiments
 from powertrack.cli import main
 from powertrack.experiments import (
     _KNOWN_KEYS,
@@ -219,6 +223,39 @@ class TestConvergenceStudy:
         assert steps == [5, 3, 2, 1]
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-5
+
+    def test_outflows_and_rows_equal_oracle_marches_where_updates_round(self, monkeypatch):
+        # at seed 8 on this grid, updates round in the CM3 reference and in
+        # the interval block, so both outflows come from the repaired shift
+        sc = replace(_PS1, dx=0.005, seed=8)
+        intervals = [0.125, 0.05, 0.025, 0.01, 0.005]
+        rows = convergence_study(sc, intervals)
+        solves = []  # (control, outflow) of each solve the study asks for
+
+        def oracle(grid, u):
+            return oracles.strided_upwind(grid, None, u)[1]
+
+        def solve(grid, z0, u):
+            solves.append((u, upwind_solve(grid, z0, u).outflow))
+            return SimpleNamespace(outflow=oracle(grid, u))
+
+        def outflows(grid, controls):
+            controls = list(controls)
+            solves.extend(zip(controls, upwind_outflows(grid, controls)))
+            return np.array([oracle(grid, u) for u in controls])
+
+        monkeypatch.setattr(experiments, "upwind_solve", solve)
+        monkeypatch.setattr(experiments, "upwind_outflows", outflows)
+        assert convergence_study(sc, intervals) == rows
+        grid = scenario_grid(sc)
+        rounds = []
+        for u, outflow in solves:
+            expected = oracle(grid, u)
+            assert outflow.tobytes() == expected.tobytes()
+            shift = np.concatenate((np.zeros(grid.nx), u.at(grid.times())))[:grid.nt + 1]
+            rounds.append(expected.tobytes() != shift.tobytes())
+        assert len(rounds) == 1 + len(intervals)
+        assert rounds[0] and any(rounds[1:])
 
     def test_misaligned_interval_rejected(self):
         with pytest.raises(ConfigError) as err:

@@ -10,6 +10,7 @@ from powertrack import (
     CFLError,
     ControlSignal,
     Grid,
+    transport,
     upwind_outflows,
     upwind_solve,
     validate_cfl,
@@ -255,7 +256,8 @@ class TestUpwindOutflows:
 
 class TestCheckedShift:
     """At Courant 1 the outflow is the shifted inputs when no update pair
-    rounds, and the march otherwise; both routes against the oracle march."""
+    rounds, and the shift repaired where pairs round; both routes against the
+    oracle march."""
 
     @pytest.mark.parametrize("unit_courant", [True, False])
     @settings(max_examples=60)
@@ -293,7 +295,8 @@ class TestCheckedShift:
 
     def test_a_rounding_pair_marches_the_whole_block(self):
         # 1.0 - (1.0 - 1e-17) is 0.0: the march loses the 1e-17 that a
-        # plain shift would carry to the outflow
+        # plain shift would carry to the outflow; the repair re-runs that
+        # pair, and the block's smooth column keeps its shift
         g = Grid.make(4.0, 0.1, 1.0)
         values = np.ones(g.control_steps + 1)
         values[1] = 1e-17
@@ -307,6 +310,70 @@ class TestCheckedShift:
         block = upwind_outflows(g, [smooth, u])
         assert block[0].tobytes() == oracles.strided_upwind(g, None, smooth)[1].tobytes()
         assert block[1].tobytes() == expected.tobytes()
+
+
+class TestRepair:
+    """Where update pairs round at Courant 1, only those pairs are re-run,
+    and the march takes over once most levels need a re-run; bitwise
+    against the oracle march."""
+
+    @staticmethod
+    def _block(monkeypatch, g, controls):
+        """The block's outflows, each checked against the oracle march and a
+        single solve, and what ``_repair`` returned for the block."""
+        returned = []
+        repair = transport._repair
+
+        def spy(*args):
+            returned.append(repair(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(transport, "_repair", spy)
+        outflows = upwind_outflows(g, controls)
+        for row, u in zip(outflows, controls):
+            assert row.tobytes() == oracles.strided_upwind(g, None, u)[1].tobytes()
+            assert upwind_solve(g, None, u).outflow.tobytes() == row.tobytes()
+        return outflows, returned[0]
+
+    @staticmethod
+    def _shift(g, u):
+        return np.concatenate((np.zeros(g.nx), u.at(g.times())))[:g.nt + 1]
+
+    def test_white_noise_hands_off_to_the_march(self, monkeypatch):
+        # about a quarter of the pairs of normal draws round, so nearly every
+        # level needs a re-run and the march takes over after 32 of them
+        g = _pow2_grid(True, 1.0, 5, 0, 200)
+        rng = np.random.default_rng(3)
+        controls = [ControlSignal(g.control_times(), rng.normal(size=g.control_steps + 1))
+                    for _ in range(3)]
+        _, level = self._block(monkeypatch, g, controls)
+        assert level is not None and 32 <= level < g.nt
+
+    def test_only_some_columns_round(self, monkeypatch):
+        g = _pow2_grid(True, 2.0, 3, 0, 60)
+        t = g.control_times()
+        smooth = ControlSignal(t, np.linspace(1.0, 1.5, t.size))
+        values = np.ones(t.size)
+        values[[2, 9, 10, 30]] = [1e-17, -0.0, 1e-300, 5e-324]
+        rough = ControlSignal(t, values)
+        outflows, level = self._block(monkeypatch, g, [smooth, rough, smooth])
+        assert level is None
+        assert outflows[1].tobytes() != self._shift(g, rough).tobytes()
+        assert outflows[0].tobytes() == self._shift(g, smooth).tobytes()
+
+    def test_one_cell_line_block_is_repaired(self, monkeypatch):
+        # with nx == 1, concatenating z0[:0:-1] (both C- and F-contiguous)
+        # onto the F-ordered boundary of a block gives an F-ordered array,
+        # whose flat view would be a copy that the repair edits in vain
+        g = _pow2_grid(True, 1.0, 0, 0, 23)
+        t = g.control_times()
+        pattern = [1.0, 1e-17, 3.0, -0.0, 2.0, 1e-300, 1.0, 0.0]
+        controls = [ControlSignal(t, np.resize(np.roll(pattern, k), t.size))
+                    for k in range(3)]
+        outflows, level = self._block(monkeypatch, g, controls)
+        assert level is None
+        for row, u in zip(outflows, controls):
+            assert row.tobytes() != self._shift(g, u).tobytes()
 
 
 class TestExactShiftOutput:
