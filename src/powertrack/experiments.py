@@ -403,7 +403,8 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     which ``bench/tracer.py`` times as transport; the interval controls fill
     one :func:`upwind_outflows` block, built one at a time.  At Courant 1
     both return the shifted controls after a check that no update rounds;
-    where updates round, they re-run only those updates.
+    where updates round, they re-run only those updates, and march only where
+    that takes more than 64 levels.
     """
     if scenario.demand_mode != "stochastic":
         raise ConfigError("demand_mode", "convergence study needs a stochastic demand")

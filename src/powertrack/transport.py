@@ -13,8 +13,8 @@ The scheme marches one contiguous state vector over the spatial lattice and
 keeps only the outflow.  At Courant 1 the outflow is the shifted inputs, bit
 for bit what the march would give, once one vector pass finds that no update
 pair rounds.  Where pairs do round, only those are re-run, at the levels
-where they sit inside the line, and the march takes over only from a level
-where most levels need a re-run.  The space-time field is built on its first
+where they sit inside the line, and the whole block marches only where that
+takes more than 64 levels.  The space-time field is built on its first
 read, by the march, so callers that need only the outflow never hold a
 field; several such solves go as the columns of one block
 (:func:`upwind_outflows`).
@@ -162,24 +162,25 @@ class ControlSignal:
         return float(out) if out.ndim == 0 else out
 
 
-def _repair(w: np.ndarray, nx: int, n: int) -> int | None:
+def _repair(w: np.ndarray, nx: int, n: int) -> bool:
     """Make ``w[:n]`` the Courant-1 outflow in place by re-running only the
-    update pairs that round; return None when done, or the level i from
-    whose state ``w[i:nx+i+1]`` (outflow end first) the march should go on.
+    update pairs that round; return False, with ``w`` part-way, once that
+    takes more than 64 levels, where the march is the cheaper way.
 
     ``w`` is C-contiguous, so its batch columns flatten to one array with
     index m * columns + column.  At level i the march sets w[m] = w[m-1] -
     (w[m-1] - w[m]) for every m in [i, nx+i-1] at once; call that update
-    pair m.  Characteristic m leaves as outflow m, so pairs m >= n never
-    reach the outflow.  A value moves only where its update rounds, and a
-    pair that does not round stays so until one of its two values moves.
-    The pairs that one vector check of pairs 1 to n-1 finds rounding wait,
-    sorted, until they are inside the line.  The repair jumps to the first
-    level at which a waiting or marked pair is inside the line, re-runs
-    those pairs there with the march's two subtractions and a bit compare,
-    and marks the two pairs of each value that moved for the next level.
-    Once 32 of the last 64 levels needed a re-run, the march's whole-vector
-    steps are the cheaper way on."""
+    pair m.  A line of no cells has none, and its outflow is the inflow.
+    Characteristic m leaves as outflow m, so pairs m >= n never reach the
+    outflow.  A value moves only where its update rounds, and a pair that
+    does not round stays so until one of its two values moves.  The pairs
+    that one vector check of pairs 1 to n-1 finds rounding wait, sorted,
+    until they are inside the line.  The repair jumps to the first level at
+    which a waiting or marked pair is inside the line, re-runs those pairs
+    there with the march's two subtractions and a bit compare, and marks
+    the two pairs of each value that moved for the next level."""
+    if nx == 0:
+        return True
     cols = w[0].size
     flat = w.reshape(-1)
     a, b = w[:n - 1], w[1:n]
@@ -187,8 +188,10 @@ def _repair(w: np.ndarray, nx: int, n: int) -> int | None:
     np.subtract(a, step, out=step)
     waiting = np.flatnonzero(step.view(np.uint64) != b.view(np.uint64)) + cols
     marked = waiting[:0]
-    level, rerun = 0, []
-    while marked.size or waiting.size:
+    level = 0
+    for _ in range(64):
+        if not (marked.size or waiting.size):
+            return True
         level += 1
         if not marked.size:
             # pair m is inside the line at levels max(1, m - nx + 1) to m
@@ -203,12 +206,9 @@ def _repair(w: np.ndarray, nx: int, n: int) -> int | None:
         moved = step.view(np.uint64) != b.view(np.uint64)
         pairs = pairs[moved]
         flat[pairs] = step[moved]  # read before written: all pairs at once
-        rerun.append(level)
-        if len(rerun) >= 32 and level - rerun[-32] < 64:
-            return level
         marked = np.concatenate((pairs, pairs + cols))
         marked = marked[(marked >= (level + 1) * cols) & (marked < n * cols)]
-    return None
+    return not (marked.size or waiting.size)
 
 
 def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
@@ -227,33 +227,28 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
     update of the march moves one of these values on unchanged, and the
     outflow is ``w[:nt+1]``.  The check runs the same two subtractions as
     one march step and compares bits, so a 0.0 never passes for a -0.0.
-    Where pairs round, :func:`_repair` re-runs only those, and the march
-    runs only from a level where most levels need a re-run."""
+    Where pairs round, :func:`_repair` re-runs only those; if that takes
+    too many levels, the whole block marches from ``z0``."""
     n = boundary.shape[0]
-    nx = z0.shape[0] - 1
     if rows is None and c == 1.0:
         # built C-contiguous, so that _repair's flat view is a view; with
         # nx == 1, concatenating onto the F-ordered boundary.T of
         # upwind_outflows would give an F-ordered w
+        nx = z0.shape[0] - 1
         w = np.empty((nx + n,) + z0.shape[1:])
         w[:nx] = z0[:0:-1]
         w[nx:] = boundary
-        level = _repair(w, nx, n)
-        if level is None:
+        if _repair(w, nx, n):
             return w[:n]
-        x = w[level:level + nx + 1][::-1].copy()
-        outflow = w[:n]  # the march reads x and boundary from here on, never w
-    else:
-        level = 0
-        x = z0.copy()
-        x[0] = boundary[0]  # inflow boundary wins at the (0, 0) corner
-        outflow = np.empty(boundary.shape)
-        outflow[0] = x[-1]
-        if rows is not None:
-            rows[0] = x
+    x = z0.copy()
+    x[0] = boundary[0]  # inflow boundary wins at the (0, 0) corner
     inner, left = x[1:], x[:-1]  # views made once, not per step
     tmp = np.empty(inner.shape)
-    for i in range(level + 1, n):
+    outflow = np.empty(boundary.shape)
+    outflow[0] = x[-1]
+    if rows is not None:
+        rows[0] = x
+    for i in range(1, n):
         np.subtract(inner, left, out=tmp)
         if c != 1.0:
             tmp *= c

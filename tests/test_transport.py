@@ -314,13 +314,13 @@ class TestCheckedShift:
 
 class TestRepair:
     """Where update pairs round at Courant 1, only those pairs are re-run,
-    and the march takes over once most levels need a re-run; bitwise
-    against the oracle march."""
+    and the whole block marches where that takes more than 64 levels;
+    bitwise against the oracle march."""
 
     @staticmethod
     def _block(monkeypatch, g, controls):
         """The block's outflows, each checked against the oracle march and a
-        single solve, and what ``_repair`` returned for the block."""
+        single solve, and whether ``_repair`` finished the block."""
         returned = []
         repair = transport._repair
 
@@ -339,15 +339,15 @@ class TestRepair:
     def _shift(g, u):
         return np.concatenate((np.zeros(g.nx), u.at(g.times())))[:g.nt + 1]
 
-    def test_white_noise_hands_off_to_the_march(self, monkeypatch):
+    def test_white_noise_gives_up_to_the_march(self, monkeypatch):
         # about a quarter of the pairs of normal draws round, so nearly every
-        # level needs a re-run and the march takes over after 32 of them
+        # level needs a re-run and the repair gives up after 64 of them
         g = _pow2_grid(True, 1.0, 5, 0, 200)
         rng = np.random.default_rng(3)
         controls = [ControlSignal(g.control_times(), rng.normal(size=g.control_steps + 1))
                     for _ in range(3)]
-        _, level = self._block(monkeypatch, g, controls)
-        assert level is not None and 32 <= level < g.nt
+        _, done = self._block(monkeypatch, g, controls)
+        assert not done
 
     def test_only_some_columns_round(self, monkeypatch):
         g = _pow2_grid(True, 2.0, 3, 0, 60)
@@ -356,8 +356,8 @@ class TestRepair:
         values = np.ones(t.size)
         values[[2, 9, 10, 30]] = [1e-17, -0.0, 1e-300, 5e-324]
         rough = ControlSignal(t, values)
-        outflows, level = self._block(monkeypatch, g, [smooth, rough, smooth])
-        assert level is None
+        outflows, done = self._block(monkeypatch, g, [smooth, rough, smooth])
+        assert done
         assert outflows[1].tobytes() != self._shift(g, rough).tobytes()
         assert outflows[0].tobytes() == self._shift(g, smooth).tobytes()
 
@@ -370,10 +370,24 @@ class TestRepair:
         pattern = [1.0, 1e-17, 3.0, -0.0, 2.0, 1e-300, 1.0, 0.0]
         controls = [ControlSignal(t, np.resize(np.roll(pattern, k), t.size))
                     for k in range(3)]
-        outflows, level = self._block(monkeypatch, g, controls)
-        assert level is None
+        outflows, done = self._block(monkeypatch, g, controls)
+        assert done
         for row, u in zip(outflows, controls):
             assert row.tobytes() != self._shift(g, u).tobytes()
+
+    def test_line_of_no_cells_passes_the_inflow_through(self, monkeypatch):
+        # dx = 2e9 gives nx == 0: the march has no update pairs, so even a
+        # pair that would round (1.0 then 1e-17) leaves as it came in
+        g = Grid.make(1.0, 2e9, 2.4e10)
+        assert g.nx == 0 and g.nt == 12
+        t = g.control_times()
+        pattern = [1.0, 1e-17, 3.0, -0.0, 2.0, 1e-300]
+        controls = [ControlSignal(t, np.resize(np.roll(pattern, k), t.size))
+                    for k in range(2)]
+        outflows, done = self._block(monkeypatch, g, controls)
+        assert done
+        for row, u in zip(outflows, controls):
+            assert row.tobytes() == self._shift(g, u).tobytes()
 
 
 class TestExactShiftOutput:
