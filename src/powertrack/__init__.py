@@ -67,7 +67,6 @@ from .transport import (
     ControlSignal,
     FieldState,
     Grid,
-    upwind_outflows,
     upwind_solve,
     validate_cfl,
 )

@@ -359,7 +359,7 @@ def sequential_update_control(params: DemandParams, grid: Grid, schedule: Update
 def sequential_update_solve(params: DemandParams, grid: Grid, schedule: UpdateSchedule,
                             path: DemandPath) -> tuple[ControlSignal, FieldState]:
     """:func:`sequential_update_control` and its :func:`upwind_solve` from an
-    empty line; :func:`upwind_outflows` solves many at once."""
+    empty line; a convergence study takes one per update interval."""
     signal = sequential_update_control(params, grid, schedule, path)
     return signal, upwind_solve(grid, None, signal)
 

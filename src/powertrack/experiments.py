@@ -28,7 +28,7 @@ from .costopt import (
     mc_cost_estimate,
     minimize_control,
     minimize_control_direct,
-    sequential_update_control,
+    sequential_update_solve,
 )
 from .demand import (
     ConstantHeight,
@@ -46,7 +46,7 @@ from .demand import (
     substream,
 )
 from .moments import conditional_variance, first_moment
-from .transport import ControlSignal, Grid, upwind_outflows, upwind_solve
+from .transport import ControlSignal, Grid, upwind_solve
 
 __all__ = [
     "ConfigError",
@@ -287,7 +287,7 @@ def _hold_series(u: ControlSignal, grid: Grid) -> list[float | None]:
 
 def _injection(suffix: str, u: ControlSignal, grid: Grid) -> Columns:
     """A control and the outflow it sends down an empty line."""
-    y, = upwind_outflows(grid, [u])
+    y = upwind_solve(grid, None, u).outflow
     return [(f"u{suffix}", _hold_series(u, grid)), (f"y{suffix}", y)]
 
 
@@ -355,7 +355,7 @@ def _deterministic_artifacts(scenario: Scenario, grid: Grid
 
     def cost() -> Columns:
         u = minimize_control(profile, grid)
-        y, = upwind_outflows(grid, [u])
+        y = upwind_solve(grid, None, u).outflow
         sup_err = np.max(np.abs(y[grid.delay_steps:]
                                 - profile.at(grid.output_times())))
         report = deterministic_cost(profile, grid, u)
@@ -399,12 +399,12 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
 
     The gap is the time integral of |y_scheduled - y_continuous| over the
     scored window; it shrinks to the solver tolerance as the interval
-    approaches one lattice step.  The CM3 reference is one :func:`upwind_solve`,
-    which ``bench/tracer.py`` times as transport; the interval controls fill
-    one :func:`upwind_outflows` block, built one at a time.  At Courant 1
-    both return the shifted controls after a check that no update rounds;
-    where updates round, they re-run only those updates, and march only where
-    that takes more than 64 levels.
+    approaches one lattice step.  Every outflow is one :func:`upwind_solve`
+    from an empty line: the CM3 reference's, and each interval control's
+    through :func:`sequential_update_solve`.  At Courant 1 each is the
+    shifted control after a check that no update rounds; where updates
+    round, only those are re-run, and the solve marches only where that
+    takes more than 64 levels.
     """
     if scenario.demand_mode != "stochastic":
         raise ConfigError("demand_mode", "convergence study needs a stochastic demand")
@@ -421,19 +421,16 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     path = sample_path(params, grid.times(), substream(scenario.seed, 0))
     d0 = grid.delay_steps
     y3 = upwind_solve(grid, None, Cm3Policy(params).control_for(path, grid)).outflow[d0:]
-
-    class Controls:  # sized, and each control built only as the march block takes it
-        def __len__(self):
-            return len(schedules)
-
-        def __iter__(self):
-            return (sequential_update_control(params, grid, s, path) for s in schedules)
-
     out_t = grid.output_times()
+
+    def gap(schedule: UpdateSchedule) -> float:
+        y = sequential_update_solve(params, grid, schedule, path)[1].outflow[d0:]
+        return float(np.trapezoid(np.abs(y - y3), out_t))
+
     return [{"update_interval": dtup,
              "lattice_steps": int(round(dtup / grid.dt)),
-             "cumrmse_gap": float(np.trapezoid(np.abs(y - y3), out_t))}
-            for dtup, y in zip(intervals, upwind_outflows(grid, Controls())[:, d0:])]
+             "cumrmse_gap": gap(s)}
+            for dtup, s in zip(intervals, schedules)]
 
 
 def write_convergence(scenario: Scenario, update_intervals,

@@ -77,10 +77,10 @@ def jump_sum_moments(jump: JumpSpec, kappa: float, delta) -> JumpMoments:
     one_minus2 = -np.expm1(-2.0 * kappa * delta)   # 1 - e^{-2 kappa delta}
     mean = gbar * (nu / kappa) * one_minus
     second = nu * one_minus2 / (2.0 * kappa) * g2
-    # skipped, not multiplied by 0: at tiny kappa both squares underflow to
-    # 0/0; kappa * kappa saturates to inf where kappa ** 2 raises
+    # the ratio is squared, not its parts: at tiny kappa one_minus ** 2 and
+    # kappa ** 2 both underflow, to 0/0
     if gbar != 0.0:
-        second = second + (nu ** 2) * (one_minus ** 2) / (kappa * kappa) * gbar ** 2
+        second = second + (nu ** 2) * (one_minus / kappa) ** 2 * gbar ** 2
     if mean.ndim == 0:
         return JumpMoments(float(mean), float(second))
     return JumpMoments(mean, second)

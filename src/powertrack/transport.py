@@ -13,11 +13,9 @@ The scheme marches one contiguous state vector over the spatial lattice and
 keeps only the outflow.  At Courant 1 the outflow is the shifted inputs, bit
 for bit what the march would give, once one vector pass finds that no update
 pair rounds.  Where pairs do round, only those are re-run, at the levels
-where they sit inside the line, and the whole block marches only where that
-takes more than 64 levels.  The space-time field is built on its first
-read, by the march, so callers that need only the outflow never hold a
-field; several such solves go as the columns of one block
-(:func:`upwind_outflows`).
+where they sit inside the line, and the solve marches only where that takes
+more than 64 levels.  The space-time field is built on its first read, by
+the march, so callers that need only the outflow never hold a field.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ __all__ = [
     "FieldState",
     "validate_cfl",
     "upwind_solve",
-    "upwind_outflows",
 ]
 
 
@@ -167,26 +164,23 @@ def _repair(w: np.ndarray, nx: int, n: int) -> bool:
     update pairs that round; return False, with ``w`` part-way, once that
     takes more than 64 levels, where the march is the cheaper way.
 
-    ``w`` is C-contiguous, so its batch columns flatten to one array with
-    index m * columns + column.  At level i the march sets w[m] = w[m-1] -
-    (w[m-1] - w[m]) for every m in [i, nx+i-1] at once; call that update
-    pair m.  A line of no cells has none, and its outflow is the inflow.
-    Characteristic m leaves as outflow m, so pairs m >= n never reach the
-    outflow.  A value moves only where its update rounds, and a pair that
-    does not round stays so until one of its two values moves.  The pairs
-    that one vector check of pairs 1 to n-1 finds rounding wait, sorted,
-    until they are inside the line.  The repair jumps to the first level at
-    which a waiting or marked pair is inside the line, re-runs those pairs
-    there with the march's two subtractions and a bit compare, and marks
-    the two pairs of each value that moved for the next level."""
+    At level i the march sets w[m] = w[m-1] - (w[m-1] - w[m]) for every m
+    in [i, nx+i-1] at once; call that update pair m.  A line of no cells
+    has none, and its outflow is the inflow.  Characteristic m leaves as
+    outflow m, so pairs m >= n never reach the outflow.  A value moves only
+    where its update rounds, and a pair that does not round stays so until
+    one of its two values moves.  The pairs that one vector check of pairs
+    1 to n-1 finds rounding wait, sorted, until they are inside the line.
+    The repair jumps to the first level at which a waiting or marked pair is
+    inside the line, re-runs those pairs there with the march's two
+    subtractions and a bit compare, and marks the two pairs of each value
+    that moved for the next level."""
     if nx == 0:
         return True
-    cols = w[0].size
-    flat = w.reshape(-1)
     a, b = w[:n - 1], w[1:n]
     step = np.subtract(a, b)
     np.subtract(a, step, out=step)
-    waiting = np.flatnonzero(step.view(np.uint64) != b.view(np.uint64)) + cols
+    waiting = np.flatnonzero(step.view(np.uint64) != b.view(np.uint64)) + 1
     marked = waiting[:0]
     level = 0
     for _ in range(64):
@@ -195,19 +189,19 @@ def _repair(w: np.ndarray, nx: int, n: int) -> bool:
         level += 1
         if not marked.size:
             # pair m is inside the line at levels max(1, m - nx + 1) to m
-            level = max(level, int(waiting[0]) // cols - nx + 1)
-        enter = np.searchsorted(waiting, (level + nx) * cols)
+            level = max(level, int(waiting[0]) - nx + 1)
+        enter = np.searchsorted(waiting, level + nx)
         pairs = np.concatenate((marked, waiting[:enter]))
         waiting = waiting[enter:]
         pairs.sort()
         pairs = pairs[np.diff(pairs, prepend=-1) > 0]
-        a, b = flat[pairs - cols], flat[pairs]
+        a, b = w[pairs - 1], w[pairs]
         step = a - (a - b)
         moved = step.view(np.uint64) != b.view(np.uint64)
         pairs = pairs[moved]
-        flat[pairs] = step[moved]  # read before written: all pairs at once
-        marked = np.concatenate((pairs, pairs + cols))
-        marked = marked[(marked >= (level + 1) * cols) & (marked < n * cols)]
+        w[pairs] = step[moved]  # read before written: all pairs at once
+        marked = np.concatenate((pairs, pairs + 1))
+        marked = marked[(marked >= level + 1) & (marked < n)]
     return not (marked.size or waiting.size)
 
 
@@ -215,9 +209,8 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
            rows: np.ndarray | None = None) -> np.ndarray:
     """March the upwind scheme from ``z0`` with inflow ``boundary`` and
     return the outflow; with ``rows``, also store each time level in
-    ``rows[i]``.  A trailing batch axis on ``z0`` and ``boundary`` marches
-    several solves elementwise alike; at ``c == 1.0`` the scaling is
-    skipped, since ``x * 1.0 == x`` exactly.
+    ``rows[i]``.  At ``c == 1.0`` the scaling is skipped, since
+    ``x * 1.0 == x`` exactly.
 
     At ``c == 1.0`` without ``rows``, the march is skipped when it is a
     shift.  ``w`` lists what each characteristic carries, outflow end first:
@@ -228,23 +221,17 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
     outflow is ``w[:nt+1]``.  The check runs the same two subtractions as
     one march step and compares bits, so a 0.0 never passes for a -0.0.
     Where pairs round, :func:`_repair` re-runs only those; if that takes
-    too many levels, the whole block marches from ``z0``."""
-    n = boundary.shape[0]
+    too many levels, the solve marches from ``z0``."""
+    n = boundary.size
     if rows is None and c == 1.0:
-        # built C-contiguous, so that _repair's flat view is a view; with
-        # nx == 1, concatenating onto the F-ordered boundary.T of
-        # upwind_outflows would give an F-ordered w
-        nx = z0.shape[0] - 1
-        w = np.empty((nx + n,) + z0.shape[1:])
-        w[:nx] = z0[:0:-1]
-        w[nx:] = boundary
-        if _repair(w, nx, n):
+        w = np.concatenate((z0[:0:-1], boundary))
+        if _repair(w, z0.size - 1, n):
             return w[:n]
     x = z0.copy()
     x[0] = boundary[0]  # inflow boundary wins at the (0, 0) corner
     inner, left = x[1:], x[:-1]  # views made once, not per step
     tmp = np.empty(inner.shape)
-    outflow = np.empty(boundary.shape)
+    outflow = np.empty(n)
     outflow[0] = x[-1]
     if rows is not None:
         rows[0] = x
@@ -309,13 +296,3 @@ def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
     return FieldState(outflow=_march(c, z0, boundary), grid=grid,
                       _z0=z0, _boundary=boundary)
 
-
-def upwind_outflows(grid: Grid, controls) -> np.ndarray:
-    """(m, nt+1) outflows of ``m`` controls down an empty line, solved as
-    one block; row ``k`` is ``upwind_solve(grid, None, controls[k]).outflow`` bit
-    for bit.  ``controls`` is sized, so the boundary block is allocated once;
-    a lazy sequence streams into it, holding one control at a time."""
-    c = validate_cfl(grid)
-    times = grid.times()
-    boundary = np.fromiter((u.at(times) for u in controls), (float, times.size), len(controls))
-    return _march(c, np.zeros((grid.nx + 1, len(boundary))), boundary.T).T

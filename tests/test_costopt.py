@@ -34,7 +34,6 @@ from powertrack import (
     sequential_update_control,
     sequential_update_solve,
     substream,
-    upwind_outflows,
     upwind_solve,
 )
 from powertrack import costopt
@@ -341,7 +340,7 @@ class TestSequentialUpdateSolve:
         u, field = sequential_update_solve(ps3, ps_grid, sched, path)
         control = sequential_update_control(ps3, ps_grid, sched, path)
         assert control.values.tobytes() == u.values.tobytes()
-        assert (upwind_outflows(ps_grid, [control])[0].tobytes()
+        assert (upwind_solve(ps_grid, None, control).outflow.tobytes()
                 == field.outflow.tobytes())
 
     @staticmethod

@@ -37,7 +37,6 @@ from powertrack import (
     run_scenario,
     scenario_grid,
     sample_paths,
-    upwind_outflows,
     upwind_solve,
 )
 import powertrack
@@ -226,7 +225,7 @@ class TestConvergenceStudy:
 
     def test_outflows_and_rows_equal_oracle_marches_where_updates_round(self, monkeypatch):
         # at seed 8 on this grid, updates round in the CM3 reference and in
-        # the interval block, so both outflows come from the repaired shift
+        # some interval solves, so their outflows come from the repaired shift
         sc = replace(_PS1, dx=0.005, seed=8)
         intervals = [0.125, 0.05, 0.025, 0.01, 0.005]
         rows = convergence_study(sc, intervals)
@@ -239,13 +238,9 @@ class TestConvergenceStudy:
             solves.append((u, upwind_solve(grid, z0, u).outflow))
             return SimpleNamespace(outflow=oracle(grid, u))
 
-        def outflows(grid, controls):
-            controls = list(controls)
-            solves.extend(zip(controls, upwind_outflows(grid, controls)))
-            return np.array([oracle(grid, u) for u in controls])
-
+        # the interval solves go through costopt.sequential_update_solve
         monkeypatch.setattr(experiments, "upwind_solve", solve)
-        monkeypatch.setattr(experiments, "upwind_outflows", outflows)
+        monkeypatch.setattr(costopt, "upwind_solve", solve)
         assert convergence_study(sc, intervals) == rows
         grid = scenario_grid(sc)
         rounds = []
@@ -609,13 +604,14 @@ class TestCli:
                       "times: [0.0, 1.0], values: [1.0, 2.0]}\n")
 
     # At kappa 1e-300, kappa^2 and (1 - e^{-kappa dt})^2 underflow to 0: the
-    # zero-height jumps' gbar^2 term was 0/0 and the flat sinusoid's
+    # gbar^2 term of the jump moments was 0/0, and the flat sinusoid's
     # amplitude * kappa / (kappa^2 + w^2) was x/0.
     @pytest.mark.parametrize("config", [
         "preset: PS1\nkappa: 1.0e-300\n",
         "preset: PS1\nkappa: 1.0e-300\nmean: {type: sinusoid, offset: 2, "
         "amplitude: 3, angular_freq: 0}\n",
-    ], ids=["zero-height-jumps", "flat-sinusoid"])
+        "preset: PS3\nkappa: 1.0e-300\n",
+    ], ids=["zero-height-jumps", "flat-sinusoid", "ps3-jumps"])
     def test_tiny_kappa_runs(self, tmp_path, config):
         _assert_runs_to_finite_csvs(tmp_path, config)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from powertrack import (
     CFLError,
     ControlSignal,
     Grid,
+    convergence_study,
+    preset,
     transport,
-    upwind_outflows,
     upwind_solve,
     validate_cfl,
 )
@@ -196,11 +198,11 @@ class TestUpwindSolve:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
-        controls = [ControlSignal(g.control_times(), 1.0 + 0.5 * np.sin(k * g.control_times()))
-                    for k in range(1, 7)]
+        # six solves on the same lattice, one at a time
+        sc = replace(preset("PS1"), dx=5e-4)
         tracemalloc.start()
         try:
-            upwind_outflows(g, controls)
+            convergence_study(sc, [0.125, 0.05, 0.025, 0.01, 0.005])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,25 +237,6 @@ class TestUpwindSolve:
             upwind_solve(g, z0, u)
 
 
-class TestUpwindOutflows:
-    @pytest.mark.parametrize("unit_courant", [True, False])
-    @settings(max_examples=40)
-    @given(speed=st.sampled_from([0.5, 1.0, 2.0, 4.0]), log_nx=st.integers(0, 5),
-           extra_steps=st.integers(1, 30), later_steps=st.integers(1, 40),
-           m=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
-    def test_rows_equal_single_solves_bitwise(self, unit_courant, speed, log_nx,
-                                              extra_steps, later_steps, m, seed):
-        g = _pow2_grid(unit_courant, speed, log_nx, extra_steps, later_steps)
-        rng = np.random.default_rng(seed)
-        controls = [ControlSignal(g.control_times(),
-                                  rng.normal(size=g.control_steps + 1))
-                    for _ in range(m)]
-        outflows = upwind_outflows(g, controls)
-        assert outflows.shape == (m, g.nt + 1)
-        for row, u in zip(outflows, controls):
-            assert row.tobytes() == upwind_solve(g, None, u).outflow.tobytes()
-
-
 class TestCheckedShift:
     """At Courant 1 the outflow is the shifted inputs when no update pair
     rounds, and the shift repaired where pairs round; both routes against the
@@ -286,17 +269,17 @@ class TestCheckedShift:
             if wide:
                 v[0] = -0.0  # 0.0 - (0.0 - -0.0) is 0.0
             controls.append(ControlSignal(g.control_times(), v))
-        outflows = upwind_outflows(g, controls)
-        for row, u in zip(outflows, controls):
+        for u in controls:
             # bytes, since array_equal takes -0.0 for 0.0
-            assert row.tobytes() == oracles.strided_upwind(g, None, u)[1].tobytes()
+            assert (upwind_solve(g, None, u).outflow.tobytes()
+                    == oracles.strided_upwind(g, None, u)[1].tobytes())
             assert (upwind_solve(g, z0, u).outflow.tobytes()
                     == oracles.strided_upwind(g, z0, u)[1].tobytes())
 
     def test_a_rounding_pair_marches_the_whole_block(self):
         # 1.0 - (1.0 - 1e-17) is 0.0: the march loses the 1e-17 that a
         # plain shift would carry to the outflow; the repair re-runs that
-        # pair, and the block's smooth column keeps its shift
+        # pair, and a smooth control keeps its shift
         g = Grid.make(4.0, 0.1, 1.0)
         values = np.ones(g.control_steps + 1)
         values[1] = 1e-17
@@ -307,20 +290,19 @@ class TestCheckedShift:
         assert expected[g.delay_steps + 1] == 0.0
         assert shift[g.delay_steps + 1] == 1e-17
         assert upwind_solve(g, None, u).outflow.tobytes() == expected.tobytes()
-        block = upwind_outflows(g, [smooth, u])
-        assert block[0].tobytes() == oracles.strided_upwind(g, None, smooth)[1].tobytes()
-        assert block[1].tobytes() == expected.tobytes()
+        assert (upwind_solve(g, None, smooth).outflow.tobytes()
+                == oracles.strided_upwind(g, None, smooth)[1].tobytes())
 
 
 class TestRepair:
     """Where update pairs round at Courant 1, only those pairs are re-run,
-    and the whole block marches where that takes more than 64 levels;
-    bitwise against the oracle march."""
+    and the solve marches where that takes more than 64 levels; bitwise
+    against the oracle march."""
 
     @staticmethod
-    def _block(monkeypatch, g, controls):
-        """The block's outflows, each checked against the oracle march and a
-        single solve, and whether ``_repair`` finished the block."""
+    def _solves(monkeypatch, g, controls):
+        """The outflow of each control, checked against the oracle march,
+        and whether ``_repair`` finished each solve."""
         returned = []
         repair = transport._repair
 
@@ -329,11 +311,11 @@ class TestRepair:
             return returned[-1]
 
         monkeypatch.setattr(transport, "_repair", spy)
-        outflows = upwind_outflows(g, controls)
+        outflows = [upwind_solve(g, None, u).outflow for u in controls]
         for row, u in zip(outflows, controls):
             assert row.tobytes() == oracles.strided_upwind(g, None, u)[1].tobytes()
-            assert upwind_solve(g, None, u).outflow.tobytes() == row.tobytes()
-        return outflows, returned[0]
+        assert len(returned) == len(controls)
+        return outflows, returned
 
     @staticmethod
     def _shift(g, u):
@@ -341,13 +323,13 @@ class TestRepair:
 
     def test_white_noise_gives_up_to_the_march(self, monkeypatch):
         # about a quarter of the pairs of normal draws round, so nearly every
-        # level needs a re-run and the repair gives up after 64 of them
+        # level needs a re-run and each repair gives up after 64 of them
         g = _pow2_grid(True, 1.0, 5, 0, 200)
         rng = np.random.default_rng(3)
         controls = [ControlSignal(g.control_times(), rng.normal(size=g.control_steps + 1))
                     for _ in range(3)]
-        _, done = self._block(monkeypatch, g, controls)
-        assert not done
+        _, done = self._solves(monkeypatch, g, controls)
+        assert not any(done)
 
     def test_only_some_columns_round(self, monkeypatch):
         g = _pow2_grid(True, 2.0, 3, 0, 60)
@@ -356,22 +338,22 @@ class TestRepair:
         values = np.ones(t.size)
         values[[2, 9, 10, 30]] = [1e-17, -0.0, 1e-300, 5e-324]
         rough = ControlSignal(t, values)
-        outflows, done = self._block(monkeypatch, g, [smooth, rough, smooth])
-        assert done
+        outflows, done = self._solves(monkeypatch, g, [smooth, rough, smooth])
+        assert all(done)
         assert outflows[1].tobytes() != self._shift(g, rough).tobytes()
         assert outflows[0].tobytes() == self._shift(g, smooth).tobytes()
 
     def test_one_cell_line_block_is_repaired(self, monkeypatch):
-        # with nx == 1, concatenating z0[:0:-1] (both C- and F-contiguous)
-        # onto the F-ordered boundary of a block gives an F-ordered array,
-        # whose flat view would be a copy that the repair edits in vain
+        # with nx == 1, pair m is inside the line at level m alone, so each
+        # level re-runs the pairs that enter it and the neighbours of the
+        # values that moved
         g = _pow2_grid(True, 1.0, 0, 0, 23)
         t = g.control_times()
         pattern = [1.0, 1e-17, 3.0, -0.0, 2.0, 1e-300, 1.0, 0.0]
         controls = [ControlSignal(t, np.resize(np.roll(pattern, k), t.size))
                     for k in range(3)]
-        outflows, done = self._block(monkeypatch, g, controls)
-        assert done
+        outflows, done = self._solves(monkeypatch, g, controls)
+        assert all(done)
         for row, u in zip(outflows, controls):
             assert row.tobytes() != self._shift(g, u).tobytes()
 
@@ -384,8 +366,8 @@ class TestRepair:
         pattern = [1.0, 1e-17, 3.0, -0.0, 2.0, 1e-300]
         controls = [ControlSignal(t, np.resize(np.roll(pattern, k), t.size))
                     for k in range(2)]
-        outflows, done = self._block(monkeypatch, g, controls)
-        assert done
+        outflows, done = self._solves(monkeypatch, g, controls)
+        assert all(done)
         for row, u in zip(outflows, controls):
             assert row.tobytes() == self._shift(g, u).tobytes()
 
