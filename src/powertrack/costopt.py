@@ -201,6 +201,15 @@ def _check_path_lattice(path_times: np.ndarray, grid_times: np.ndarray) -> None:
         raise ValueError("path grid does not match the transport lattice")
 
 
+def _std(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """``a.std(axis, ddof=1)`` taken on ``a`` scaled by a power of two that
+    brings its largest magnitude below 1, so that squaring the deviations
+    of values that are already squares cannot overflow; scaling by a power
+    of two is exact for normal numbers, so the result is too."""
+    _, e = np.frexp(max(a.max(), -a.min()))
+    return np.ldexp(np.ldexp(a, -e).std(axis=axis, ddof=1), e)
+
+
 def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
                      control: Union[ControlSignal, Policy]) -> CostReport:
     """Monte-Carlo tracking cost of a fixed control or of a causal policy.
@@ -227,16 +236,16 @@ def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
     dev2 = (values[:, grid.delay_steps:] - y) ** 2
 
     per_time = dev2.mean(axis=0)
-    per_time_se = dev2.std(axis=0, ddof=1) / np.sqrt(n)
+    per_time_se = _std(dev2, axis=0) / np.sqrt(n)
     costs = np.trapezoid(dev2, out_t, axis=1)
     expected = float(costs.mean())
-    expected_se = float(costs.std(ddof=1) / np.sqrt(n))
+    expected_se = float(_std(costs) / np.sqrt(n))
     root = np.sqrt(per_time)
     cumrmse = float(np.trapezoid(root, out_t))
     # delta method: linearise sqrt(mean) around the per-time means
     slope = np.divide(0.5, root, out=np.zeros_like(root), where=root > 0)
     per_path_lin = np.trapezoid(dev2 * slope, out_t, axis=1)
-    cumrmse_se = float(per_path_lin.std(ddof=1) / np.sqrt(n))
+    cumrmse_se = float(_std(per_path_lin) / np.sqrt(n))
     return CostReport(expected_cost=expected, cumrmse=cumrmse, times=out_t,
                       per_time=per_time, per_time_se=per_time_se,
                       expected_cost_se=expected_se, cumrmse_se=cumrmse_se)

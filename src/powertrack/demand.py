@@ -327,8 +327,8 @@ class DemandParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.kappa) or self.kappa <= 0:
             raise ValueError("kappa must be finite and > 0")
-        if not math.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError("sigma must be finite and >= 0")
+        if not math.isfinite(self.sigma * self.sigma) or self.sigma < 0:
+            raise ValueError("sigma must be >= 0 with a finite square")
         if not math.isfinite(self.y0):
             raise ValueError("y0 must be finite")
 

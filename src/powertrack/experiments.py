@@ -402,9 +402,7 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     approaches one lattice step.  Every outflow is one :func:`upwind_solve`
     from an empty line: the CM3 reference's, and each interval control's
     through :func:`sequential_update_solve`.  At Courant 1 each is the
-    shifted control after a check that no update rounds; where updates
-    round, only those are re-run, and the solve marches only where that
-    takes more than 64 levels.
+    control delayed by the transport time, with no march.
     """
     if scenario.demand_mode != "stochastic":
         raise ConfigError("demand_mode", "convergence study needs a stochastic demand")

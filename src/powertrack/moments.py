@@ -119,7 +119,8 @@ def conditional_variance(params: DemandParams, delta):
     information ``delta`` old.
     """
     delta = _as_times(delta, name="delta")
-    diff_var = params.sigma ** 2 * (-np.expm1(-2.0 * params.kappa * delta)) / (2.0 * params.kappa)
-    jm = jump_sum_moments(params.jump, params.kappa, delta)
+    sigma, kappa = params.sigma, params.kappa
+    diff_var = sigma * sigma * (-np.expm1(-2.0 * kappa * delta)) / (2.0 * kappa)
+    jm = jump_sum_moments(params.jump, kappa, delta)
     out = diff_var + (jm.second_moment - np.square(jm.mean))
     return float(out) if np.ndim(out) == 0 else out

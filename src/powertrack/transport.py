@@ -3,19 +3,17 @@
 The state z(x, t) obeys z_t + speed * z_x = 0 on (0, 1) with inflow boundary
 z(0, t) = u(t) and initial profile z(x, 0) = z0(x).  The outflow y(t) =
 z(1, t) therefore reproduces the inflow delayed by the transport time
-1/speed.  A left-sided upwind scheme discretises the dynamics.  Courant
-number exactly 1, the default grid construction, makes each update
-x - (x - y), which is y in exact arithmetic but not always in doubles
-(x = 1.0 and y = 1e-17 give 0.0, as do x = 0.0 and y = -0.0).  Sub-unit
-Courant numbers are supported for convergence experiments only.
-
-The scheme marches one contiguous state vector over the spatial lattice and
-keeps only the outflow.  At Courant 1 the outflow is the shifted inputs, bit
-for bit what the march would give, once one vector pass finds that no update
-pair rounds.  Where pairs do round, only those are re-run, at the levels
-where they sit inside the line, and the solve marches only where that takes
-more than 64 levels.  The space-time field is built on its first read, by
-the march, so callers that need only the outflow never hold a field.
+1/speed.  A left-sided upwind scheme discretises the dynamics.  At Courant
+number exactly 1, the default grid construction, the scheme is that delay:
+each value moves one cell per time step, so the solve returns the delay
+line (the initial profile read from the outflow end, then the inflow)
+without marching.  A march would compute each update as x - (x - y), which
+is y in exact arithmetic but not always in doubles (x = 1.0 and y = 1e-17
+give 0.0); the delay line carries y.  Sub-unit Courant numbers, supported
+for convergence experiments only, march one contiguous state vector over
+the spatial lattice and keep only the outflow.  The space-time field is
+built on its first read, so callers that need only the outflow never hold
+a field.
 """
 
 from __future__ import annotations
@@ -159,74 +157,20 @@ class ControlSignal:
         return float(out) if out.ndim == 0 else out
 
 
-def _repair(w: np.ndarray, nx: int, n: int) -> bool:
-    """Make ``w[:n]`` the Courant-1 outflow in place by re-running only the
-    update pairs that round; return False, with ``w`` part-way, once that
-    takes more than 64 levels, where the march is the cheaper way.
-
-    At level i the march sets w[m] = w[m-1] - (w[m-1] - w[m]) for every m
-    in [i, nx+i-1] at once; call that update pair m.  A line of no cells
-    has none, and its outflow is the inflow.  Characteristic m leaves as
-    outflow m, so pairs m >= n never reach the outflow.  A value moves only
-    where its update rounds, and a pair that does not round stays so until
-    one of its two values moves.  The pairs that one vector check of pairs
-    1 to n-1 finds rounding wait, sorted, until they are inside the line.
-    The repair jumps to the first level at which a waiting or marked pair is
-    inside the line, re-runs those pairs there with the march's two
-    subtractions and a bit compare, and marks the two pairs of each value
-    that moved for the next level."""
-    if nx == 0:
-        return True
-    a, b = w[:n - 1], w[1:n]
-    step = np.subtract(a, b)
-    np.subtract(a, step, out=step)
-    waiting = np.flatnonzero(step.view(np.uint64) != b.view(np.uint64)) + 1
-    marked = waiting[:0]
-    level = 0
-    for _ in range(64):
-        if not (marked.size or waiting.size):
-            return True
-        level += 1
-        if not marked.size:
-            # pair m is inside the line at levels max(1, m - nx + 1) to m
-            level = max(level, int(waiting[0]) - nx + 1)
-        enter = np.searchsorted(waiting, level + nx)
-        pairs = np.concatenate((marked, waiting[:enter]))
-        waiting = waiting[enter:]
-        pairs.sort()
-        pairs = pairs[np.diff(pairs, prepend=-1) > 0]
-        a, b = w[pairs - 1], w[pairs]
-        step = a - (a - b)
-        moved = step.view(np.uint64) != b.view(np.uint64)
-        pairs = pairs[moved]
-        w[pairs] = step[moved]  # read before written: all pairs at once
-        marked = np.concatenate((pairs, pairs + 1))
-        marked = marked[(marked >= level + 1) & (marked < n)]
-    return not (marked.size or waiting.size)
+def _delay_line(z0: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """What each characteristic carries, outflow end first: z0[nx], ...,
+    z0[1], then the inflow (the corner takes boundary[0], so z0[0] never
+    leaves).  At Courant 1, level i of the field is ``w[nx-j+i]`` at cell j,
+    and the outflow is the first nt+1 entries."""
+    return np.concatenate((z0[:0:-1], boundary))
 
 
 def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
            rows: np.ndarray | None = None) -> np.ndarray:
-    """March the upwind scheme from ``z0`` with inflow ``boundary`` and
-    return the outflow; with ``rows``, also store each time level in
-    ``rows[i]``.  At ``c == 1.0`` the scaling is skipped, since
-    ``x * 1.0 == x`` exactly.
-
-    At ``c == 1.0`` without ``rows``, the march is skipped when it is a
-    shift.  ``w`` lists what each characteristic carries, outflow end first:
-    z0[nx], ..., z0[1], then the inflow (the corner takes boundary[0], so
-    z0[0] never leaves).  If a - (a - b) is bitwise b for every adjacent
-    pair of ``w[:nt+1]``, then by induction over the time levels every
-    update of the march moves one of these values on unchanged, and the
-    outflow is ``w[:nt+1]``.  The check runs the same two subtractions as
-    one march step and compares bits, so a 0.0 never passes for a -0.0.
-    Where pairs round, :func:`_repair` re-runs only those; if that takes
-    too many levels, the solve marches from ``z0``."""
+    """March the upwind scheme below Courant 1 from ``z0`` with inflow
+    ``boundary`` and return the outflow; with ``rows``, also store each time
+    level in ``rows[i]``."""
     n = boundary.size
-    if rows is None and c == 1.0:
-        w = np.concatenate((z0[:0:-1], boundary))
-        if _repair(w, z0.size - 1, n):
-            return w[:n]
     x = z0.copy()
     x[0] = boundary[0]  # inflow boundary wins at the (0, 0) corner
     inner, left = x[1:], x[:-1]  # views made once, not per step
@@ -237,8 +181,7 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
         rows[0] = x
     for i in range(1, n):
         np.subtract(inner, left, out=tmp)
-        if c != 1.0:
-            tmp *= c
+        tmp *= c
         inner -= tmp
         x[0] = boundary[i]
         outflow[i] = x[-1]
@@ -251,8 +194,10 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
 class FieldState:
     """Outflow of an upwind solve, with the field on demand.
 
-    ``z[j, i]`` is the field over (space x time).  Its first read re-runs the
-    march from the initial profile and inflow boundary copied at solve time.
+    ``z[j, i]`` is the field over (space x time), built on first read from
+    the initial profile and inflow boundary copied at solve time.  At
+    Courant 1 it is a read-only view of the delay line, z[j, i] = w[nx-j+i],
+    which copies nothing; below Courant 1 it is marched.
     """
 
     outflow: np.ndarray
@@ -262,8 +207,12 @@ class FieldState:
 
     @functools.cached_property
     def z(self) -> np.ndarray:
-        rows = np.empty((self.grid.nt + 1, self.grid.nx + 1))
-        _march(self.grid.courant, self._z0, self._boundary, rows)
+        g = self.grid
+        if g.courant == 1.0:
+            w = _delay_line(self._z0, self._boundary)
+            return np.lib.stride_tricks.sliding_window_view(w, g.nt + 1)[::-1]
+        rows = np.empty((g.nt + 1, g.nx + 1))
+        _march(g.courant, self._z0, self._boundary, rows)
         return rows.T
 
 
@@ -276,13 +225,15 @@ def validate_cfl(grid: Grid) -> float:
 
 
 def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
-    """March the left-sided upwind scheme
+    """Solve the left-sided upwind scheme
 
         z_j^{i+1} = z_j^i - c (z_j^i - z_{j-1}^i),   c = speed dt / dx,
 
     with boundary z_0^i = u(tau_i) and initial profile ``z0`` (array on the
-    spatial lattice, or None for an empty line).  Only the outflow z_{nx}^i
-    is kept; the field ``z`` of the result is built on first read.
+    spatial lattice, or None for an empty line).  At c == 1 this is the
+    exact delay z_j^{i+1} = z_{j-1}^i, and the outflow z_{nx}^i is read off
+    the delay line; below 1 it is marched.  Only the outflow is kept; the
+    field ``z`` of the result is built on first read.
     """
     c = validate_cfl(grid)
     if z0 is None:
@@ -293,6 +244,7 @@ def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
     if not np.all(np.isfinite(z0)):
         raise ValueError("initial profile values must be finite")
     boundary = np.array(np.atleast_1d(u.at(grid.times())), dtype=float)
-    return FieldState(outflow=_march(c, z0, boundary), grid=grid,
-                      _z0=z0, _boundary=boundary)
+    outflow = (_delay_line(z0, boundary)[:boundary.size] if c == 1.0
+               else _march(c, z0, boundary))
+    return FieldState(outflow=outflow, grid=grid, _z0=z0, _boundary=boundary)
 

@@ -141,6 +141,22 @@ class TestMcCostEstimate:
         se_big = mc_cost_estimate(big, ps_grid, u).expected_cost_se
         assert 0.5 * 0.75 < se_big / se_small < 0.5 * 1.25
 
+    def test_scaling_by_a_power_of_two_scales_every_estimate_exactly(self, ps1, ps_grid):
+        # the squared deviations reach 2**600, so their standard errors,
+        # which square them again, would overflow without rescaling
+        paths = sample_paths(ps1, ps_grid.times(), 50, seed=3)
+        u = minimize_control_direct(ps1, ps_grid)
+        s = 2.0 ** 300
+        base = mc_cost_estimate(paths, ps_grid, u)
+        scaled = mc_cost_estimate(dataclasses.replace(paths, values=paths.values * s),
+                                  ps_grid, ControlSignal(u.times, u.values * s))
+        for name, factor in [("per_time", s * s), ("per_time_se", s * s),
+                             ("expected_cost", s * s), ("expected_cost_se", s * s),
+                             ("cumrmse", s), ("cumrmse_se", s)]:
+            want = np.asarray(getattr(base, name)) * factor
+            got = np.asarray(getattr(scaled, name))
+            assert np.all(np.isfinite(got)) and got.tobytes() == want.tobytes(), name
+
     def test_wrong_lattice_rejected(self, ps1, ps_grid):
         paths = sample_paths(ps1, [0.0, 0.5, 1.0], 3, seed=2)
         with pytest.raises(ValueError):

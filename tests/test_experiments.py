@@ -223,9 +223,11 @@ class TestConvergenceStudy:
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-5
 
-    def test_outflows_and_rows_equal_oracle_marches_where_updates_round(self, monkeypatch):
-        # at seed 8 on this grid, updates round in the CM3 reference and in
-        # some interval solves, so their outflows come from the repaired shift
+    def test_delayed_outflows_give_the_oracle_march_rows(self, monkeypatch):
+        # at seed 8 on this grid, the march's updates would round in the CM3
+        # reference and in some interval solves; every outflow is the
+        # control delayed by nx steps all the same, and the gaps are those
+        # that the oracle march gives
         sc = replace(_PS1, dx=0.005, seed=8)
         intervals = [0.125, 0.05, 0.025, 0.01, 0.005]
         rows = convergence_study(sc, intervals)
@@ -245,10 +247,9 @@ class TestConvergenceStudy:
         grid = scenario_grid(sc)
         rounds = []
         for u, outflow in solves:
-            expected = oracle(grid, u)
-            assert outflow.tobytes() == expected.tobytes()
-            shift = np.concatenate((np.zeros(grid.nx), u.at(grid.times())))[:grid.nt + 1]
-            rounds.append(expected.tobytes() != shift.tobytes())
+            delayed = np.concatenate((np.zeros(grid.nx), u.at(grid.times())))
+            assert outflow.tobytes() == delayed[:grid.nt + 1].tobytes()
+            rounds.append(oracle(grid, u).tobytes() != outflow.tobytes())
         assert len(rounds) == 1 + len(intervals)
         assert rounds[0] and any(rounds[1:])
 
@@ -460,6 +461,9 @@ class TestCli:
         ("preset: PS1\nkappa: abc\n", "kappa", None, None),
         ("preset: PS1\nkappa: -1\n", "kappa", None, None),
         ("preset: PS1\nsigma: [1, 2]\n", "sigma", None, None),
+        # sigma^2, the diffusion variance's factor, overflows
+        ("preset: PS3\nsigma: 1.0e+200\n", "sigma", None, "finite square"),
+        ("preset: PS3\nsigma: 1.0e+160\n", "sigma", None, "finite square"),
         ("preset: PS1\ny0: .inf\n", "y0", None, None),
         # a valid but extreme y0 overflows the Monte-Carlo squared error
         ("preset: PS3\ny0: 1.0e+308\n", None, None, "cost.csv: column cumrmse_mc"),
@@ -488,6 +492,7 @@ class TestCli:
             "tabulated-inf", "tabulated-narrow", "constant-nan", "sinusoid-nan",
             "sinusoid-inf", "profile-inf", "convergence",
             "overflow", "kappa-text", "kappa-negative", "sigma-list",
+            "sigma-overflow", "sigma-square-overflow",
             "y0-infinite", "y0-overflow", "interval-infinite",
             "jump-height-scalar", "lognormal-overflow", "constant-overflow",
             "normal-overflow", "paths-fraction",
@@ -623,6 +628,14 @@ class TestCli:
             (tmp_path / name).mkdir()
             _assert_runs_to_finite_csvs(tmp_path / name,
                                         f"preset: {name}\nkappa: 1.0e+300\n")
+
+    # Normal jump heights at these scales give squared deviations near 1e200
+    # and 1e300, whose standard errors square them again.
+    @pytest.mark.parametrize("scale", ["1.0e+100", "1.0e+150"])
+    def test_huge_jump_heights_run(self, tmp_path, scale):
+        _assert_runs_to_finite_csvs(
+            tmp_path, "preset: PS3\njump: {intensity: 1.0, height: {type: normal, "
+                      f"loc: 0, scale: {scale}}}}}\n")
 
     def test_non_finite_artifact_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "huge.yaml"

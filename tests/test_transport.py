@@ -13,7 +13,6 @@ from powertrack import (
     Grid,
     convergence_study,
     preset,
-    transport,
     upwind_solve,
     validate_cfl,
 )
@@ -35,8 +34,8 @@ WIDE_VALUES = st.one_of(st.floats(-1e300, 1e300),
 
 def _pow2_grid(unit_courant, speed, log_nx, extra_steps, later_steps):
     # with nx a power of two, dx and dt are exact and the Courant number
-    # nx / (nx + extra) is exactly 1 with no extra steps, where the march
-    # skips its scaling, and below 1 otherwise
+    # nx / (nx + extra) is exactly 1 with no extra steps, where the solve
+    # is the delay line, and below 1 otherwise, where it marches
     nx = 2 ** log_nx
     delay_steps = nx + (0 if unit_courant else extra_steps)
     dt = 1.0 / (speed * delay_steps)
@@ -44,6 +43,16 @@ def _pow2_grid(unit_courant, speed, log_nx, extra_steps, later_steps):
     g = Grid(speed, 1.0 / nx, dt, nx, nt, nt * dt)
     assert (g.courant == 1.0) is unit_courant and 0.0 < g.courant <= 1.0
     return g
+
+
+def _delayed(g, z0, u):
+    """The exact delay at Courant 1, index by index: outflow i carries
+    z0[nx - i] until the first injection arrives at step nx, and the inflow
+    of step i - nx from then on."""
+    z0 = np.zeros(g.nx + 1) if z0 is None else z0
+    inflow = np.atleast_1d(u.at(g.times()))
+    return np.array([z0[g.nx - i] if i < g.nx else inflow[i - g.nx]
+                     for i in range(g.nt + 1)])
 
 
 class TestGrid:
@@ -170,12 +179,12 @@ class TestUpwindSolve:
 
     @settings(max_examples=60)
     @given(speed=st.sampled_from([0.5, 1.0, 2.0, 4.0]), nx=st.integers(1, 30),
-           extra_steps=st.integers(0, 30), later_steps=st.integers(1, 40),
+           extra_steps=st.integers(1, 30), later_steps=st.integers(1, 40),
            with_z0=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_bitwise_equal_to_strided_field_march(self, speed, nx, extra_steps,
                                                   later_steps, with_z0, seed):
-        # dx = 1/nx and a delay of nx + extra_steps time steps give every
-        # Courant number nx / (nx + extra_steps) in (0, 1]
+        # dx = 1/nx and a delay of nx + extra_steps time steps give Courant
+        # numbers nx / (nx + extra_steps) below 1, where the solve marches
         delay_steps = nx + extra_steps
         dt = 1.0 / (speed * delay_steps)
         nt = delay_steps + later_steps
@@ -188,6 +197,30 @@ class TestUpwindSolve:
         assert np.array_equal(fs.outflow, outflow)
         assert np.array_equal(fs.z, z)
 
+    @settings(max_examples=60)
+    @given(speed=st.sampled_from([0.5, 1.0, 2.0, 4.0]), log_nx=st.integers(0, 5),
+           later_steps=st.integers(1, 40), with_z0=st.booleans(), data=st.data())
+    def test_courant_one_field_is_a_read_only_view_of_the_delay_line(
+            self, speed, log_nx, later_steps, with_z0, data):
+        g = _pow2_grid(True, speed, log_nx, 0, later_steps)
+
+        def draw(size):
+            return np.array(data.draw(st.lists(WIDE_VALUES, min_size=size,
+                                               max_size=size)))
+
+        z0 = draw(g.nx + 1) if with_z0 else None
+        u = ControlSignal(g.control_times(), draw(g.control_steps + 1))
+        fs = upwind_solve(g, z0, u)
+        z = fs.z
+        assert z.shape == (g.nx + 1, g.nt + 1) and not z.flags.writeable
+        z0 = np.zeros(g.nx + 1) if z0 is None else z0
+        # w[nx - j + i]: the profile from the outflow end, then the inflow;
+        # bytes, since array_equal takes -0.0 for 0.0
+        w = np.concatenate((z0[:0:-1], np.atleast_1d(u.at(g.times()))))
+        j, i = np.indices(z.shape)
+        assert z.tobytes() == w[g.nx - j + i].tobytes()
+        assert z[-1].tobytes() == fs.outflow.tobytes()
+
     def test_outflow_holds_no_field_and_field_is_built_once_read(self):
         g = Grid.make(4.0, 5e-4, 1.0)  # 2001 x 8001 cells, 122 MiB as a field
         u = ControlSignal(g.control_times(), np.sin(g.control_times()))
@@ -198,6 +231,19 @@ class TestUpwindSolve:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+        # at Courant 1 the field is a view of the delay line: reading it
+        # copies none of the 2001 x 8001 cells
+        fs = upwind_solve(g, np.ones(g.nx + 1), u)
+        tracemalloc.start()
+        try:
+            z = fs.z
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        assert z.shape == (g.nx + 1, g.nt + 1) and not z.flags.writeable
+        assert np.array_equal(z[:, 0], np.append(u.at(0.0), np.ones(g.nx)))
+        assert z[-1].tobytes() == fs.outflow.tobytes()
         # six solves on the same lattice, one at a time
         sc = replace(preset("PS1"), dx=5e-4)
         tracemalloc.start()
@@ -238,9 +284,9 @@ class TestUpwindSolve:
 
 
 class TestCheckedShift:
-    """At Courant 1 the outflow is the shifted inputs when no update pair
-    rounds, and the shift repaired where pairs round; both routes against the
-    oracle march."""
+    """Outflows against references, bitwise: at Courant 1 the delay line,
+    and the strided march too wherever it does not round; below Courant 1
+    the strided march."""
 
     @pytest.mark.parametrize("unit_courant", [True, False])
     @settings(max_examples=60)
@@ -270,106 +316,70 @@ class TestCheckedShift:
                 v[0] = -0.0  # 0.0 - (0.0 - -0.0) is 0.0
             controls.append(ControlSignal(g.control_times(), v))
         for u in controls:
-            # bytes, since array_equal takes -0.0 for 0.0
-            assert (upwind_solve(g, None, u).outflow.tobytes()
-                    == oracles.strided_upwind(g, None, u)[1].tobytes())
-            assert (upwind_solve(g, z0, u).outflow.tobytes()
-                    == oracles.strided_upwind(g, z0, u)[1].tobytes())
+            for profile in (None, z0):
+                # bytes, since array_equal takes -0.0 for 0.0
+                outflow = upwind_solve(g, profile, u).outflow.tobytes()
+                march = oracles.strided_upwind(g, profile, u)[1].tobytes()
+                if unit_courant:
+                    assert outflow == _delayed(g, profile, u).tobytes()
+                if not (unit_courant and wide):
+                    # within one binade every update x - (x - y) is exactly
+                    # y, so at Courant 1 the march is the delay too
+                    assert outflow == march
 
-    def test_a_rounding_pair_marches_the_whole_block(self):
-        # 1.0 - (1.0 - 1e-17) is 0.0: the march loses the 1e-17 that a
-        # plain shift would carry to the outflow; the repair re-runs that
-        # pair, and a smooth control keeps its shift
+
+class TestExactDelay:
+    """At Courant 1 inputs leave as they came in, also where the march's
+    update x - (x - y) would round them."""
+
+    def test_a_rounding_pair_leaves_as_it_came_in(self):
+        # 1.0 - (1.0 - 1e-17) is 0.0 and 0.0 - (0.0 - -0.0) is 0.0: the
+        # march loses the 1e-17 and the sign of the zero, the delay keeps them
         g = Grid.make(4.0, 0.1, 1.0)
         values = np.ones(g.control_steps + 1)
         values[1] = 1e-17
+        values[3:5] = [0.0, -0.0]
         u = ControlSignal(g.control_times(), values)
-        smooth = ControlSignal(g.control_times(), np.linspace(1.0, 1.5, values.size))
-        _, expected = oracles.strided_upwind(g, None, u)
-        shift = np.concatenate((np.zeros(g.nx), u.at(g.times())))[:g.nt + 1]
-        assert expected[g.delay_steps + 1] == 0.0
-        assert shift[g.delay_steps + 1] == 1e-17
-        assert upwind_solve(g, None, u).outflow.tobytes() == expected.tobytes()
-        assert (upwind_solve(g, None, smooth).outflow.tobytes()
-                == oracles.strided_upwind(g, None, smooth)[1].tobytes())
+        _, march = oracles.strided_upwind(g, None, u)
+        outflow = upwind_solve(g, None, u).outflow
+        assert outflow.tobytes() == _delayed(g, None, u).tobytes()
+        d = g.delay_steps
+        assert outflow[d + 1] == 1e-17 and march[d + 1] == 0.0
+        assert np.signbit(outflow[d + 4]) and not np.signbit(march[d + 4])
 
-
-class TestRepair:
-    """Where update pairs round at Courant 1, only those pairs are re-run,
-    and the solve marches where that takes more than 64 levels; bitwise
-    against the oracle march."""
-
-    @staticmethod
-    def _solves(monkeypatch, g, controls):
-        """The outflow of each control, checked against the oracle march,
-        and whether ``_repair`` finished each solve."""
-        returned = []
-        repair = transport._repair
-
-        def spy(*args):
-            returned.append(repair(*args))
-            return returned[-1]
-
-        monkeypatch.setattr(transport, "_repair", spy)
-        outflows = [upwind_solve(g, None, u).outflow for u in controls]
-        for row, u in zip(outflows, controls):
-            assert row.tobytes() == oracles.strided_upwind(g, None, u)[1].tobytes()
-        assert len(returned) == len(controls)
-        return outflows, returned
-
-    @staticmethod
-    def _shift(g, u):
-        return np.concatenate((np.zeros(g.nx), u.at(g.times())))[:g.nt + 1]
-
-    def test_white_noise_gives_up_to_the_march(self, monkeypatch):
-        # about a quarter of the pairs of normal draws round, so nearly every
-        # level needs a re-run and each repair gives up after 64 of them
-        g = _pow2_grid(True, 1.0, 5, 0, 200)
-        rng = np.random.default_rng(3)
-        controls = [ControlSignal(g.control_times(), rng.normal(size=g.control_steps + 1))
-                    for _ in range(3)]
-        _, done = self._solves(monkeypatch, g, controls)
-        assert not any(done)
-
-    def test_only_some_columns_round(self, monkeypatch):
-        g = _pow2_grid(True, 2.0, 3, 0, 60)
+    @pytest.mark.parametrize("log_nx, later_steps, kind", [
+        (5, 200, "white-noise"), (3, 60, "some-columns"),
+        (0, 23, "one-cell"), (None, None, "no-cells")],
+        ids=["white-noise", "some-columns", "one-cell", "no-cells"])
+    def test_rounding_inputs_leave_as_they_came_in(self, log_nx, later_steps, kind):
+        if log_nx is None:
+            g = Grid.make(1.0, 2e9, 2.4e10)  # dx = 2e9 gives nx == 0
+            assert g.nx == 0 and g.nt == 12
+        else:
+            g = _pow2_grid(True, 1.0, log_nx, 0, later_steps)
         t = g.control_times()
-        smooth = ControlSignal(t, np.linspace(1.0, 1.5, t.size))
-        values = np.ones(t.size)
-        values[[2, 9, 10, 30]] = [1e-17, -0.0, 1e-300, 5e-324]
-        rough = ControlSignal(t, values)
-        outflows, done = self._solves(monkeypatch, g, [smooth, rough, smooth])
-        assert all(done)
-        assert outflows[1].tobytes() != self._shift(g, rough).tobytes()
-        assert outflows[0].tobytes() == self._shift(g, smooth).tobytes()
-
-    def test_one_cell_line_block_is_repaired(self, monkeypatch):
-        # with nx == 1, pair m is inside the line at level m alone, so each
-        # level re-runs the pairs that enter it and the neighbours of the
-        # values that moved
-        g = _pow2_grid(True, 1.0, 0, 0, 23)
-        t = g.control_times()
-        pattern = [1.0, 1e-17, 3.0, -0.0, 2.0, 1e-300, 1.0, 0.0]
-        controls = [ControlSignal(t, np.resize(np.roll(pattern, k), t.size))
-                    for k in range(3)]
-        outflows, done = self._solves(monkeypatch, g, controls)
-        assert all(done)
-        for row, u in zip(outflows, controls):
-            assert row.tobytes() != self._shift(g, u).tobytes()
-
-    def test_line_of_no_cells_passes_the_inflow_through(self, monkeypatch):
-        # dx = 2e9 gives nx == 0: the march has no update pairs, so even a
-        # pair that would round (1.0 then 1e-17) leaves as it came in
-        g = Grid.make(1.0, 2e9, 2.4e10)
-        assert g.nx == 0 and g.nt == 12
-        t = g.control_times()
-        pattern = [1.0, 1e-17, 3.0, -0.0, 2.0, 1e-300]
-        controls = [ControlSignal(t, np.resize(np.roll(pattern, k), t.size))
-                    for k in range(2)]
-        outflows, done = self._solves(monkeypatch, g, controls)
-        assert all(done)
-        for row, u in zip(outflows, controls):
-            assert row.tobytes() == self._shift(g, u).tobytes()
+        if kind == "white-noise":
+            # about a quarter of the update pairs of normal draws round
+            rng = np.random.default_rng(3)
+            controls = [rng.normal(size=t.size) for _ in range(3)]
+        elif kind == "some-columns":
+            rough = np.ones(t.size)
+            rough[[2, 9, 10, 30]] = [1e-17, -0.0, 1e-300, 5e-324]
+            controls = [np.linspace(1.0, 1.5, t.size), rough]
+        else:
+            pattern = [1.0, 1e-17, 3.0, -0.0, 2.0, 1e-300, 1.0, 0.0, 5e-324]
+            controls = [np.resize(np.roll(pattern, k), t.size) for k in range(3)]
+        rounded = []
+        for values in controls:
+            u = ControlSignal(t, values)
+            outflow = upwind_solve(g, None, u).outflow
+            assert outflow.tobytes() == _delayed(g, None, u).tobytes()
+            march = oracles.strided_upwind(g, None, u)[1]
+            rounded.append(outflow.tobytes() != march.tobytes())
+        # a line of no cells has no update to round; on any other line the
+        # march rounds these inputs, and a smooth control not at all
+        expected = {"no-cells": [False] * 3, "some-columns": [False, True]}
+        assert rounded == expected.get(kind, [True] * 3)
 
 
 class TestExactShiftOutput:
