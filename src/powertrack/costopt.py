@@ -7,14 +7,17 @@ delay-aligned lattice the outflow is the injection shifted by the transport
 time, which makes the discretised objective a separable quadratic in the
 control vector.  This module evaluates that cost (analytically and by Monte
 Carlo), minimises it by gradient descent, and chains per-interval descents
-when the demand is re-observed on a schedule.  The optimum has a closed form
-at each information level, the conditional mean one delay ahead: the
-policies build it, and the descents are checked against it.
+when the demand is re-observed on a schedule.  The descent runs on the rows
+of a block in lockstep, so the intervals of one length share one descent,
+and each row still does exactly the arithmetic of a descent of its own.
+The optimum has a closed form at each information level, the conditional
+mean one delay ahead: the policies build it, and the descents are checked
+against it.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -257,60 +260,89 @@ def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
 
 def _descend(targets: np.ndarray, weights: np.ndarray,
              times: np.ndarray) -> np.ndarray:
-    """Gradient descent with backtracking on J(u) = sum_k w_k (u_k - m_k)^2.
+    """Gradient descent with backtracking on J(u) = sum_k w_k (u_k - m_k)^2,
+    run on each row of a (rows, L) block in lockstep.
 
-    ``times`` are the lattice control times of the entries of ``u``.  The
-    objective equals the discretised tracking cost up to a constant, so the
-    line search behaves identically on either.  The descent starts from
+    ``targets``, ``weights`` and ``times`` are (rows, L) blocks; ``times``
+    are the lattice control times of the entries of ``u``.  The objective
+    equals the discretised tracking cost up to a constant, so the
+    line search behaves identically on either.  Each descent starts from
     zero; steps start at the inverse curvature bound and continue with
     Barzilai-Borwein estimates, each safeguarded by an Armijo backtracking
-    search of at most 60 halvings.  If the budget runs out, or at the first
-    iterate whose objective is not finite (it overflowed), it raises
-    :class:`ConvergenceError` with the last finite iterate on ``times``.
+    search of at most 60 halvings.  A row that converges, or stops at an
+    iterate whose objective is not finite (it overflowed), drops out; the
+    others go on.  If any row stops without converging, it raises
+    :class:`ConvergenceError` for the first such row, with its last finite
+    iterate on its own ``times``.
+
+    Every row does exactly the arithmetic of a descent on that row alone:
+    row sums are ``sum(axis=1)`` and row dots ``np.vecdot``, which reduce a
+    contiguous row in the order that ``sum`` and ``np.dot`` reduce it.  So
+    rows of other lengths go to other calls: padding a shorter row with
+    zeros would change how numpy's pairwise sum groups its terms (blocks of
+    8, halved above 128 terms), and so the bits of its objective.
     """
-    u = np.zeros(targets.size)
+    m, w = targets, weights
+    out = np.empty(m.shape)
+    rows = np.arange(m.shape[0])  # the block row of each row still running
+    failed = {}  # block row -> (reason, last finite iterate, its gradient)
 
-    def value(v: np.ndarray) -> float:
-        return float((weights * (v - targets) ** 2).sum())
+    def value(v: np.ndarray) -> np.ndarray:
+        return (w * (v - m) ** 2).sum(axis=1)
 
-    def gradient(v: np.ndarray) -> np.ndarray:
-        return 2.0 * weights * (v - targets)
+    def fail(i: int, reason: str) -> None:
+        ui, gi = u[i], g[i]
+        if prev_u is not None and not np.all(np.isfinite(ui)):
+            ui, gi = prev_u[i], prev_g[i]  # its objective was finite, so it is too
+        failed[int(rows[i])] = (reason, ui, gi)
 
-    step = 1.0 / (2.0 * float(weights.max()))
-    g = gradient(u)
+    u = np.zeros(m.shape)
+    g = 2.0 * w * (u - m)
+    step = 1.0 / (2.0 * w.max(axis=1))
     prev_u = prev_g = None
-    reason = (f"did not reach tolerance {_GRAD_TOL} "
-              f"within {_MAX_ITERS} iterations")
     for _ in range(_MAX_ITERS):
-        gnorm = float(np.abs(g).max())
-        if gnorm < _GRAD_TOL:
-            return u
         j0 = value(u)
-        if not math.isfinite(j0):
-            reason = f"stopped at a non-finite objective ({j0})"
-            break
+        done = np.abs(g).max(axis=1) < _GRAD_TOL
+        stopped = ~done & ~np.isfinite(j0)
+        keep = ~(done | stopped)
+        if not keep.all():
+            out[rows[done]] = u[done]
+            for i in np.flatnonzero(stopped).tolist():
+                fail(i, f"stopped at a non-finite objective ({float(j0[i])})")
+            if not keep.any():
+                break
+            rows, m, w, u, g, j0, step = (
+                a[keep] for a in (rows, m, w, u, g, j0, step))
+            if prev_u is not None:
+                prev_u, prev_g = prev_u[keep], prev_g[keep]
         if prev_u is not None:
             s = u - prev_u
-            yv = g - prev_g
-            sy = float(np.dot(s, yv))
-            if sy > 0:
-                step = float(np.dot(s, s)) / sy
-        gg = float(np.dot(g, g))
-        alpha = step
+            sy = np.vecdot(s, g - prev_g)
+            np.divide(np.vecdot(s, s), sy, out=step, where=sy > 0)
+        gg = np.vecdot(g, g)
+        alpha = step.copy()
+        searching = np.ones(rows.size, dtype=bool)
         for _ in range(60):
-            trial = u - alpha * g
-            if value(trial) <= j0 - _ARMIJO * alpha * gg:
+            trial = u - alpha[:, np.newaxis] * g
+            searching &= ~(value(trial) <= j0 - _ARMIJO * alpha * gg)
+            if not searching.any():
                 break
-            alpha *= _SHRINK
+            alpha[searching] *= _SHRINK
         prev_u, prev_g = u, g
-        u = u - alpha * g
-        g = gradient(u)
-    if prev_u is not None and not np.all(np.isfinite(u)):
-        u, g = prev_u, prev_g  # its objective was finite, so it is too
+        u = u - alpha[:, np.newaxis] * g
+        g = 2.0 * w * (u - m)
+    else:
+        for i in range(rows.size):
+            fail(i, f"did not reach tolerance {_GRAD_TOL} "
+                    f"within {_MAX_ITERS} iterations")
+    if not failed:
+        return out
+    row = min(failed)
+    reason, u_row, g_row = failed[row]
     raise ConvergenceError(
         f"gradient descent {reason}",
-        control=ControlSignal(times, u),
-        grad_norm=float(np.abs(g).max()),
+        control=ControlSignal(times[row], u_row),
+        grad_norm=float(np.abs(g_row).max()),
     )
 
 
@@ -324,10 +356,11 @@ def minimize_control(model: DemandModel, grid: Grid) -> ControlSignal:
     """
     validate_cfl(grid)
     out_t = grid.output_times()
-    m1 = _mean_series(model, out_t)
+    m1 = np.asarray(_mean_series(model, out_t), dtype=float)
     weights = _trapezoid_weights(out_t)
     ct = grid.control_times()
-    return ControlSignal(ct, _descend(np.asarray(m1, dtype=float), weights, ct))
+    return ControlSignal(ct, _descend(m1[np.newaxis], weights[np.newaxis],
+                                      ct[np.newaxis])[0])
 
 
 def minimize_control_direct(model: DemandModel, grid: Grid) -> ControlSignal:
@@ -348,7 +381,12 @@ def sequential_update_control(params: DemandParams, grid: Grid, schedule: Update
     On each interval the gradient descent minimises the tracking cost
     against the conditional mean one delay ahead, given the value observed
     at the interval's update.  :class:`Cm2Policy` is that law in closed
-    form, and the descent is checked against it.
+    form, and the descent is checked against it.  Each run of consecutive
+    intervals of one length is one descent, over the (intervals, length)
+    views of the control, weights and times; on a regular schedule that is
+    every interval but a shorter last one.  An interval that fails raises
+    :class:`ConvergenceError` as if the intervals ran one by one: the first
+    to fail is named.
     """
     if abs(grid.courant - 1.0) > 1e-9:
         raise ValueError("sequential update solve requires a Courant-1 grid")
@@ -359,9 +397,12 @@ def sequential_update_control(params: DemandParams, grid: Grid, schedule: Update
     u = Cm2Policy(params, schedule).control_block(path.values[np.newaxis], grid)[0]
     ct = grid.control_times()
     weights = _trapezoid_weights(grid.output_times())
-    bounds = np.append(upd, u.size).tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        u[a:b] = _descend(u[a:b], weights[a:b], ct[a:b])
+    lo = int(upd[0])
+    for length, run in itertools.groupby(np.diff(np.append(upd, u.size)).tolist()):
+        hi = lo + length * len(list(run))
+        views = (a[lo:hi].reshape(-1, length) for a in (u, weights, ct))
+        u[lo:hi] = _descend(*views).reshape(-1)
+        lo = hi
     return ControlSignal(ct, u)
 
 

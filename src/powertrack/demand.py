@@ -480,17 +480,18 @@ def _grid_coeffs(params: DemandParams,
     decay factor, mean-tracking drift, and Gaussian standard deviation.
 
     The decay and the deviation call the C library's ``exp`` and ``expm1``
-    once per distinct step length, since numpy's vectorised ``exp`` can
-    differ from it in the last bit, and that would move every sampled value.
+    once per distinct step length (``np.unique`` finds them, and its
+    inverse index spreads the values back over the steps), since numpy's
+    vectorised ``exp`` can differ from it in the last bit, and that would
+    move every sampled value.
     """
     kappa = params.kappa
     t0, t1 = times[:-1], times[1:]
-    deltas = (t1 - t0).tolist()
-    decay_of = {d: math.exp(-kappa * d) for d in set(deltas)}
+    lengths, step_of = np.unique(t1 - t0, return_inverse=True)
+    lengths = lengths.tolist()
+    decay = np.array([math.exp(-kappa * d) for d in lengths])[step_of]
     # -expm1 keeps 1 - e^{-2 kappa delta} accurate for tiny steps
-    one_minus_of = {d: -math.expm1(-2.0 * kappa * d) for d in decay_of}
-    decay = np.fromiter(map(decay_of.__getitem__, deltas), float, len(deltas))
-    one_minus = np.fromiter(map(one_minus_of.__getitem__, deltas), float, len(deltas))
+    one_minus = np.array([-math.expm1(-2.0 * kappa * d) for d in lengths])[step_of]
     drift = np.asarray(params.mean.weighted_integral(kappa, t0, t1),
                        dtype=float).reshape(-1)
     sd = params.sigma * np.sqrt(one_minus / (2.0 * kappa))

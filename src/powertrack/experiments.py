@@ -145,7 +145,13 @@ class Scenario:
                 raise ConfigError("outputs", f"unknown artifact {artifact!r}")
         if self.horizon <= 1.0 / self.speed:
             raise ConfigError("horizon", "must exceed the transport delay 1/speed")
-        scenario_grid(self)  # update_interval is checked by the runs that read it
+        grid = scenario_grid(self)  # update_interval is checked by the runs that read it
+        if self.profile is not None:
+            # the tracking objective sums squared profile values over the horizon
+            peak = float(np.abs(self.profile.at(grid.times())).max())
+            if not math.isfinite(peak * peak * self.horizon):
+                raise ConfigError("profile", f"peak |profile| {peak!r} squared over "
+                                             f"the horizon is not finite")
 
     @property
     def demand_mode(self) -> str:

@@ -95,6 +95,11 @@ class Grid:
 
     @property
     def courant(self) -> float:
+        """speed dt / dx, and exactly 1.0 when dt is dx / speed as
+        :meth:`make` builds it by default: the product need not round back
+        to 1, and the solve reads the delay line only at exactly 1.0."""
+        if self.dt == self.dx / self.speed:
+            return 1.0
         return self.speed * self.dt / self.dx
 
     @property

@@ -9,7 +9,9 @@ stand beside a library routine as its reference:
   record of a sampled ensemble, a discretisation that converges to the
   library's exact transitions;
 - :func:`exact_shift_output`, the exact outflow of the transport equation,
-  which the upwind scheme reproduces at Courant number 1.
+  which the upwind scheme reproduces at Courant number 1;
+- :func:`descend_1d`, the gradient descent on one interval alone, which
+  each row of the library's lockstep descent must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -265,6 +267,60 @@ def exact_shift_output(speed: float, z0, u, t):
             xs = np.linspace(0.0, 1.0, z0.size)
             out[~late] = np.interp(x, xs, z0)
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def descend_1d(targets: np.ndarray, weights: np.ndarray,
+               times: np.ndarray) -> np.ndarray:
+    """Gradient descent with backtracking on J(u) = sum_k w_k (u_k - m_k)^2
+    over one 1-d interval, with the library's budget, tolerance, Armijo
+    constant and backtracking factor (read at call time, so a patched
+    budget applies here too).  Raises the library's ConvergenceError."""
+    from powertrack import ControlSignal, costopt
+
+    u = np.zeros(targets.size)
+
+    def value(v: np.ndarray) -> float:
+        return float((weights * (v - targets) ** 2).sum())
+
+    def gradient(v: np.ndarray) -> np.ndarray:
+        return 2.0 * weights * (v - targets)
+
+    step = 1.0 / (2.0 * float(weights.max()))
+    g = gradient(u)
+    prev_u = prev_g = None
+    reason = (f"did not reach tolerance {costopt._GRAD_TOL} "
+              f"within {costopt._MAX_ITERS} iterations")
+    for _ in range(costopt._MAX_ITERS):
+        gnorm = float(np.abs(g).max())
+        if gnorm < costopt._GRAD_TOL:
+            return u
+        j0 = value(u)
+        if not math.isfinite(j0):
+            reason = f"stopped at a non-finite objective ({j0})"
+            break
+        if prev_u is not None:
+            s = u - prev_u
+            yv = g - prev_g
+            sy = float(np.dot(s, yv))
+            if sy > 0:
+                step = float(np.dot(s, s)) / sy
+        gg = float(np.dot(g, g))
+        alpha = step
+        for _ in range(60):
+            trial = u - alpha * g
+            if value(trial) <= j0 - costopt._ARMIJO * alpha * gg:
+                break
+            alpha *= costopt._SHRINK
+        prev_u, prev_g = u, g
+        u = u - alpha * g
+        g = gradient(u)
+    if prev_u is not None and not np.all(np.isfinite(u)):
+        u, g = prev_u, prev_g  # its objective was finite, so it is too
+    raise costopt.ConvergenceError(
+        f"gradient descent {reason}",
+        control=ControlSignal(times, u),
+        grad_norm=float(np.abs(g).max()),
+    )
 
 
 def se_mean(x: np.ndarray) -> float:

@@ -293,6 +293,63 @@ class TestMinimizeControlDirect:
         assert np.allclose(u.values, cm1_control(ps3, ps_grid.speed, ct), atol=1e-14)
 
 
+def _assert_same_error(got, want):
+    assert str(got) == str(want)
+    assert got.control.times.tobytes() == want.control.times.tobytes()
+    assert got.control.values.tobytes() == want.control.values.tobytes()
+    assert got.grad_norm == want.grad_norm
+
+
+class TestDescendRows:
+    """The lockstep descent against one descent per row, bitwise."""
+
+    @settings(max_examples=80)
+    @given(rows=st.integers(1, 8), length=st.integers(1, 300),
+           spread=st.sampled_from([0.0, 0.5, 2.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_row_equals_its_own_descent(self, rows, length, spread, seed):
+        """L crosses the pairwise-sum blocks of 8 and 128.  Equal interior
+        weights converge in one step; half-weight ends take Barzilai-Borwein
+        steps, and weights spread over up to two decades backtrack."""
+        rng = np.random.default_rng(seed)
+        dt = 10.0 ** rng.uniform(-4.0, 0.0)
+        weights = dt * 10.0 ** -rng.uniform(0.0, spread, (rows, length))
+        weights[:, 0] *= rng.choice([0.5, 1.0], rows)
+        weights[:, -1] *= rng.choice([0.5, 1.0], rows)
+        targets = (rng.choice([-1.0, 1.0], (rows, length))
+                   * 10.0 ** rng.uniform(-3.0, 6.0, (rows, length)))
+        times = dt * np.arange(rows * length, dtype=float).reshape(rows, length)
+        try:  # row by row, so the first row that fails raises
+            want = [oracles.descend_1d(m, w, t)
+                    for m, w, t in zip(targets, weights, times)]
+        except ConvergenceError as err:
+            with pytest.raises(ConvergenceError) as got:
+                costopt._descend(targets, weights, times)
+            _assert_same_error(got.value, err)
+            return
+        got = costopt._descend(targets, weights, times)
+        assert got.shape == (rows, length)
+        for row, values in zip(got, want):
+            assert row.tobytes() == values.tobytes()
+
+    def test_budget_exhaustion_names_the_first_failing_row(self, monkeypatch):
+        # rows 0 and 2 start at their optimum, rows 1 and 3 need a step more
+        monkeypatch.setattr(costopt, "_MAX_ITERS", 1)
+        rng = np.random.default_rng(5)
+        weights = np.full((4, 6), 0.025)
+        weights[:, [0, -1]] = 0.0125
+        targets = rng.uniform(1.0, 2.0, (4, 6))
+        targets[[0, 2]] = 0.0
+        times = 0.025 * np.arange(24.0).reshape(4, 6)
+        assert oracles.descend_1d(targets[0], weights[0], times[0]).tobytes() \
+            == np.zeros(6).tobytes()
+        with pytest.raises(ConvergenceError) as want:
+            oracles.descend_1d(targets[1], weights[1], times[1])
+        with pytest.raises(ConvergenceError) as got:
+            costopt._descend(targets, weights, times)
+        _assert_same_error(got.value, want.value)
+        assert got.value.control.times.tobytes() == times[1].tobytes()
+
+
 class TestSequentialUpdateSolve:
     def test_single_interval_equals_no_update_solve(self, ps3, ps_grid):
         path = sample_path(ps3, ps_grid.times(), substream(12, 1))

@@ -454,10 +454,10 @@ class TestCli:
          "profile", None, "finite"),
         # a one-iteration optimizer budget raises ConvergenceError
         ("preset: deterministic-fig5\n", None, 1, "gradient descent"),
-        # the tracking objective overflows, so the descent stops
+        # the tracking objective would overflow, so the profile is refused
         ("preset: deterministic-fig5\n"
-         "profile: {type: constant, level: 1.0e+200}\n", None, None,
-         "gradient descent"),
+         "profile: {type: constant, level: 1.0e+200}\n", "profile", None,
+         "not finite"),
         ("preset: PS1\nkappa: abc\n", "kappa", None, None),
         ("preset: PS1\nkappa: -1\n", "kappa", None, None),
         ("preset: PS1\nsigma: [1, 2]\n", "sigma", None, None),

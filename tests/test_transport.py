@@ -16,6 +16,7 @@ from powertrack import (
     upwind_solve,
     validate_cfl,
 )
+from powertrack import transport
 
 TWO_PI = 2.0 * np.pi
 
@@ -81,6 +82,23 @@ class TestGrid:
             Grid.make(4.0, 0.1, 0.25)  # horizon equals the delay
         with pytest.raises(ValueError):
             Grid(4.0, 0.1, 0.03, 10, 33, 1.0)  # delay off the time lattice
+
+    def test_default_grid_whose_product_rounds_reads_the_delay_line(self, monkeypatch):
+        # 7 * (1/2339 / 7) / (1/2339) rounds to 0.9999999999999999, but dt
+        # is dx / speed, so the grid is at Courant 1 and must not march
+        g = Grid.make(7.0, 1 / 2339, 1.0)
+        assert g.speed * g.dt / g.dx < 1.0 and g.courant == 1.0
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("a Courant-1 solve marched")
+
+        monkeypatch.setattr(transport, "_march", no_march)
+        t = g.control_times()
+        u = ControlSignal(t, np.sin(TWO_PI * t))
+        z0 = np.linspace(-1.0, 1.0, g.nx + 1)
+        delay_line = transport._delay_line(z0, np.atleast_1d(u.at(g.times())))
+        outflow = upwind_solve(g, z0, u).outflow
+        assert outflow.tobytes() == delay_line[:g.nt + 1].tobytes()
 
     def test_lattice_views(self):
         g = Grid.make(2.0, 0.5, 5.0)
