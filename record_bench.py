@@ -4,9 +4,10 @@
 
 Run from the root of a source checkout.  The timings come from the
 benchmark harness alone: ``bench/run.py`` at seed 7 on ``mc-ps3`` and
-``converge-fine``, untraced (``--trace 0``) and traced (``--trace 1``), each
-for ``--seconds`` seconds; the file keeps every run's result line (its last
-line of output) and its metadata line.  Next to them it records:
+``converge-fine``, untraced (``--trace 0``) and traced (``--trace 1``), and
+on the ungated ``tabulated-forecast`` traced only, each for ``--seconds``
+seconds; the file keeps every run's result line (its last line of output)
+and its metadata line.  Next to them it records:
 
 * ``src_lines``: the lines under ``src/``, split into logic and the tables
   of ``_ziggurat.py``;
@@ -35,7 +36,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 SRC = ROOT / "src"
 SEED = 7
-GATED = ("mc-ps3", "converge-fine")
+# (workload, --trace) of every bench/run.py call, in order
+RUNS = (("mc-ps3", 0), ("mc-ps3", 1), ("converge-fine", 0), ("converge-fine", 1),
+        ("tabulated-forecast", 1))
 TABLES = SRC / "powertrack" / "_ziggurat.py"
 
 
@@ -102,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "seed": SEED,
         "seconds": args.seconds,
-        "runs": [bench_run(w, trace, args.seconds) for w in GATED for trace in (0, 1)],
+        "runs": [bench_run(w, trace, args.seconds) for w, trace in RUNS],
         "src_lines": src_lines(),
         "sha256": artefact_hashes(),
         "tier1": tier1(),

@@ -51,17 +51,17 @@ class UpdateSchedule:
                 lattice_dt: float | None = None) -> "UpdateSchedule":
         """Updates at 0, interval, 2*interval, ... within [0, control_end].
 
-        When ``lattice_dt`` is given, the interval must be an integer number
-        of lattice steps so observations line up with the transport grid.
+        When ``lattice_dt`` is given, the interval must be 1, 2, 3, ... lattice
+        steps so observations line up with the transport grid.
         """
         if not 0 < interval < np.inf:
             raise ValueError("update interval must be finite and > 0")
         if lattice_dt is not None:
             steps = interval / lattice_dt
-            if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
                 raise ValueError(
-                    f"update interval {interval} is not a multiple of the "
-                    f"lattice step {lattice_dt}")
+                    f"update interval {interval} is not a multiple (>= 1) of "
+                    f"the lattice step {lattice_dt}")
         n = int(np.floor(control_end / interval + 1e-9))
         return cls(interval=interval, times=interval * np.arange(n + 1))
 

@@ -10,8 +10,10 @@ solution of the SDE, so transitions between arbitrary grid times are exact
 (no discretisation bias).
 
 Every sampled path carries its full noise record (standard-normal draws,
-jump times, jump heights and the grid step of each jump), so ensembles can
-share one realisation of the noise across different initial values.
+jump times, jump heights and the grid step of each jump).  The noise does
+not depend on the initial value, so :func:`sample_ensemble` gives several
+initial values one realisation of it by sampling each from the same
+generator state.
 
 Monte-Carlo ensembles are a :class:`PathEnsemble`: values and gaussians as
 (paths, steps) arrays and the jump events of all paths in one compressed-row
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -144,7 +146,8 @@ HeightLaw = Union[ConstantHeight, NormalHeight, LognormalHeight]
 class JumpSpec:
     """Compound-Poisson jump component: event rate plus height law.
 
-    ``intensity == 0`` disables jumps entirely (pure diffusion).
+    ``intensity == 0`` disables jumps entirely (pure diffusion).  E[gamma]
+    and E[gamma^2] are ``height_law.mean`` and ``height_law.mean_square``.
     """
 
     intensity: float
@@ -159,21 +162,11 @@ class JumpSpec:
         return cls(0.0, ConstantHeight(0.0))
 
     @property
-    def mean_height(self) -> float:
-        """E[gamma], the average jump size."""
-        return self.height_law.mean
-
-    @property
-    def mean_square_height(self) -> float:
-        """E[gamma^2], the second moment of the jump size."""
-        return self.height_law.mean_square
-
-    @property
     def active(self) -> bool:
-        """Whether jumps can move the path at all."""
-        return self.intensity > 0 and (
-            self.mean_height != 0.0 or self.mean_square_height != 0.0
-        )
+        """Whether jumps can move the path at all.  Both moments are read: a
+        tiny constant height has a mean_square of 0.0 by underflow."""
+        law = self.height_law
+        return self.intensity > 0 and (law.mean != 0.0 or law.mean_square != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +234,14 @@ class SinusoidMean:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedMean:
     """Forecast given at knots, linearly interpolated in between.
 
     The knot range must cover every time the forecast is evaluated at;
     there is no extrapolation.  The forecast is linear on each knot segment,
     so its weighted integral is exact (see :meth:`weighted_integral`).
+    Forecasts with equal knot arrays are equal, and, like arrays, unhashable.
     """
 
     times: np.ndarray
@@ -268,6 +262,12 @@ class TabulatedMean:
                 raise ValueError("tabulated mean knot segment too narrow: slope overflows")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, TabulatedMean):
+            return NotImplemented
+        return (np.array_equal(self.times, other.times)
+                and np.array_equal(self.values, other.values))
 
     def _check_range(self, t: np.ndarray) -> None:
         if np.any(t < self.times[0] - 1e-12) or np.any(t > self.times[-1] + 1e-12):
@@ -426,54 +426,6 @@ class _NoiseRecord(NamedTuple):
     jump_steps: np.ndarray
 
 
-def _draw_noise(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int] = None,
-                streams: Iterable[np.random.Generator] = ()) -> _NoiseRecord:
-    """Noise for ``n`` paths on the grid, drawn from ``seed`` or ``streams``
-    by :func:`powertrack._streams.draw`, whose module states the draw order.
-    A uniform U becomes the time t_k + (t_{k+1} - t_k)(1 - U) in
-    (t_k, t_{k+1}]; times are sorted within each step, heights keep their
-    draw order.
-    """
-    from ._streams import draw  # compiled by a first draw, not at import
-
-    law = params.jump.height_law
-    constant = isinstance(law, ConstantHeight)
-    counts, gaussians, uniforms, jump_heights, offsets = draw(
-        params.jump.intensity * np.diff(times), n,
-        None if constant else law.sample, seed, streams)
-    if constant:
-        jump_heights = np.full(uniforms.size, float(law.value))
-    cells = counts.ravel()
-    steps = np.repeat(np.tile(np.arange(times.size - 1), n), cells)
-    t0 = times[steps]
-    raw = t0 + (times[steps + 1] - t0) * (1.0 - uniforms)
-    # events come in (row, step) order, so only steps holding two or more
-    # need sorting; lexsort is stable, as over all events
-    shared = cells >= 2
-    pos = np.flatnonzero(np.repeat(shared, cells))
-    cell = np.repeat(np.flatnonzero(shared), cells[shared])
-    raw[pos] = raw[pos[np.lexsort((raw[pos], cell))]]
-    return _NoiseRecord(gaussians, offsets, raw, jump_heights, steps)
-
-
-def _group_sums(weights: np.ndarray, groups: np.ndarray,
-                n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and size of each group of ``weights``; groups are contiguous runs.
-
-    Each sum adds its terms in the order ``np.sum`` uses on the group alone,
-    so results are bit-identical to it: one by one from zero below eight
-    terms (as ``np.bincount`` does), ``np.sum``'s pairwise scheme from eight.
-    """
-    counts = np.bincount(groups, minlength=n_groups)
-    sums = np.bincount(groups, weights=weights, minlength=n_groups)
-    big = np.flatnonzero(counts >= 8)
-    if big.size:
-        ends = np.cumsum(counts)
-        for g in big.tolist():
-            sums[g] = np.sum(weights[ends[g] - counts[g]:ends[g]])
-    return sums, counts
-
-
 def _grid_coeffs(params: DemandParams,
                  times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic pieces of the exact transition over each grid step:
@@ -506,9 +458,11 @@ def _exact_values(params: DemandParams, times: np.ndarray,
     Each step is the exact transition on every row: y maps to
     y e^{-kappa dt} + drift + sd xi, and then, if the step holds events,
     sum_i gamma_i e^{-kappa (t_{k+1} - t_i)} is added; drift and sd come
-    from :func:`_grid_coeffs`.  One row runs the same operations in Python
-    floats, which round as numpy's do, reading the coefficients lazily
-    through memoryviews.
+    from :func:`_grid_coeffs`.  One ``np.bincount`` over all (path, step)
+    cells forms that sum, adding a cell's decayed jumps left to right from
+    0.0 in draw order, whatever their count.  One row runs the same
+    operations in Python floats, which round as numpy's do, reading the
+    coefficients lazily through memoryviews.
     """
     decay, drift, sd = _grid_coeffs(params, times)
     nsteps = decay.size
@@ -517,9 +471,9 @@ def _exact_values(params: DemandParams, times: np.ndarray,
     groups = np.repeat(np.arange(rows), np.diff(noise.offsets)) * nsteps + steps
     weights = noise.jump_heights * np.exp(
         -params.kappa * (times[1:][steps] - noise.jump_times))
-    sums, counts = _group_sums(weights, groups, rows * nsteps)
-    sums = sums.reshape(rows, nsteps).T
-    has_jumps = (counts > 0).reshape(rows, nsteps).T
+    cells = rows * nsteps
+    sums = np.bincount(groups, weights, cells).reshape(rows, nsteps).T
+    has_jumps = (np.bincount(groups, minlength=cells) > 0).reshape(rows, nsteps).T
     diffusion = (sd * noise.gaussians).T
     out = np.empty((nsteps + 1, rows))
     out[0] = params.y0
@@ -547,7 +501,32 @@ def _exact_values(params: DemandParams, times: np.ndarray,
 
 def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int] = None,
             streams: Iterable[np.random.Generator] = ()) -> PathEnsemble:
-    noise = _draw_noise(params, times, n, seed, streams)
+    """``n`` paths on the grid, their noise drawn from ``seed`` or ``streams``
+    by :func:`powertrack._streams.draw`, whose module states the draw order.
+    A uniform U becomes the time t_k + (t_{k+1} - t_k)(1 - U) in
+    (t_k, t_{k+1}]; times are sorted within each step, heights keep their
+    draw order.
+    """
+    from ._streams import draw  # compiled by a first draw, not at import
+
+    law = params.jump.height_law
+    constant = isinstance(law, ConstantHeight)
+    counts, gaussians, uniforms, jump_heights, offsets = draw(
+        params.jump.intensity * np.diff(times), n,
+        None if constant else law.sample, seed, streams)
+    if constant:
+        jump_heights = np.full(uniforms.size, float(law.value))
+    cells = counts.ravel()
+    steps = np.repeat(np.tile(np.arange(times.size - 1), n), cells)
+    t0 = times[steps]
+    raw = t0 + (times[steps + 1] - t0) * (1.0 - uniforms)
+    # events come in (row, step) order, so only steps holding two or more
+    # need sorting; lexsort is stable, as over all events
+    shared = cells >= 2
+    pos = np.flatnonzero(np.repeat(shared, cells))
+    cell = np.repeat(np.flatnonzero(shared), cells[shared])
+    raw[pos] = raw[pos[np.lexsort((raw[pos], cell))]]
+    noise = _NoiseRecord(gaussians, offsets, raw, jump_heights, steps)
     return PathEnsemble(times, _exact_values(params, times, noise), *noise)
 
 
@@ -578,35 +557,25 @@ def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEn
     return _sample(params, times, n_paths, seed, streams)
 
 
-def _same_but_y0(a: DemandParams, b: DemandParams) -> bool:
-    if (a.kappa, a.sigma) != (b.kappa, b.sigma):
-        return False
-    if a.jump != b.jump:
-        return False
-    if type(a.mean) is not type(b.mean):
-        return False
-    if isinstance(a.mean, TabulatedMean):
-        return (np.array_equal(a.mean.times, b.mean.times)
-                and np.array_equal(a.mean.values, b.mean.values))
-    return a.mean == b.mean
-
-
 def sample_ensemble(params_list: list[DemandParams], times,
                     rng: np.random.Generator) -> list[DemandPath]:
-    """Sample one path per parameter set, all from a single shared noise record.
+    """Sample one path per parameter set, all from one draw of the noise.
 
-    The parameter sets may differ only in their initial value, so the
-    resulting paths show identical Brownian increments and jump events and
-    differ exactly by (y0_a - y0_b) e^{-kappa t}.  Each member's path is the
-    one :func:`sample_path` gives for it from ``rng``'s state.
+    The parameter sets may differ only in their initial value.  Each member
+    is the path :func:`sample_path` gives for it from ``rng``'s state, which
+    is set back before every member; the noise does not read y0, so the
+    paths show identical Brownian increments and jump events and differ
+    exactly by (y0_a - y0_b) e^{-kappa t}.  ``rng`` ends where one
+    :func:`sample_path` leaves it.
     """
     if not params_list:
         raise ValueError("params_list must not be empty")
     base = params_list[0]
-    for p in params_list[1:]:
-        if not _same_but_y0(base, p):
-            raise ValueError("ensemble members may differ only in y0")
-    times = _validate_grid(times)
-    noise = _draw_noise(base, times, 1, streams=[rng])
-    return [PathEnsemble(times, _exact_values(p, times, noise), *noise)[0]
-            for p in params_list]
+    if any(replace(p, y0=base.y0) != base for p in params_list[1:]):
+        raise ValueError("ensemble members may differ only in y0")
+    start = rng.bit_generator.state
+    paths = []
+    for p in params_list:
+        rng.bit_generator.state = start
+        paths.append(sample_path(p, times, rng))
+    return paths

@@ -71,8 +71,8 @@ def jump_sum_moments(jump: JumpSpec, kappa: float, delta) -> JumpMoments:
         raise ValueError("kappa must be > 0")
     delta = _as_times(delta, name="delta")
     nu = jump.intensity
-    gbar = jump.mean_height
-    g2 = jump.mean_square_height
+    gbar = jump.height_law.mean
+    g2 = jump.height_law.mean_square
     one_minus = -np.expm1(-kappa * delta)          # 1 - e^{-kappa delta}
     one_minus2 = -np.expm1(-2.0 * kappa * delta)   # 1 - e^{-2 kappa delta}
     mean = gbar * (nu / kappa) * one_minus

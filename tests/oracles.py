@@ -111,7 +111,7 @@ def euler_values(params, ensemble) -> np.ndarray:
         Y_{k+1} = Y_k + kappa (mu(t_k) - Y_k) dt + sigma sqrt(dt) xi_k
                   + the sum of the jump heights in the step.
 
-    The heights of a step are summed in the order np.sum uses on them alone.
+    The heights of a step are summed left to right from 0.0, in draw order.
     Requires kappa * dt < 1 on every step.  Returns the (paths, nt+1) values.
     """
     times = ensemble.times
@@ -123,9 +123,6 @@ def euler_values(params, ensemble) -> np.ndarray:
               + ensemble.jump_steps)
     counts = np.bincount(groups, minlength=n * nsteps)
     sums = np.bincount(groups, weights=ensemble.jump_heights, minlength=n * nsteps)
-    ends = np.cumsum(counts)
-    for g in np.flatnonzero(counts >= 8):  # np.sum turns pairwise from 8 terms
-        sums[g] = np.sum(ensemble.jump_heights[ends[g] - counts[g]:ends[g]])
     sums, has_jumps = sums.reshape(n, nsteps), counts.reshape(n, nsteps) > 0
     mu = np.asarray(params.mean.at(times[:-1]), dtype=float).reshape(-1)
     out = np.empty((nsteps + 1, n))
@@ -145,8 +142,10 @@ def stepwise_path(params, times, rng):
     The draws come in the sampler's order: the per-step jump counts, one
     gaussian per step, then the uniforms and heights of each step with
     events.  Each step applies the transition formula directly,
-    y e^{-kappa dt} + drift + sd xi, and then adds the np.sum of the step's
-    decayed jumps.  Returns (values, gaussians, jump_times, jump_heights).
+    y e^{-kappa dt} + drift + sd xi, and then adds the sum of the step's
+    decayed jumps, taken left to right from 0.0 in draw order (not np.sum,
+    which is pairwise from 8 terms, nor builtin sum, which is compensated
+    from Python 3.12).  Returns (values, gaussians, jump_times, jump_heights).
     """
     times = np.asarray(times, dtype=float)
     kappa = params.kappa
@@ -167,7 +166,10 @@ def stepwise_path(params, times, rng):
             step_times = np.sort(times[k] + (times[k + 1] - times[k])
                                  * (1.0 - rng.random(c)))
             step_heights = params.jump.height_law.sample(rng, c)
-            y += float(np.sum(step_heights * np.exp(-kappa * (t1 - step_times))))
+            jumps = 0.0
+            for w in (step_heights * np.exp(-kappa * (t1 - step_times))).tolist():
+                jumps += w
+            y += jumps
             jump_times.append(step_times)
             jump_heights.append(step_heights)
         values.append(y)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,18 @@ class TestUpdateSchedule:
     def test_alignment_with_lattice_enforced(self):
         with pytest.raises(ValueError):
             UpdateSchedule.regular(0.03, 0.75, 0.025)
+
+    def test_interval_below_one_lattice_step_rejected_without_allocating(self):
+        # 1e-12 / 0.025 rounds to 0 steps; accepted, the schedule would ask
+        # for 7.5e11 update times
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="lattice step"):
+                UpdateSchedule.regular(1e-12, 0.75, 0.025)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_last_update_is_left_closed(self):
         sched = UpdateSchedule.regular(0.2, 0.75)

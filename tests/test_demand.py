@@ -204,6 +204,14 @@ class TestSampleEnsemble:
         with pytest.raises(ValueError):
             sample_ensemble([ps1, ps2], [0.0, 1.0], substream(0, 0))
 
+    def test_generator_ends_where_one_sample_path_leaves_it(self, ps3):
+        times = np.linspace(0.0, 1.0, 11)
+        members = [replace(ps3, y0=y0) for y0 in (ps3.y0, -2.0, 7.5)]
+        rng, twin = substream(8, 0), substream(8, 0)
+        sample_ensemble(members, times, rng)
+        sample_path(ps3, times, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 _NOISE_FIELDS = ("values", "gaussians", "jump_times", "jump_heights")
 
@@ -218,8 +226,8 @@ class TestPathEnsemble:
            n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
     def test_rows_equal_single_path_samples(self, kappa, sigma, y0, mean, law,
                                             events_per_step, steps, n, seed):
-        # up to ~10 events per step, so some steps hold 8 or more and their
-        # jump sums take np.sum's pairwise order
+        # up to ~10 events per step, so some steps hold 8 or more; the
+        # sampler and the oracle add their decayed jumps left to right
         times = np.concatenate(([0.0], np.cumsum(steps)))
         intensity = events_per_step / max(steps) if steps else 0.0
         params = DemandParams(kappa=kappa, sigma=sigma, mean=mean, y0=y0,
@@ -332,6 +340,21 @@ class TestPathEnsemble:
         for name in ("values", "gaussians", "offsets", "jump_times",
                      "jump_heights", "jump_steps"):
             assert getattr(walked, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_many_jumps_in_one_step_add_left_to_right(self):
+        # ~30 events of scale 1e16 in one step: the order of their sum shows
+        # in its last bits, and np.sum would add them pairwise
+        params = DemandParams(kappa=1.0, sigma=0.0, mean=ConstantMean(0.0), y0=0.0,
+                              jump=JumpSpec(60.0, NormalHeight(0.0, 1e16)))
+        for seed in range(20):
+            for path in (sample_path(params, [0.0, 0.5], substream(seed, 0)),
+                         sample_paths(params, [0.0, 0.5], 3, seed)[1]):
+                total = 0.0
+                for w in (path.jump_heights
+                          * np.exp(-(0.5 - path.jump_times))).tolist():
+                    total += w
+                assert path.jump_times.size >= 8
+                assert path.values[-1] == total, seed
 
     def test_infinite_step_mean_is_left_to_rng_poisson(self):
         # intensity * step overflows to inf: draw sends every row to rng.poisson

@@ -175,6 +175,19 @@ class TestScenario:
             replace(preset(base), **changes)
         assert err.value.field == field
 
+    def test_tabulated_forecasts_compare_by_their_knots(self):
+        def ps1(times, values):
+            mean = TabulatedMean(np.array(times), np.array(values))
+            return replace(_PS1, params=replace(_PS1.params, mean=mean))
+
+        a = ps1([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+        b = ps1([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+        assert a.params.mean.values is not b.params.mean.values
+        assert a.params == b.params and a == b
+        for other in (ps1([0.0, 0.5, 1.0], [1.0, 2.0, 3.5]),
+                      ps1([0.0, 0.25, 1.0], [1.0, 2.0, 3.0])):
+            assert a.params != other.params and a != other
+
 
 class TestConfidenceBands:
     def test_median_of_gaussian_demand_is_the_mean(self, ps1):
@@ -468,6 +481,9 @@ class TestCli:
         # a valid but extreme y0 overflows the Monte-Carlo squared error
         ("preset: PS3\ny0: 1.0e+308\n", None, None, "cost.csv: column cumrmse_mc"),
         ("preset: PS1\nupdate_interval: .inf\n", "update_interval", None, None),
+        # 1e-12 rounds to 0 lattice steps of 0.025
+        ("preset: PS1\nupdate_interval: 1.0e-12\n", "update_interval", None,
+         "lattice step"),
         ("preset: PS1\njump: {intensity: 1, height: 3}\n", "jump.height",
          None, "expected a mapping"),
         # exp(2 log_mean + 2 log_std^2), the height's second moment, overflows
@@ -493,7 +509,7 @@ class TestCli:
             "sinusoid-inf", "profile-inf", "convergence",
             "overflow", "kappa-text", "kappa-negative", "sigma-list",
             "sigma-overflow", "sigma-square-overflow",
-            "y0-infinite", "y0-overflow", "interval-infinite",
+            "y0-infinite", "y0-overflow", "interval-infinite", "interval-below-step",
             "jump-height-scalar", "lognormal-overflow", "constant-overflow",
             "normal-overflow", "paths-fraction",
             "seed-fraction", "display-fraction", "levels-empty", "horizon-short",
@@ -525,12 +541,14 @@ class TestCli:
 
     def test_misaligned_dtup_gives_one_json_line(self, tmp_path, capsys):
         out = tmp_path / "c"
-        code = main(["converge", self._empty_cfg(tmp_path), "--preset", "PS3",
-                     "--dtup", "0.125,0.03", "--out-dir", str(out)])
-        assert code == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["field"] == "dtup"
-        assert not (out / "convergence.csv").exists()
+        # 0.03 is no multiple of the lattice step 0.025; 1e-12 rounds to 0 steps
+        for dtup in ("0.125,0.03", "0.125,1e-12"):
+            code = main(["converge", self._empty_cfg(tmp_path), "--preset", "PS3",
+                         "--dtup", dtup, "--out-dir", str(out)])
+            assert code == 2
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["field"] == "dtup"
+            assert not (out / "convergence.csv").exists()
 
     @pytest.mark.parametrize("command, flags, message", [
         ("run", ["--paths", "abc"], "invalid int value"),
