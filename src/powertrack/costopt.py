@@ -208,9 +208,32 @@ def _std(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     """``a.std(axis, ddof=1)`` taken on ``a`` scaled by a power of two that
     brings its largest magnitude below 1, so that squaring the deviations
     of values that are already squares cannot overflow; scaling by a power
-    of two is exact for normal numbers, so the result is too."""
+    of two is exact for normal numbers, so the result is too.
+
+    The scaled copy is the only block allocated: numpy's ``_var`` steps run
+    on it in place, in its order (sum with keepdims over the count,
+    subtract, square, sum, over the count less one, square root), so the
+    result is bitwise ``ndarray.std``'s.
+    """
     _, e = np.frexp(max(a.max(), -a.min()))
-    return np.ldexp(np.ldexp(a, -e).std(axis=axis, ddof=1), e)
+    x = np.ldexp(a, -e)
+    n = x.size if axis is None else x.shape[axis]
+    mean = x.sum(axis=axis, keepdims=True)
+    mean /= n
+    x -= mean
+    np.multiply(x, x, out=x)
+    var = x.sum(axis=axis) / (n - 1)
+    return np.ldexp(np.sqrt(var), e)
+
+
+def _trapezoid_rows(y: np.ndarray, d: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``np.trapezoid(y, x, axis=1)`` with ``d = np.diff(x)``, its terms
+    ``d * (y[:, 1:] + y[:, :-1]) / 2.0`` formed in the (n, k-1) ``buf`` by
+    the same ufuncs in the same order, so bitwise equal."""
+    np.add(y[:, 1:], y[:, :-1], out=buf)
+    np.multiply(d, buf, out=buf)
+    np.divide(buf, 2.0, out=buf)
+    return np.add.reduce(buf, axis=1)
 
 
 def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
@@ -221,9 +244,14 @@ def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
     (n, nt+1) value block is scored as it is.  A policy builds the controls
     of all paths as one (n, k) block; policies read the paths only through
     what their information level allows (CM2 at update times, CM3
-    continuously) and always act one transport delay later.  The squared deviations of all
-    paths then reduce to per-time means with standard errors; the cumrmse
-    standard error comes from the delta method.
+    continuously) and always act one transport delay later.  The squared
+    deviations of all paths then reduce to per-time means with standard
+    errors; the cumrmse standard error comes from the delta method.
+
+    The squared deviations are one (n, k) block, squared and then weighted
+    in place; the control block is released once they exist, and the
+    standard deviations and both per-path trapezoids each take one more
+    block, so at most two are alive at once.
     """
     if len(paths) < 2:
         raise ValueError("need at least 2 paths for a Monte-Carlo estimate")
@@ -236,18 +264,22 @@ def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
         y = control.control_block(values, grid)
     out_t = grid.output_times()
     n = values.shape[0]
-    dev2 = (values[:, grid.delay_steps:] - y) ** 2
+    dev2 = np.subtract(values[:, grid.delay_steps:], y)
+    del y
+    np.square(dev2, out=dev2)
 
     per_time = dev2.mean(axis=0)
     per_time_se = _std(dev2, axis=0) / np.sqrt(n)
-    costs = np.trapezoid(dev2, out_t, axis=1)
+    d = np.diff(out_t)
+    buf = np.empty((n, d.size))
+    costs = _trapezoid_rows(dev2, d, buf)
     expected = float(costs.mean())
     expected_se = float(_std(costs) / np.sqrt(n))
     root = np.sqrt(per_time)
     cumrmse = float(np.trapezoid(root, out_t))
     # delta method: linearise sqrt(mean) around the per-time means
     slope = np.divide(0.5, root, out=np.zeros_like(root), where=root > 0)
-    per_path_lin = np.trapezoid(dev2 * slope, out_t, axis=1)
+    per_path_lin = _trapezoid_rows(np.multiply(dev2, slope, out=dev2), d, buf)
     cumrmse_se = float(_std(per_path_lin) / np.sqrt(n))
     return CostReport(expected_cost=expected, cumrmse=cumrmse, times=out_t,
                       per_time=per_time, per_time_se=per_time_se,

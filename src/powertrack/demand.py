@@ -460,27 +460,33 @@ def _exact_values(params: DemandParams, times: np.ndarray,
     sum_i gamma_i e^{-kappa (t_{k+1} - t_i)} is added; drift and sd come
     from :func:`_grid_coeffs`.  One ``np.bincount`` over all (path, step)
     cells forms that sum, adding a cell's decayed jumps left to right from
-    0.0 in draw order, whatever their count.  One row runs the same
-    operations in Python floats, which round as numpy's do, reading the
-    coefficients lazily through memoryviews.
+    0.0 in draw order, whatever their count, and a bool scatter marks the
+    cells that hold events.  Each step multiplies its gaussians into one
+    reused row buffer; the recursion runs on a (nt+1, paths) block, and the
+    jump sums and marks are released before its row-major copy.  One row
+    runs the same operations in Python floats, which round as numpy's do,
+    reading the coefficients lazily through memoryviews.
     """
     decay, drift, sd = _grid_coeffs(params, times)
     nsteps = decay.size
-    rows = noise.gaussians.shape[0]
+    gaussians = noise.gaussians
+    rows = gaussians.shape[0]
     steps = noise.jump_steps
     groups = np.repeat(np.arange(rows), np.diff(noise.offsets)) * nsteps + steps
     weights = noise.jump_heights * np.exp(
         -params.kappa * (times[1:][steps] - noise.jump_times))
     cells = rows * nsteps
     sums = np.bincount(groups, weights, cells).reshape(rows, nsteps).T
-    has_jumps = (np.bincount(groups, minlength=cells) > 0).reshape(rows, nsteps).T
-    diffusion = (sd * noise.gaussians).T
+    has_jumps = np.zeros(cells, dtype=bool)
+    has_jumps[groups] = True
+    has_jumps = has_jumps.reshape(rows, nsteps).T
+    del groups, weights
     out = np.empty((nsteps + 1, rows))
     out[0] = params.y0
     if rows == 1:
         values = memoryview(out.reshape(-1))  # a view: out is (nsteps+1, 1)
         y = values[0]
-        coeffs = (decay, drift, diffusion[:, 0], sums[:, 0], has_jumps[:, 0])
+        coeffs = (decay, drift, sd * gaussians[0], sums[:, 0], has_jumps[:, 0])
         for k, (d, dr, df, jump, has) in enumerate(zip(*map(memoryview, coeffs)), 1):
             y = y * d + dr + df
             if has:
@@ -488,24 +494,45 @@ def _exact_values(params: DemandParams, times: np.ndarray,
             values[k] = y
     else:
         step_has_jumps = has_jumps.any(axis=1).tolist()
-        decay, drift = decay.tolist(), drift.tolist()
+        decay, drift, sd = decay.tolist(), drift.tolist(), sd.tolist()
+        diffusion = np.empty(rows)
         for k in range(nsteps):
             y = out[k + 1]
             np.multiply(out[k], decay[k], out=y)
             y += drift[k]
-            y += diffusion[k]
+            np.multiply(sd[k], gaussians[:, k], out=diffusion)
+            y += diffusion
             if step_has_jumps[k]:
                 np.add(y, sums[k], out=y, where=has_jumps[k])
+    del sums, has_jumps
     return np.ascontiguousarray(out.T)
+
+
+def _event_times(times: np.ndarray, counts: np.ndarray,
+                 uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid step and the time of every event, in (row, step) order, from
+    the (n, steps) ``counts`` and one uniform U per event: U becomes the time
+    t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}], and times are sorted
+    within each step."""
+    cells = counts.ravel()
+    steps = np.repeat(np.tile(np.arange(times.size - 1), counts.shape[0]), cells)
+    t0 = times[steps]
+    raw = t0 + (times[steps + 1] - t0) * (1.0 - uniforms)
+    # events come in (row, step) order, so only steps holding two or more
+    # need sorting; lexsort is stable, as over all events
+    shared = cells >= 2
+    pos = np.flatnonzero(np.repeat(shared, cells))
+    cell = np.repeat(np.flatnonzero(shared), cells[shared])
+    raw[pos] = raw[pos[np.lexsort((raw[pos], cell))]]
+    return steps, raw
 
 
 def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int] = None,
             streams: Iterable[np.random.Generator] = ()) -> PathEnsemble:
     """``n`` paths on the grid, their noise drawn from ``seed`` or ``streams``
-    by :func:`powertrack._streams.draw`, whose module states the draw order.
-    A uniform U becomes the time t_k + (t_{k+1} - t_k)(1 - U) in
-    (t_k, t_{k+1}]; times are sorted within each step, heights keep their
-    draw order.
+    by :func:`powertrack._streams.draw`, whose module states the draw order;
+    :func:`_event_times` places the events, whose heights keep their draw
+    order.
     """
     from ._streams import draw  # compiled by a first draw, not at import
 
@@ -516,17 +543,9 @@ def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int]
         None if constant else law.sample, seed, streams)
     if constant:
         jump_heights = np.full(uniforms.size, float(law.value))
-    cells = counts.ravel()
-    steps = np.repeat(np.tile(np.arange(times.size - 1), n), cells)
-    t0 = times[steps]
-    raw = t0 + (times[steps + 1] - t0) * (1.0 - uniforms)
-    # events come in (row, step) order, so only steps holding two or more
-    # need sorting; lexsort is stable, as over all events
-    shared = cells >= 2
-    pos = np.flatnonzero(np.repeat(shared, cells))
-    cell = np.repeat(np.flatnonzero(shared), cells[shared])
-    raw[pos] = raw[pos[np.lexsort((raw[pos], cell))]]
-    noise = _NoiseRecord(gaussians, offsets, raw, jump_heights, steps)
+    steps, jump_times = _event_times(times, counts, uniforms)
+    del counts, uniforms  # not held through the recursion
+    noise = _NoiseRecord(gaussians, offsets, jump_times, jump_heights, steps)
     return PathEnsemble(times, _exact_values(params, times, noise), *noise)
 
 

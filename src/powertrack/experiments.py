@@ -67,9 +67,10 @@ __all__ = [
 
 ARTIFACTS = ("paths", "control", "bands", "cost")
 # Expected jump events a stochastic run may sample: each adds at most about
-# 60 bytes to the peak memory of sampling, so the budget holds it near 1 GiB.
-# Measured on PS3 runs writing only bands: 59 bytes per event with 2 paths
-# (2**20 to 2**22 events), 48 with 65536 paths (intensity 1 to 64).
+# 80 bytes to the peak memory of sampling, so the budget holds it near 1.2 GiB.
+# Measured as the slope of the peak RSS of PS3 runs writing only bands: 76
+# bytes per event with 2 paths (2**20 to 2**22 events), 61 with 65536 paths
+# (intensity 1 to 64).
 MAX_JUMP_EVENTS = 2 ** 24
 
 

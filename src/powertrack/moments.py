@@ -98,9 +98,11 @@ def conditional_mean(params: DemandParams, t0, y_t0, t):
     if np.any(ta < t0a):
         raise ValueError("t must be >= t0")
     decay = np.exp(-params.kappa * (ta - t0a))
-    out = (decay * np.asarray(y_t0, dtype=float)
-           + weighted_mean_integral(params.mean, params.kappa, t0, t)
-           + jump_sum_moments(params.jump, params.kappa, ta - t0a).mean)
+    # the terms share or broadcast into the first one's shape, which holds
+    # a block of observations, so they add into it in place
+    out = decay * np.asarray(y_t0, dtype=float)
+    out += weighted_mean_integral(params.mean, params.kappa, t0, t)
+    out += jump_sum_moments(params.jump, params.kappa, ta - t0a).mean
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from powertrack import (
@@ -29,8 +31,11 @@ from powertrack import (
     mc_cost_estimate,
     minimize_control,
     minimize_control_direct,
+    preset,
     sample_path,
     sample_paths,
+    scenario_grid,
+    scenario_schedule,
     sequential_update_control,
     sequential_update_solve,
     substream,
@@ -166,6 +171,59 @@ class TestMcCostEstimate:
         paths = sample_paths(ps1, ps_grid.times(), 1, seed=2)
         with pytest.raises(ValueError):
             mc_cost_estimate(paths, ps_grid, minimize_control_direct(ps1, ps_grid))
+
+    def test_scoring_holds_at_most_three_blocks(self):
+        """Scoring a policy holds its (n, k) blocks of n paths by k output
+        times one or two at a time: the control block until the squared
+        deviations exist, then one working block next to those."""
+        sc = preset("PS3")
+        grid = scenario_grid(sc)
+        paths = sample_paths(sc.params, grid.times(), 2000, seed=5)
+        block = len(paths) * grid.output_times().size * 8
+        for policy in (Cm1Policy(sc.params),
+                       Cm2Policy(sc.params, scenario_schedule(sc, grid)),
+                       Cm3Policy(sc.params)):
+            mc_cost_estimate(paths, grid, policy)  # warm
+            tracemalloc.start()
+            try:
+                mc_cost_estimate(paths, grid, policy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * block, (type(policy).__name__, peak / block)
+
+
+_SHAPES = st.tuples(st.integers(2, 40), st.integers(2, 40))
+_BIG = st.floats(-1e300, 1e300)
+
+
+class TestInPlaceReductions:
+    """The reductions of :func:`mc_cost_estimate` run in place, and must be
+    bitwise the numpy calls they replace."""
+
+    @settings(max_examples=200)
+    @given(a=_SHAPES.flatmap(lambda shape: arrays(np.float64, shape, elements=_BIG)),
+           axis=st.sampled_from([0, None]))
+    def test_std_equals_scaled_ndarray_std(self, a, axis):
+        _, e = np.frexp(max(a.max(), -a.min()))
+        want = np.ldexp(np.ldexp(a, -e).std(axis, ddof=1), e)
+        before = a.tobytes()
+        got = costopt._std(a, axis)
+        assert a.tobytes() == before  # mc_cost_estimate reads it again
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @settings(max_examples=200)
+    @given(data=st.data(), shape=_SHAPES)
+    def test_trapezoid_rows_equals_np_trapezoid(self, data, shape):
+        n, k = shape
+        steps = data.draw(arrays(np.float64, k - 1, elements=st.floats(1e-3, 1.0)))
+        x = np.concatenate([[0.0], np.cumsum(steps)])
+        buf = np.empty((n, k - 1))
+        for _ in range(2):  # the buffer is reused as mc_cost_estimate reuses it
+            y = data.draw(arrays(np.float64, shape, elements=_BIG))
+            got = costopt._trapezoid_rows(y, np.diff(x), buf)
+            assert got.tobytes() == np.trapezoid(y, x, axis=1).tobytes()
 
 
 def _per_path_cost(paths, grid, control) -> CostReport:

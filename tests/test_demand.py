@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -361,6 +362,23 @@ class TestPathEnsemble:
         params = _flat(jump=JumpSpec(1e300, ConstantHeight(1.0)))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="lam"):
             sample_paths(params, [0.0, 1e10], 20, seed=0)
+
+    def test_sampling_holds_few_blocks_beyond_the_ensemble(self, ps3, ps_grid):
+        """Beyond the ensemble it returns, sampling holds at most 2.5 blocks
+        of (paths, steps) values at once: the recursion's block, the jump
+        sums and marks, and no copy of the noise."""
+        times = ps_grid.times()
+        sample_paths(ps3, times, 3, seed=1)  # compiles the draws
+        tracemalloc.start()
+        try:
+            ensemble = sample_paths(ps3, times, 2000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (ensemble.values, ensemble.gaussians,
+                                      ensemble.offsets, ensemble.jump_times,
+                                      ensemble.jump_heights, ensemble.jump_steps))
+        assert peak - kept <= 2.5 * ensemble.values.nbytes
 
     def test_rows_are_views_of_the_arrays(self, ps3):
         times = np.linspace(0.0, 1.0, 11)

@@ -306,6 +306,33 @@ class TestMomentProperties:
         assert conditional_mean(params, t0, y, t0) == y
 
     @settings(max_examples=100)
+    @given(params=_PARAMS, k=st.integers(1, 8), n=st.integers(2, 5),
+           per_time_t0=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_conditional_mean_equals_summed_terms(self, params, k, n,
+                                                  per_time_t0, seed):
+        """The three terms added in place into the first are bitwise their
+        sum as one expression, for scalar, (k,) and (n, k) observations."""
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 3.0, k))
+        t0 = rng.uniform(0.0, 1.0) * t if per_time_t0 else float(t[0] * rng.uniform())
+
+        def summed(y):
+            span = t - np.asarray(t0)
+            return (np.exp(-params.kappa * span) * np.asarray(y, dtype=float)
+                    + weighted_mean_integral(params.mean, params.kappa, t0, t)
+                    + jump_sum_moments(params.jump, params.kappa, span).mean)
+
+        for y in (float(rng.normal()), rng.normal(size=k), rng.normal(size=(n, k))):
+            got = conditional_mean(params, t0, y, t)
+            want = summed(y)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # all scalar: a float
+        t0, t = float(np.asarray(t0).flat[0]), float(t[0])
+        got = conditional_mean(params, t0, 0.5, t)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(summed(0.5)).tobytes()
+
+    @settings(max_examples=100)
     @given(params=_PARAMS,
            spans=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=20))
     def test_conditional_variance_nonnegative_and_nondecreasing(self, params,
