@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdateSchedule:
     """Observation instants t_hat_i = i * interval on the control horizon."""
 

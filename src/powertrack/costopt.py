@@ -48,7 +48,7 @@ __all__ = [
 DemandModel = Union[DemandParams, MeanFunction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostReport:
     """Time-integrated tracking cost over the scored window [1/speed, T].
 
@@ -158,7 +158,7 @@ class Cm1Policy:
     control_for = _control_for
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cm2Policy:
     """Re-read the path at each scheduled update, hold the law in between."""
 

@@ -9,14 +9,14 @@ are i.i.d. draws from a configurable law.  Sampling uses the explicit
 solution of the SDE, so transitions between arbitrary grid times are exact
 (no discretisation bias).
 
-Every sampled path carries its full noise record (standard-normal draws,
-jump times, jump heights and the grid step of each jump).  The noise does
+A sampled path keeps its values and the times of its jump events; the
+draws that drove it are released once the values are built.  The noise does
 not depend on the initial value, so :func:`sample_ensemble` gives several
 initial values one realisation of it by sampling each from the same
 generator state.
 
-Monte-Carlo ensembles are a :class:`PathEnsemble`: values and gaussians as
-(paths, steps) arrays and the jump events of all paths in one compressed-row
+Monte-Carlo ensembles are a :class:`PathEnsemble`: values as a (paths,
+steps + 1) array and the jump times of all paths in one compressed-row
 record.  Row ``i`` is exactly the stream of ``substream(seed, i)``; the draw
 order of one path, and how the draws of every seeded row are walked at once
 while each step's mean is below 10, are in :mod:`powertrack._streams`.  The
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -311,7 +311,7 @@ MeanFunction = Union[ConstantMean, SinusoidMean, TabulatedMean]
 
 
 # ---------------------------------------------------------------------------
-# Process parameters, paths and noise records
+# Process parameters and paths
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -333,31 +333,24 @@ class DemandParams:
             raise ValueError("y0 must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemandPath:
-    """One sampled trajectory together with the noise that generated it.
-
-    ``gaussians`` holds one standard-normal draw per grid step; jump events
-    are stored globally in step order, with ``jump_steps`` naming the grid
-    step (t_k, t_{k+1}] of each event and times increasing within a step.
-    """
+    """One sampled trajectory and the times of the jump events that moved
+    it, sorted, each in the grid step (t_k, t_{k+1}] that holds it."""
 
     times: np.ndarray
     values: np.ndarray
-    gaussians: np.ndarray
     jump_times: np.ndarray
-    jump_heights: np.ndarray
-    jump_steps: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """``n`` trajectories on one grid, held as arrays.
 
-    ``values`` is (n, nt+1) and ``gaussians`` is (n, nt).  The jump events of
-    all paths form one compressed-row record: the events of path ``i`` are
-    ``jump_times[offsets[i]:offsets[i + 1]]``, and likewise for
-    ``jump_heights`` and ``jump_steps``, laid out as in :class:`DemandPath`.
+    ``values`` is (n, nt+1).  The jump times of all paths form one
+    compressed-row record: those of path ``i`` are
+    ``jump_times[offsets[i]:offsets[i + 1]]``, laid out as in
+    :class:`DemandPath`.
 
     The ensemble is a sequence: ``len``, integer indexing and iteration give
     :class:`DemandPath` views of its rows.
@@ -365,11 +358,8 @@ class PathEnsemble:
 
     times: np.ndarray
     values: np.ndarray
-    gaussians: np.ndarray
     offsets: np.ndarray
     jump_times: np.ndarray
-    jump_heights: np.ndarray
-    jump_steps: np.ndarray
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -382,10 +372,7 @@ class PathEnsemble:
         i %= n
         a, b = self.offsets[i], self.offsets[i + 1]
         return DemandPath(times=self.times, values=self.values[i],
-                          gaussians=self.gaussians[i],
-                          jump_times=self.jump_times[a:b],
-                          jump_heights=self.jump_heights[a:b],
-                          jump_steps=self.jump_steps[a:b])
+                          jump_times=self.jump_times[a:b])
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -416,16 +403,6 @@ def _validate_grid(times: np.ndarray) -> np.ndarray:
     return times
 
 
-class _NoiseRecord(NamedTuple):
-    """The noise of ``n`` paths, laid out as in :class:`PathEnsemble`."""
-
-    gaussians: np.ndarray
-    offsets: np.ndarray
-    jump_times: np.ndarray
-    jump_heights: np.ndarray
-    jump_steps: np.ndarray
-
-
 def _grid_coeffs(params: DemandParams,
                  times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic pieces of the exact transition over each grid step:
@@ -450,10 +427,14 @@ def _grid_coeffs(params: DemandParams,
     return decay, drift, sd
 
 
-def _exact_values(params: DemandParams, times: np.ndarray,
-                  noise: _NoiseRecord) -> np.ndarray:
-    """Exact transitions from ``params.y0`` driven by ``noise``, one grid step
-    at a time and vectorised over paths; returns the (paths, nt+1) values.
+def _exact_values(params: DemandParams, times: np.ndarray, gaussians: np.ndarray,
+                  offsets: np.ndarray, steps: np.ndarray, jump_times: np.ndarray,
+                  heights: Union[np.ndarray, float]) -> np.ndarray:
+    """Exact transitions from ``params.y0`` driven by the (paths, nt)
+    ``gaussians`` and the jump events laid out as in :class:`PathEnsemble`,
+    with the grid step and height of each (one float for a constant law),
+    one grid step at a time and vectorised over paths; returns the values
+    as a (nt+1, paths) block, for the caller's row-major copy.
 
     Each step is the exact transition on every row: y maps to
     y e^{-kappa dt} + drift + sd xi, and then, if the step holds events,
@@ -462,19 +443,15 @@ def _exact_values(params: DemandParams, times: np.ndarray,
     cells forms that sum, adding a cell's decayed jumps left to right from
     0.0 in draw order, whatever their count, and a bool scatter marks the
     cells that hold events.  Each step multiplies its gaussians into one
-    reused row buffer; the recursion runs on a (nt+1, paths) block, and the
-    jump sums and marks are released before its row-major copy.  One row
-    runs the same operations in Python floats, which round as numpy's do,
-    reading the coefficients lazily through memoryviews.
+    reused row buffer; the jump sums and marks are released on return.  One
+    row runs the same operations in Python floats, which round as numpy's
+    do, reading the coefficients lazily through memoryviews.
     """
     decay, drift, sd = _grid_coeffs(params, times)
     nsteps = decay.size
-    gaussians = noise.gaussians
     rows = gaussians.shape[0]
-    steps = noise.jump_steps
-    groups = np.repeat(np.arange(rows), np.diff(noise.offsets)) * nsteps + steps
-    weights = noise.jump_heights * np.exp(
-        -params.kappa * (times[1:][steps] - noise.jump_times))
+    groups = np.repeat(np.arange(rows), np.diff(offsets)) * nsteps + steps
+    weights = heights * np.exp(-params.kappa * (times[1:][steps] - jump_times))
     cells = rows * nsteps
     sums = np.bincount(groups, weights, cells).reshape(rows, nsteps).T
     has_jumps = np.zeros(cells, dtype=bool)
@@ -504,8 +481,7 @@ def _exact_values(params: DemandParams, times: np.ndarray,
             y += diffusion
             if step_has_jumps[k]:
                 np.add(y, sums[k], out=y, where=has_jumps[k])
-    del sums, has_jumps
-    return np.ascontiguousarray(out.T)
+    return out
 
 
 def _event_times(times: np.ndarray, counts: np.ndarray,
@@ -532,28 +508,28 @@ def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int]
     """``n`` paths on the grid, their noise drawn from ``seed`` or ``streams``
     by :func:`powertrack._streams.draw`, whose module states the draw order;
     :func:`_event_times` places the events, whose heights keep their draw
-    order.
+    order.  Only the values and the event times are kept.
     """
     from ._streams import draw  # compiled by a first draw, not at import
 
     law = params.jump.height_law
     constant = isinstance(law, ConstantHeight)
-    counts, gaussians, uniforms, jump_heights, offsets = draw(
+    counts, gaussians, uniforms, heights, offsets = draw(
         params.jump.intensity * np.diff(times), n,
         None if constant else law.sample, seed, streams)
-    if constant:
-        jump_heights = np.full(uniforms.size, float(law.value))
     steps, jump_times = _event_times(times, counts, uniforms)
     del counts, uniforms  # not held through the recursion
-    noise = _NoiseRecord(gaussians, offsets, jump_times, jump_heights, steps)
-    return PathEnsemble(times, _exact_values(params, times, noise), *noise)
+    block = _exact_values(params, times, gaussians, offsets, steps, jump_times,
+                          float(law.value) if constant else heights)
+    del gaussians, steps, heights  # not held through the row-major copy
+    return PathEnsemble(times, np.ascontiguousarray(block.T), offsets, jump_times)
 
 
 def sample_path(params: DemandParams, times, rng: np.random.Generator) -> DemandPath:
     """Sample one trajectory on the given grid using exact transitions.
 
-    Deterministic for a fixed generator state; the returned path records
-    all the noise that drove it.
+    Deterministic for a fixed generator state; the returned path keeps its
+    values and jump times, not the draws that drove it.
     """
     return _sample(params, _validate_grid(times), 1, streams=[rng])[0]
 
@@ -583,8 +559,8 @@ def sample_ensemble(params_list: list[DemandParams], times,
     The parameter sets may differ only in their initial value.  Each member
     is the path :func:`sample_path` gives for it from ``rng``'s state, which
     is set back before every member; the noise does not read y0, so the
-    paths show identical Brownian increments and jump events and differ
-    exactly by (y0_a - y0_b) e^{-kappa t}.  ``rng`` ends where one
+    paths show identical ``jump_times``, and their values differ exactly by
+    (y0_a - y0_b) e^{-kappa t}.  ``rng`` ends where one
     :func:`sample_path` leaves it.
     """
     if not params_list:

@@ -67,9 +67,9 @@ __all__ = [
 
 ARTIFACTS = ("paths", "control", "bands", "cost")
 # Expected jump events a stochastic run may sample: each adds at most about
-# 80 bytes to the peak memory of sampling, so the budget holds it near 1.2 GiB.
-# Measured as the slope of the peak RSS of PS3 runs writing only bands: 76
-# bytes per event with 2 paths (2**20 to 2**22 events), 61 with 65536 paths
+# 70 bytes to the peak memory of sampling, so the budget holds it near 1.1 GiB.
+# Measured as the slope of the peak RSS of PS3 runs writing only bands: 68
+# bytes per event with 2 paths (2**20 to 2**22 events), 57 with 65536 paths
 # (intensity 1 to 64).
 MAX_JUMP_EVENTS = 2 ** 24
 

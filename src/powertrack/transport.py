@@ -128,7 +128,7 @@ class Grid:
         return self.dt * np.arange(self.delay_steps, self.nt + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSignal:
     """Injection values on lattice times, applied piecewise-constant-left.
 
@@ -195,7 +195,7 @@ def _march(c: float, z0: np.ndarray, boundary: np.ndarray,
     return outflow
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldState:
     """Outflow of an upwind solve, with the field on demand.
 

@@ -6,8 +6,8 @@ stepping) rather than against the library code it checks.  Two of them
 stand beside a library routine as its reference:
 
 - :func:`euler_values`, the Euler-Maruyama recursion driven by the noise
-  record of a sampled ensemble, a discretisation that converges to the
-  library's exact transitions;
+  that the sampler draws for an ensemble, a discretisation that converges
+  to the library's exact transitions;
 - :func:`exact_shift_output`, the exact outflow of the transport equation,
   which the upwind scheme reproduces at Courant number 1;
 - :func:`descend_1d`, the gradient descent on one interval alone, which
@@ -104,9 +104,11 @@ def euler_mc_values(kappa: float, sigma: float, mu, y0: float, nu: float,
     return y
 
 
-def euler_values(params, ensemble) -> np.ndarray:
-    """Euler-Maruyama values of every row of ``ensemble`` (a ``PathEnsemble``
-    from ``sample_paths``), driven by that row's gaussians and jump heights:
+def euler_values(params, times, n: int, seed: int) -> np.ndarray:
+    """Euler-Maruyama values of the ``n`` rows of ``sample_paths(params,
+    times, n, seed)``, driven by the noise that sampler draws for them: the
+    gaussians and jump heights of :func:`powertrack._streams.draw`, and the
+    grid step of each event from ``powertrack.demand._event_times``:
 
         Y_{k+1} = Y_k + kappa (mu(t_k) - Y_k) dt + sigma sqrt(dt) xi_k
                   + the sum of the jump heights in the step.
@@ -114,23 +116,32 @@ def euler_values(params, ensemble) -> np.ndarray:
     The heights of a step are summed left to right from 0.0, in draw order.
     Requires kappa * dt < 1 on every step.  Returns the (paths, nt+1) values.
     """
-    times = ensemble.times
+    from powertrack import ConstantHeight, _streams, demand, substream
+
+    times = np.asarray(times, dtype=float)
     dts = np.diff(times)
     if dts.size and np.max(params.kappa * dts) >= 1.0:
         raise ValueError("Euler scheme unstable: kappa * dt must be < 1")
-    n, nsteps = ensemble.gaussians.shape
-    groups = (np.repeat(np.arange(n), np.diff(ensemble.offsets)) * nsteps
-              + ensemble.jump_steps)
-    counts = np.bincount(groups, minlength=n * nsteps)
-    sums = np.bincount(groups, weights=ensemble.jump_heights, minlength=n * nsteps)
-    sums, has_jumps = sums.reshape(n, nsteps), counts.reshape(n, nsteps) > 0
+    law = params.jump.height_law
+    constant = isinstance(law, ConstantHeight)
+    counts, gaussians, uniforms, heights, offsets = _streams.draw(
+        params.jump.intensity * dts, n, None if constant else law.sample, seed,
+        (substream(seed, i) for i in range(n)))
+    steps, _ = demand._event_times(times, counts, uniforms)
+    if constant:
+        heights = np.full(uniforms.size, float(law.value))
+    nsteps = dts.size
+    groups = np.repeat(np.arange(n), np.diff(offsets)) * nsteps + steps
+    events = np.bincount(groups, minlength=n * nsteps)
+    sums = np.bincount(groups, weights=heights, minlength=n * nsteps)
+    sums, has_jumps = sums.reshape(n, nsteps), events.reshape(n, nsteps) > 0
     mu = np.asarray(params.mean.at(times[:-1]), dtype=float).reshape(-1)
     out = np.empty((nsteps + 1, n))
     out[0] = params.y0
     for k in range(nsteps):
         dt = float(dts[k])
         y = (out[k] + params.kappa * (float(mu[k]) - out[k]) * dt
-             + params.sigma * math.sqrt(dt) * ensemble.gaussians[:, k])
+             + params.sigma * math.sqrt(dt) * gaussians[:, k])
         np.add(y, sums[:, k], out=y, where=has_jumps[:, k])
         out[k + 1] = y
     return out.T

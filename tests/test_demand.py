@@ -78,10 +78,7 @@ class TestSamplePath:
         times = np.linspace(0.0, 1.0, 11)
         a = sample_path(ps3, times, substream(9, 3))
         b = sample_path(ps3, times, substream(9, 3))
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.gaussians, b.gaussians)
-        assert np.array_equal(a.jump_times, b.jump_times)
-        assert np.array_equal(a.jump_heights, b.jump_heights)
+        assert _bytes(a, _PATH_FIELDS) == _bytes(b, _PATH_FIELDS)
 
     def test_sample_paths_matches_per_path_substreams(self, ps3):
         times = np.linspace(0.0, 1.0, 9)
@@ -197,9 +194,7 @@ class TestSampleEnsemble:
             paths = sample_ensemble(members, times, substream(seed, 0))
             for member, path in zip(members, paths):
                 solo = sample_path(member, times, substream(seed, 0))
-                for field in _NOISE_FIELDS + ("jump_steps",):
-                    assert (getattr(path, field).tobytes()
-                            == getattr(solo, field).tobytes()), (seed, field)
+                assert _bytes(path, _PATH_FIELDS) == _bytes(solo, _PATH_FIELDS), seed
 
     def test_heterogeneous_members_rejected(self, ps1, ps2):
         with pytest.raises(ValueError):
@@ -214,7 +209,24 @@ class TestSampleEnsemble:
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
-_NOISE_FIELDS = ("values", "gaussians", "jump_times", "jump_heights")
+_PATH_FIELDS = ("values", "jump_times")
+_ENSEMBLE_FIELDS = ("values", "offsets", "jump_times")
+
+
+def _bytes(sampled, fields):
+    """The bytes of the named arrays of a path or an ensemble."""
+    return tuple(getattr(sampled, name).tobytes() for name in fields)
+
+
+def _stepwise_bytes(params, times, rng):
+    """The bytes of the values and jump times of the stepwise oracle path."""
+    values, _, jump_times, _ = oracles.stepwise_path(params, times, rng)
+    return values.tobytes(), jump_times.tobytes()
+
+
+def _draw_bytes(*args):
+    """The bytes of every array that ``_streams.draw(*args)`` returns."""
+    return [a.tobytes() for a in _streams.draw(*args) if a is not None]
 
 
 class TestPathEnsemble:
@@ -238,11 +250,9 @@ class TestPathEnsemble:
         assert ensemble.values.shape == (n, times.size)
         for i, row in enumerate(ensemble):
             solo = sample_path(params, times, substream(seed, i))
-            stepwise = oracles.stepwise_path(params, times, substream(seed, i))
-            for name, ref in zip(_NOISE_FIELDS, stepwise):
-                assert getattr(row, name).tobytes() == getattr(solo, name).tobytes()
-                assert getattr(row, name).tobytes() == ref.tobytes(), name
-            assert np.array_equal(row.jump_steps, solo.jump_steps)
+            assert _bytes(row, _PATH_FIELDS) == _bytes(solo, _PATH_FIELDS)
+            assert _bytes(row, _PATH_FIELDS) == _stepwise_bytes(
+                params, times, substream(seed, i))
 
     @settings(max_examples=25)
     @given(kappa=st.floats(0.05, 20.0), sigma=st.floats(0.0, 3.0),
@@ -274,9 +284,8 @@ class TestPathEnsemble:
         ensemble = sample_paths(params, times, n, seed)
         walked = _walked_normals(lam, seed, n)
         for i, row in enumerate(ensemble):
-            stepwise = oracles.stepwise_path(params, times, substream(seed, i))
-            for name, ref in zip(_NOISE_FIELDS, stepwise):
-                assert getattr(row, name).tobytes() == ref.tobytes(), (i, name)
+            assert _bytes(row, _PATH_FIELDS) == _stepwise_bytes(
+                params, times, substream(seed, i)), i
             # below a step mean of 10 the gaussians come from the walked
             # words, up to a ziggurat tail draw
             rng = substream(seed, i)
@@ -286,31 +295,37 @@ class TestPathEnsemble:
 
     def test_tail_rows_draw_their_own_normals(self, ps3, monkeypatch):
         times = np.linspace(0.0, 1.0, 21)
+        lam = ps3.jump.intensity * np.diff(times)
         want = sample_paths(ps3, times, 200, seed=21)
+        want_draws = _draw_bytes(lam, 200, None, 21)
         # no idx = 0 draw passes the fast test: every one is a tail draw
         ki = _ziggurat.KI.copy()
         ki[0] = 0
         monkeypatch.setattr(_ziggurat, "KI", ki)
-        lam = ps3.jump.intensity * np.diff(times)
         assert 0 < np.count_nonzero(~_walked_normals(lam, 21, 200)) < 200
         got = sample_paths(ps3, times, 200, seed=21)
-        for name in ("values", "gaussians", "offsets", "jump_times",
-                     "jump_heights", "jump_steps"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert _bytes(got, _ENSEMBLE_FIELDS) == _bytes(want, _ENSEMBLE_FIELDS)
+        # the counts, gaussians, uniforms and offsets of every row
+        assert _draw_bytes(lam, 200, None, 21) == want_draws
 
     def test_rows_with_drawn_heights_resume_after_their_normals(self, ps3):
         params = replace(ps3, jump=JumpSpec(1.5, NormalHeight(1.0, 0.5)))
         times = np.linspace(0.0, 1.0, 21)
         lam = params.jump.intensity * np.diff(times)
         ensemble = sample_paths(params, times, 200, seed=5)
+        _, gaussians, _, heights, offsets = _streams.draw(
+            lam, 200, params.jump.height_law.sample, 5)
         walked = _walked_normals(lam, 5, 200)
         events = np.diff(ensemble.offsets) > 0
         # walked rows with events set a generator; those without draw no more
         assert np.any(walked & events) and np.any(walked & ~events)
         for i, row in enumerate(ensemble):
-            stepwise = oracles.stepwise_path(params, times, substream(5, i))
-            for name, ref in zip(_NOISE_FIELDS, stepwise):
-                assert getattr(row, name).tobytes() == ref.tobytes(), (i, name)
+            values, xi, jump_times, gamma = oracles.stepwise_path(
+                params, times, substream(5, i))
+            assert _bytes(row, _PATH_FIELDS) == (values.tobytes(),
+                                                 jump_times.tobytes()), i
+            assert gaussians[i].tobytes() == xi.tobytes(), i
+            assert heights[offsets[i]:offsets[i + 1]].tobytes() == gamma.tobytes(), i
 
     def test_wedge_and_tail_rows_equal_stepwise_paths(self, ps3, ps_grid):
         """On the PS lattice at seed 7, row 2's ziggurat rejects one wedge
@@ -327,9 +342,8 @@ class TestPathEnsemble:
             branches = oracles.ziggurat_branches(rng, lam.size)
             assert [b for b in branches if b != "fast"] == rare
             assert walked[i] == (rare != ["tail"])
-            stepwise = oracles.stepwise_path(ps3, times, substream(7, i))
-            for name, ref in zip(_NOISE_FIELDS, stepwise):
-                assert getattr(ensemble[i], name).tobytes() == ref.tobytes()
+            assert _bytes(ensemble[i], _PATH_FIELDS) == _stepwise_bytes(
+                ps3, times, substream(7, i))
 
     def test_second_seed_at_full_size_equals_per_generator_route(self, ps3,
                                                                  ps_grid):
@@ -338,21 +352,22 @@ class TestPathEnsemble:
         walked = sample_paths(ps3, times, 5000, seed=11)
         streams = (substream(11, i) for i in range(5000))
         ref = demand._sample(ps3, times, 5000, streams=streams)
-        for name in ("values", "gaussians", "offsets", "jump_times",
-                     "jump_heights", "jump_steps"):
-            assert getattr(walked, name).tobytes() == getattr(ref, name).tobytes()
+        assert _bytes(walked, _ENSEMBLE_FIELDS) == _bytes(ref, _ENSEMBLE_FIELDS)
 
     def test_many_jumps_in_one_step_add_left_to_right(self):
         # ~30 events of scale 1e16 in one step: the order of their sum shows
         # in its last bits, and np.sum would add them pairwise
         params = DemandParams(kappa=1.0, sigma=0.0, mean=ConstantMean(0.0), y0=0.0,
                               jump=JumpSpec(60.0, NormalHeight(0.0, 1e16)))
+        times = [0.0, 0.5]
         for seed in range(20):
-            for path in (sample_path(params, [0.0, 0.5], substream(seed, 0)),
-                         sample_paths(params, [0.0, 0.5], 3, seed)[1]):
+            for path, rng in (
+                    (sample_path(params, times, substream(seed, 0)), substream(seed, 0)),
+                    (sample_paths(params, times, 3, seed)[1], substream(seed, 1))):
+                _, _, jump_times, heights = oracles.stepwise_path(params, times, rng)
+                assert path.jump_times.tobytes() == jump_times.tobytes()
                 total = 0.0
-                for w in (path.jump_heights
-                          * np.exp(-(0.5 - path.jump_times))).tolist():
+                for w in (heights * np.exp(-(0.5 - path.jump_times))).tolist():
                     total += w
                 assert path.jump_times.size >= 8
                 assert path.values[-1] == total, seed
@@ -366,19 +381,19 @@ class TestPathEnsemble:
     def test_sampling_holds_few_blocks_beyond_the_ensemble(self, ps3, ps_grid):
         """Beyond the ensemble it returns, sampling holds at most 2.5 blocks
         of (paths, steps) values at once: the recursion's block, the jump
-        sums and marks, and no copy of the noise."""
+        sums and marks, and no copy of the noise.  Afterwards it retains
+        only the values and the event times: no gaussians, heights or steps."""
         times = ps_grid.times()
         sample_paths(ps3, times, 3, seed=1)  # compiles the draws
         tracemalloc.start()
         try:
             ensemble = sample_paths(ps3, times, 2000, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
+            current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for a in (ensemble.values, ensemble.gaussians,
-                                      ensemble.offsets, ensemble.jump_times,
-                                      ensemble.jump_heights, ensemble.jump_steps))
+        kept = sum(getattr(ensemble, name).nbytes for name in _ENSEMBLE_FIELDS)
         assert peak - kept <= 2.5 * ensemble.values.nbytes
+        assert current <= 1.25 * ensemble.values.nbytes
 
     def test_rows_are_views_of_the_arrays(self, ps3):
         times = np.linspace(0.0, 1.0, 11)
@@ -473,12 +488,19 @@ class TestVectorisedSeeding:
     @pytest.mark.parametrize("seed", [2 ** 32, 2 ** 40])
     def test_seed_beyond_one_word_uses_substream(self, ps3, seed):
         times = np.linspace(0.0, 1.0, 21)
+        lam = ps3.jump.intensity * np.diff(times)
         ensemble = sample_paths(ps3, times, 5, seed)
         assert ensemble.jump_times.size > 0
+        _, gaussians, uniforms, _, offsets = _streams.draw(
+            lam, 5, None, seed, (substream(seed, i) for i in range(5)))
         for i, row in enumerate(ensemble):
             solo = sample_path(ps3, times, substream(seed, i))
-            for name in _NOISE_FIELDS + ("jump_steps",):
-                assert getattr(row, name).tobytes() == getattr(solo, name).tobytes()
+            assert _bytes(row, _PATH_FIELDS) == _bytes(solo, _PATH_FIELDS)
+            rng = substream(seed, i)
+            counts = rng.poisson(lam)
+            assert gaussians[i].tobytes() == rng.standard_normal(lam.size).tobytes()
+            want = rng.random(counts.sum())
+            assert uniforms[offsets[i]:offsets[i + 1]].tobytes() == want.tobytes()
 
     def test_negative_seed_rejected(self, ps3):
         with pytest.raises(ValueError):
@@ -565,20 +587,20 @@ class TestEulerPath:
     def test_scalar_linear_ode(self):
         params = _flat(level=0.0, y0=1.0)
         times = np.arange(0.0, 1.0 + 1e-12, 1e-4)
-        euler = oracles.euler_values(params, sample_paths(params, times, 1, seed=2))
+        euler = oracles.euler_values(params, times, 1, seed=2)
         assert abs(euler[0, -1] - np.exp(-1.0)) < 1e-4
 
     def test_instability_rejected(self):
         params = _flat(kappa=3.0)
         with pytest.raises(ValueError):
-            oracles.euler_values(params, sample_paths(params, [0.0, 0.5], 1, seed=0))
+            oracles.euler_values(params, [0.0, 0.5], 1, seed=0)
 
     def test_compensated_level_shifts_long_run_mean(self):
         # mu = 0 but jumps push the stationary mean to gbar * nu / kappa = 5
         params = _flat(level=0.0, y0=0.0, jump=JumpSpec(5.0, ConstantHeight(1.0)))
         dt = 0.05
         times = np.arange(0.0, 400.0 + 1e-9, dt)
-        euler = oracles.euler_values(params, sample_paths(params, times, 1, seed=17))
+        euler = oracles.euler_values(params, times, 1, seed=17)
         tail = euler[0, times > 5.0]
         assert abs(tail.mean() - 5.0) < 0.4
 
@@ -588,7 +610,7 @@ class TestEulerPath:
         n, dt, t_end = 30_000, 0.01, 1.0
         times = np.arange(0.0, t_end + 1e-12, dt)
         exact_end = sample_paths(ps1, [0.0, t_end], n, seed=51).values[:, -1]
-        euler_end = oracles.euler_values(ps1, sample_paths(ps1, times, n, seed=52))[:, -1]
+        euler_end = oracles.euler_values(ps1, times, n, seed=52)[:, -1]
         se1 = np.hypot(oracles.se_mean(exact_end), oracles.se_mean(euler_end))
         scale = max(1.0, abs(exact_end.mean()))
         # 3 SE plus an O(dt) discretisation allowance

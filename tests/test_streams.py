@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from powertrack import _streams, _ziggurat, sample_paths
+from powertrack import _streams, _ziggurat, sample_paths, substream
 
-_FIELDS = ("values", "gaussians", "offsets", "jump_times", "jump_heights",
-           "jump_steps")
+_FIELDS = ("values", "offsets", "jump_times")
 
 
 def test_installed_numpy_agrees():
@@ -39,7 +38,15 @@ def test_disagreeing_numpy_draws_every_row_from_its_generator(ps3, ps_grid,
                                                                monkeypatch):
     # the mc-ps3 ensemble at seed 11: walked, then from 5000 generators
     times = ps_grid.times()
-    walked = sample_paths(ps3, times, 5000, seed=11)
+    lam = ps3.jump.intensity * np.diff(times)
+
+    def draws():
+        """The counts, gaussians, uniforms and offsets of every row."""
+        streams = (substream(11, i) for i in range(5000))
+        return [a.tobytes() for a in _streams.draw(lam, 5000, None, 11, streams)
+                if a is not None]
+
+    walked, walked_draws = sample_paths(ps3, times, 5000, seed=11), draws()
 
     def no_walk(*args):
         raise AssertionError("words walked although numpy disagrees")
@@ -49,3 +56,4 @@ def test_disagreeing_numpy_draws_every_row_from_its_generator(ps3, ps_grid,
     called = sample_paths(ps3, times, 5000, seed=11)
     for name in _FIELDS:
         assert getattr(called, name).tobytes() == getattr(walked, name).tobytes()
+    assert draws() == walked_draws
