@@ -4,11 +4,17 @@
 
 Run from the root of a source checkout.  The timings come from the
 benchmark harness alone: ``bench/run.py`` at seed 7 on ``mc-ps3`` and
-``converge-fine``, untraced (``--trace 0``) and traced (``--trace 1``), and
-on the ungated ``tabulated-forecast`` traced only, each for ``--seconds``
-seconds; the file keeps every run's result line (its last line of output)
-and its metadata line.  Next to them it records:
+``converge-fine``, untraced (``--trace 0``) five times each and traced
+(``--trace 1``) once, and on the ungated ``tabulated-forecast``
+traced only, each for ``--seconds`` seconds; the file keeps every run's
+result line (its last line of output) and its metadata line.  Next to them
+it records:
 
+* ``quartiles``: for each untraced workload, the median, first and third
+  quartile (``statistics.quantiles``, inclusive method) of ``wall_s``,
+  ``setup_s`` and ``peak_rss_mb`` over its repeated runs, which alternate
+  between the workloads, since single runs on a shared machine swing by
+  up to 1.5x between minutes;
 * ``src_lines``: the lines under ``src/``, split into logic and the tables
   of ``_ziggurat.py``;
 * ``sha256``: the hash of every CSV that each benchmark workload writes at
@@ -27,6 +33,7 @@ import importlib.util
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,9 +43,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 SRC = ROOT / "src"
 SEED = 7
-# (workload, --trace) of every bench/run.py call, in order
-RUNS = (("mc-ps3", 0), ("mc-ps3", 1), ("converge-fine", 0), ("converge-fine", 1),
-        ("tabulated-forecast", 1))
+# the untraced workloads, run REPEATS times in turn, then the traced ones
+REPEATED = ("mc-ps3", "converge-fine")
+REPEATS = 5
+TRACED = ("mc-ps3", "converge-fine", "tabulated-forecast")
+END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 TABLES = SRC / "powertrack" / "_ziggurat.py"
 
 
@@ -57,6 +66,21 @@ def bench_run(workload: str, trace: int, seconds: float) -> dict:
                 if line.startswith("meta: "))
     return {"workload": workload, "trace": trace, "meta": meta,
             "result": json.loads(lines[-1])}
+
+
+def quartiles(runs: list[dict]) -> dict:
+    """Median and quartiles of each end-to-end metric of the untraced runs,
+    per workload."""
+    out = {}
+    for workload in REPEATED:
+        results = [r["result"]["metrics"] for r in runs
+                   if r["workload"] == workload and r["trace"] == 0]
+        out[workload] = {"runs": len(results)}
+        for name in END_TO_END:
+            values = [m[name]["value"] for m in results]
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            out[workload][name] = {"median": median, "q1": q1, "q3": q3}
+    return out
 
 
 def src_lines() -> dict:
@@ -102,10 +126,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=4.0,
                         help="seconds per bench/run.py call (default 4)")
     args = parser.parse_args(argv)
+    runs = [bench_run(w, 0, args.seconds) for _ in range(REPEATS) for w in REPEATED]
+    runs += [bench_run(w, 1, args.seconds) for w in TRACED]
     record = {
         "seed": SEED,
         "seconds": args.seconds,
-        "runs": [bench_run(w, trace, args.seconds) for w, trace in RUNS],
+        "repeats": REPEATS,
+        "quartiles": quartiles(runs),
+        "runs": runs,
         "src_lines": src_lines(),
         "sha256": artefact_hashes(),
         "tier1": tier1(),

@@ -28,16 +28,19 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-# Constants of numpy's SeedSequence hash (NEP 19), and the 64-bit words of
-# the 128-bit PCG multiplier M, with the 32-bit halves of its low word
-# (O'Neill, HMC-CS-2014-0905).
+# Constants of numpy's SeedSequence hash (NEP 19), and the 128-bit PCG
+# multiplier M (O'Neill, HMC-CS-2014-0905).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_M_HI, _M_LO = divmod(0x2360ED051FC65DA44385DF649FCCF645, 1 << 64)
-_M_LO_HI, _M_LO_LO = divmod(_M_LO, 1 << 32)
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
 _SHIFT = np.uint32(16)
+# The 64-bit words of M and the 32-bit halves of its low word, as np.uint64
+# scalars, which uint64 arrays take without a conversion per operation.
+_M_HI, _M_LO = map(np.uint64, divmod(_MULT, 1 << 64))
+_M_LO_HI, _M_LO_LO = map(np.uint64, divmod(int(_M_LO), 1 << 32))
+_LOW32, _U32 = np.uint64(_MASK32), np.uint64(32)
 
 
 def _hasher(hash_const: int, mult: int):
@@ -59,14 +62,26 @@ _Words = namedtuple("_Words", "state_hi state_lo inc_hi inc_lo")
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
-    """One PCG64 step, s M + inc mod 2**128, on uint64 word arrays: only the
-    high word of lo * M_lo needs 32-bit limbs (mulhi, Hacker's Delight)."""
-    a1, a0 = lo >> 32, lo & _MASK32
-    mid = a1 * _M_LO_LO + (a0 * _M_LO_LO >> 32)
-    low = (mid & _MASK32) + a0 * _M_LO_HI
-    hi = a1 * _M_LO_HI + (mid >> 32) + (low >> 32) + hi * _M_LO + lo * _M_HI
-    lo = lo * _M_LO + inc_lo
-    return hi + inc_hi + (lo < inc_lo), lo  # with the carry of the low word
+    """One PCG64 step, s M + inc mod 2**128, of the uint64 word arrays ``hi``
+    and ``lo`` in place, which it returns: only the high word of lo * M_lo
+    needs 32-bit limbs (mulhi, Hacker's Delight).  uint64 sums wrap, so the
+    terms of the high word may be added in any order."""
+    a1, a0 = lo >> _U32, lo & _LOW32
+    mid = a0 * _M_LO_LO
+    mid >>= _U32
+    mid += a1 * _M_LO_LO
+    low = mid & _LOW32
+    low += a0 * _M_LO_HI
+    hi *= _M_LO
+    hi += a1 * _M_LO_HI
+    hi += mid >> _U32
+    hi += low >> _U32
+    hi += lo * _M_HI
+    hi += inc_hi
+    lo *= _M_LO
+    lo += inc_lo
+    hi += lo < inc_lo  # the carry of the low word
+    return hi, lo
 
 
 def _next_uint64(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -137,43 +152,71 @@ def _generators(words: _Words) -> Iterator[np.random.Generator]:
 _POISSON_MULT_LIMIT = 10.0
 
 
-def _walk_counts(lam: np.ndarray, words: _Words) -> tuple[np.ndarray, _Words]:
-    """The ``rng.poisson(lam)`` counts of the streams at ``words``, together,
-    for every lam < 10.
+def _walk_counts(lam: np.ndarray,
+                 words: _Words) -> tuple[np.ndarray, np.ndarray, _Words]:
+    """The events of the ``rng.poisson(lam)`` counts of the streams at
+    ``words``, together, for every lam < 10.
 
     For 0 < lam < 10 numpy multiplies ``random()`` doubles into a product
     that starts at 1.0 until it is <= e = exp(-lam) (the C library's), and
     counts the doubles before the one that stopped it (Knuth); lam = 0 draws
     nothing.  Column k of the walk steps every row once and advances its
-    rule by its double; a row that ends its last step records its words,
-    and the walk stops when every row has.
+    rule by its double, recording the row and grid step of each event; a
+    row that ends its last step records its words, and the walk stops when
+    every row has.
 
-    Returns the (n, steps) counts and the words to draw the rest from.
+    Returns the grid step of every event in (row, step) order, the n + 1
+    offsets of each row's events in it, and the words to draw the rest from.
     """
     n = words.state_hi.size
-    counts = np.zeros((n, lam.size), dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
     steps = np.flatnonzero(lam)
     if not steps.size:
-        return counts, words
-    hi, lo = state_hi, state_lo = words.state_hi.copy(), words.state_lo.copy()
+        return steps, offsets, words
+    hi, lo = words.state_hi.copy(), words.state_lo.copy()
+    state_hi, state_lo = np.empty_like(hi), np.empty_like(lo)
     # exp(-lam) per step with lam > 0, then +inf: ended rows stop every product
     limits = np.array([math.exp(-x) for x in lam[steps].tolist()] + [math.inf])
     step = np.zeros(n, dtype=np.int64)  # index into steps of each row
     limit, prod = np.full(n, limits[0]), np.ones(n)
-    left = n
+    # the row and the index into steps of each event, in walk order, and the
+    # events of each column; in buffers sized for the expected events, which
+    # double when full (arrays kept per column would pin the walk's freed
+    # memory)
+    size = int(n * lam.sum()) + n
+    rows, at = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    sizes, used = [], 0
+    counts = np.empty(n, dtype=np.int64)
+    column, left = 0, n
     while left:
-        hi, lo = _lcg_step(hi, lo, words.inc_hi, words.inc_lo)
+        _lcg_step(hi, lo, words.inc_hi, words.inc_lo)
         prod *= _next_double(hi, lo)
         stop = prod <= limit
         go = np.flatnonzero(~stop)
-        counts[go, steps[step[go]]] += 1
+        if used + go.size > rows.size:
+            rows, at = (np.concatenate((a[:used], np.empty_like(a))) for a in (rows, at))
+        rows[used:used + go.size], at[used:used + go.size] = go, step[go]
+        used += go.size
+        sizes.append(go.size)
         prod[stop] = 1.0
         step += stop
         limit = limits.take(step, mode="clip")
+        column += 1
         ended = np.flatnonzero(step == steps.size)
-        state_hi[ended], state_lo[ended] = hi[ended], lo[ended]
-        left -= ended.size
-    return counts, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
+        if ended.size:
+            state_hi[ended], state_lo[ended] = hi[ended], lo[ended]
+            counts[ended] = column - steps.size  # its doubles, less its stops
+            left -= ended.size
+    np.cumsum(counts, out=offsets[1:])
+    rows, at = rows[:used], at[:used]
+    # before column j a row has drawn j doubles, ``at`` of them stops, so its
+    # event there is its (j - at)-th
+    place = np.repeat(np.arange(column), sizes)
+    place -= at
+    place += offsets[rows]
+    events = np.empty(used, dtype=np.int64)
+    events[place] = steps[at]
+    return events, offsets, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
 
 
 _MASK52 = (1 << 52) - 1
@@ -192,18 +235,21 @@ def _walk_normals(nsteps: int,
     fi[idx] < exp(-x^2/2) (the C library's), and a rejected x starts over
     with a fresh r.  Column k of the walk draws one r for every row still
     short of its normals; a row records its words when it has them all.  A
-    row whose r falls in the idx = 0 tail leaves the walk at its words.
+    row whose r falls in the idx = 0 tail is left at its words: it walks on
+    with the others, but its draws are dropped.
 
-    Returns the (n, nsteps) normals, the mask of rows that have them, and
-    the words to draw the rest from.
+    Returns the (nsteps + 1, n) block whose row 1 + k holds the k-th normal
+    of every row, and whose row 0 is zeros, the mask of rows that have their
+    normals, and the words to draw the rest from.
     """
     from . import _ziggurat  # compiled on a walk's first call, not at import
 
     n = words.state_hi.size
-    gaussians = np.empty((n, nsteps))
+    block = np.empty((nsteps + 1, n))
+    block[0] = 0.0
     walked = np.ones(n, dtype=bool)
     if not nsteps:
-        return gaussians, walked, words
+        return block, walked, words
     rows = np.arange(n)
     # indexed by r & 0x1ff: the sign bit picks the negated half of wi
     ki = np.tile(_ziggurat.KI, 2)
@@ -211,11 +257,11 @@ def _walk_normals(nsteps: int,
     fi = _ziggurat.FI
     state_hi, state_lo = words.state_hi.copy(), words.state_lo.copy()
     hi, lo, inc_hi, inc_lo = (w[rows] for w in words)
-    # where each row's next normal goes in gaussians.ravel(); a rejected
-    # draw is written there too, and overwritten by the next one
-    flat, at, ends = gaussians.reshape(-1), rows * nsteps, (rows + 1) * nsteps
+    # where each row's next normal goes in block.ravel(); a rejected draw is
+    # written there too, and overwritten by the next one
+    flat, at = block.reshape(-1), rows + n
     while rows.size:
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        _lcg_step(hi, lo, inc_hi, inc_lo)
         r = _next_uint64(hi, lo)
         idx = (r & 0x1FF).astype(np.intp)
         rabs = r >> 9 & _MASK52
@@ -230,15 +276,16 @@ def _walk_normals(nsteps: int,
             bound = (fi[j - 1] - fi[j]) * _next_double(hi[wedge], lo[wedge]) + fi[j]
             density = [math.exp(-0.5 * v * v) for v in x[wedge].tolist()]
             ok[wedge] = bound < density
-        at += ok
-        done = at == ends
-        if tail.size or done.any():
-            state_hi[rows[done]], state_lo[rows[done]] = hi[done], lo[done]
-            walked[rows[tail]] = False
-            done[tail] = True
-            rows, hi, lo, inc_hi, inc_lo, at, ends = (
-                a[~done] for a in (rows, hi, lo, inc_hi, inc_lo, at, ends))
-    return gaussians, walked, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
+        # a tail row walks on to the end, its draws written but not kept
+        walked[rows[tail]] = False
+        np.add(at, n, out=at, where=ok)
+        done = at >= flat.size
+        if done.any():
+            kept = done & walked[rows]
+            state_hi[rows[kept]], state_lo[rows[kept]] = hi[kept], lo[kept]
+            rows, hi, lo, inc_hi, inc_lo, at = (
+                a[~done] for a in (rows, hi, lo, inc_hi, inc_lo, at))
+    return block, walked, _Words(state_hi, state_lo, words.inc_hi, words.inc_lo)
 
 
 def _walk_doubles(words: _Words, sizes: np.ndarray, starts: np.ndarray,
@@ -266,54 +313,59 @@ def _draw(lam: np.ndarray, n: int, heights: Optional[Callable],
     """
     nsteps, walk = lam.size, words is not None
     if walk:
-        counts, words = _walk_counts(lam, words)
+        steps, offsets, words = _walk_counts(lam, words)
         gaussians, walked, words = _walk_normals(nsteps, words)
         back = np.flatnonzero(~walked if heights is None
-                              else ~walked | counts.any(axis=1))
+                              else ~walked | (np.diff(offsets) > 0))
         streams = _generators(_Words(*(w[back] for w in words)))
     else:
-        counts = np.zeros((n, nsteps), dtype=np.int64)
-        gaussians, walked = np.empty((n, nsteps)), np.zeros(n, dtype=bool)
-        back = np.arange(n)
+        gaussians, walked = np.zeros((nsteps + 1, n)), np.zeros(n, dtype=bool)
+        back, grid, drawn_steps = np.arange(n), np.arange(nsteps), []
     drawn = []
     for i, rng in zip(back.tolist(), streams):
-        row = counts[i]
-        if not walk:
-            row[:] = rng.poisson(lam)
+        if walk:
+            row = steps[offsets[i]:offsets[i + 1]]
+        else:
+            row = np.repeat(grid, rng.poisson(lam))
+            drawn_steps.append(row)
         if not walked[i]:
-            rng.standard_normal(out=gaussians[i])
+            gaussians[1:, i] = rng.standard_normal(nsteps)
         # one array per path: per-step pieces would cost memory per step
-        u, h = np.empty(row.sum()), None
+        u, h = np.empty(row.size), None
         if heights is None:
             rng.random(out=u)
         else:
             h = np.empty(u.size)
             a = 0
-            for c in row[row > 0].tolist():
+            for c in np.unique(row, return_counts=True)[1].tolist():
                 rng.random(out=u[a:a + c])
                 h[a:a + c] = heights(rng, c)
                 a += c
         drawn.append((i, u, h))
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts.sum(axis=1), out=starts[1:])
-    uniforms = np.empty(starts[-1])
+    if not walk:
+        steps = np.concatenate([grid[:0], *drawn_steps])
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([row.size for row in drawn_steps], out=offsets[1:])
+    uniforms = np.empty(steps.size)
     drawn_heights = None if heights is None else np.empty(uniforms.size)
     if heights is None and walked.any():  # size 0 for the rows a generator drew
-        _walk_doubles(words, np.where(walked, np.diff(starts), 0), starts, uniforms)
+        _walk_doubles(words, np.where(walked, np.diff(offsets), 0), offsets, uniforms)
     for i, u, h in drawn:
-        uniforms[starts[i]:starts[i + 1]] = u
+        uniforms[offsets[i]:offsets[i + 1]] = u
         if h is not None:
-            drawn_heights[starts[i]:starts[i + 1]] = h
-    return counts, gaussians, uniforms, drawn_heights, starts
+            drawn_heights[offsets[i]:offsets[i + 1]] = h
+    return steps, gaussians, uniforms, drawn_heights, offsets
 
 
 def draw(lam: np.ndarray, n: int, heights: Optional[Callable] = None,
          seed: Optional[int] = None, streams: Iterable[np.random.Generator] = ()):
-    """The draws of ``n`` paths with per-step jump means ``lam``: the (n,
-    steps) counts and gaussians, then the uniforms and heights of every event
-    in (row, step) order, and the n + 1 offsets of each row's events in
-    them.  ``heights(rng, c)`` draws c heights; None stands for a constant
-    law, which draws none, and then None is returned for them.
+    """The draws of ``n`` paths with per-step jump means ``lam``, as one
+    record of events: the grid step of every event in (row, step) order; the
+    (steps + 1, n) block of gaussians, whose row 1 + k holds every path's
+    normal of step k and whose row 0 is zeros; the uniforms and heights of
+    the events; and the n + 1 offsets of each row's events in them.
+    ``heights(rng, c)`` draws c heights; None stands for a constant law,
+    which draws none, and then None is returned for them.
 
     For ``seed`` and ``n - 1`` in [0, 2**32), on a numpy that :func:`agrees`,
     the rows are walked while every lam < 10, and otherwise each row is drawn
@@ -344,7 +396,7 @@ def agrees() -> bool:
     of its bit generators and their seeding stable; only ``Generator``'s
     methods may draw differently.
     """
-    inv = pow(_M_HI << 64 | _M_LO, -1, 1 << 128)
+    inv = pow(_MULT, -1, 1 << 128)
     states = [divmod(((1 << 51) + (j << 20) - 1) * inv % (1 << 128), 1 << 64)
               for j in (2, 452, 500, 15471)]
     words = _Words(*(np.array(w, dtype=np.uint64)
@@ -352,4 +404,5 @@ def agrees() -> bool:
     lam = np.array([9.5, 0.5])
     walked = _draw(lam, 4, None, words, ())
     called = _draw(lam, 4, None, None, _generators(words))
-    return all(a.tobytes() == b.tobytes() for a, b in zip(walked[:3], called[:3]))
+    return all(a.tobytes() == b.tobytes() for a, b in zip(walked, called)
+               if a is not None)

@@ -427,80 +427,108 @@ def _grid_coeffs(params: DemandParams,
     return decay, drift, sd
 
 
-def _exact_values(params: DemandParams, times: np.ndarray, gaussians: np.ndarray,
-                  offsets: np.ndarray, steps: np.ndarray, jump_times: np.ndarray,
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys, by
+    16-bit digits from the lowest (LSD radix): numpy sorts 16-bit keys
+    stably by radix, about ten times faster than wider ones."""
+    order = np.arange(keys.size)
+    for shift in range(0, int(keys.max(initial=0)).bit_length(), 16):
+        digits = (keys[order] >> shift).astype(np.uint16)  # wraps mod 2**16
+        order = order[np.argsort(digits, kind="stable")]
+    return order
+
+
+def _exact_values(params: DemandParams, times: np.ndarray, block: np.ndarray,
+                  offsets: np.ndarray, steps: np.ndarray, cells: np.ndarray,
+                  jump_times: np.ndarray,
                   heights: Union[np.ndarray, float]) -> np.ndarray:
-    """Exact transitions from ``params.y0`` driven by the (paths, nt)
-    ``gaussians`` and the jump events laid out as in :class:`PathEnsemble`,
-    with the grid step and height of each (one float for a constant law),
-    one grid step at a time and vectorised over paths; returns the values
-    as a (nt+1, paths) block, for the caller's row-major copy.
+    """Exact transitions from ``params.y0``, written in place over the
+    (nt+1, paths) ``block`` of :func:`powertrack._streams.draw`, whose row
+    k + 1 holds the gaussians of step k, and driven by the jump events laid
+    out as in :class:`PathEnsemble`, with the grid step, the cell (see
+    :func:`_cells`) and the height of each (one float for a constant law);
+    one grid step at a time and vectorised over paths.  Returns ``block``,
+    for the caller's row-major copy.
 
     Each step is the exact transition on every row: y maps to
-    y e^{-kappa dt} + drift + sd xi, and then, if the step holds events,
+    y e^{-kappa dt} + drift + sd xi, and then, if its cell holds events,
     sum_i gamma_i e^{-kappa (t_{k+1} - t_i)} is added; drift and sd come
-    from :func:`_grid_coeffs`.  One ``np.bincount`` over all (path, step)
-    cells forms that sum, adding a cell's decayed jumps left to right from
-    0.0 in draw order, whatever their count, and a bool scatter marks the
-    cells that hold events.  Each step multiplies its gaussians into one
-    reused row buffer; the jump sums and marks are released on return.  One
-    row runs the same operations in Python floats, which round as numpy's
-    do, reading the coefficients lazily through memoryviews.
+    from :func:`_grid_coeffs`.  One ``np.bincount`` over the cells that hold
+    events forms that sum, adding a cell's decayed jumps left to right from
+    0.0 in draw order, whatever their count, and each step adds the sums of
+    its own cells only.  Row k + 1 turns its gaussians into the new values
+    in place, through one reused row buffer.  One row runs the same
+    operations in Python floats, which round as numpy's do, reading the
+    coefficients lazily through memoryviews.
     """
     decay, drift, sd = _grid_coeffs(params, times)
-    nsteps = decay.size
-    rows = gaussians.shape[0]
-    groups = np.repeat(np.arange(rows), np.diff(offsets)) * nsteps + steps
+    nsteps, rows = decay.size, block.shape[1]
     weights = heights * np.exp(-params.kappa * (times[1:][steps] - jump_times))
-    cells = rows * nsteps
-    sums = np.bincount(groups, weights, cells).reshape(rows, nsteps).T
-    has_jumps = np.zeros(cells, dtype=bool)
-    has_jumps[groups] = True
-    has_jumps = has_jumps.reshape(rows, nsteps).T
-    del groups, weights
-    out = np.empty((nsteps + 1, rows))
-    out[0] = params.y0
+    sums = np.bincount(cells, weights)
+    del weights
+    # the step of each cell, read at its first event
+    cell_step = steps[np.flatnonzero(np.diff(cells, prepend=-1))]
+    block[0] = params.y0
     if rows == 1:
-        values = memoryview(out.reshape(-1))  # a view: out is (nsteps+1, 1)
+        jumps, has_jumps = np.zeros(nsteps), np.zeros(nsteps, dtype=bool)
+        jumps[cell_step], has_jumps[cell_step] = sums, True
+        values = memoryview(block.reshape(-1))  # a view: block is (nsteps+1, 1)
         y = values[0]
-        coeffs = (decay, drift, sd * gaussians[0], sums[:, 0], has_jumps[:, 0])
+        coeffs = (decay, drift, sd * block[1:, 0], jumps, has_jumps)
         for k, (d, dr, df, jump, has) in enumerate(zip(*map(memoryview, coeffs)), 1):
             y = y * d + dr + df
             if has:
                 y += jump
             values[k] = y
-    else:
-        step_has_jumps = has_jumps.any(axis=1).tolist()
-        decay, drift, sd = decay.tolist(), drift.tolist(), sd.tolist()
-        diffusion = np.empty(rows)
-        for k in range(nsteps):
-            y = out[k + 1]
-            np.multiply(out[k], decay[k], out=y)
-            y += drift[k]
-            np.multiply(sd[k], gaussians[:, k], out=diffusion)
-            y += diffusion
-            if step_has_jumps[k]:
-                np.add(y, sums[k], out=y, where=has_jumps[k])
-    return out
+        return block
+    # the row of each cell: a row's cells follow the cell of its first event
+    nonempty = np.flatnonzero(np.diff(offsets))
+    cell_row = np.repeat(nonempty, np.diff(cells[offsets[nonempty]], append=sums.size))
+    # the cells in step order, and the bounds of each step's cells
+    order = _stable_order(cell_step)
+    cell_row, sums = cell_row[order], sums[order]
+    bounds = np.zeros(nsteps + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell_step, minlength=nsteps), out=bounds[1:])
+    decay, drift, sd, bounds = decay.tolist(), drift.tolist(), sd.tolist(), bounds.tolist()
+    carry = np.empty(rows)
+    for k in range(nsteps):
+        y = block[k + 1]
+        np.multiply(block[k], decay[k], out=carry)
+        carry += drift[k]
+        y *= sd[k]
+        y += carry
+        a, b = bounds[k], bounds[k + 1]
+        if a < b:
+            at = cell_row[a:b]
+            y[at] += sums[a:b]
+    return block
 
 
-def _event_times(times: np.ndarray, counts: np.ndarray,
-                 uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The grid step and the time of every event, in (row, step) order, from
-    the (n, steps) ``counts`` and one uniform U per event: U becomes the time
-    t_k + (t_{k+1} - t_k)(1 - U) in (t_k, t_{k+1}], and times are sorted
-    within each step."""
-    cells = counts.ravel()
-    steps = np.repeat(np.tile(np.arange(times.size - 1), counts.shape[0]), cells)
-    t0 = times[steps]
-    raw = t0 + (times[steps + 1] - t0) * (1.0 - uniforms)
-    # events come in (row, step) order, so only steps holding two or more
+def _cells(steps: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The cell of every event of the record, laid out as in
+    :class:`PathEnsemble`: the (path, grid step) cells that hold events,
+    numbered from 0 in (row, step) order."""
+    first = np.ones(steps.size, dtype=bool)
+    np.not_equal(steps[1:], steps[:-1], out=first[1:])
+    starts = offsets[1:-1]
+    first[starts[starts < steps.size]] = True
+    return np.cumsum(first) - 1
+
+
+def _event_times(times: np.ndarray, steps: np.ndarray, cells: np.ndarray,
+                 uniforms: np.ndarray) -> np.ndarray:
+    """The time of every event from its grid step k, its cell (see
+    :func:`_cells`) and one uniform U, written over ``uniforms`` and
+    returned: U becomes the time t_k + (t_{k+1} - t_k)(1 - U) in (t_k,
+    t_{k+1}], and times are sorted within each cell."""
+    raw = np.subtract(1.0, uniforms, out=uniforms)
+    raw *= np.diff(times)[steps]
+    raw += times[steps]
+    # events come in (row, step) order, so only cells holding two or more
     # need sorting; lexsort is stable, as over all events
-    shared = cells >= 2
-    pos = np.flatnonzero(np.repeat(shared, cells))
-    cell = np.repeat(np.flatnonzero(shared), cells[shared])
-    raw[pos] = raw[pos[np.lexsort((raw[pos], cell))]]
-    return steps, raw
+    pos = np.flatnonzero(np.bincount(cells)[cells] >= 2)
+    raw[pos] = raw[pos[np.lexsort((raw[pos], cells[pos]))]]
+    return raw
 
 
 def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int] = None,
@@ -514,14 +542,14 @@ def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int]
 
     law = params.jump.height_law
     constant = isinstance(law, ConstantHeight)
-    counts, gaussians, uniforms, heights, offsets = draw(
+    steps, block, uniforms, heights, offsets = draw(
         params.jump.intensity * np.diff(times), n,
         None if constant else law.sample, seed, streams)
-    steps, jump_times = _event_times(times, counts, uniforms)
-    del counts, uniforms  # not held through the recursion
-    block = _exact_values(params, times, gaussians, offsets, steps, jump_times,
-                          float(law.value) if constant else heights)
-    del gaussians, steps, heights  # not held through the row-major copy
+    cells = _cells(steps, offsets)
+    jump_times = _event_times(times, steps, cells, uniforms)  # in place
+    _exact_values(params, times, block, offsets, steps, cells, jump_times,
+                  float(law.value) if constant else heights)
+    del steps, cells, heights  # not held through the row-major copy
     return PathEnsemble(times, np.ascontiguousarray(block.T), offsets, jump_times)
 
 

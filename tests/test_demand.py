@@ -305,7 +305,7 @@ class TestPathEnsemble:
         assert 0 < np.count_nonzero(~_walked_normals(lam, 21, 200)) < 200
         got = sample_paths(ps3, times, 200, seed=21)
         assert _bytes(got, _ENSEMBLE_FIELDS) == _bytes(want, _ENSEMBLE_FIELDS)
-        # the counts, gaussians, uniforms and offsets of every row
+        # the event steps, gaussians, uniforms and offsets of every row
         assert _draw_bytes(lam, 200, None, 21) == want_draws
 
     def test_rows_with_drawn_heights_resume_after_their_normals(self, ps3):
@@ -324,7 +324,7 @@ class TestPathEnsemble:
                 params, times, substream(5, i))
             assert _bytes(row, _PATH_FIELDS) == (values.tobytes(),
                                                  jump_times.tobytes()), i
-            assert gaussians[i].tobytes() == xi.tobytes(), i
+            assert gaussians[1:, i].tobytes() == xi.tobytes(), i
             assert heights[offsets[i]:offsets[i + 1]].tobytes() == gamma.tobytes(), i
 
     def test_wedge_and_tail_rows_equal_stepwise_paths(self, ps3, ps_grid):
@@ -379,10 +379,11 @@ class TestPathEnsemble:
             sample_paths(params, [0.0, 1e10], 20, seed=0)
 
     def test_sampling_holds_few_blocks_beyond_the_ensemble(self, ps3, ps_grid):
-        """Beyond the ensemble it returns, sampling holds at most 2.5 blocks
-        of (paths, steps) values at once: the recursion's block, the jump
-        sums and marks, and no copy of the noise.  Afterwards it retains
-        only the values and the event times: no gaussians, heights or steps."""
+        """Beyond the ensemble it returns, sampling holds at most 1.25 blocks
+        of (paths, steps) values at once: the recursion's block, which the
+        gaussians are drawn into, and the record of the events, with no
+        dense count, step or jump-sum block.  Afterwards it retains only the
+        values and the event times: no gaussians, heights or steps."""
         times = ps_grid.times()
         sample_paths(ps3, times, 3, seed=1)  # compiles the draws
         tracemalloc.start()
@@ -392,7 +393,7 @@ class TestPathEnsemble:
         finally:
             tracemalloc.stop()
         kept = sum(getattr(ensemble, name).nbytes for name in _ENSEMBLE_FIELDS)
-        assert peak - kept <= 2.5 * ensemble.values.nbytes
+        assert peak - kept <= 1.25 * ensemble.values.nbytes
         assert current <= 1.25 * ensemble.values.nbytes
 
     def test_rows_are_views_of_the_arrays(self, ps3):
@@ -407,13 +408,24 @@ class TestPathEnsemble:
             ensemble[6]
 
 
+@settings(max_examples=100)
+@given(keys=st.lists(st.sampled_from([0, 1, 7, 65535, 65536, 65537, 2 ** 32 + 3,
+                                      2 ** 40]), max_size=60)
+       | st.lists(st.integers(0, 2 ** 50), max_size=60))
+def test_stable_order_is_the_stable_argsort(keys):
+    """The recursion orders its cells by step with 16-bit radix passes;
+    steps beyond 2**16 take more than one."""
+    keys = np.array(keys, dtype=np.int64)
+    assert demand._stable_order(keys).tolist() == np.argsort(keys, kind="stable").tolist()
+
+
 def _walked_normals(lam, seed, n):
     """Mask of the rows of ``sample_paths(..., n, seed)`` whose gaussians
     come from the walked words, not from a generator: none when a step's
     mean is 10 or more, as ``_streams.draw`` decides."""
     if not np.all(lam < 10.0):
         return np.zeros(n, dtype=bool)
-    _, words = _streams._walk_counts(
+    *_, words = _streams._walk_counts(
         lam, _pcg64_states(seed, np.arange(n, dtype=np.uint32)))
     return _streams._walk_normals(lam.size, words)[1]
 
@@ -474,15 +486,19 @@ class TestVectorisedSeeding:
     @example(seed=0, indices=[0] * 20 + [_MAX_WORD] * 20, lam=[0.7, 0.0, 2.0])
     @example(seed=_MAX_WORD, indices=[_MAX_WORD] * 20 + [0] * 20,
              lam=[2.0, 2.0, 0.05])
+    # 16 events, more than the walk's first buffers hold (3 x 4.05 + 3)
+    @example(seed=6, indices=[0, 1, 2], lam=[2.0, 2.0, 0.05])
     def test_walk_ends_where_rng_poisson_leaves_the_stream(self, seed, indices,
                                                           lam):
         lam = np.array(lam)
-        counts, words = _streams._walk_counts(
+        steps, offsets, words = _streams._walk_counts(
             lam, _pcg64_states(seed, np.array(indices, dtype=np.uint32)))
         states = _joined(words.state_hi, words.state_lo)
-        for index, row, state in zip(indices, counts, states):
+        assert offsets[0] == 0 and offsets[-1] == steps.size
+        for i, (index, state) in enumerate(zip(indices, states)):
             ref = substream(seed, index)
-            assert row.tolist() == ref.poisson(lam).tolist()
+            want = np.repeat(np.arange(lam.size), ref.poisson(lam))
+            assert steps[offsets[i]:offsets[i + 1]].tolist() == want.tolist()
             assert state == ref.bit_generator.state["state"]["state"]
 
     @pytest.mark.parametrize("seed", [2 ** 32, 2 ** 40])
@@ -498,7 +514,7 @@ class TestVectorisedSeeding:
             assert _bytes(row, _PATH_FIELDS) == _bytes(solo, _PATH_FIELDS)
             rng = substream(seed, i)
             counts = rng.poisson(lam)
-            assert gaussians[i].tobytes() == rng.standard_normal(lam.size).tobytes()
+            assert gaussians[1:, i].tobytes() == rng.standard_normal(lam.size).tobytes()
             want = rng.random(counts.sum())
             assert uniforms[offsets[i]:offsets[i + 1]].tobytes() == want.tobytes()
 
@@ -544,6 +560,7 @@ class TestZigguratTables:
             [s >> 64 for s in states], [s & (1 << 64) - 1 for s in states],
             [0] * len(states), [1] * len(states))))
         gaussians, walked, after = _streams._walk_normals(2, words)
+        assert not gaussians[0].any()
         seen = set()
         for i, (r, start, end) in enumerate(zip(
                 probes, states, _joined(after.state_hi, after.state_lo))):
@@ -554,7 +571,7 @@ class TestZigguratTables:
                 assert end == start
                 continue
             rng = oracles.drawing(r)
-            assert gaussians[i].tobytes() == rng.standard_normal(2).tobytes()
+            assert gaussians[1:, i].tobytes() == rng.standard_normal(2).tobytes()
             assert end == rng.bit_generator.state["state"]["state"]
         assert seen == {"fast", "wedge", "reject", "tail"}
 

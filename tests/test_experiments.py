@@ -15,6 +15,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 import strategies
@@ -213,6 +214,32 @@ class TestConfidenceBands:
         bands = confidence_bands(ps3, times, [0.25, 0.9], mc_paths=2_000, seed=4)
         values = np.stack([p.values for p in sample_paths(ps3, times, 2_000, seed=4)])
         assert np.allclose(bands, np.quantile(values, [0.25, 0.9], axis=0))
+
+    @settings(max_examples=100)
+    @given(data=st.data(), rows=st.integers(1, 60), cols=st.integers(1, 5),
+           levels=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                           min_size=1, max_size=4))
+    def test_empirical_bands_equal_np_quantile_bitwise(self, ps3, data, rows,
+                                                       cols, levels):
+        """The bands sort the block before np.quantile; that must pick and
+        interpolate the order statistics of the unsorted call, bit for bit,
+        with ties and a constant start column as in a sampled ensemble.
+        Only the sign of a zero may differ, where a column holds both -0.0
+        and 0.0, which compare equal and so tie."""
+        signed = data.draw(st.booleans())  # whether -0.0 may be drawn
+        tied = st.sampled_from([-1.5, 0.0, 0.1, 0.3, 2.0, 1e15] + [-0.0] * signed)
+        wide = st.floats(-1e3, 1e3).map(lambda x: x if signed else x + 0.0)
+        values = data.draw(arrays(np.float64, (rows, cols), elements=tied | wide))
+        values[:, 0] = ps3.y0
+        times = np.arange(cols, dtype=float)
+        ensemble = powertrack.PathEnsemble(times, values.copy(),
+                                           np.zeros(rows + 1, dtype=np.int64),
+                                           np.empty(0))
+        bands = experiments._bands(ps3, times, levels, lambda: ensemble, rows)
+        want = np.quantile(values, levels, axis=0)
+        assert np.array_equal(bands, want)
+        if not np.any(np.signbit(values) & (values == 0.0)):
+            assert bands.tobytes() == want.tobytes()
 
     def test_invalid_level_rejected(self, ps1, ps3):
         with pytest.raises(ValueError):
@@ -585,20 +612,28 @@ class TestCli:
                 == (tmp_path / "r" / "bands.csv").read_bytes())
 
     @staticmethod
-    def _modules_after_cli_import(test: str) -> str:
+    def _modules_after_cli_import(test: str, argv: list[str] | None = None) -> str:
         """The modules ``m`` with ``test`` true after a fresh interpreter
-        imports ``powertrack.cli``."""
+        imports ``powertrack.cli`` and, given ``argv``, runs its ``main``."""
         probe = ("import sys, powertrack.cli; "
-                 f"print([m for m in sys.modules if {test}])")
+                 + (f"assert powertrack.cli.main({argv!r}) == 0; " if argv else "")
+                 + f"print([m for m in sys.modules if {test}])")
         env = {**os.environ,
                "PYTHONPATH": str(Path(powertrack.__file__).parent.parent)}
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
-        return result.stdout.strip()
+        return result.stdout.strip().splitlines()[-1]
 
-    def test_import_loads_no_scipy(self):
-        """Importing scipy.stats took over a second of every CLI call."""
-        assert self._modules_after_cli_import("m.split('.')[0] == 'scipy'") == "[]"
+    def test_import_loads_no_scipy(self, tmp_path):
+        """Importing scipy.stats took over a second of every CLI call, and
+        the normal quantile of scipy.special about 0.35 s of every run with
+        exact Gaussian bands, as PS1's."""
+        scipy = "m.split('.')[0] == 'scipy'"
+        assert self._modules_after_cli_import(scipy) == "[]"
+        argv = ["bands", self._empty_cfg(tmp_path), "--preset", "PS1",
+                "--paths", "20", "--out-dir", str(tmp_path / "b")]
+        assert self._modules_after_cli_import(scipy, argv) == "[]"
+        assert (tmp_path / "b" / "bands.csv").exists()
 
     def test_import_leaves_the_ziggurat_tables_out(self):
         """Without written bytecode the tables and the stream emulation

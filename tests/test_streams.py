@@ -3,11 +3,40 @@ the installed numpy's generators only while the two draw the same."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from powertrack import _streams, _ziggurat, sample_paths, substream
 
 _FIELDS = ("values", "offsets", "jump_times")
+
+
+_WORD128 = st.integers(0, 2 ** 128 - 1)
+
+
+@settings(max_examples=200)
+@given(streams=st.lists(st.tuples(_WORD128, _WORD128), min_size=1, max_size=6),
+       k=st.integers(1, 12))
+@example(streams=[(2 ** 128 - 1, 2 ** 128 - 1), (0, 0), (2 ** 64 - 1, 1)], k=3)
+def test_stepped_words_equal_pcg64_random_raw(streams, k):
+    """``_lcg_step``, which steps uint64 word arrays in place, and
+    ``_next_uint64`` against numpy's own PCG64 at any 128-bit state and
+    increment."""
+    hi, lo, inc_hi, inc_lo = (np.array(w, dtype=np.uint64) for w in zip(*(
+        divmod(x, 2 ** 64) + divmod(inc, 2 ** 64) for x, inc in streams)))
+    raws = []
+    for _ in range(k):
+        stepped = _streams._lcg_step(hi, lo, inc_hi, inc_lo)
+        assert stepped[0] is hi and stepped[1] is lo
+        raws.append(_streams._next_uint64(hi, lo))
+    for i, (state, inc) in enumerate(streams):
+        bit_gen = np.random.PCG64(0)
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        assert [int(r[i]) for r in raws] == bit_gen.random_raw(k).tolist()
+        assert (int(hi[i]) << 64 | int(lo[i])) == bit_gen.state["state"]["state"]
 
 
 def test_installed_numpy_agrees():
@@ -41,7 +70,7 @@ def test_disagreeing_numpy_draws_every_row_from_its_generator(ps3, ps_grid,
     lam = ps3.jump.intensity * np.diff(times)
 
     def draws():
-        """The counts, gaussians, uniforms and offsets of every row."""
+        """The event steps, gaussians, uniforms and offsets of every row."""
         streams = (substream(11, i) for i in range(5000))
         return [a.tobytes() for a in _streams.draw(lam, 5000, None, 11, streams)
                 if a is not None]
