@@ -19,7 +19,6 @@ silenced, so stderr carries nothing but that line.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -87,6 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(code: int, err: Exception, field: str | None, **extra) -> int:
+    import json  # only a failure writes JSON, so a run does not import it
+
     print(json.dumps({"error": str(err) or type(err).__name__, "field": field,
                       **extra}), file=sys.stderr)
     return code

@@ -94,9 +94,15 @@ def _mean_series(model: DemandModel, out_t: np.ndarray) -> np.ndarray:
     return np.atleast_1d(np.asarray(model.at(out_t), dtype=float))
 
 
+def _on_lattice(times: np.ndarray, lattice: np.ndarray) -> bool:
+    """``times`` matches ``lattice`` to 1e-9; equal arrays, the usual case,
+    pass without the tolerance test."""
+    return times.shape == lattice.shape and (
+        np.array_equal(times, lattice) or np.allclose(times, lattice, atol=1e-9))
+
+
 def _check_control_lattice(u: ControlSignal, grid: Grid) -> None:
-    ct = grid.control_times()
-    if u.times.shape != ct.shape or not np.allclose(u.times, ct, atol=1e-9):
+    if not _on_lattice(u.times, grid.control_times()):
         raise ValueError("control signal is not defined on the grid's control lattice")
 
 
@@ -199,8 +205,7 @@ def _lattice_indices(times: np.ndarray, grid: Grid, n_times: int) -> np.ndarray:
 
 
 def _check_path_lattice(path_times: np.ndarray, grid_times: np.ndarray) -> None:
-    if path_times.shape != grid_times.shape or not np.allclose(
-            path_times, grid_times, atol=1e-9):
+    if not _on_lattice(path_times, grid_times):
         raise ValueError("path grid does not match the transport lattice")
 
 
@@ -451,6 +456,10 @@ def sequential_update_solve(params: DemandParams, grid: Grid, schedule: UpdateSc
 # ---------------------------------------------------------------------------
 
 _POINTS_PER_SEGMENT = 801
+# Most CM2 segments (update intervals within the horizon) one call builds:
+# each takes about 50 us, so the cap bounds a call near a minute, and an
+# interval far below the horizon is refused before its schedule is built.
+_MAX_CM2_SEGMENTS = 10 ** 6
 
 
 def cumrmse_analytic(params: DemandParams, speed: float, method: str,
@@ -462,7 +471,9 @@ def cumrmse_analytic(params: DemandParams, speed: float, method: str,
     the full elapsed time for the no-update law, the time since the last
     update plus the delay for the scheduled law, and exactly the delay for
     the continuously informed law.  Integration is trapezoidal on segments
-    split at the information-refresh instants, with 801 points on each.
+    split at the information-refresh instants, with 801 points on each; an
+    update interval that would need more than ``_MAX_CM2_SEGMENTS`` of them
+    raises ValueError.
     """
     delay = 1.0 / speed
     if horizon <= delay:
@@ -475,6 +486,10 @@ def cumrmse_analytic(params: DemandParams, speed: float, method: str,
     elif method == "CM2":
         if update_interval is None:
             raise ValueError("CM2 needs an update interval")
+        if horizon - delay > _MAX_CM2_SEGMENTS * update_interval > 0:
+            raise ValueError(
+                f"update_interval {update_interval} splits the horizon into "
+                f"more than {_MAX_CM2_SEGMENTS} CM2 segments")
         sched = UpdateSchedule.regular(update_interval, horizon - delay)
         segments = []
         for i, t_hat in enumerate(sched.times):

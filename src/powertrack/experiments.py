@@ -547,9 +547,12 @@ def load_config(path: str | Path) -> dict:
     :func:`scenario_from_config` for the accepted keys)."""
     import yaml
 
+    # libyaml's parser, where PyYAML was built with it, under the same
+    # constructor and resolver as yaml.safe_load
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     with open(path) as fh:
         try:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=loader)
         except yaml.YAMLError as err:
             raise ConfigError("config", f"not valid YAML: {err}") from None
     if cfg is None:

@@ -59,6 +59,11 @@ def weighted_mean_integral(mean: MeanFunction, kappa: float, t0, t):
     return mean.weighted_integral(kappa, t0, t)
 
 
+def _jump_mean(jump: JumpSpec, kappa: float, one_minus):
+    """gbar (nu / kappa) (1 - e^{-kappa delta}), given its last factor."""
+    return jump.height_law.mean * (jump.intensity / kappa) * one_minus
+
+
 def jump_sum_moments(jump: JumpSpec, kappa: float, delta) -> JumpMoments:
     """Mean and second moment of sum_i gamma_i e^{-kappa (delta - t_i)} over a
     span of length ``delta`` with Poisson(nu * delta) events at uniform times.
@@ -75,7 +80,7 @@ def jump_sum_moments(jump: JumpSpec, kappa: float, delta) -> JumpMoments:
     g2 = jump.height_law.mean_square
     one_minus = -np.expm1(-kappa * delta)          # 1 - e^{-kappa delta}
     one_minus2 = -np.expm1(-2.0 * kappa * delta)   # 1 - e^{-2 kappa delta}
-    mean = gbar * (nu / kappa) * one_minus
+    mean = _jump_mean(jump, kappa, one_minus)
     second = nu * one_minus2 / (2.0 * kappa) * g2
     # the ratio is squared, not its parts: at tiny kappa one_minus ** 2 and
     # kappa ** 2 both underflow, to 0/0
@@ -97,12 +102,14 @@ def conditional_mean(params: DemandParams, t0, y_t0, t):
     ta = np.asarray(t, dtype=float)
     if np.any(ta < t0a):
         raise ValueError("t must be >= t0")
-    decay = np.exp(-params.kappa * (ta - t0a))
+    # -kappa (t - t0): the exponent of the decay, and of the jump-sum mean
+    # as jump_sum_moments writes it
+    exponent = -params.kappa * (ta - t0a)
     # the terms share or broadcast into the first one's shape, which holds
     # a block of observations, so they add into it in place
-    out = decay * np.asarray(y_t0, dtype=float)
+    out = np.exp(exponent) * np.asarray(y_t0, dtype=float)
     out += weighted_mean_integral(params.mean, params.kappa, t0, t)
-    out += jump_sum_moments(params.jump, params.kappa, ta - t0a).mean
+    out += _jump_mean(params.jump, params.kappa, -np.expm1(exponent))
     return float(out) if np.ndim(out) == 0 else out
 
 

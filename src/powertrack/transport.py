@@ -116,16 +116,26 @@ class Grid:
         """Index of the last control time T - 1/speed on the time lattice."""
         return self.nt - self.delay_steps
 
+    @functools.cached_property
+    def _lattice(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The time lattice dt * i, built on first use and read-only, with
+        its control and output windows as views of it; each window has the
+        bits of dt * np.arange over its own index range."""
+        times = self.dt * np.arange(self.nt + 1)
+        times.flags.writeable = False
+        return times, times[:self.control_steps + 1], times[self.delay_steps:]
+
     def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.nt + 1)
+        """Lattice times of the whole horizon [0, T] (read-only)."""
+        return self._lattice[0]
 
     def control_times(self) -> np.ndarray:
-        """Lattice times of the control horizon [0, T - 1/speed]."""
-        return self.dt * np.arange(self.control_steps + 1)
+        """Lattice times of the control horizon [0, T - 1/speed] (read-only)."""
+        return self._lattice[1]
 
     def output_times(self) -> np.ndarray:
-        """Lattice times of the scored outflow window [1/speed, T]."""
-        return self.dt * np.arange(self.delay_steps, self.nt + 1)
+        """Lattice times of the scored outflow window [1/speed, T] (read-only)."""
+        return self._lattice[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,6 +239,29 @@ def validate_cfl(grid: Grid) -> float:
     return c
 
 
+def _inflow(grid: Grid, u: ControlSignal) -> np.ndarray:
+    """``u.at(grid.times())``, as a fresh array.
+
+    A control whose k knots are exactly the grid's first k times feeds
+    lattice time i from knot min(i, k - 1), so its values are read by index,
+    with the last one held, instead of searched.  That is what ``at``
+    returns whenever its 1e-12 tolerance cannot reach the next knot: the
+    knots are at least dt less two roundings apart, and ``t + 1e-12``
+    rounds by at most one more spacing of the largest lattice time, so
+    ``dt > 1e-12 + 4 * spacing`` suffices.  Every other control goes
+    through ``at``.
+    """
+    times = grid.times()
+    k = u.times.size
+    if (grid.dt > 1e-12 + 4.0 * np.spacing(times[-1])
+            and np.array_equal(u.times, times[:k])):
+        boundary = np.empty(times.size)
+        boundary[:k] = u.values
+        boundary[k:] = u.values[-1]
+        return boundary
+    return np.array(np.atleast_1d(u.at(times)), dtype=float)
+
+
 def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
     """Solve the left-sided upwind scheme
 
@@ -248,7 +281,7 @@ def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
         raise ValueError(f"z0 must have {grid.nx + 1} lattice values")
     if not np.all(np.isfinite(z0)):
         raise ValueError("initial profile values must be finite")
-    boundary = np.array(np.atleast_1d(u.at(grid.times())), dtype=float)
+    boundary = _inflow(grid, u)
     outflow = (_delay_line(z0, boundary)[:boundary.size] if c == 1.0
                else _march(c, z0, boundary))
     return FieldState(outflow=outflow, grid=grid, _z0=z0, _boundary=boundary)

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -573,3 +574,34 @@ class TestCumrmseAnalytic:
     def test_cm2_without_interval_rejected(self, ps1):
         with pytest.raises(ValueError):
             cumrmse_analytic(ps1, 4.0, "CM2", 1.0)
+
+    def test_interval_far_below_the_horizon_refused_at_once(self, ps1):
+        """At 1e-12 the schedule alone would be 7.5e11 update times (a
+        5.46 TiB allocation); the interval is refused before it is built."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="update_interval"):
+            cumrmse_analytic(ps1, 4.0, "CM2", 1.0, 1e-12)
+        assert time.perf_counter() - start < 1.0
+
+    def test_segment_cap_bounds_the_segments(self, ps1, monkeypatch):
+        # the control horizon 0.75 holds 10 intervals of 0.075, 11 of 0.07
+        monkeypatch.setattr(costopt, "_MAX_CM2_SEGMENTS", 10)
+        assert cumrmse_analytic(ps1, 4.0, "CM2", 1.0, 0.075) > 0.0
+        with pytest.raises(ValueError, match="update_interval"):
+            cumrmse_analytic(ps1, 4.0, "CM2", 1.0, 0.07)
+
+    @pytest.mark.parametrize("name, want", [
+        ("PS1", ("0x1.610c665fef8c4p-1", "0x1.7154bfedea4b5p-1",
+                 "0x1.87c063b93bbddp-1")),
+        ("PS2", ("0x1.19aedf389bc81p-1", "0x1.1fd1691f8c82ap-1",
+                 "0x1.26bf25b1d3dfdp-1")),
+        ("PS3", ("0x1.a6864ed4e9ac2p-1", "0x1.afba1daf52c3ep-1",
+                 "0x1.ba1eb88abdcfcp-1")),
+    ])
+    def test_preset_values_keep_their_bits(self, name, want):
+        """CM2 at intervals 0.05, 0.125 and 0.25, as the segment loop gives
+        them: the cap refuses intervals before any arithmetic."""
+        params = preset(name).params
+        got = tuple(cumrmse_analytic(params, 4.0, "CM2", 1.0, dtup).hex()
+                    for dtup in (0.05, 0.125, 0.25))
+        assert got == want

@@ -470,7 +470,9 @@ class TestCli:
         assert code != 0
         assert "error" in json.loads(capsys.readouterr().err.strip())
 
-    @pytest.mark.parametrize("config, field, budget, message", [
+    # Each config with the field its error line names (None: exit 1), an
+    # optimizer budget and a message fragment
+    _BAD_INPUTS = [
         ("preset: PS1\nspeed: 0\n", "speed", None, None),
         ("preset: PS1\nkappa: [1\n", "config", None, None),
         # the forecast ends at 0.5, before the horizon 1
@@ -531,16 +533,21 @@ class TestCli:
         # 1e12 x horizon 1 x 20 paths expected events, over the 2**24 budget
         ("preset: PS3\njump: {intensity: 1.0e+12}\n", "jump.intensity", None,
          "16777216"),
-    ], ids=["zero-speed", "malformed-yaml", "short-forecast", "tabulated-nan",
-            "tabulated-inf", "tabulated-narrow", "constant-nan", "sinusoid-nan",
-            "sinusoid-inf", "profile-inf", "convergence",
-            "overflow", "kappa-text", "kappa-negative", "sigma-list",
-            "sigma-overflow", "sigma-square-overflow",
-            "y0-infinite", "y0-overflow", "interval-infinite", "interval-below-step",
-            "jump-height-scalar", "lognormal-overflow", "constant-overflow",
-            "normal-overflow", "paths-fraction",
-            "seed-fraction", "display-fraction", "levels-empty", "horizon-short",
-            "jump-budget"])
+    ]
+    _BAD_INPUT_IDS = ["zero-speed", "malformed-yaml", "short-forecast",
+                      "tabulated-nan", "tabulated-inf", "tabulated-narrow",
+                      "constant-nan", "sinusoid-nan", "sinusoid-inf",
+                      "profile-inf", "convergence", "overflow", "kappa-text",
+                      "kappa-negative", "sigma-list", "sigma-overflow",
+                      "sigma-square-overflow", "y0-infinite", "y0-overflow",
+                      "interval-infinite", "interval-below-step",
+                      "jump-height-scalar", "lognormal-overflow",
+                      "constant-overflow", "normal-overflow", "paths-fraction",
+                      "seed-fraction", "display-fraction", "levels-empty",
+                      "horizon-short", "jump-budget"]
+
+    @pytest.mark.parametrize("config, field, budget, message", _BAD_INPUTS,
+                             ids=_BAD_INPUT_IDS)
     def test_bad_input_gives_one_json_line(self, tmp_path, capsys, monkeypatch,
                                            config, field, budget, message):
         if budget is not None:
@@ -556,6 +563,40 @@ class TestCli:
         assert err["field"] == field
         if message is not None:
             assert message in err["error"]
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    def test_libyaml_loader_reads_configs_as_the_python_loader(self):
+        """``load_config`` parses with libyaml where PyYAML has it: on the
+        benchmark inputs and every bad config above, both loaders give the
+        same mapping (compared by repr, so that nan equals nan and -0.0
+        differs from 0.0), or both raise ``yaml.YAMLError``."""
+        inputs = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+        texts = [p.read_text() for p in sorted(inputs.glob("*.yaml"))]
+        assert texts
+        texts += [config for config, *_ in self._BAD_INPUTS]
+
+        def parse(text, loader):
+            try:
+                return repr(yaml.load(text, Loader=loader))
+            except yaml.YAMLError:
+                return "YAMLError"
+
+        for text in texts:
+            assert (parse(text, yaml.CSafeLoader)
+                    == parse(text, yaml.SafeLoader)), text
+
+    def test_runs_without_libyaml(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        cfg = tmp_path / "ps1.yaml"
+        cfg.write_text("preset: PS1\nseed: 3\n")
+        assert load_config(cfg) == {"preset": "PS1", "seed": 3}
+        assert main(["run", str(cfg), "--paths", "20",
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        cfg.write_text("preset: PS1\nkappa: [1\n")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == "config"
 
     def test_empty_dtup_list_gives_one_json_line(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -634,6 +675,16 @@ class TestCli:
                 "--paths", "20", "--out-dir", str(tmp_path / "b")]
         assert self._modules_after_cli_import(scipy, argv) == "[]"
         assert (tmp_path / "b" / "bands.csv").exists()
+
+    def test_success_loads_no_json(self, tmp_path):
+        """Only a failure writes JSON, so only a failure imports ``json``:
+        about 5 ms of every start-up otherwise."""
+        is_json = "m.split('.')[0] == 'json'"
+        assert self._modules_after_cli_import(is_json) == "[]"
+        argv = ["run", self._empty_cfg(tmp_path), "--preset", "PS1",
+                "--paths", "20", "--out-dir", str(tmp_path / "r")]
+        assert self._modules_after_cli_import(is_json, argv) == "[]"
+        assert (tmp_path / "r" / "cost.csv").exists()
 
     def test_import_leaves_the_ziggurat_tables_out(self):
         """Without written bytecode the tables and the stream emulation

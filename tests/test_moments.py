@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from powertrack import (
     second_moment,
     weighted_mean_integral,
 )
+from powertrack import moments
 
 TWO_PI = 2.0 * np.pi
 
@@ -311,7 +313,8 @@ class TestMomentProperties:
     def test_conditional_mean_equals_summed_terms(self, params, k, n,
                                                   per_time_t0, seed):
         """The three terms added in place into the first are bitwise their
-        sum as one expression, for scalar, (k,) and (n, k) observations."""
+        sum as one expression, for scalar, (k,) and (n, k) observations, and
+        the jump term is bitwise the mean of :func:`jump_sum_moments`."""
         rng = np.random.default_rng(seed)
         t = np.sort(rng.uniform(0.0, 3.0, k))
         t0 = rng.uniform(0.0, 1.0) * t if per_time_t0 else float(t[0] * rng.uniform())
@@ -322,13 +325,32 @@ class TestMomentProperties:
                     + weighted_mean_integral(params.mean, params.kappa, t0, t)
                     + jump_sum_moments(params.jump, params.kappa, span).mean)
 
+        jump_term = moments._jump_mean
+        added = []
+
+        def recorded(*args):
+            added.append(jump_term(*args))
+            return added[-1]
+
+        def mean_and_jump_term(y):
+            """conditional_mean(params, t0, y, t), and the jump term it added."""
+            added.clear()
+            with mock.patch.object(moments, "_jump_mean", recorded):
+                got = conditional_mean(params, t0, y, t)
+            assert len(added) == 1
+            want = jump_sum_moments(params.jump, params.kappa,
+                                    t - np.asarray(t0)).mean
+            assert np.shape(added[0]) == np.shape(want)
+            assert np.asarray(added[0]).tobytes() == np.asarray(want).tobytes()
+            return got
+
         for y in (float(rng.normal()), rng.normal(size=k), rng.normal(size=(n, k))):
-            got = conditional_mean(params, t0, y, t)
+            got = mean_and_jump_term(y)
             want = summed(y)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # all scalar: a float
         t0, t = float(np.asarray(t0).flat[0]), float(t[0])
-        got = conditional_mean(params, t0, 0.5, t)
+        got = mean_and_jump_term(0.5)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(summed(0.5)).tobytes()
 

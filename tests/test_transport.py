@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -105,6 +105,97 @@ class TestGrid:
         assert g.times()[-1] == pytest.approx(5.0)
         assert g.control_times()[-1] == pytest.approx(4.5)
         assert g.output_times()[0] == pytest.approx(0.5)
+
+    def test_lattice_is_built_once_and_read_only(self):
+        g = Grid.make(4.0, 0.1, 1.0)
+        h = hash(g)
+        for method, lo, hi in ((g.times, 0, g.nt + 1),
+                               (g.control_times, 0, g.control_steps + 1),
+                               (g.output_times, g.delay_steps, g.nt + 1)):
+            lattice = method()
+            assert method() is lattice
+            assert not lattice.flags.writeable
+            with pytest.raises(ValueError):
+                lattice[0] = 1.0
+            assert lattice.tobytes() == (g.dt * np.arange(lo, hi)).tobytes()
+        # the cache is no field: equality and hash are those of the fields
+        fresh = Grid.make(4.0, 0.1, 1.0)
+        assert g == fresh and hash(g) == h == hash(fresh)
+        assert [f.name for f in fields(g)] == ["speed", "dx", "dt", "nx", "nt",
+                                               "horizon"]
+        same = replace(g)
+        assert same == g and hash(same) == h
+        assert same.times() is not g.times()
+        longer = replace(g, horizon=2.0, nt=80)
+        assert longer != g
+        assert longer.times().tobytes() == (g.dt * np.arange(81)).tobytes()
+        assert longer.output_times().tobytes() == (
+            g.dt * np.arange(g.delay_steps, 81)).tobytes()
+
+
+def _lattice_grid(dt, delay_steps, nx, later_steps):
+    """A grid of time step ``dt`` whose delay is ``delay_steps`` steps, with
+    ``nx`` <= ``delay_steps`` cells, so at Courant number at most 1."""
+    nt = delay_steps + later_steps
+    return Grid(1.0 / (delay_steps * dt), 1.0 / nx, dt, nx, nt, nt * dt)
+
+
+# Time steps over fifteen decades, and at the 1e-12 tolerance of
+# ControlSignal.at, below which a lattice time is read from a later knot
+_STEPS = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+              st.integers(-15, 0)),
+    st.sampled_from([1e-12, 1.5e-12, 2e-12, 4e-12, 1e-13]))
+
+
+class TestLatticeInflow:
+    """A control whose knots are the grid's first k times is read by index;
+    every other control through ``ControlSignal.at``.  Either way the inflow,
+    row 0 of the field, is ``u.at(grid.times())`` bit for bit."""
+
+    @staticmethod
+    def _inflow(g, u):
+        with np.errstate(all="ignore"):  # a march of wide values overflows
+            return upwind_solve(g, None, u).z[0]
+
+    @settings(max_examples=150)
+    @given(dt=_STEPS, delay_steps=st.integers(1, 8), later_steps=st.integers(1, 30),
+           data=st.data())
+    def test_inflow_equals_at_bitwise(self, dt, delay_steps, later_steps, data):
+        g = _lattice_grid(dt, delay_steps,
+                          data.draw(st.integers(1, delay_steps)), later_steps)
+        times = g.times()
+        k = data.draw(st.integers(1, g.nt + 1))
+        values = np.array(data.draw(st.lists(WIDE_VALUES, min_size=k,
+                                             max_size=k)))
+        # on the lattice, then with knots 1.. off it (knot 0 stays at the
+        # first lattice time): one ulp up, and shifts either side of the
+        # 1e-12 tolerance and below the 1e-9 lattice check of costopt
+        shifted = [times[1:k], np.nextafter(times[1:k], np.inf)]
+        shifted += [times[1:k] + s for s in (-1e-10, -2e-12, 5e-13, 2e-12, 1e-10)]
+        for later in shifted:
+            knots = np.append(times[0], later)
+            if not np.all(np.diff(knots) > 0):
+                continue  # a shift that merges knots is no control
+            u = ControlSignal(knots, values)
+            assert self._inflow(g, u).tobytes() == np.atleast_1d(
+                u.at(times)).tobytes()
+
+    @pytest.mark.parametrize("g, shift", [
+        (Grid.make(4.0, 0.1, 1.0), 1e-10),  # within costopt's lattice check
+        (_lattice_grid(1e-13, 4, 4, 30), 0.0),  # dt below the tolerance
+    ])
+    def test_at_reads_a_later_knot_than_the_index(self, g, shift):
+        """Where ``at`` reads lattice time i from a knot other than i, the
+        inflow follows ``at``, not the index."""
+        k = g.control_steps + 1
+        knots = g.times()[:k] + shift
+        knots[0] = 0.0
+        u = ControlSignal(knots, np.arange(k, dtype=float))
+        by_index = np.minimum(np.arange(g.nt + 1), k - 1).astype(float)
+        inflow = self._inflow(g, u)
+        assert inflow.tobytes() == u.at(g.times()).tobytes()
+        assert not np.array_equal(inflow, by_index)
 
 
 class TestControlSignal:
