@@ -24,7 +24,6 @@ from .costopt import (
     mc_cost_estimate,
     minimize_control,
     minimize_control_direct,
-    sequential_update_control,
     sequential_update_solve,
 )
 from .demand import (

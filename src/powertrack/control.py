@@ -29,6 +29,13 @@ __all__ = [
 ]
 
 
+def _aligned(times: np.ndarray, steps: np.ndarray, dt: float) -> bool:
+    """Whether each update time lies within 1e-12 (relative beyond 1) of its
+    lattice time ``dt * steps``: the slack of :func:`cm2_control`'s t >= t_hat
+    check, which an update held from its own lattice step then passes."""
+    return bool(np.all(np.abs(dt * steps - times) <= 1e-12 * np.maximum(1.0, times)))
+
+
 @dataclass(frozen=True, eq=False)
 class UpdateSchedule:
     """Observation instants t_hat_i = i * interval on the control horizon."""
@@ -52,18 +59,19 @@ class UpdateSchedule:
         """Updates at 0, interval, 2*interval, ... within [0, control_end].
 
         When ``lattice_dt`` is given, the interval must be 1, 2, 3, ... lattice
-        steps so observations line up with the transport grid.
+        steps and each update within 1e-12 (relative beyond 1) of its lattice time.
         """
         if not 0 < interval < np.inf:
             raise ValueError("update interval must be finite and > 0")
-        if lattice_dt is not None:
-            steps = interval / lattice_dt
-            if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-                raise ValueError(
-                    f"update interval {interval} is not a multiple (>= 1) of "
-                    f"the lattice step {lattice_dt}")
-        n = int(np.floor(control_end / interval + 1e-9))
-        return cls(interval=interval, times=interval * np.arange(n + 1))
+        steps = 1 if lattice_dt is None else np.round(interval / lattice_dt)
+        if steps >= 1:  # below one step, refused before its updates are built
+            k = np.arange(int(np.floor(control_end / interval + 1e-9)) + 1)
+            times = interval * k
+            # the update at 0 is on the lattice even where steps overflowed to inf
+            if lattice_dt is None or _aligned(times[1:], steps * k[1:], lattice_dt):
+                return cls(interval=interval, times=times)
+        raise ValueError(f"update interval {interval} is not a multiple (>= 1) of "
+                         f"the lattice step {lattice_dt}")
 
     def last_index(self, t: float) -> int:
         """Index of the most recent update at or before ``t``."""
@@ -98,7 +106,7 @@ def cm2_control(params: DemandParams, speed: float, t, t_hat, y_obs):
     block of observations gives the (n, k) block of controls of n paths.
     """
     _check_horizon(t)
-    if np.any(np.asarray(t, dtype=float) < t_hat - 1e-12):
+    if np.any(np.asarray(t, dtype=float) < t_hat - 1e-12 * np.maximum(1.0, t_hat)):
         raise ValueError("control time t must be >= the update time t_hat")
     return conditional_mean(params, t_hat, y_obs,
                             np.asarray(t, dtype=float) + 1.0 / speed)

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .control import UpdateSchedule, cm1_control, cm2_control, cm3_control
+from .control import UpdateSchedule, _aligned, cm1_control, cm2_control, cm3_control
 from .demand import DemandParams, DemandPath, MeanFunction, PathEnsemble
 from .moments import conditional_variance, first_moment, second_moment
 from .transport import ControlSignal, FieldState, Grid, upwind_solve, validate_cfl
@@ -38,7 +38,6 @@ __all__ = [
     "mc_cost_estimate",
     "minimize_control",
     "minimize_control_direct",
-    "sequential_update_control",
     "sequential_update_solve",
     "cumrmse_analytic",
 ]
@@ -94,16 +93,12 @@ def _mean_series(model: DemandModel, out_t: np.ndarray) -> np.ndarray:
     return np.atleast_1d(np.asarray(model.at(out_t), dtype=float))
 
 
-def _on_lattice(times: np.ndarray, lattice: np.ndarray) -> bool:
-    """``times`` matches ``lattice`` to 1e-9; equal arrays, the usual case,
-    pass without the tolerance test."""
-    return times.shape == lattice.shape and (
-        np.array_equal(times, lattice) or np.allclose(times, lattice, atol=1e-9))
-
-
-def _check_control_lattice(u: ControlSignal, grid: Grid) -> None:
-    if not _on_lattice(u.times, grid.control_times()):
-        raise ValueError("control signal is not defined on the grid's control lattice")
+def _require_lattice(times: np.ndarray, lattice: np.ndarray, what: str) -> None:
+    """Refuse ``times`` unless they match ``lattice`` to 1e-9; equal arrays,
+    the usual case, pass without the tolerance test."""
+    if not (times.shape == lattice.shape and (np.array_equal(times, lattice) or
+            np.allclose(times, lattice, rtol=0.0, atol=1e-9))):
+        raise ValueError(f"{what} does not match the transport lattice")
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -128,7 +123,7 @@ def deterministic_cost(model: DemandModel, grid: Grid, u: ControlSignal) -> Cost
     every scored lattice time, and both the cost and its square root are
     integrated by the trapezoid rule.
     """
-    _check_control_lattice(u, grid)
+    _require_lattice(u.times, grid.control_times(), "control signal")
     out_t = grid.output_times()
     m1 = _mean_series(model, out_t)
     m2 = (second_moment(model, out_t) if isinstance(model, DemandParams)
@@ -174,7 +169,8 @@ class Cm2Policy:
     def control_block(self, values: np.ndarray, grid: Grid) -> np.ndarray:
         ct = grid.control_times()
         obs_idx = _lattice_indices(self.schedule.times, grid, values.shape[1])
-        last = self.schedule.last_index(ct)
+        # update j is observed at lattice step obs_idx[j] and holds until the next
+        last = np.searchsorted(obs_idx, np.arange(ct.size), side="right") - 1
         return cm2_control(self.params, grid.speed, ct, self.schedule.times[last],
                            values[:, obs_idx[last]])
 
@@ -199,14 +195,9 @@ Policy = Union[Cm1Policy, Cm2Policy, Cm3Policy]
 
 def _lattice_indices(times: np.ndarray, grid: Grid, n_times: int) -> np.ndarray:
     idx = np.round(np.asarray(times, dtype=float) / grid.dt).astype(int)
-    if np.any(np.abs(idx * grid.dt - times) > 1e-9) or np.any(idx >= n_times):
+    if not _aligned(times, idx, grid.dt) or np.any(idx >= n_times):
         raise ValueError("times are not aligned with the path lattice")
     return idx
-
-
-def _check_path_lattice(path_times: np.ndarray, grid_times: np.ndarray) -> None:
-    if not _on_lattice(path_times, grid_times):
-        raise ValueError("path grid does not match the transport lattice")
 
 
 def _std(a: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -260,10 +251,10 @@ def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
     """
     if len(paths) < 2:
         raise ValueError("need at least 2 paths for a Monte-Carlo estimate")
-    _check_path_lattice(paths.times, grid.times())
+    _require_lattice(paths.times, grid.times(), "path grid")
     values = paths.values
     if isinstance(control, ControlSignal):
-        _check_control_lattice(control, grid)
+        _require_lattice(control.times, grid.control_times(), "control signal")
         y = control.values
     else:
         y = control.control_block(values, grid)
@@ -411,9 +402,10 @@ def minimize_control_direct(model: DemandModel, grid: Grid) -> ControlSignal:
 # Sequential re-optimisation under demand updates
 # ---------------------------------------------------------------------------
 
-def sequential_update_control(params: DemandParams, grid: Grid, schedule: UpdateSchedule,
-                              path: DemandPath) -> ControlSignal:
-    """Re-optimise the injection on each update interval of a realised path.
+def sequential_update_solve(params: DemandParams, grid: Grid, schedule: UpdateSchedule,
+                            path: DemandPath) -> tuple[ControlSignal, FieldState]:
+    """Re-optimise the injection on each update interval of a realised path,
+    and send it down the line with :func:`upwind_solve` from an empty line.
 
     On each interval the gradient descent minimises the tracking cost
     against the conditional mean one delay ahead, given the value observed
@@ -427,7 +419,7 @@ def sequential_update_control(params: DemandParams, grid: Grid, schedule: Update
     """
     if abs(grid.courant - 1.0) > 1e-9:
         raise ValueError("sequential update solve requires a Courant-1 grid")
-    _check_path_lattice(path.times, grid.times())
+    _require_lattice(path.times, grid.times(), "path grid")
     upd = _lattice_indices(schedule.times, grid, path.times.size)
     if np.any(upd > grid.control_steps):
         raise ValueError("update times must lie on the control horizon")
@@ -440,14 +432,7 @@ def sequential_update_control(params: DemandParams, grid: Grid, schedule: Update
         views = (a[lo:hi].reshape(-1, length) for a in (u, weights, ct))
         u[lo:hi] = _descend(*views).reshape(-1)
         lo = hi
-    return ControlSignal(ct, u)
-
-
-def sequential_update_solve(params: DemandParams, grid: Grid, schedule: UpdateSchedule,
-                            path: DemandPath) -> tuple[ControlSignal, FieldState]:
-    """:func:`sequential_update_control` and its :func:`upwind_solve` from an
-    empty line; a convergence study takes one per update interval."""
-    signal = sequential_update_control(params, grid, schedule, path)
+    signal = ControlSignal(ct, u)
     return signal, upwind_solve(grid, None, signal)
 
 

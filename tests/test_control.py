@@ -52,6 +52,13 @@ class TestUpdateSchedule:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("interval", [1.0, 1e18, 1e300, 1e308])
+    def test_interval_beyond_the_control_horizon_updates_once(self, interval):
+        # 1e300 is 4e301 lattice steps, beyond any integer dtype; 1e308 is
+        # 4e309, beyond the floats
+        sched = UpdateSchedule.regular(interval, 0.75, 0.025)
+        assert sched.times.tolist() == [0.0]
+
     def test_last_update_is_left_closed(self):
         sched = UpdateSchedule.regular(0.2, 0.75)
         assert sched.last_update(0.2) == 0.2  # new observation counts immediately

@@ -37,12 +37,12 @@ from powertrack import (
     sample_paths,
     scenario_grid,
     scenario_schedule,
-    sequential_update_control,
     sequential_update_solve,
     substream,
     upwind_solve,
 )
 from powertrack import costopt
+from powertrack.experiments import PRESET_NAMES
 
 TWO_PI = 2.0 * np.pi
 
@@ -164,9 +164,12 @@ class TestMcCostEstimate:
             assert np.all(np.isfinite(got)) and got.tobytes() == want.tobytes(), name
 
     def test_wrong_lattice_rejected(self, ps1, ps_grid):
-        paths = sample_paths(ps1, [0.0, 0.5, 1.0], 3, seed=2)
-        with pytest.raises(ValueError):
-            mc_cost_estimate(paths, ps_grid, minimize_control_direct(ps1, ps_grid))
+        # a coarser lattice; and the grid's times scaled by 1 + 2e-6, inside
+        # np.allclose's default rtol of 1e-5 but 2e-6 off at t = 1
+        for times in ([0.0, 0.5, 1.0], ps_grid.times() * (1 + 2e-6)):
+            paths = sample_paths(ps1, times, 3, seed=2)
+            with pytest.raises(ValueError, match="transport lattice"):
+                mc_cost_estimate(paths, ps_grid, minimize_control_direct(ps1, ps_grid))
 
     def test_single_path_rejected(self, ps1, ps_grid):
         paths = sample_paths(ps1, ps_grid.times(), 1, seed=2)
@@ -409,6 +412,53 @@ class TestDescendRows:
         assert got.value.control.times.tobytes() == times[1].tobytes()
 
 
+def _preset_and_converge_fine_schedules():
+    """Every preset's schedule, and the five of the benchmark's converge-fine
+    workload: PS1 at dx 0.0005, its intervals given by --dtup."""
+    scenarios = [preset(name) for name in PRESET_NAMES]
+    fine = dataclasses.replace(preset("PS1"), dx=0.0005)
+    scenarios += [dataclasses.replace(fine, update_interval=dtup)
+                  for dtup in (0.125, 0.05, 0.025, 0.01, 0.005)]
+    for scenario in scenarios:
+        grid = scenario_grid(scenario)
+        schedule = scenario_schedule(scenario, grid)
+        if schedule is not None:
+            yield grid, schedule
+
+
+class TestCm2Policy:
+    def test_update_in_force_is_the_last_at_or_before_each_control_time(
+            self, ps1, monkeypatch):
+        """Each update holds from its own lattice step to the next update's:
+        on every preset and converge-fine schedule that is the update which
+        ``UpdateSchedule.last_index`` finds in continuous time."""
+        # cm2_control's arguments come back as its result
+        monkeypatch.setattr(costopt, "cm2_control",
+                            lambda params, speed, t, t_hat, y_obs: (t_hat, y_obs))
+        checked = 0
+        for grid, schedule in _preset_and_converge_fine_schedules():
+            steps = np.arange(grid.nt + 1.0)[np.newaxis]  # each value its step
+            t_hat, y_obs = Cm2Policy(ps1, schedule).control_block(steps, grid)
+            last = schedule.last_index(grid.control_times())
+            assert t_hat.tobytes() == schedule.times[last].tobytes()
+            assert y_obs[0].tolist() == np.round(schedule.times[last] / grid.dt).tolist()
+            checked += 1
+        assert checked == 3 + 5
+
+    @pytest.mark.parametrize("speed, interval", [(4.0, 0.3), (3.0, 0.1)])
+    def test_exact_multiples_run_at_long_horizons(self, ps1, speed, interval):
+        # beyond t = 4096 one rounding of interval * k moves it more than
+        # 1e-12 from its lattice time dt * steps * k (1.8e-12 here)
+        grid = Grid.make(speed, 0.1, 10_000.0)
+        sched = UpdateSchedule.regular(interval, grid.horizon - grid.delay, grid.dt)
+        steps = round(interval / grid.dt)
+        drift = np.abs(grid.dt * (steps * np.arange(sched.times.size)) - sched.times)
+        assert drift.max() > 1e-12
+        values = np.full((1, grid.nt + 1), ps1.y0)
+        u = Cm2Policy(ps1, sched).control_block(values, grid)
+        assert np.all(np.isfinite(u))
+
+
 class TestSequentialUpdateSolve:
     def test_single_interval_equals_no_update_solve(self, ps3, ps_grid):
         path = sample_path(ps3, ps_grid.times(), substream(12, 1))
@@ -470,7 +520,7 @@ class TestSequentialUpdateSolve:
         path = sample_path(ps3, ps_grid.times(), substream(7, 0))
         sched = UpdateSchedule.regular(0.125, 0.75, ps_grid.dt)
         u, field = sequential_update_solve(ps3, ps_grid, sched, path)
-        control = sequential_update_control(ps3, ps_grid, sched, path)
+        control = sequential_update_solve(ps3, ps_grid, sched, path)[0]
         assert control.values.tobytes() == u.values.tobytes()
         assert (upwind_solve(ps_grid, None, control).outflow.tobytes()
                 == field.outflow.tobytes())

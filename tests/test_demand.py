@@ -372,6 +372,18 @@ class TestPathEnsemble:
                 assert path.jump_times.size >= 8
                 assert path.values[-1] == total, seed
 
+    def test_rows_beyond_two_to_the_sixteen_steps_equal_single_paths(self, ps3):
+        # the recursion orders its cells by step on 16-bit keys up to 2**16
+        # steps and on the steps themselves beyond; the last step's mean of
+        # 10 sends every row to its generator, so 70000 steps draw quickly
+        times = np.append(np.linspace(0.0, 1.0, 70_000), 3.0)
+        assert ps3.jump.intensity * (times[-1] - times[-2]) == 10.0
+        ensemble = sample_paths(ps3, times, 3, seed=4)
+        assert np.any(ensemble.jump_times > times[2 ** 16])
+        for i, row in enumerate(ensemble):
+            solo = sample_path(ps3, times, substream(4, i))
+            assert _bytes(row, _PATH_FIELDS) == _bytes(solo, _PATH_FIELDS), i
+
     def test_infinite_step_mean_is_left_to_rng_poisson(self):
         # intensity * step overflows to inf: draw sends every row to rng.poisson
         params = _flat(jump=JumpSpec(1e300, ConstantHeight(1.0)))
@@ -406,17 +418,6 @@ class TestPathEnsemble:
         assert counts == np.diff(ensemble.offsets).tolist()
         with pytest.raises(IndexError):
             ensemble[6]
-
-
-@settings(max_examples=100)
-@given(keys=st.lists(st.sampled_from([0, 1, 7, 65535, 65536, 65537, 2 ** 32 + 3,
-                                      2 ** 40]), max_size=60)
-       | st.lists(st.integers(0, 2 ** 50), max_size=60))
-def test_stable_order_is_the_stable_argsort(keys):
-    """The recursion orders its cells by step with 16-bit radix passes;
-    steps beyond 2**16 take more than one."""
-    keys = np.array(keys, dtype=np.int64)
-    assert demand._stable_order(keys).tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 def _walked_normals(lam, seed, n):

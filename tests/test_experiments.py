@@ -513,6 +513,10 @@ class TestCli:
         # 1e-12 rounds to 0 lattice steps of 0.025
         ("preset: PS1\nupdate_interval: 1.0e-12\n", "update_interval", None,
          "lattice step"),
+        # 5 lattice steps of 0.025 to 1e-9, but the updates drift off the
+        # lattice: 1e-10 at the first, and the one at 0.75 is dropped
+        ("preset: PS3\nupdate_interval: 0.1250000001\n", "update_interval", None,
+         "lattice step"),
         ("preset: PS1\njump: {intensity: 1, height: 3}\n", "jump.height",
          None, "expected a mapping"),
         # exp(2 log_mean + 2 log_std^2), the height's second moment, overflows
@@ -541,6 +545,7 @@ class TestCli:
                       "kappa-negative", "sigma-list", "sigma-overflow",
                       "sigma-square-overflow", "y0-infinite", "y0-overflow",
                       "interval-infinite", "interval-below-step",
+                      "interval-drifting",
                       "jump-height-scalar", "lognormal-overflow",
                       "constant-overflow", "normal-overflow", "paths-fraction",
                       "seed-fraction", "display-fraction", "levels-empty",
@@ -609,8 +614,10 @@ class TestCli:
 
     def test_misaligned_dtup_gives_one_json_line(self, tmp_path, capsys):
         out = tmp_path / "c"
-        # 0.03 is no multiple of the lattice step 0.025; 1e-12 rounds to 0 steps
-        for dtup in ("0.125,0.03", "0.125,1e-12"):
+        # 0.03 is no multiple of the lattice step 0.025; 1e-12 rounds to 0
+        # steps; 0.1250000001 is 5 steps to 1e-9, but its first update lies
+        # 1e-10 off the lattice time 0.125
+        for dtup in ("0.125,0.03", "0.125,1e-12", "0.1250000001"):
             code = main(["converge", self._empty_cfg(tmp_path), "--preset", "PS3",
                          "--dtup", dtup, "--out-dir", str(out)])
             assert code == 2
