@@ -67,7 +67,6 @@ from .transport import (
     FieldState,
     Grid,
     upwind_solve,
-    validate_cfl,
 )
 
 __version__ = "0.1.0"

@@ -10,9 +10,9 @@ overrides (flags win over config values):
 On success the exit code is 0.  On failure a single JSON error line is
 printed to stderr and the exit code is 2 for a usage or config error, 1
 for a run that failed.  The line always carries ``error`` (the message)
-and ``field`` (the config field at fault, or null); an artifact that would
-hold a non-finite number is not written, and its line also names the
-``artifact`` file and the ``column``.  Floating-point warnings are
+and ``field`` (the config field at fault, or null).  A failed run writes
+no artifact; when one would hold a non-finite number, the line also names
+the ``artifact`` file and the ``column``.  Floating-point warnings are
 silenced, so stderr carries nothing but that line.
 """
 

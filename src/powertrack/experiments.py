@@ -72,6 +72,14 @@ ARTIFACTS = ("paths", "control", "bands", "cost")
 # bytes per event with 2 paths (2**20 to 2**22 events), 48 with 65536 paths
 # (intensity 1 to 64).
 MAX_JUMP_EVENTS = 2 ** 24
+# (path, lattice time) cells a run may hold, near 1 GiB: PS3 runs of 8192 to
+# 65536 paths held 25.0 bytes per cell at dx 0.1 and 21.9 at dx 0.025 (slope
+# of peak RSS, events included); a shown path's CSV cells add 45 bytes, two
+# cells.  CSV rows and control series add STEP_CELLS per lattice time: over
+# 1e5 to 2e5 lattice times, a PS1 run of 2 paths took 747 bytes per time more,
+# its bands 424, deterministic-fig5 336 and a convergence study 99.
+MAX_CELLS = 2 ** 30 // 24
+STEP_CELLS = 32
 
 
 class ConfigError(ValueError):
@@ -111,10 +119,10 @@ class Scenario:
     levels: tuple[float, ...] = (0.5, 0.9, 0.975)
 
     def __post_init__(self) -> None:
-        for field in ("speed", "horizon", "dx"):
-            value = getattr(self, field)
-            if value is None or not (math.isfinite(value) and value > 0):
-                raise ConfigError(field, f"must be finite and > 0, got {value!r}")
+        grid = scenario_grid(self)  # update_interval is checked by the runs that read it
+        if (grid.nt + 1) * STEP_CELLS > MAX_CELLS:
+            raise ConfigError("dx", f"horizon/dt + 1 = {grid.nt + 1} lattice times, "
+                                    f"over {MAX_CELLS // STEP_CELLS}")
         if self.profile is None and self.params is None:
             raise ConfigError("params", "stochastic scenarios need demand parameters")
         field, forecast = (("mean", self.params.mean) if self.profile is None
@@ -144,9 +152,6 @@ class Scenario:
         for artifact in self.outputs:
             if artifact not in ARTIFACTS:
                 raise ConfigError("outputs", f"unknown artifact {artifact!r}")
-        if self.horizon <= 1.0 / self.speed:
-            raise ConfigError("horizon", "must exceed the transport delay 1/speed")
-        grid = scenario_grid(self)  # update_interval is checked by the runs that read it
         if self.profile is not None:
             # the tracking objective sums squared profile values over the horizon
             peak = float(np.abs(self.profile.at(grid.times())).max())
@@ -190,9 +195,10 @@ def preset(name: str) -> Scenario:
 
 def scenario_grid(scenario: Scenario) -> Grid:
     try:
-        return Grid.make(scenario.speed, scenario.dx, scenario.horizon)
+        return Grid(scenario.speed, scenario.dx, scenario.horizon)
     except ValueError as err:
-        raise ConfigError("dx", str(err)) from None
+        # each message starts with the input at fault: speed, dx or horizon
+        raise ConfigError(str(err).split()[0], str(err)) from None
 
 
 def scenario_schedule(scenario: Scenario, grid: Grid) -> UpdateSchedule | None:
@@ -222,18 +228,31 @@ def _fmt(x, artifact: str, column: str) -> str:
     return repr(value)
 
 
-def _write_csv(path: Path, columns: Columns) -> Path:
-    """Write ``(name, column)`` pairs, names repeating as they come, as a
-    header and one row per index; every cell is formatted, row by row, before
-    the file is opened, so a non-finite number raises :class:`ArtifactError`."""
+def _csv_text(artifact: str, columns: Columns) -> str:
+    """A header and one row per index; a non-finite number raises ArtifactError."""
     names = [name for name, _ in columns]
     lines = [",".join(names)]
     for row in zip(*(column for _, column in columns), strict=True):
-        lines.append(",".join(_fmt(x, path.name, name)
+        lines.append(",".join(_fmt(x, artifact, name)
                               for name, x in zip(names, row)))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return "\n".join(lines) + "\n"
+
+
+def _write_artifacts(out_dir: str | Path, texts: dict[str, str]) -> dict[str, Path]:
+    """Write ``<name>.csv`` for each text, all or none: all go to temporary
+    files, not named ``*.csv``, and are renamed into place; a failure removes them."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    temps = {name: out_dir / f".{name}.csv.tmp" for name in texts}
+    try:
+        for name, text in texts.items():
+            with open(temps[name], "w", newline="\n") as fh:
+                fh.write(text)
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
+    return {name: temp.replace(out_dir / f"{name}.csv") for name, temp in temps.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +328,26 @@ def _stochastic_artifacts(scenario: Scenario, grid: Grid,
     """The columns of each artifact of a stochastic run, built on call from
     one mean curve, one list of policies and one lazily sampled ensemble."""
     params = scenario.params
+    n_paths = max(scenario.mc_paths, 2)
+    shown = min(scenario.n_display_paths, scenario.mc_paths)
     times = grid.times()
     mean = first_moment(params, times)
-    ensemble = cache(partial(sample_paths, params, times,
-                             max(scenario.mc_paths, 2), scenario.seed))
     cm2 = [] if schedule is None else [("CM2", Cm2Policy(params, schedule))]
     policies = [("CM1", Cm1Policy(params)), *cm2, ("CM3", Cm3Policy(params))]
 
+    @cache
+    def ensemble() -> PathEnsemble:
+        cells = (STEP_CELLS + n_paths + 2 * shown) * times.size
+        if cells > MAX_CELLS:  # refused before any block of its size exists
+            raise ConfigError("paths", f"{n_paths} paths ({shown} shown) of "
+                                       f"{times.size} lattice times hold {cells} "
+                                       f"cells, over {MAX_CELLS}")
+        return sample_paths(params, times, n_paths, scenario.seed)
+
     def paths() -> Columns:
-        n = min(scenario.n_display_paths, scenario.mc_paths)
-        values = ensemble().values[:n]
+        values = ensemble().values[:shown]
         return [("time", times), ("mean", mean),
-                *((f"path_{j}", values[j]) for j in range(n))]
+                *((f"path_{j}", values[j]) for j in range(shown))]
 
     def control() -> Columns:
         columns = [("time", times), ("demand_mean", mean),
@@ -379,13 +406,15 @@ def _deterministic_artifacts(scenario: Scenario, grid: Grid
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
-    """Run the requested pipeline and write one CSV per requested artifact.
+    """Run the requested pipeline and write one CSV per requested artifact,
+    all or none: every one is formatted before any is written.
 
-    A stochastic run samples one ensemble of ``max(mc_paths, 2)`` paths, on
-    first use, and every artifact reads its rows from it: the Monte-Carlo
-    cost all of them, the bands the first ``mc_paths``, the displayed paths
-    the first ``n_display_paths``, and the control study row 0.  Row ``i``
-    is the path drawn from ``substream(seed, i)`` in every case.
+    A stochastic run samples one ensemble of ``max(mc_paths, 2)`` paths on
+    first use, or refuses it naming paths if it is over ``MAX_CELLS``, and
+    every artifact reads its rows from it: the Monte-Carlo cost all of
+    them, the bands the first ``mc_paths``, the displayed paths the first
+    ``n_display_paths``, and the control study row 0.  Row ``i`` is the
+    path drawn from ``substream(seed, i)`` in every case.
 
     Deterministic given (scenario, seed): repeated runs produce byte-identical
     files.
@@ -395,10 +424,9 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     artifacts = (_deterministic_artifacts(scenario, grid)
                  if scenario.demand_mode == "deterministic"
                  else _stochastic_artifacts(scenario, grid, schedule))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return {name: _write_csv(out_dir / f"{name}.csv", artifacts[name]())
-            for name in scenario.outputs if name in artifacts}
+    return _write_artifacts(out_dir, {
+        name: _csv_text(f"{name}.csv", artifacts[name]())
+        for name in scenario.outputs if name in artifacts})
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +474,11 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
 def write_convergence(scenario: Scenario, update_intervals,
                       out_dir: str | Path) -> Path:
     rows = convergence_study(scenario, update_intervals)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _write_csv(out_dir / "convergence.csv", [
+    text = _csv_text("convergence.csv", [
         ("update_interval", [row["update_interval"] for row in rows]),
         ("lattice_steps", [str(row["lattice_steps"]) for row in rows]),
         ("cumrmse_gap", [row["cumrmse_gap"] for row in rows])])
+    return _write_artifacts(out_dir, {"convergence": text})["convergence"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,24 +3,24 @@
 The state z(x, t) obeys z_t + speed * z_x = 0 on (0, 1) with inflow boundary
 z(0, t) = u(t) and initial profile z(x, 0) = z0(x).  The outflow y(t) =
 z(1, t) therefore reproduces the inflow delayed by the transport time
-1/speed.  A left-sided upwind scheme discretises the dynamics.  At Courant
-number exactly 1, the default grid construction, the scheme is that delay:
-each value moves one cell per time step, so the solve returns the delay
-line (the initial profile read from the outflow end, then the inflow)
-without marching.  A march would compute each update as x - (x - y), which
-is y in exact arithmetic but not always in doubles (x = 1.0 and y = 1e-17
-give 0.0); the delay line carries y.  Sub-unit Courant numbers, supported
-for convergence experiments only, march one contiguous state vector over
-the spatial lattice and keep only the outflow.  The space-time field is
-built on its first read, so callers that need only the outflow never hold
-a field.
+1/speed.  A left-sided upwind scheme discretises the dynamics on a
+:class:`Grid` of speed, dx, horizon and Courant number.  At Courant number
+exactly 1, the default, the scheme is that delay: each value moves one cell
+per time step, so the solve returns the delay line (the initial profile read
+from the outflow end, then the inflow) without marching.  A march would
+compute each update as x - (x - y), which is y in exact arithmetic but not
+always in doubles (x = 1.0 and y = 1e-17 give 0.0); the delay line carries
+y.  Sub-unit Courant numbers, supported for convergence experiments only,
+march one contiguous state vector over the spatial lattice and keep only the
+outflow.  The space-time field is built on its first read, so callers that
+need only the outflow never hold a field.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,87 +29,69 @@ __all__ = [
     "Grid",
     "ControlSignal",
     "FieldState",
-    "validate_cfl",
     "upwind_solve",
 ]
 
 
 class CFLError(ValueError):
-    """Time step too large for the spatial step; carries the Courant number."""
+    """Courant number outside (0, 1]; carries the Courant number."""
 
     def __init__(self, courant: float):
-        super().__init__(f"CFL condition violated: Courant number {courant} > 1")
+        super().__init__(f"Courant number {courant!r} outside (0, 1]")
         self.courant = courant
 
 
-def _near_int(x: float, tol: float = 1e-9) -> int:
-    n = round(x)
-    if abs(x - n) > tol * max(1.0, abs(x)):
-        raise ValueError(f"{x} is not an integer multiple within tolerance")
-    return int(n)
+def _whole(x: float, requirement: str, ratio: str) -> int:
+    """``x`` rounded, if it is within 1e-9 relative of a whole number."""
+    if math.isfinite(x) and abs(x - round(x)) <= 1e-9 * max(1.0, abs(x)):
+        return round(x)
+    raise ValueError(f"{requirement}: {ratio} = {x!r} is not a whole number")
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Space-time lattice for the advection solve.
+    """Space-time lattice for the advection solve, fixed by its four inputs.
 
-    ``dx`` must divide the unit line and the transport delay 1/speed must be
-    an integer number of time steps, so that injection decisions line up with
-    the delayed outflow they produce.
+    ``dx`` must divide the unit line, and the horizon and the delay 1/speed
+    must be whole numbers of time steps dt = courant dx / speed, so that
+    injection decisions line up with the delayed outflow they produce.
+    ``dt``, ``nx``, ``nt`` and ``delay_steps`` are derived on construction.
+    An input that fits no lattice raises ``ValueError``, whose message starts
+    with its name; a Courant number outside (0, 1] raises :class:`CFLError`.
     """
 
     speed: float
     dx: float
-    dt: float
-    nx: int
-    nt: int
     horizon: float
+    courant: float = 1.0
+    dt: float = field(init=False)
+    nx: int = field(init=False)
+    nt: int = field(init=False)
+    delay_steps: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.speed <= 0:
-            raise ValueError("transport speed must be > 0")
-        if self.dx <= 0 or self.dt <= 0:
-            raise ValueError("grid steps must be > 0")
-        if self.nx != _near_int(1.0 / self.dx):
-            raise ValueError("dx must divide the unit line: nx = 1/dx")
-        if self.nt != _near_int(self.horizon / self.dt):
-            raise ValueError("dt must divide the horizon: nt = horizon/dt")
-        _near_int(self.delay / self.dt)  # delay must sit on the time lattice
+        if not (0.0 < self.courant <= 1.0):
+            raise CFLError(self.courant)
+        for name in ("speed", "dx", "horizon"):
+            value = getattr(self, name)
+            if value is None or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        dt = self.courant * self.dx / self.speed
+        for name, value in (
+                ("dt", dt),
+                ("nx", _whole(1.0 / self.dx, "dx must divide the unit line", "1/dx")),
+                ("nt", _whole(self.horizon / dt, "horizon must be a whole number "
+                                                 "of time steps", "horizon/dt")),
+                ("delay_steps", _whole(self.delay / dt, "dx must put the delay "
+                                       "1/speed on the time lattice", "delay/dt"))):
+            object.__setattr__(self, name, value)
         if self.horizon <= self.delay:
             raise ValueError("horizon must exceed the transport delay 1/speed")
-
-    @classmethod
-    def make(cls, speed: float, dx: float, horizon: float,
-             courant: float = 1.0) -> "Grid":
-        """Build a lattice with the given Courant number (default exactly 1,
-        which makes the upwind solve an exact delay)."""
-        if not (0 < courant <= 1.0):
-            raise CFLError(courant)
-        for name, value in (("transport speed", speed), ("dx", dx),
-                            ("horizon", horizon)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
-        dt = courant * dx / speed
-        return cls(speed=speed, dx=dx, dt=dt, nx=_near_int(1.0 / dx),
-                   nt=_near_int(horizon / dt), horizon=horizon)
-
-    @property
-    def courant(self) -> float:
-        """speed dt / dx, and exactly 1.0 when dt is dx / speed as
-        :meth:`make` builds it by default: the product need not round back
-        to 1, and the solve reads the delay line only at exactly 1.0."""
-        if self.dt == self.dx / self.speed:
-            return 1.0
-        return self.speed * self.dt / self.dx
 
     @property
     def delay(self) -> float:
         """Transport time from inflow to outflow."""
         return 1.0 / self.speed
-
-    @property
-    def delay_steps(self) -> int:
-        return _near_int(self.delay / self.dt)
 
     @property
     def control_steps(self) -> int:
@@ -231,14 +213,6 @@ class FieldState:
         return rows.T
 
 
-def validate_cfl(grid: Grid) -> float:
-    """Return the Courant number; raise :class:`CFLError` if it exceeds 1."""
-    c = grid.courant
-    if c > 1.0 + 1e-12:
-        raise CFLError(c)
-    return c
-
-
 def _inflow(grid: Grid, u: ControlSignal) -> np.ndarray:
     """``u.at(grid.times())``, as a fresh array.
 
@@ -265,7 +239,7 @@ def _inflow(grid: Grid, u: ControlSignal) -> np.ndarray:
 def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
     """Solve the left-sided upwind scheme
 
-        z_j^{i+1} = z_j^i - c (z_j^i - z_{j-1}^i),   c = speed dt / dx,
+        z_j^{i+1} = z_j^i - c (z_j^i - z_{j-1}^i),   c = grid.courant,
 
     with boundary z_0^i = u(tau_i) and initial profile ``z0`` (array on the
     spatial lattice, or None for an empty line).  At c == 1 this is the
@@ -273,7 +247,7 @@ def upwind_solve(grid: Grid, z0, u: ControlSignal) -> FieldState:
     the delay line; below 1 it is marched.  Only the outflow is kept; the
     field ``z`` of the result is built on first read.
     """
-    c = validate_cfl(grid)
+    c = grid.courant
     if z0 is None:
         z0 = np.zeros(grid.nx + 1)
     z0 = np.array(z0, dtype=float)  # a copy: the field may be built later

@@ -27,4 +27,4 @@ def ps3():
 @pytest.fixture(scope="session")
 def ps_grid():
     """The lattice shared by PS1-PS3: speed 4, dx 0.1, horizon 1, Courant 1."""
-    return Grid.make(4.0, 0.1, 1.0)
+    return Grid(4.0, 0.1, 1.0)

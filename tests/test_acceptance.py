@@ -144,7 +144,7 @@ def test_criterion_3_optimizer_equals_theory(ps1, ps2, ps3, ps_grid):
 
 
 def test_criterion_4_deterministic_demand_tracked_exactly():
-    grid = Grid.make(2.0, 0.5, 5.0)
+    grid = Grid(2.0, 0.5, 5.0)
     profile = SinusoidMean(2.0, 1.0, 0.5 * np.pi)
     u = minimize_control(profile, grid)
     out = upwind_solve(grid, None, u).outflow[grid.delay_steps:]
@@ -157,7 +157,7 @@ def test_criterion_4_deterministic_demand_tracked_exactly():
 
 
 def test_criterion_5_upwind_exactness_and_convergence():
-    g1 = Grid.make(4.0, 0.1, 1.0)
+    g1 = Grid(4.0, 0.1, 1.0)
     ct = g1.control_times()
     u = ControlSignal(ct, np.sin(TWO_PI * ct) + 0.5)
     fs = upwind_solve(g1, None, u)
@@ -165,7 +165,7 @@ def test_criterion_5_upwind_exactness_and_convergence():
     courant1_err = float(np.max(np.abs(fs.outflow - exact)))
 
     def sup_err(dx):
-        g = Grid.make(4.0, dx, 1.0, courant=0.5)
+        g = Grid(4.0, dx, 1.0, courant=0.5)
         t = g.times()
         sig = ControlSignal(t, np.sin(TWO_PI * t))
         solved = upwind_solve(g, None, sig)

@@ -53,7 +53,7 @@ _CONTROL = ControlSignal([0.0, 0.5], [1.0, 2.0])
     lambda ps1: sample_path(ps1, [0.0, 0.5, 1.0], substream(0, 0)),
     lambda ps1: _CONTROL,
     lambda ps1: _SCHEDULE,
-    lambda ps1: upwind_solve(Grid.make(4.0, 0.25, 1.0), np.zeros(5), _CONTROL),
+    lambda ps1: upwind_solve(Grid(4.0, 0.25, 1.0), np.zeros(5), _CONTROL),
     lambda ps1: CostReport(1.0, 1.0, np.array([0.25, 1.0]), np.array([1.0, 1.0])),
     lambda ps1: Cm2Policy(ps1, _SCHEDULE),
 ], ids=["DemandPath", "ControlSignal", "UpdateSchedule", "FieldState",

@@ -266,7 +266,7 @@ class TestMcCostEstimateProperty:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_per_path_reference(self, kappa, sigma, intensity, height,
                                        update_steps, n, seed):
-        grid = Grid.make(4.0, 0.1, 1.0)
+        grid = Grid(4.0, 0.1, 1.0)
         params = DemandParams(kappa=kappa, sigma=sigma,
                               mean=SinusoidMean(2.0, 3.0, TWO_PI), y0=1.0,
                               jump=JumpSpec(intensity, ConstantHeight(height)))
@@ -298,7 +298,7 @@ class TestMinimizeControl:
         assert np.allclose(u.values, 10.0, atol=1e-9)
 
     def test_deterministic_sine_demand_is_tracked_exactly(self):
-        grid = Grid.make(2.0, 0.5, 5.0)
+        grid = Grid(2.0, 0.5, 5.0)
         profile = SinusoidMean(2.0, 1.0, 0.5 * np.pi)
         u = minimize_control(profile, grid)
         out = upwind_solve(grid, None, u).outflow[grid.delay_steps:]
@@ -449,7 +449,7 @@ class TestCm2Policy:
     def test_exact_multiples_run_at_long_horizons(self, ps1, speed, interval):
         # beyond t = 4096 one rounding of interval * k moves it more than
         # 1e-12 from its lattice time dt * steps * k (1.8e-12 here)
-        grid = Grid.make(speed, 0.1, 10_000.0)
+        grid = Grid(speed, 0.1, 10_000.0)
         sched = UpdateSchedule.regular(interval, grid.horizon - grid.delay, grid.dt)
         steps = round(interval / grid.dt)
         drift = np.abs(grid.dt * (steps * np.arange(sched.times.size)) - sched.times)
@@ -510,7 +510,7 @@ class TestSequentialUpdateSolve:
                 ps3, ps_grid, UpdateSchedule.regular(0.03, 0.75), path)
 
     def test_subunit_courant_rejected(self, ps3):
-        grid = Grid.make(4.0, 0.1, 1.0, courant=0.5)
+        grid = Grid(4.0, 0.1, 1.0, courant=0.5)
         path = sample_path(ps3, grid.times(), substream(7, 0))
         sched = UpdateSchedule.regular(0.125, 0.75, grid.dt)
         with pytest.raises(ValueError):
@@ -560,7 +560,7 @@ class TestSequentialUpdateSolveProperty:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_cm2_law_sent_down_the_line(self, kappa, sigma, intensity, height,
                                         nx, update_steps, seed):
-        grid = Grid.make(4.0, 1.0 / nx, 1.0)
+        grid = Grid(4.0, 1.0 / nx, 1.0)
         params = DemandParams(kappa=kappa, sigma=sigma,
                               mean=SinusoidMean(2.0, 3.0, TWO_PI), y0=1.0,
                               jump=JumpSpec(intensity, ConstantHeight(height)))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -146,6 +147,52 @@ class TestRunScenario:
         assert float(rows[0][0]) <= 1e-8
 
 
+class TestWholeArtefactSet:
+    """A run writes its whole artefact set or none of it: every CSV is
+    formatted, then written under a temporary name and renamed."""
+
+    _ARTEFACTS = ["bands.csv", "control.csv", "cost.csv", "paths.csv"]
+
+    def test_a_failed_run_leaves_the_last_runs_files(self, tmp_path, capsys):
+        # cost.csv, the last artefact, of the second run is not finite
+        out = tmp_path / "x"
+        good, bad = tmp_path / "good.yaml", tmp_path / "bad.yaml"
+        good.write_text("preset: PS1\n")
+        bad.write_text("preset: PS1\ny0: 1.0e+308\n")
+        assert main(["run", str(good), "--paths", "50", "--out-dir", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == self._ARTEFACTS
+        assert main(["run", str(bad), "--paths", "50", "--out-dir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["artifact"] \
+            == "cost.csv"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("stage", ["format", "write"])
+    def test_a_failure_in_the_last_artefact_leaves_an_empty_directory_empty(
+            self, tmp_path, monkeypatch, stage):
+        sc = replace(_PS1, mc_paths=20)
+        if stage == "format":
+            sc = replace(sc, params=replace(sc.params, y0=1.0e308))
+            expected = experiments.ArtifactError
+        else:
+            def failing_open(file, *args, **kwargs):
+                if Path(file).name.startswith(".cost."):
+                    raise OSError("no space left on device")
+                return open(file, *args, **kwargs)
+
+            monkeypatch.setattr(experiments, "open", failing_open, raising=False)
+            expected = OSError
+        with np.errstate(all="ignore"), pytest.raises(expected):
+            run_scenario(sc, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_success_leaves_no_temporary_file(self, tmp_path):
+        run_scenario(replace(_PS1, mc_paths=20), tmp_path)
+        experiments.write_convergence(_PS1, [0.125], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            self._ARTEFACTS + ["convergence.csv"])
+
+
 class TestScenario:
     # PS1 has speed 4, horizon 1, dx 0.1 (dt 0.025), jump intensity 5
     @pytest.mark.parametrize("base, changes, field", [
@@ -188,6 +235,72 @@ class TestScenario:
         for other in (ps1([0.0, 0.5, 1.0], [1.0, 2.0, 3.5]),
                       ps1([0.0, 0.25, 1.0], [1.0, 2.0, 3.0])):
             assert a.params != other.params and a != other
+
+
+class TestMemoryBudget:
+    """A lattice or an ensemble over the memory budget is refused before
+    anything of its size is allocated, naming dx or paths."""
+
+    # PS1 and PS3 have nt + 1 = 4 / dx + 1 lattice times; the smallest
+    # whole nx = 1 / dx whose lattice is over the budget
+    _NX_OVER = (experiments.MAX_CELLS // experiments.STEP_CELLS - 1) // 4 + 1
+    # PS3 at dx 0.1 has 41 lattice times and shows 5 paths; the fewest paths
+    # whose run is over the budget
+    _PATHS_OVER = experiments.MAX_CELLS // 41 - experiments.STEP_CELLS - 2 * 5 + 1
+
+    @staticmethod
+    def _peak_of(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("key, command", [
+        ("dx", ["run"]), ("dx", ["converge", "--dtup", "0.125"]), ("dx", ["bands"]),
+        ("paths", ["run"]), ("paths", ["bands"])],
+        ids=["dx-run", "dx-converge", "dx-bands", "paths-run", "paths-bands"])
+    def test_just_over_the_budget_exits_2_without_allocating(
+            self, tmp_path, capsys, key, command):
+        cfg = tmp_path / "cfg.yaml"
+        if key == "dx":
+            cfg.write_text(f"preset: PS3\ndx: {1.0 / self._NX_OVER!r}\n")
+            flags = []
+        else:
+            cfg.write_text("preset: PS3\n")
+            flags = ["--paths", str(self._PATHS_OVER)]
+        code, peak = self._peak_of(lambda: main(
+            [command[0], str(cfg), *command[1:], *flags,
+             "--out-dir", str(tmp_path / "x")]))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["field"] == key
+        # one lattice of the refused size would be 10 MiB, one ensemble 340
+        assert peak < 2 ** 20
+        assert not (tmp_path / "x").exists()
+
+    def test_just_under_the_budget_builds(self, monkeypatch, tmp_path):
+        sc = replace(preset("PS3"), dx=1.0 / (self._NX_OVER - 1))
+        assert scenario_grid(sc).nt == 4 * (self._NX_OVER - 1)
+
+        class Sampled(Exception):
+            pass
+
+        def sample_paths(*args):
+            raise Sampled
+
+        # the run of one path fewer gets past the budget to its sampling
+        monkeypatch.setattr(experiments, "sample_paths", sample_paths)
+        with pytest.raises(Sampled):
+            run_scenario(replace(preset("PS3"), mc_paths=self._PATHS_OVER - 1),
+                         tmp_path)
+
+    def test_runs_that_sample_no_ensemble_are_not_refused_by_their_paths(
+            self, tmp_path):
+        # a convergence study samples one path, and PS1's bands are exact
+        many = replace(preset("PS1"), mc_paths=self._PATHS_OVER)
+        assert experiments.write_convergence(many, [0.125], tmp_path).is_file()
+        assert write_bands(many, tmp_path).is_file()
 
 
 class TestConfidenceBands:
@@ -534,6 +647,10 @@ class TestCli:
         ("preset: PS1\nlevels: []\n", "levels", None, None),
         # the transport delay 1/speed is 0.25
         ("preset: PS1\nhorizon: 0.2\n", "horizon", None, "transport delay"),
+        # 40.4 time steps of 0.025
+        ("preset: PS1\nhorizon: 1.01\n", "horizon", None, "horizon/dt = 40.4"),
+        # 1/dx overflows
+        ("preset: PS1\ndx: 5.0e-324\n", "dx", None, "1/dx = inf"),
         # 1e12 x horizon 1 x 20 paths expected events, over the 2**24 budget
         ("preset: PS3\njump: {intensity: 1.0e+12}\n", "jump.intensity", None,
          "16777216"),
@@ -549,7 +666,8 @@ class TestCli:
                       "jump-height-scalar", "lognormal-overflow",
                       "constant-overflow", "normal-overflow", "paths-fraction",
                       "seed-fraction", "display-fraction", "levels-empty",
-                      "horizon-short", "jump-budget"]
+                      "horizon-short", "horizon-off-lattice", "dx-subnormal",
+                      "jump-budget"]
 
     @pytest.mark.parametrize("config, field, budget, message", _BAD_INPUTS,
                              ids=_BAD_INPUT_IDS)

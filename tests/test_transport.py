@@ -14,7 +14,6 @@ from powertrack import (
     convergence_study,
     preset,
     upwind_solve,
-    validate_cfl,
 )
 from powertrack import transport
 
@@ -41,8 +40,9 @@ def _pow2_grid(unit_courant, speed, log_nx, extra_steps, later_steps):
     delay_steps = nx + (0 if unit_courant else extra_steps)
     dt = 1.0 / (speed * delay_steps)
     nt = delay_steps + later_steps
-    g = Grid(speed, 1.0 / nx, dt, nx, nt, nt * dt)
+    g = Grid(speed, 1.0 / nx, nt * dt, courant=nx / delay_steps)
     assert (g.courant == 1.0) is unit_courant and 0.0 < g.courant <= 1.0
+    assert g.dt == dt and (g.nx, g.nt, g.delay_steps) == (nx, nt, delay_steps)
     return g
 
 
@@ -58,35 +58,76 @@ def _delayed(g, z0, u):
 
 class TestGrid:
     def test_default_construction_is_courant_one(self):
-        g = Grid.make(4.0, 0.1, 1.0)
-        assert g.dt == pytest.approx(0.025)
+        g = Grid(4.0, 0.1, 1.0)
+        assert g.courant == 1.0 and g.dt == 0.1 / 4.0
         assert (g.nx, g.nt, g.delay_steps) == (10, 40, 10)
-        assert validate_cfl(g) == pytest.approx(1.0)
 
     def test_paper_style_lattices_pass_cfl(self):
-        assert validate_cfl(Grid(4.0, 0.1, 0.025, 10, 40, 1.0)) == pytest.approx(1.0)
-        assert validate_cfl(Grid(2.0, 0.5, 0.25, 2, 20, 5.0)) == pytest.approx(1.0)
+        for args, dt, nx, nt in (((4.0, 0.1, 1.0), 0.025, 10, 40),
+                                 ((2.0, 0.5, 5.0), 0.25, 2, 20)):
+            g = Grid(*args)
+            assert g.courant == 1.0
+            assert (g.dt, g.nx, g.nt) == (dt, nx, nt)
 
     def test_cfl_violation_reports_courant(self):
-        g = Grid(4.0, 0.1, 0.05, 10, 20, 1.0)  # delay still on the lattice
-        with pytest.raises(CFLError) as err:
-            validate_cfl(g)
-        assert err.value.courant == pytest.approx(2.0)
-        with pytest.raises(CFLError):
-            Grid.make(4.0, 0.1, 1.0, courant=2.0)
+        for courant in (2.0, 1.0 + 1e-15, 0.0, -0.5, np.nan):
+            with pytest.raises(CFLError) as err:
+                Grid(4.0, 0.1, 1.0, courant=courant)
+            assert err.value.courant is courant
+
+    # each grid, its Courant number, and the input and ratio its error names
+    _MISALIGNED = [
+        ((4.0, 0.3, 1.0), 1.0, "dx", "1/dx"),  # 1/dx not a whole number
+        ((4.0, 0.1, 1.01), 1.0, "horizon", "horizon/dt"),  # 40.4 time steps
+        ((4.0, 0.1, 0.25), 1.0, "horizon", "transport delay"),  # equals the delay
+        # dt = 0.01875: the horizon is 64 steps, the delay 13.33
+        ((4.0, 0.1, 1.2), 0.75, "dx", "delay/dt"),
+        ((0.0, 0.1, 1.0), 1.0, "speed", "finite and > 0"),
+        ((None, 0.1, 1.0), 1.0, "speed", "finite and > 0"),
+        ((4.0, 5e-324, 1.0), 1.0, "dx", "1/dx"),  # 1/dx overflows
+        ((4.0, 0.1, np.inf), 1.0, "horizon", "finite and > 0"),
+    ]
 
     def test_misaligned_or_degenerate_grids_rejected(self):
-        with pytest.raises(ValueError):
-            Grid.make(4.0, 0.3, 1.0)  # 1/dx not an integer
-        with pytest.raises(ValueError):
-            Grid.make(4.0, 0.1, 0.25)  # horizon equals the delay
-        with pytest.raises(ValueError):
-            Grid(4.0, 0.1, 0.03, 10, 33, 1.0)  # delay off the time lattice
+        for args, courant, name, ratio in self._MISALIGNED:
+            with pytest.raises(ValueError) as err:
+                Grid(*args, courant=courant)
+            assert not isinstance(err.value, CFLError)
+            message = str(err.value)
+            assert message.split()[0] == name and ratio in message, message
+
+    @settings(max_examples=200)
+    @given(speed=st.floats(1e-3, 1e3), nx=st.integers(1, 1000),
+           extra_steps=st.integers(0, 1000), later_steps=st.integers(1, 10 ** 5),
+           free=st.one_of(st.none(), st.floats(1e-3, 1.0)),
+           outside=st.one_of(st.floats(min_value=1.0, exclude_min=True),
+                             st.floats(max_value=0.0), st.just(np.nan)))
+    def test_the_inputs_fix_the_lattice(self, speed, nx, extra_steps, later_steps,
+                                        free, outside):
+        """A grid builds when its delay is nx + extra_steps time steps; one
+        of a free Courant number builds or names dx or horizon.  A grid that
+        builds keeps its Courant number exactly, derives dt from it, and its
+        lattice ends at the horizon.  A Courant number outside (0, 1] raises
+        CFLError."""
+        courant = nx / (nx + extra_steps) if free is None else free
+        dx = 1.0 / nx
+        dt = courant * dx / speed
+        k = nx + extra_steps + later_steps
+        with pytest.raises(CFLError):
+            Grid(speed, dx, k * dt, outside)
+        try:
+            g = Grid(speed, dx, k * dt, courant)
+        except ValueError as err:
+            assert free is not None and not isinstance(err, CFLError)
+            assert str(err).split()[0] in ("dx", "horizon")
+            return
+        assert g.courant == courant and g.dt == dt
+        assert g.times()[-1] == pytest.approx(g.horizon, rel=1e-9, abs=0.0)
 
     def test_default_grid_whose_product_rounds_reads_the_delay_line(self, monkeypatch):
         # 7 * (1/2339 / 7) / (1/2339) rounds to 0.9999999999999999, but dt
         # is dx / speed, so the grid is at Courant 1 and must not march
-        g = Grid.make(7.0, 1 / 2339, 1.0)
+        g = Grid(7.0, 1 / 2339, 1.0)
         assert g.speed * g.dt / g.dx < 1.0 and g.courant == 1.0
 
         def no_march(*args, **kwargs):
@@ -101,13 +142,13 @@ class TestGrid:
         assert outflow.tobytes() == delay_line[:g.nt + 1].tobytes()
 
     def test_lattice_views(self):
-        g = Grid.make(2.0, 0.5, 5.0)
+        g = Grid(2.0, 0.5, 5.0)
         assert g.times()[-1] == pytest.approx(5.0)
         assert g.control_times()[-1] == pytest.approx(4.5)
         assert g.output_times()[0] == pytest.approx(0.5)
 
     def test_lattice_is_built_once_and_read_only(self):
-        g = Grid.make(4.0, 0.1, 1.0)
+        g = Grid(4.0, 0.1, 1.0)
         h = hash(g)
         for method, lo, hi in ((g.times, 0, g.nt + 1),
                                (g.control_times, 0, g.control_steps + 1),
@@ -119,15 +160,17 @@ class TestGrid:
                 lattice[0] = 1.0
             assert lattice.tobytes() == (g.dt * np.arange(lo, hi)).tobytes()
         # the cache is no field: equality and hash are those of the fields
-        fresh = Grid.make(4.0, 0.1, 1.0)
+        fresh = Grid(4.0, 0.1, 1.0)
         assert g == fresh and hash(g) == h == hash(fresh)
-        assert [f.name for f in fields(g)] == ["speed", "dx", "dt", "nx", "nt",
-                                               "horizon"]
+        assert [f.name for f in fields(g) if f.init] == ["speed", "dx", "horizon",
+                                                        "courant"]
+        assert [f.name for f in fields(g) if not f.init] == ["dt", "nx", "nt",
+                                                            "delay_steps"]
         same = replace(g)
         assert same == g and hash(same) == h
         assert same.times() is not g.times()
-        longer = replace(g, horizon=2.0, nt=80)
-        assert longer != g
+        longer = replace(g, horizon=2.0)
+        assert longer != g and longer.nt == 80
         assert longer.times().tobytes() == (g.dt * np.arange(81)).tobytes()
         assert longer.output_times().tobytes() == (
             g.dt * np.arange(g.delay_steps, 81)).tobytes()
@@ -137,7 +180,9 @@ def _lattice_grid(dt, delay_steps, nx, later_steps):
     """A grid of time step ``dt`` whose delay is ``delay_steps`` steps, with
     ``nx`` <= ``delay_steps`` cells, so at Courant number at most 1."""
     nt = delay_steps + later_steps
-    return Grid(1.0 / (delay_steps * dt), 1.0 / nx, dt, nx, nt, nt * dt)
+    g = Grid(1.0 / (delay_steps * dt), 1.0 / nx, nt * dt, courant=nx / delay_steps)
+    assert (g.nx, g.nt, g.delay_steps) == (nx, nt, delay_steps)
+    return g
 
 
 # Time steps over fifteen decades, and at the 1e-12 tolerance of
@@ -182,7 +227,7 @@ class TestLatticeInflow:
                 u.at(times)).tobytes()
 
     @pytest.mark.parametrize("g, shift", [
-        (Grid.make(4.0, 0.1, 1.0), 1e-10),  # within costopt's lattice check
+        (Grid(4.0, 0.1, 1.0), 1e-10),  # within costopt's lattice check
         (_lattice_grid(1e-13, 4, 4, 30), 0.0),  # dt below the tolerance
     ])
     def test_at_reads_a_later_knot_than_the_index(self, g, shift):
@@ -223,13 +268,13 @@ class TestControlSignal:
 
 class TestUpwindSolve:
     def test_constant_state_is_preserved(self):
-        g = Grid.make(4.0, 0.1, 1.0)
+        g = Grid(4.0, 0.1, 1.0)
         u = ControlSignal(g.control_times(), np.full(g.control_steps + 1, 3.0))
         fs = upwind_solve(g, np.full(g.nx + 1, 3.0), u)
         assert np.max(np.abs(fs.z - 3.0)) < 1e-14
 
     def test_courant_one_is_exact_shift(self):
-        g = Grid.make(4.0, 0.1, 1.0)
+        g = Grid(4.0, 0.1, 1.0)
         ct = g.control_times()
         u = ControlSignal(ct, np.sin(TWO_PI * ct) + 0.3 * ct)
         fs = upwind_solve(g, None, u)
@@ -239,7 +284,7 @@ class TestUpwindSolve:
         assert np.max(np.abs(fs.outflow[t < g.delay - 1e-12])) == 0.0
 
     def test_boundary_and_initial_profile_recorded(self):
-        g = Grid.make(4.0, 0.1, 1.0)
+        g = Grid(4.0, 0.1, 1.0)
         z0 = np.linspace(1.0, 2.0, g.nx + 1)
         u = ControlSignal(g.control_times(), np.full(g.control_steps + 1, 9.0))
         fs = upwind_solve(g, z0, u)
@@ -250,7 +295,7 @@ class TestUpwindSolve:
         # Sup error measured past the startup layer: the derivative kink from
         # the empty-line corner needs ~1/speed to clear the outflow.
         def sup_err(dx):
-            g = Grid.make(4.0, dx, 1.0, courant=0.5)
+            g = Grid(4.0, dx, 1.0, courant=0.5)
             t = g.times()
             u = ControlSignal(t, np.sin(TWO_PI * t))
             fs = upwind_solve(g, None, u)
@@ -263,7 +308,7 @@ class TestUpwindSolve:
 
     def test_monotone_range_preservation(self):
         rng = np.random.default_rng(5)
-        g = Grid.make(4.0, 0.1, 1.0, courant=0.5)
+        g = Grid(4.0, 0.1, 1.0, courant=0.5)
         t = g.times()
         u = ControlSignal(t, rng.uniform(-1.0, 2.0, t.size))
         z0 = rng.uniform(-1.0, 2.0, g.nx + 1)
@@ -274,7 +319,7 @@ class TestUpwindSolve:
         assert fs.z.max() <= hi + 1e-12
 
     def test_linearity(self):
-        g = Grid.make(4.0, 0.1, 1.0, courant=0.5)
+        g = Grid(4.0, 0.1, 1.0, courant=0.5)
         rng = np.random.default_rng(6)
         t = g.times()
         ua = ControlSignal(t, rng.normal(size=t.size))
@@ -297,7 +342,8 @@ class TestUpwindSolve:
         delay_steps = nx + extra_steps
         dt = 1.0 / (speed * delay_steps)
         nt = delay_steps + later_steps
-        g = Grid(speed, 1.0 / nx, dt, nx, nt, nt * dt)
+        g = Grid(speed, 1.0 / nx, nt * dt, courant=nx / delay_steps)
+        assert (g.nx, g.nt, g.delay_steps) == (nx, nt, delay_steps)
         rng = np.random.default_rng(seed)
         z0 = rng.normal(size=nx + 1) if with_z0 else None
         u = ControlSignal(g.control_times(), rng.normal(size=g.control_steps + 1))
@@ -331,7 +377,7 @@ class TestUpwindSolve:
         assert z[-1].tobytes() == fs.outflow.tobytes()
 
     def test_outflow_holds_no_field_and_field_is_built_once_read(self):
-        g = Grid.make(4.0, 5e-4, 1.0)  # 2001 x 8001 cells, 122 MiB as a field
+        g = Grid(4.0, 5e-4, 1.0)  # 2001 x 8001 cells, 122 MiB as a field
         u = ControlSignal(g.control_times(), np.sin(g.control_times()))
         tracemalloc.start()
         try:
@@ -363,7 +409,7 @@ class TestUpwindSolve:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
-        g = Grid.make(4.0, 0.1, 1.0, courant=0.5)
+        g = Grid(4.0, 0.1, 1.0, courant=0.5)
         z0 = np.linspace(0.0, 1.0, g.nx + 1)
         values = np.sin(g.control_times())
         fs = upwind_solve(g, z0, ControlSignal(g.control_times(), values))
@@ -377,14 +423,14 @@ class TestUpwindSolve:
         assert "z" in vars(fs)
 
     def test_mismatched_initial_profile_rejected(self):
-        g = Grid.make(4.0, 0.1, 1.0)
+        g = Grid(4.0, 0.1, 1.0)
         u = ControlSignal(g.control_times(), np.zeros(g.control_steps + 1))
         with pytest.raises(ValueError):
             upwind_solve(g, np.zeros(g.nx), u)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_initial_profile_rejected(self, bad):
-        g = Grid.make(4.0, 0.1, 1.0)
+        g = Grid(4.0, 0.1, 1.0)
         u = ControlSignal(g.control_times(), np.zeros(g.control_steps + 1))
         z0 = np.zeros(g.nx + 1)
         z0[3] = bad
@@ -444,7 +490,7 @@ class TestExactDelay:
     def test_a_rounding_pair_leaves_as_it_came_in(self):
         # 1.0 - (1.0 - 1e-17) is 0.0 and 0.0 - (0.0 - -0.0) is 0.0: the
         # march loses the 1e-17 and the sign of the zero, the delay keeps them
-        g = Grid.make(4.0, 0.1, 1.0)
+        g = Grid(4.0, 0.1, 1.0)
         values = np.ones(g.control_steps + 1)
         values[1] = 1e-17
         values[3:5] = [0.0, -0.0]
@@ -462,7 +508,7 @@ class TestExactDelay:
         ids=["white-noise", "some-columns", "one-cell", "no-cells"])
     def test_rounding_inputs_leave_as_they_came_in(self, log_nx, later_steps, kind):
         if log_nx is None:
-            g = Grid.make(1.0, 2e9, 2.4e10)  # dx = 2e9 gives nx == 0
+            g = Grid(1.0, 2e9, 2.4e10)  # dx = 2e9 gives nx == 0
             assert g.nx == 0 and g.nt == 12
         else:
             g = _pow2_grid(True, 1.0, log_nx, 0, later_steps)
@@ -509,7 +555,7 @@ class TestExactShiftOutput:
         assert oracles.exact_shift_output(2.0, lambda x: x, u, 0.2) == pytest.approx(0.6)
 
     def test_matches_courant_one_upwind_everywhere(self):
-        g = Grid.make(2.0, 0.5, 5.0)
+        g = Grid(2.0, 0.5, 5.0)
         rng = np.random.default_rng(7)
         u = ControlSignal(g.control_times(), rng.normal(size=g.control_steps + 1))
         fs = upwind_solve(g, None, u)
