@@ -244,10 +244,10 @@ def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
     deviations of all paths then reduce to per-time means with standard
     errors; the cumrmse standard error comes from the delta method.
 
-    The squared deviations are one (n, k) block, squared and then weighted
-    in place; the control block is released once they exist, and the
-    standard deviations and both per-path trapezoids each take one more
-    block, so at most two are alive at once.
+    The squared deviations are one row-major (n, k) block, squared and
+    then weighted in place; the control block is released once they exist,
+    and the standard deviations and both per-path trapezoids each take one
+    more block, so at most two are alive at once.
     """
     if len(paths) < 2:
         raise ValueError("need at least 2 paths for a Monte-Carlo estimate")
@@ -260,7 +260,8 @@ def mc_cost_estimate(paths: PathEnsemble, grid: Grid,
         y = control.control_block(values, grid)
     out_t = grid.output_times()
     n = values.shape[0]
-    dev2 = np.subtract(values[:, grid.delay_steps:], y)
+    # row-major whatever the layout of values, so the reductions run in one order
+    dev2 = np.subtract(values[:, grid.delay_steps:], y, out=np.empty((n, out_t.size)))
     del y
     np.square(dev2, out=dev2)
 

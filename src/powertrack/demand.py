@@ -344,10 +344,11 @@ class DemandPath:
 class PathEnsemble:
     """``n`` trajectories on one grid, held as arrays.
 
-    ``values`` is (n, nt+1).  The jump times of all paths form one
-    compressed-row record: those of path ``i`` are
-    ``jump_times[offsets[i]:offsets[i + 1]]``, laid out as in
-    :class:`DemandPath`.
+    ``values`` is (n, nt+1); a sampled ensemble holds the transpose of the
+    step-major block its recursion filled, so each path is a strided row.
+    The jump times of all paths form one compressed-row record: those of
+    path ``i`` are ``jump_times[offsets[i]:offsets[i + 1]]``, laid out as
+    in :class:`DemandPath`.
 
     The ensemble is a sequence: ``len``, integer indexing and iteration give
     :class:`DemandPath` views of its rows.
@@ -434,7 +435,7 @@ def _exact_values(params: DemandParams, times: np.ndarray, block: np.ndarray,
     out as in :class:`PathEnsemble`, with the grid step, the cell (see
     :func:`_cells`) and the height of each (one float for a constant law);
     one grid step at a time and vectorised over paths.  Returns ``block``,
-    for the caller's row-major copy.
+    whose transpose is the ensemble's values.
 
     Each step is the exact transition on every row: y maps to
     y e^{-kappa dt} + drift + sd xi, and then, if its cell holds events,
@@ -524,7 +525,8 @@ def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int]
     """``n`` paths on the grid, their noise drawn from ``seed`` or ``streams``
     by :func:`powertrack._streams.draw`, whose module states the draw order;
     :func:`_event_times` places the events, whose heights keep their draw
-    order.  Only the values and the event times are kept.
+    order.  Only the values, the transposed view of the recursion's block,
+    and the event times are kept.
     """
     from ._streams import draw  # compiled by a first draw, not at import
 
@@ -537,8 +539,7 @@ def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int]
     jump_times = _event_times(times, steps, cells, uniforms)  # in place
     _exact_values(params, times, block, offsets, steps, cells, jump_times,
                   float(law.value) if constant else heights)
-    del steps, cells, heights  # not held through the row-major copy
-    return PathEnsemble(times, np.ascontiguousarray(block.T), offsets, jump_times)
+    return PathEnsemble(times, block.T, offsets, jump_times)
 
 
 def sample_path(params: DemandParams, times, rng: np.random.Generator) -> DemandPath:

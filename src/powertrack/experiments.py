@@ -3,9 +3,9 @@
 A :class:`Scenario` bundles everything one run needs: demand parameters,
 transport speed and horizon, lattice resolution, an optional update
 schedule, the Monte-Carlo budget and the master seed.  Runners emit plain
-CSV files (one header line, repr-formatted floats) so that plots can be
-produced by any external tool; identical scenarios and seeds produce
-byte-identical files.
+CSV files (one header line, repr-formatted floats), written row by row from
+the computed arrays, so that plots can be produced by any external tool;
+identical scenarios and seeds produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache, partial
+from itertools import chain, repeat, takewhile
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -66,20 +67,19 @@ __all__ = [
 ]
 
 ARTIFACTS = ("paths", "control", "bands", "cost")
-# Expected jump events a stochastic run may sample: each adds at most about
-# 60 bytes to the peak memory of sampling, so the budget holds it near 1 GiB.
-# Measured as the slope of the peak RSS of PS3 runs writing only bands: 60
-# bytes per event with 2 paths (2**20 to 2**22 events), 48 with 65536 paths
-# (intensity 1 to 64).
+# Expected jump events an ensemble may hold, near 1 GiB: each adds at most 60
+# bytes to the peak memory of sampling (slope of peak RSS of PS3 bands: 60
+# bytes per event with 2 paths, 2**20 to 2**22 events; 48 with 65536 paths,
+# intensity 1 to 64).
 MAX_JUMP_EVENTS = 2 ** 24
 # (path, lattice time) cells a run may hold, near 1 GiB: PS3 runs of 8192 to
-# 65536 paths held 25.0 bytes per cell at dx 0.1 and 21.9 at dx 0.025 (slope
-# of peak RSS, events included); a shown path's CSV cells add 45 bytes, two
-# cells.  CSV rows and control series add STEP_CELLS per lattice time: over
-# 1e5 to 2e5 lattice times, a PS1 run of 2 paths took 747 bytes per time more,
-# its bands 424, deterministic-fig5 336 and a convergence study 99.
+# 65536 paths held 25.1 bytes per cell at dx 0.1 and 21.4 at dx 0.025 (slope
+# of peak RSS, events included); the paths shown cost under 1 byte per cell
+# more.  A lattice time costs STEP_CELLS more, beside any paths: over 1e5 to
+# 2e5 lattice times, a PS1 run of 2 paths took 212 bytes per time more, PS3
+# bands of 2 paths 208, deterministic-fig5 105 and a convergence study 100.
 MAX_CELLS = 2 ** 30 // 24
-STEP_CELLS = 32
+STEP_CELLS = 9
 
 
 class ConfigError(ValueError):
@@ -120,9 +120,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         grid = scenario_grid(self)  # update_interval is checked by the runs that read it
-        if (grid.nt + 1) * STEP_CELLS > MAX_CELLS:
+        # a lattice must hold its per-time cost beside the smallest ensemble
+        if (grid.nt + 1) * (STEP_CELLS + 2) > MAX_CELLS:
             raise ConfigError("dx", f"horizon/dt + 1 = {grid.nt + 1} lattice times, "
-                                    f"over {MAX_CELLS // STEP_CELLS}")
+                                    f"over {MAX_CELLS // (STEP_CELLS + 2)}")
         if self.profile is None and self.params is None:
             raise ConfigError("params", "stochastic scenarios need demand parameters")
         field, forecast = (("mean", self.params.mean) if self.profile is None
@@ -134,12 +135,6 @@ class Scenario:
                                      f"[0, {self.horizon!r}]") from None
         if self.mc_paths < 1:
             raise ConfigError("paths", "Monte-Carlo budget must be >= 1")
-        # a stochastic run samples max(mc_paths, 2) paths, each with its events
-        events = (0.0 if self.profile is not None else self.params.jump.intensity
-                  * self.horizon * max(self.mc_paths, 2))
-        if events > MAX_JUMP_EVENTS:
-            raise ConfigError("jump.intensity", f"intensity x horizon x paths = "
-                              f"{events:.3g} jump events, over {MAX_JUMP_EVENTS}")
         if self.n_display_paths < 0:
             raise ConfigError("n_display_paths", "must be >= 0")
         if self.seed < 0:
@@ -215,10 +210,10 @@ def scenario_schedule(scenario: Scenario, grid: Grid) -> UpdateSchedule | None:
 # CSV helpers
 # ---------------------------------------------------------------------------
 
-Columns = Sequence[tuple[str, Sequence]]
+Columns = Sequence[tuple[str, Iterable]]
 
 
-def _fmt(x, artifact: str, column: str) -> str:
+def _fmt(x, column: str, artifact: str) -> str:
     """One CSV cell: text as is, None as empty, numbers as repr(float)."""
     if x is None or isinstance(x, str):
         return x or ""
@@ -228,29 +223,28 @@ def _fmt(x, artifact: str, column: str) -> str:
     return repr(value)
 
 
-def _csv_text(artifact: str, columns: Columns) -> str:
-    """A header and one row per index; a non-finite number raises ArtifactError."""
-    names = [name for name, _ in columns]
-    lines = [",".join(names)]
-    for row in zip(*(column for _, column in columns), strict=True):
-        lines.append(",".join(_fmt(x, artifact, name)
-                              for name, x in zip(names, row)))
-    return "\n".join(lines) + "\n"
-
-
-def _write_artifacts(out_dir: str | Path, texts: dict[str, str]) -> dict[str, Path]:
-    """Write ``<name>.csv`` for each text, all or none: all go to temporary
-    files, not named ``*.csv``, and are renamed into place; a failure removes them."""
+def _write_artifacts(out_dir: str | Path,
+                     tables: Iterable[tuple[str, Columns]]) -> dict[str, Path]:
+    """Write ``<name>.csv`` for each (name, columns) table, all or none: each
+    table is built in turn and written row by row to ``.<name>.csv.tmp``, and all
+    are renamed once all are written; a failure removes them and any directory made."""
     out_dir = Path(out_dir)
+    created = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
-    temps = {name: out_dir / f".{name}.csv.tmp" for name in texts}
+    temps = {}
     try:
-        for name, text in texts.items():
+        for name, columns in tables:
+            temps[name] = out_dir / f".{name}.csv.tmp"
+            artifact, names = f"{name}.csv", [column for column, _ in columns]
             with open(temps[name], "w", newline="\n") as fh:
-                fh.write(text)
+                fh.write(",".join(names) + "\n")
+                for row in zip(*(cells for _, cells in columns), strict=True):
+                    fh.write(",".join(map(_fmt, row, names, repeat(artifact))) + "\n")
     except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
+        for directory in created:  # deepest first
+            directory.rmdir()
         raise
     return {name: temp.replace(out_dir / f"{name}.csv") for name, temp in temps.items()}
 
@@ -311,9 +305,9 @@ def write_bands(scenario: Scenario, out_dir: str | Path) -> Path:
 # Scenario runner
 # ---------------------------------------------------------------------------
 
-def _hold_series(u: ControlSignal, grid: Grid) -> list[float | None]:
+def _hold_series(u: ControlSignal, grid: Grid) -> Iterable[float | None]:
     """Control values on the full lattice, None past the control horizon."""
-    return u.values.tolist() + [None] * (grid.nt + 1 - u.values.size)
+    return chain(u.values, repeat(None, grid.nt + 1 - u.values.size))
 
 
 def _injection(suffix: str, u: ControlSignal, grid: Grid) -> Columns:
@@ -337,11 +331,14 @@ def _stochastic_artifacts(scenario: Scenario, grid: Grid,
 
     @cache
     def ensemble() -> PathEnsemble:
-        cells = (STEP_CELLS + n_paths + 2 * shown) * times.size
+        cells = (STEP_CELLS + n_paths) * times.size
         if cells > MAX_CELLS:  # refused before any block of its size exists
-            raise ConfigError("paths", f"{n_paths} paths ({shown} shown) of "
-                                       f"{times.size} lattice times hold {cells} "
-                                       f"cells, over {MAX_CELLS}")
+            raise ConfigError("paths", f"{n_paths} paths of {times.size} lattice "
+                                       f"times hold {cells} cells, over {MAX_CELLS}")
+        events = params.jump.intensity * grid.horizon * n_paths
+        if events > MAX_JUMP_EVENTS:
+            raise ConfigError("jump.intensity", f"intensity x horizon x paths = "
+                              f"{events:.3g} jump events, over {MAX_JUMP_EVENTS}")
         return sample_paths(params, times, n_paths, scenario.seed)
 
     def paths() -> Columns:
@@ -407,14 +404,16 @@ def _deterministic_artifacts(scenario: Scenario, grid: Grid
 
 def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     """Run the requested pipeline and write one CSV per requested artifact,
-    all or none: every one is formatted before any is written.
+    all or none (see :func:`_write_artifacts`): each artifact's columns are
+    built when its turn comes and written row by row.
 
     A stochastic run samples one ensemble of ``max(mc_paths, 2)`` paths on
-    first use, or refuses it naming paths if it is over ``MAX_CELLS``, and
-    every artifact reads its rows from it: the Monte-Carlo cost all of
-    them, the bands the first ``mc_paths``, the displayed paths the first
-    ``n_display_paths``, and the control study row 0.  Row ``i`` is the
-    path drawn from ``substream(seed, i)`` in every case.
+    first use, or refuses it naming paths or jump.intensity if it is over
+    ``MAX_CELLS`` or ``MAX_JUMP_EVENTS``, and every artifact reads its rows
+    from it: the Monte-Carlo cost all of them, the bands the first
+    ``mc_paths``, the displayed paths the first ``n_display_paths``, and the
+    control study row 0.  Row ``i`` is the path drawn from
+    ``substream(seed, i)`` in every case.
 
     Deterministic given (scenario, seed): repeated runs produce byte-identical
     files.
@@ -424,9 +423,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     artifacts = (_deterministic_artifacts(scenario, grid)
                  if scenario.demand_mode == "deterministic"
                  else _stochastic_artifacts(scenario, grid, schedule))
-    return _write_artifacts(out_dir, {
-        name: _csv_text(f"{name}.csv", artifacts[name]())
-        for name in scenario.outputs if name in artifacts})
+    return _write_artifacts(out_dir, ((name, artifacts[name]())
+                                      for name in scenario.outputs if name in artifacts))
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +472,10 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
 def write_convergence(scenario: Scenario, update_intervals,
                       out_dir: str | Path) -> Path:
     rows = convergence_study(scenario, update_intervals)
-    text = _csv_text("convergence.csv", [
+    return _write_artifacts(out_dir, [("convergence", [
         ("update_interval", [row["update_interval"] for row in rows]),
         ("lattice_steps", [str(row["lattice_steps"]) for row in rows]),
-        ("cumrmse_gap", [row["cumrmse_gap"] for row in rows])])
-    return _write_artifacts(out_dir, {"convergence": text})["convergence"]
+        ("cumrmse_gap", [row["cumrmse_gap"] for row in rows])])])["convergence"]
 
 
 # ---------------------------------------------------------------------------

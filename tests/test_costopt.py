@@ -176,6 +176,23 @@ class TestMcCostEstimate:
         with pytest.raises(ValueError):
             mc_cost_estimate(paths, ps_grid, minimize_control_direct(ps1, ps_grid))
 
+    def test_score_does_not_depend_on_the_layout_of_the_values(self):
+        """A sampled ensemble keeps the sampler's step-major block; scoring
+        it equals, bit for bit, scoring a row-major copy."""
+        sc = preset("PS3")
+        grid = scenario_grid(sc)
+        paths = sample_paths(sc.params, grid.times(), 500, seed=7)
+        assert not paths.values.flags.c_contiguous
+        copy = dataclasses.replace(paths, values=np.ascontiguousarray(paths.values))
+        for policy in (Cm1Policy(sc.params),
+                       Cm2Policy(sc.params, scenario_schedule(sc, grid)),
+                       Cm3Policy(sc.params)):
+            got, want = (mc_cost_estimate(p, grid, policy) for p in (paths, copy))
+            for field in dataclasses.fields(CostReport):
+                assert (np.asarray(getattr(got, field.name)).tobytes()
+                        == np.asarray(getattr(want, field.name)).tobytes()), \
+                    (type(policy).__name__, field.name)
+
     def test_scoring_holds_at_most_three_blocks(self):
         """Scoring a policy holds its (n, k) blocks of n paths by k output
         times one or two at a time: the control block until the squared

@@ -149,7 +149,7 @@ class TestRunScenario:
 
 class TestWholeArtefactSet:
     """A run writes its whole artefact set or none of it: every CSV is
-    formatted, then written under a temporary name and renamed."""
+    written under a temporary name, and all are renamed once all are written."""
 
     _ARTEFACTS = ["bands.csv", "control.csv", "cost.csv", "paths.csv"]
 
@@ -167,9 +167,11 @@ class TestWholeArtefactSet:
             == "cost.csv"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("stage", ["format", "write"])
+    @pytest.mark.parametrize("stage, out", [
+        ("format", "."), ("write", "."), ("format", "a/b")],
+        ids=["format", "write", "format-new-directory"])
     def test_a_failure_in_the_last_artefact_leaves_an_empty_directory_empty(
-            self, tmp_path, monkeypatch, stage):
+            self, tmp_path, monkeypatch, stage, out):
         sc = replace(_PS1, mc_paths=20)
         if stage == "format":
             sc = replace(sc, params=replace(sc.params, y0=1.0e308))
@@ -183,7 +185,8 @@ class TestWholeArtefactSet:
             monkeypatch.setattr(experiments, "open", failing_open, raising=False)
             expected = OSError
         with np.errstate(all="ignore"), pytest.raises(expected):
-            run_scenario(sc, tmp_path)
+            run_scenario(sc, tmp_path / out)
+        # nor does it leave a directory it created
         assert list(tmp_path.iterdir()) == []
 
     def test_a_success_leaves_no_temporary_file(self, tmp_path):
@@ -206,8 +209,6 @@ class TestScenario:
         ("deterministic-fig5", {"profile": TabulatedMean([0.0, 1.0], [1.0, 2.0])},
          "profile"),
         ("PS1", {"mc_paths": 0}, "paths"),
-        # 5 x 1 x 2**23 expected events, over the 2**24 budget
-        ("PS1", {"mc_paths": 2 ** 23}, "jump.intensity"),
         ("PS1", {"n_display_paths": -1}, "n_display_paths"),
         ("PS1", {"seed": -1}, "seed"),
         ("PS1", {"levels": ()}, "levels"),
@@ -216,8 +217,8 @@ class TestScenario:
         ("PS1", {"horizon": 0.2}, "horizon"),  # under the delay 1/speed
         ("PS1", {"dx": 0.3}, "dx"),  # does not divide the unit line
     ], ids=["speed", "speed-null", "horizon", "dx", "params", "mean", "profile",
-            "paths", "jump-budget", "display", "seed", "levels-empty",
-            "levels-range", "outputs", "horizon-delay", "dx-lattice"])
+            "paths", "display", "seed", "levels-empty", "levels-range",
+            "outputs", "horizon-delay", "dx-lattice"])
     def test_invalid_field_rejected_on_construction(self, base, changes, field):
         with pytest.raises(ConfigError) as err:
             replace(preset(base), **changes)
@@ -239,14 +240,18 @@ class TestScenario:
 
 class TestMemoryBudget:
     """A lattice or an ensemble over the memory budget is refused before
-    anything of its size is allocated, naming dx or paths."""
+    anything of its size is allocated, naming dx or paths; so is an
+    ensemble whose expected jump events are over theirs, naming
+    jump.intensity."""
 
+    _CELLS, _STEP = experiments.MAX_CELLS, experiments.STEP_CELLS
     # PS1 and PS3 have nt + 1 = 4 / dx + 1 lattice times; the smallest
-    # whole nx = 1 / dx whose lattice is over the budget
-    _NX_OVER = (experiments.MAX_CELLS // experiments.STEP_CELLS - 1) // 4 + 1
-    # PS3 at dx 0.1 has 41 lattice times and shows 5 paths; the fewest paths
-    # whose run is over the budget
-    _PATHS_OVER = experiments.MAX_CELLS // 41 - experiments.STEP_CELLS - 2 * 5 + 1
+    # whole nx = 1 / dx whose lattice cannot hold two paths beside its
+    # per-time cost
+    _NX_OVER = (_CELLS // (_STEP + 2) - 1) // 4 + 1
+    # PS3 at dx 0.1 has 41 lattice times; the fewest paths whose run is
+    # over the budget
+    _PATHS_OVER = _CELLS // 41 - _STEP + 1
 
     @staticmethod
     def _peak_of(run):
@@ -257,27 +262,53 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
 
+    def _refused(self, tmp_path, capsys, config, argv, key):
+        """``argv`` on ``config`` exits 2 naming ``key``, creates no output
+        directory and traces a peak under 1 MiB: one lattice of a refused
+        size would be 10 MiB, one ensemble 340."""
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        code, peak = self._peak_of(lambda: main(
+            [argv[0], str(cfg), *argv[1:], "--out-dir", str(tmp_path / "x")]))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["field"] == key
+        assert peak < 2 ** 20
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("key, command", [
         ("dx", ["run"]), ("dx", ["converge", "--dtup", "0.125"]), ("dx", ["bands"]),
         ("paths", ["run"]), ("paths", ["bands"])],
         ids=["dx-run", "dx-converge", "dx-bands", "paths-run", "paths-bands"])
     def test_just_over_the_budget_exits_2_without_allocating(
             self, tmp_path, capsys, key, command):
-        cfg = tmp_path / "cfg.yaml"
         if key == "dx":
-            cfg.write_text(f"preset: PS3\ndx: {1.0 / self._NX_OVER!r}\n")
-            flags = []
+            self._refused(tmp_path, capsys, f"preset: PS3\ndx: {1.0 / self._NX_OVER!r}\n",
+                          command, "dx")
         else:
-            cfg.write_text("preset: PS3\n")
-            flags = ["--paths", str(self._PATHS_OVER)]
-        code, peak = self._peak_of(lambda: main(
-            [command[0], str(cfg), *command[1:], *flags,
-             "--out-dir", str(tmp_path / "x")]))
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["field"] == key
-        # one lattice of the refused size would be 10 MiB, one ensemble 340
-        assert peak < 2 ** 20
-        assert not (tmp_path / "x").exists()
+            self._refused(tmp_path, capsys, "preset: PS3\n",
+                          [*command, "--paths", str(self._PATHS_OVER)], "paths")
+
+    def test_a_lattice_that_cannot_hold_two_paths_names_dx(self, tmp_path, capsys):
+        # under STEP_CELLS cells per lattice time, but not two paths more:
+        # only dx can bring this run under the budget
+        nx = (self._CELLS // self._STEP - 1) // 4
+        assert self._CELLS // (self._STEP + 2) < 4 * nx + 1 <= self._CELLS // self._STEP
+        self._refused(tmp_path, capsys,
+                      f"preset: PS1\nupdate_interval: null\nn_display_paths: 0\n"
+                      f"dx: {1.0 / nx!r}\n", ["run", "--paths", "2"], "dx")
+
+    def test_jump_events_over_the_budget_are_refused_where_the_ensemble_is_built(
+            self, tmp_path, capsys):
+        # 1e6 x horizon 1 x 20 paths expected events, over the 2**24 budget,
+        # on 41 x 20 cells; the scenario itself is valid
+        config = "preset: PS3\njump: {intensity: 1.0e+6}\n"
+        scenario = scenario_from_config(yaml.safe_load(config), paths=20)
+        with pytest.raises(ConfigError) as err:
+            run_scenario(scenario, tmp_path / "x")
+        assert err.value.field == "jump.intensity"
+        assert "16777216" in str(err.value)
+        self._refused(tmp_path, capsys, config, ["run", "--paths", "20"],
+                      "jump.intensity")
 
     def test_just_under_the_budget_builds(self, monkeypatch, tmp_path):
         sc = replace(preset("PS3"), dx=1.0 / (self._NX_OVER - 1))
@@ -301,6 +332,25 @@ class TestMemoryBudget:
         many = replace(preset("PS1"), mc_paths=self._PATHS_OVER)
         assert experiments.write_convergence(many, [0.125], tmp_path).is_file()
         assert write_bands(many, tmp_path).is_file()
+        # nor by the expected jump events of 2**23 paths, 5 x horizon 1 x
+        # 2**23, over the 2**24 budget
+        ps3 = replace(preset("PS3"), mc_paths=2 ** 23)
+        assert experiments.write_convergence(ps3, [0.125], tmp_path).is_file()
+        assert write_bands(replace(many, mc_paths=2 ** 23), tmp_path).is_file()
+
+    @pytest.mark.parametrize("scenario, per_nx, nxs", [
+        (preset("deterministic-fig5"), 10, (200, 400)),
+        (replace(_PS1, outputs=("bands",)), 4, (250, 500))],
+        ids=["deterministic-fig5", "PS1-bands"])
+    def test_a_run_holds_little_per_lattice_time(self, tmp_path, scenario, per_nx,
+                                                 nxs):
+        # Measured: 104 bytes per lattice time on deterministic-fig5 and 88
+        # on PS1's bands; writing each CSV whole took 297 and 344.  The
+        # bound is about 1.5 times the larger.
+        peaks = [self._peak_of(lambda: run_scenario(
+                     replace(scenario, dx=1.0 / nx), tmp_path / str(nx)))[1]
+                 for nx in nxs]
+        assert (peaks[1] - peaks[0]) / (per_nx * (nxs[1] - nxs[0])) < 160
 
 
 class TestConfidenceBands:
