@@ -11,6 +11,7 @@ identical scenarios and seeds produce byte-identical files.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import chain, repeat, takewhile
@@ -75,11 +76,12 @@ MAX_JUMP_EVENTS = 2 ** 24
 # (path, lattice time) cells a run may hold, near 1 GiB: PS3 runs of 8192 to
 # 65536 paths held 25.1 bytes per cell at dx 0.1 and 21.4 at dx 0.025 (slope
 # of peak RSS, events included); the paths shown cost under 1 byte per cell
-# more.  A lattice time costs STEP_CELLS more, beside any paths: over 1e5 to
-# 2e5 lattice times, a PS1 run of 2 paths took 212 bytes per time more, PS3
-# bands of 2 paths 208, deterministic-fig5 105 and a convergence study 100.
+# more.  A lattice time costs STEP_CELLS more beside any paths, 288 bytes,
+# 19% over the most measured: from 1e5 to 2e5 lattice times, a PS3 run of 2
+# paths took 231 to 241 bytes per time, a PS1 run 208 to 212, PS3 bands of
+# 2 paths 208, deterministic-fig5 105 and a convergence study 100.
 MAX_CELLS = 2 ** 30 // 24
-STEP_CELLS = 9
+STEP_CELLS = 12
 
 
 class ConfigError(ValueError):
@@ -120,10 +122,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         grid = scenario_grid(self)  # update_interval is checked by the runs that read it
-        # a lattice must hold its per-time cost beside the smallest ensemble
-        if (grid.nt + 1) * (STEP_CELLS + 2) > MAX_CELLS:
-            raise ConfigError("dx", f"horizon/dt + 1 = {grid.nt + 1} lattice times, "
-                                    f"over {MAX_CELLS // (STEP_CELLS + 2)}")
+        _check_budget(grid, self.params, 2, "dx")  # every run can hold the fewest paths
         if self.profile is None and self.params is None:
             raise ConfigError("params", "stochastic scenarios need demand parameters")
         field, forecast = (("mean", self.params.mean) if self.profile is None
@@ -188,6 +187,19 @@ def preset(name: str) -> Scenario:
                                 f"choose one of {', '.join(PRESET_NAMES)}")
 
 
+def _check_budget(grid: Grid, params: DemandParams | None, n: int, key: str) -> None:
+    """Refuse ``n`` paths on ``grid`` before anything of their size exists: over
+    ``MAX_CELLS`` naming ``key``, over ``MAX_JUMP_EVENTS`` naming jump.intensity."""
+    cells = (STEP_CELLS + n) * (grid.nt + 1)
+    if cells > MAX_CELLS:
+        raise ConfigError(key, f"{n} paths of {grid.nt + 1} lattice times hold "
+                               f"{cells} cells, over {MAX_CELLS}")
+    events = 0.0 if params is None else params.jump.intensity * grid.horizon * n
+    if events > MAX_JUMP_EVENTS:
+        raise ConfigError("jump.intensity", f"intensity x horizon x paths = {events:.3g}"
+                          f" jump events, over {MAX_JUMP_EVENTS}")
+
+
 def scenario_grid(scenario: Scenario) -> Grid:
     try:
         return Grid(scenario.speed, scenario.dx, scenario.horizon)
@@ -243,8 +255,9 @@ def _write_artifacts(out_dir: str | Path,
     except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
-        for directory in created:  # deepest first
-            directory.rmdir()
+        with suppress(OSError):  # deepest first, up to one not left empty
+            for directory in created:
+                directory.rmdir()
         raise
     return {name: temp.replace(out_dir / f"{name}.csv") for name, temp in temps.items()}
 
@@ -255,9 +268,8 @@ def _write_artifacts(out_dir: str | Path,
 
 def _bands(params: DemandParams, times: np.ndarray, levels: Sequence[float],
            ensemble: Callable[[], PathEnsemble], n_paths: int) -> np.ndarray:
-    """Quantile curves, one row per level: exact (mean + z sqrt(var)) when
-    jumps cannot move the path and the marginal law is Gaussian, otherwise
-    empirical over the first ``n_paths`` rows of ``ensemble()``."""
+    """The curves of :func:`confidence_bands`, sampled ones over the first
+    ``n_paths`` rows of ``ensemble()``."""
     if not levels:
         raise ValueError("need at least one confidence level")
     for lv in levels:
@@ -305,15 +317,10 @@ def write_bands(scenario: Scenario, out_dir: str | Path) -> Path:
 # Scenario runner
 # ---------------------------------------------------------------------------
 
-def _hold_series(u: ControlSignal, grid: Grid) -> Iterable[float | None]:
-    """Control values on the full lattice, None past the control horizon."""
-    return chain(u.values, repeat(None, grid.nt + 1 - u.values.size))
-
-
 def _injection(suffix: str, u: ControlSignal, grid: Grid) -> Columns:
-    """A control and the outflow it sends down an empty line."""
-    y = upwind_solve(grid, None, u).outflow
-    return [(f"u{suffix}", _hold_series(u, grid)), (f"y{suffix}", y)]
+    """A control, None past its horizon, and its outflow down an empty line."""
+    held = chain(u.values, repeat(None, grid.nt + 1 - u.values.size))
+    return [(f"u{suffix}", held), (f"y{suffix}", upwind_solve(grid, None, u).outflow)]
 
 
 def _stochastic_artifacts(scenario: Scenario, grid: Grid,
@@ -331,14 +338,7 @@ def _stochastic_artifacts(scenario: Scenario, grid: Grid,
 
     @cache
     def ensemble() -> PathEnsemble:
-        cells = (STEP_CELLS + n_paths) * times.size
-        if cells > MAX_CELLS:  # refused before any block of its size exists
-            raise ConfigError("paths", f"{n_paths} paths of {times.size} lattice "
-                                       f"times hold {cells} cells, over {MAX_CELLS}")
-        events = params.jump.intensity * grid.horizon * n_paths
-        if events > MAX_JUMP_EVENTS:
-            raise ConfigError("jump.intensity", f"intensity x horizon x paths = "
-                              f"{events:.3g} jump events, over {MAX_JUMP_EVENTS}")
+        _check_budget(grid, params, n_paths, "paths")
         return sample_paths(params, times, n_paths, scenario.seed)
 
     def paths() -> Columns:

@@ -189,6 +189,18 @@ class TestWholeArtefactSet:
         # nor does it leave a directory it created
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_directory_not_left_empty_does_not_hide_the_failure(self, tmp_path):
+        # something else writes into a directory the call creates: that
+        # directory stays, and the failure is the one raised
+        def tables():
+            (tmp_path / "a" / "b" / "stray").write_text("")
+            raise ConfigError("paths", "over the budget")
+            yield
+
+        with pytest.raises(ConfigError):
+            experiments._write_artifacts(tmp_path / "a" / "b" / "c", tables())
+        assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["stray"]
+
     def test_a_success_leaves_no_temporary_file(self, tmp_path):
         run_scenario(replace(_PS1, mc_paths=20), tmp_path)
         experiments.write_convergence(_PS1, [0.125], tmp_path)
@@ -209,6 +221,10 @@ class TestScenario:
         ("deterministic-fig5", {"profile": TabulatedMean([0.0, 1.0], [1.0, 2.0])},
          "profile"),
         ("PS1", {"mc_paths": 0}, "paths"),
+        # 2 paths x (2**23 + 1) x horizon 1 expected events, over the 2**24
+        # budget: not even the smallest ensemble fits
+        ("PS1", {"params": replace(_PS1.params, jump=JumpSpec(
+            2.0 ** 23 + 1, ConstantHeight(0.0)))}, "jump.intensity"),
         ("PS1", {"n_display_paths": -1}, "n_display_paths"),
         ("PS1", {"seed": -1}, "seed"),
         ("PS1", {"levels": ()}, "levels"),
@@ -217,8 +233,8 @@ class TestScenario:
         ("PS1", {"horizon": 0.2}, "horizon"),  # under the delay 1/speed
         ("PS1", {"dx": 0.3}, "dx"),  # does not divide the unit line
     ], ids=["speed", "speed-null", "horizon", "dx", "params", "mean", "profile",
-            "paths", "display", "seed", "levels-empty", "levels-range",
-            "outputs", "horizon-delay", "dx-lattice"])
+            "paths", "jump-budget", "display", "seed", "levels-empty",
+            "levels-range", "outputs", "horizon-delay", "dx-lattice"])
     def test_invalid_field_rejected_on_construction(self, base, changes, field):
         with pytest.raises(ConfigError) as err:
             replace(preset(base), **changes)
@@ -277,16 +293,20 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("key, command", [
         ("dx", ["run"]), ("dx", ["converge", "--dtup", "0.125"]), ("dx", ["bands"]),
-        ("paths", ["run"]), ("paths", ["bands"])],
-        ids=["dx-run", "dx-converge", "dx-bands", "paths-run", "paths-bands"])
+        ("paths", ["run"]), ("paths", ["bands"]), ("jump.intensity", ["run"]),
+        ("jump.intensity", ["converge", "--dtup", "0.125"]), ("jump.intensity", ["bands"])],
+        ids=["dx-run", "dx-converge", "dx-bands", "paths-run", "paths-bands",
+             "jump-run", "jump-converge", "jump-bands"])
     def test_just_over_the_budget_exits_2_without_allocating(
             self, tmp_path, capsys, key, command):
-        if key == "dx":
-            self._refused(tmp_path, capsys, f"preset: PS3\ndx: {1.0 / self._NX_OVER!r}\n",
-                          command, "dx")
-        else:
-            self._refused(tmp_path, capsys, "preset: PS3\n",
-                          [*command, "--paths", str(self._PATHS_OVER)], "paths")
+        config, flags = {
+            "dx": (f"preset: PS3\ndx: {1.0 / self._NX_OVER!r}\n", []),
+            "paths": ("preset: PS3\n", ["--paths", str(self._PATHS_OVER)]),
+            # 2 paths x (2**23 + 1) x horizon 1 expected events, just over the
+            # 2**24 budget; a convergence study would sample one such path
+            "jump.intensity": (f"preset: PS3\njump: {{intensity: {2 ** 23 + 1}}}\n", []),
+        }[key]
+        self._refused(tmp_path, capsys, config, [*command, *flags], key)
 
     def test_a_lattice_that_cannot_hold_two_paths_names_dx(self, tmp_path, capsys):
         # under STEP_CELLS cells per lattice time, but not two paths more:
