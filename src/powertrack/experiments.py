@@ -73,14 +73,14 @@ ARTIFACTS = ("paths", "control", "bands", "cost")
 # bytes per event with 2 paths, 2**20 to 2**22 events; 48 with 65536 paths,
 # intensity 1 to 64).
 MAX_JUMP_EVENTS = 2 ** 24
-# (path, lattice time) cells a run may hold, near 1 GiB: PS3 runs of 8192 to
-# 65536 paths held 25.1 bytes per cell at dx 0.1 and 21.4 at dx 0.025 (slope
-# of peak RSS, events included); the paths shown cost under 1 byte per cell
-# more.  A lattice time costs STEP_CELLS more beside any paths, 288 bytes,
-# 19% over the most measured: from 1e5 to 2e5 lattice times, a PS3 run of 2
-# paths took 231 to 241 bytes per time, a PS1 run 208 to 212, PS3 bands of
-# 2 paths 208, deterministic-fig5 105 and a convergence study 100.
-MAX_CELLS = 2 ** 30 // 24
+# (path, lattice time) cells a run may hold, 1 GiB at 26 bytes each: PS3 runs
+# of 8192 to 65536 paths held 25.06 bytes per cell at dx 0.1 and 21.4 at dx
+# 0.025 (slope of peak RSS, events included), and shown paths under 1 more.
+# A lattice time costs STEP_CELLS more beside any paths, 312 bytes, 29% over
+# the most measured: from 1e5 to 2e5 lattice times, a PS3 run of 2 paths took
+# 231 to 241 bytes per time, a PS1 run 208 to 212, PS3 bands of 2 paths 208,
+# deterministic-fig5 105 and a convergence study 100.
+MAX_CELLS = 2 ** 30 // 26
 STEP_CELLS = 12
 
 
@@ -107,7 +107,6 @@ class Scenario:
     """Complete description of one experiment run, validated on
     construction: a field no run can use raises :class:`ConfigError`."""
 
-    name: str
     speed: float
     horizon: float
     dx: float
@@ -146,6 +145,9 @@ class Scenario:
         for artifact in self.outputs:
             if artifact not in ARTIFACTS:
                 raise ConfigError("outputs", f"unknown artifact {artifact!r}")
+        writable = ARTIFACTS if self.profile is None else ("control", "cost")
+        if not set(self.outputs) & set(writable):
+            raise ConfigError("outputs", f"none of {writable}, which this demand writes")
         if self.profile is not None:
             # the tracking objective sums squared profile values over the horizon
             peak = float(np.abs(self.profile.at(grid.times())).max())
@@ -169,19 +171,18 @@ def preset(name: str) -> Scenario:
     if name == "PS1":
         params = DemandParams(kappa=1.0, sigma=2.0, mean=base_mean, y0=1.0,
                               jump=JumpSpec(5.0, ConstantHeight(0.0)))
-        return Scenario(name="PS1", speed=4.0, horizon=1.0, dx=0.1,
-                        params=params, update_interval=0.125)
+        return Scenario(speed=4.0, horizon=1.0, dx=0.1, params=params,
+                        update_interval=0.125)
     if name == "PS2":
         ps1 = preset("PS1")
-        return replace(ps1, name="PS2", params=replace(ps1.params, kappa=3.0))
+        return replace(ps1, params=replace(ps1.params, kappa=3.0))
     if name == "PS3":
         ps2 = preset("PS2")
-        return replace(ps2, name="PS3",
-                       params=replace(ps2.params,
-                                      jump=JumpSpec(5.0, ConstantHeight(1.0))))
+        return replace(ps2, params=replace(ps2.params,
+                                           jump=JumpSpec(5.0, ConstantHeight(1.0))))
     if name == "deterministic-fig5":
-        return Scenario(name="deterministic-fig5", speed=2.0, horizon=5.0,
-                        dx=0.5, profile=SinusoidMean(2.0, 1.0, 0.5 * np.pi),
+        return Scenario(speed=2.0, horizon=5.0, dx=0.5,
+                        profile=SinusoidMean(2.0, 1.0, 0.5 * np.pi),
                         outputs=("control", "cost"))
     raise ConfigError("preset", f"unknown preset {name!r}; "
                                 f"choose one of {', '.join(PRESET_NAMES)}")
@@ -307,7 +308,7 @@ def confidence_bands(params: DemandParams, times, levels, mc_paths: int,
 def write_bands(scenario: Scenario, out_dir: str | Path) -> Path:
     """Write the ``bands`` artifact: demand mean and quantile curves."""
     if scenario.demand_mode != "stochastic":
-        raise ConfigError("demand_mode", "bands need a stochastic demand")
+        raise ConfigError("profile", "bands need a stochastic demand")
     # the bands read no update schedule, so none is built or checked
     return run_scenario(replace(scenario, outputs=("bands",), update_interval=None),
                         out_dir)["bands"]
@@ -443,7 +444,7 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     control delayed by the transport time, with no march.
     """
     if scenario.demand_mode != "stochastic":
-        raise ConfigError("demand_mode", "convergence study needs a stochastic demand")
+        raise ConfigError("profile", "convergence study needs a stochastic demand")
     intervals = [float(dtup) for dtup in update_intervals]
     if not intervals:
         raise ConfigError("dtup", "need at least one update interval")
@@ -482,16 +483,18 @@ def write_convergence(scenario: Scenario, update_intervals,
 # Config files
 # ---------------------------------------------------------------------------
 
+def _real(value) -> float:
+    """``float(value)``, refusing a boolean: YAML reads true as 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """``int(value)``, refusing a float that is not a whole number."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
+    """``int(value)``, refusing a boolean and a float that is not a whole number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
     return int(value)
-
-
-def _number(value) -> float | None:
-    """``float(value)``; null is kept, for the Scenario to accept or refuse."""
-    return None if value is None else float(value)
 
 
 def _law_from_config(cfg, field: str, laws: dict):
@@ -515,7 +518,7 @@ def _jump_from_config(cfg) -> JumpSpec:
     law = _law_from_config(cfg.get("height", {"type": "constant", "value": 0.0}),
                            "jump.height", _HEIGHTS)
     try:
-        return JumpSpec(intensity=float(cfg.get("intensity", 0.0)), height_law=law)
+        return JumpSpec(intensity=_real(cfg.get("intensity", 0.0)), height_law=law)
     except (TypeError, ValueError) as err:
         raise ConfigError("jump", str(err)) from None
 
@@ -523,37 +526,36 @@ def _jump_from_config(cfg) -> JumpSpec:
 # Each scalar config key, in reading order: the Scenario field it sets and
 # the reader of its value.
 _SCALARS: dict[str, tuple[str, Callable]] = {
-    "name": ("name", str),
-    "speed": ("speed", _number),
-    "horizon": ("horizon", _number),
-    "dx": ("dx", _number),
-    "update_interval": ("update_interval", _number),
+    "speed": ("speed", _real),
+    "horizon": ("horizon", _real),
+    "dx": ("dx", _real),
+    "update_interval": ("update_interval", lambda v: None if v is None else _real(v)),
     "paths": ("mc_paths", _integer),
     "seed": ("seed", _integer),
     "n_display_paths": ("n_display_paths", _integer),
     "outputs": ("outputs", lambda v: tuple(str(a) for a in v)),
-    "levels": ("levels", lambda v: tuple(float(lv) for lv in v)),
+    "levels": ("levels", lambda v: tuple(map(_real, v))),
 }
 # Each law family by config type: the class, its argument keys in order and
 # the reader of every argument.
 _FORECASTS = {
-    "constant": (ConstantMean, ("level",), float),
-    "sinusoid": (SinusoidMean, ("offset", "amplitude", "angular_freq"), float),
+    "constant": (ConstantMean, ("level",), _real),
+    "sinusoid": (SinusoidMean, ("offset", "amplitude", "angular_freq"), _real),
     "tabulated": (TabulatedMean, ("times", "values"),
                   partial(np.asarray, dtype=float)),
 }
 _HEIGHTS = {
-    "constant": (ConstantHeight, ("value",), float),
-    "normal": (NormalHeight, ("loc", "scale"), float),
-    "lognormal": (LognormalHeight, ("log_mean", "log_std"), float),
+    "constant": (ConstantHeight, ("value",), _real),
+    "normal": (NormalHeight, ("loc", "scale"), _real),
+    "lognormal": (LognormalHeight, ("log_mean", "log_std"), _real),
 }
 # The DemandParams coefficients, in reading order, and their readers.
 _COEFFICIENTS: dict[str, Callable] = {
-    "kappa": float, "sigma": float, "y0": float,
+    "kappa": _real, "sigma": _real, "y0": _real,
     "mean": partial(_law_from_config, field="mean", laws=_FORECASTS),
     "jump": _jump_from_config,
 }
-_KNOWN_KEYS = {*_SCALARS, *_COEFFICIENTS, "preset", "demand_mode", "profile"}
+_KNOWN_KEYS = {*_SCALARS, *_COEFFICIENTS, "preset", "profile"}
 
 
 def _read(cfg: dict, key: str, reader: Callable):
@@ -595,41 +597,40 @@ def scenario_from_config(cfg: dict, *, preset_name: str | None = None,
     read by ``_SCALARS`` and ``_COEFFICIENTS``, are these; others are refused:
 
     - ``preset``: PS1, PS2, PS3 or deterministic-fig5; without one, a custom
-      scenario starts from speed 1, horizon 2 and dx 0.1.  ``demand_mode``:
-      ``stochastic`` or ``deterministic``, the preset's mode by default.
-    - Scalars: ``name``; the numbers ``speed``, ``horizon``, ``dx`` and
+      scenario starts from speed 1, horizon 2 and dx 0.1.
+    - Scalars: the numbers ``speed``, ``horizon``, ``dx`` and
       ``update_interval`` (null for none); the whole numbers ``paths``,
       ``seed`` and ``n_display_paths``; ``outputs``, out of paths, control,
-      bands and cost; ``levels``, confidence levels in (0, 1).
+      bands and cost, one at least that the demand writes; ``levels``,
+      confidence levels in (0, 1).  No boolean is read as a number.
     - Stochastic demand, read in this order: the numbers ``kappa``,
       ``sigma`` and ``y0``, a ``mean`` forecast and ``jump: {intensity,
       height}``, where ``height`` is ``{type: constant, value}`` (value 0 by
       default), ``{type: normal, loc, scale}`` or ``{type: lognormal,
-      log_mean, log_std}``.  A custom scenario must give all five.
-    - Deterministic demand: a ``profile`` forecast.  A forecast is
-      ``{type: constant, level}``, ``{type: sinusoid, offset, amplitude,
-      angular_freq}`` or ``{type: tabulated, times, values}`` with finite,
-      strictly increasing knot times covering the horizon.
+      log_mean, log_std}``.  Without a stochastic preset, all five are needed.
+    - Known demand, which writes only control and cost: a ``profile`` forecast,
+      beside no coefficient.  A forecast is ``{type: constant, level}``,
+      ``{type: sinusoid, offset, amplitude, angular_freq}`` or ``{type:
+      tabulated, times, values}`` with finite, strictly increasing knot times
+      covering the horizon.  With neither, the demand is the preset's.
     """
     for key in cfg:
         if key not in _KNOWN_KEYS:
             raise ConfigError(key, "unknown configuration key")
     chosen = preset_name or cfg.get("preset")
     fields = (dict(vars(preset(chosen))) if chosen else
-              {"name": "custom", "speed": 1.0, "horizon": 2.0, "dx": 0.1})
+              {"speed": 1.0, "horizon": 2.0, "dx": 0.1})
     for key, (field, reader) in _SCALARS.items():
         if key in cfg:
             fields[field] = _read(cfg, key, reader)
 
-    mode = cfg.get("demand_mode", "stochastic" if fields.get("profile") is None
-                   else "deterministic")
-    if mode == "deterministic":
-        if "profile" in cfg:
-            fields["profile"] = _law_from_config(cfg["profile"], "profile", _FORECASTS)
-        if fields.get("profile") is None:
-            raise ConfigError("profile", "deterministic demand needs a profile")
-        fields["params"] = None
-    elif mode == "stochastic":
+    given = [key for key in _COEFFICIENTS if key in cfg]
+    if "profile" in cfg:
+        if given:
+            raise ConfigError(given[0], "a profile (a known demand) takes no coefficient")
+        fields.update(params=None,
+                      profile=_law_from_config(cfg["profile"], "profile", _FORECASTS))
+    elif given or fields.get("profile") is None:
         base = fields.get("params")
         coefficients = {}
         for key, reader in _COEFFICIENTS.items():
@@ -637,8 +638,8 @@ def scenario_from_config(cfg: dict, *, preset_name: str | None = None,
                 coefficients[key] = _read(cfg, key, reader)
             elif base is None:
                 raise ConfigError(
-                    "params", "custom scenarios must define kappa, sigma, y0, "
-                              "mean and jump (or start from a preset)")
+                    "params", "a stochastic demand needs kappa, sigma, y0, mean "
+                              "and jump, unless a stochastic preset gives them")
             else:
                 coefficients[key] = getattr(base, key)
         try:
@@ -646,8 +647,6 @@ def scenario_from_config(cfg: dict, *, preset_name: str | None = None,
         except ValueError as err:
             # each message starts with the coefficient at fault
             raise ConfigError(str(err).split()[0], str(err)) from None
-    else:
-        raise ConfigError("demand_mode", "must be 'stochastic' or 'deterministic'")
 
     for field, flag in (("seed", seed), ("mc_paths", paths)):
         if flag is not None:

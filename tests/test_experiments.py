@@ -63,6 +63,19 @@ def _read_csv(path):
     return header, rows
 
 
+def _exits_2_naming(tmp_path, capsys, config, field, command=("run",)):
+    """``command`` on ``config`` exits 2 with one JSON line on stderr naming
+    ``field``, and creates no output directory."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "x"
+    assert main([command[0], str(cfg), *command[1:], "--paths", "20",
+                 "--out-dir", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["field"] == field, lines
+    assert not out.exists()
+
+
 def _assert_runs_to_finite_csvs(tmp_path, config):
     """``run`` on ``config`` exits 0 and writes every artefact, all finite."""
     cfg = tmp_path / "cfg.yaml"
@@ -230,11 +243,15 @@ class TestScenario:
         ("PS1", {"levels": ()}, "levels"),
         ("PS1", {"levels": (1.5,)}, "levels"),
         ("PS1", {"outputs": ("plots",)}, "outputs"),
+        ("PS1", {"outputs": ()}, "outputs"),
+        # a known demand writes only control and cost
+        ("deterministic-fig5", {"outputs": ("paths", "bands")}, "outputs"),
         ("PS1", {"horizon": 0.2}, "horizon"),  # under the delay 1/speed
         ("PS1", {"dx": 0.3}, "dx"),  # does not divide the unit line
     ], ids=["speed", "speed-null", "horizon", "dx", "params", "mean", "profile",
             "paths", "jump-budget", "display", "seed", "levels-empty",
-            "levels-range", "outputs", "horizon-delay", "dx-lattice"])
+            "levels-range", "outputs", "outputs-empty", "outputs-unwritten",
+            "horizon-delay", "dx-lattice"])
     def test_invalid_field_rejected_on_construction(self, base, changes, field):
         with pytest.raises(ConfigError) as err:
             replace(preset(base), **changes)
@@ -538,20 +555,20 @@ class TestConfig:
             "preset": "PS1", "seed": 99, "paths": 50, "update_interval": 0.25,
         }))
         sc = scenario_from_config(load_config(cfg_path))
-        assert (sc.name, sc.seed, sc.mc_paths, sc.update_interval) == \
-            ("PS1", 99, 50, 0.25)
+        assert (sc.params, sc.seed, sc.mc_paths, sc.update_interval) == \
+            (preset("PS1").params, 99, 50, 0.25)
 
     def test_flags_override_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(yaml.safe_dump({"preset": "PS1", "seed": 99}))
         sc = scenario_from_config(load_config(cfg_path), seed=3, paths=12,
                                   preset_name="PS2")
-        assert (sc.name, sc.seed, sc.mc_paths) == ("PS2", 3, 12)
+        assert (sc.params, sc.seed, sc.mc_paths) == (preset("PS2").params, 3, 12)
 
     def test_full_custom_scenario(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(yaml.safe_dump({
-            "name": "demo", "speed": 2.0, "horizon": 2.0, "dx": 0.25,
+            "speed": 2.0, "horizon": 2.0, "dx": 0.25,
             "kappa": 1.5, "sigma": 0.5, "y0": 2.0,
             "mean": {"type": "constant", "level": 3.0},
             "jump": {"intensity": 1.0, "height": {"type": "normal",
@@ -600,11 +617,74 @@ class TestConfig:
             scenario_from_config(_law_config(field, law_cfg))
         assert err.value.field == field
 
+    # YAML reads true and on as booleans, which float() and int() take as 1
+    @pytest.mark.parametrize("config, field", [
+        ("speed: true\n", "speed"),
+        ("dx: true\n", "dx"),
+        ("paths: true\n", "paths"),
+        ("seed: on\n", "seed"),
+        ("kappa: true\n", "kappa"),
+        ("y0: false\n", "y0"),
+        ("mean: {type: constant, level: true}\n", "mean"),
+        ("jump: {intensity: true}\n", "jump"),
+    ], ids=["speed", "dx", "paths", "seed-on", "kappa", "y0", "mean-level",
+            "jump-intensity"])
+    def test_a_boolean_is_no_number(self, tmp_path, capsys, config, field):
+        _exits_2_naming(tmp_path, capsys, "preset: PS3\n" + config, field)
+
+    def test_outputs_that_write_nothing_are_refused(self, tmp_path, capsys):
+        _exits_2_naming(tmp_path, capsys, "preset: PS1\noutputs: []\n", "outputs")
+        _exits_2_naming(tmp_path, capsys, "preset: deterministic-fig5\n"
+                                          "outputs: [paths, bands]\n", "outputs")
+
     def test_non_mapping_config_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text("- 1\n- 2\n")
         with pytest.raises(ConfigError):
             load_config(cfg_path)
+
+
+class TestDemandFromKeys:
+    """A ``profile`` makes the demand known, a coefficient makes it
+    stochastic, and neither keeps the preset's; no key is ignored."""
+
+    def test_a_profile_makes_a_stochastic_preset_known(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("preset: PS1\nprofile: {type: constant, level: 1.0}\n")
+        out = tmp_path / "x"
+        assert main(["run", str(cfg), "--paths", "20", "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["control.csv", "cost.csv"]
+        known = replace(_PS1, params=None, profile=ConstantMean(1.0), mc_paths=20)
+        for name, path in run_scenario(known, tmp_path / "api").items():
+            assert (out / f"{name}.csv").read_bytes() == path.read_bytes()
+
+    def test_a_coefficient_makes_a_known_preset_stochastic(self, tmp_path, capsys):
+        # deterministic-fig5 has no coefficients to complete kappa with
+        _exits_2_naming(tmp_path, capsys, "preset: deterministic-fig5\nkappa: 2.0\n",
+                        "params")
+        sc = scenario_from_config({
+            "preset": "deterministic-fig5", "kappa": 1.0, "sigma": 0.5, "y0": 2.0,
+            "mean": {"type": "constant", "level": 2.0}, "jump": {"intensity": 0.0}})
+        assert (sc.demand_mode, sc.profile, sc.params.y0) == ("stochastic", None, 2.0)
+
+    def test_a_profile_beside_a_coefficient_names_the_first(self, tmp_path, capsys):
+        profile = "preset: PS1\nprofile: {type: constant, level: 1.0}\n"
+        _exits_2_naming(tmp_path, capsys, profile + "kappa: 5.0\n", "kappa")
+        # the first in reading order: kappa, sigma, y0, mean, jump
+        _exits_2_naming(tmp_path, capsys, profile + "jump: {}\ny0: 1.0\n", "y0")
+
+    @pytest.mark.parametrize("config, field", [
+        ("demand_mode: stochastic\n", "demand_mode"), ("name: x\n", "name")],
+        ids=["demand_mode", "name"])
+    def test_the_deleted_keys_are_refused(self, tmp_path, capsys, config, field):
+        _exits_2_naming(tmp_path, capsys, "preset: PS1\n" + config, field)
+
+    @pytest.mark.parametrize("command", [["bands"], ["converge", "--dtup", "0.5"]],
+                             ids=["bands", "converge"])
+    def test_a_known_demand_has_no_bands_nor_convergence(self, tmp_path, capsys,
+                                                          command):
+        _exits_2_naming(tmp_path, capsys, "preset: deterministic-fig5\n", "profile",
+                        command)
 
 
 class TestCli:
@@ -988,7 +1068,6 @@ _UNIT = st.floats(-3.0, 3.0)
 # at most 400 x 20 cells, and ``paths`` (always set) keeps a run to at most
 # 40 paths.  A preset is nearly always needed, so it is always set too.
 _GOOD = {
-    "name": st.text(max_size=5),
     "preset": st.sampled_from(PRESET_NAMES),
     "speed": st.sampled_from([1.0, 2.0, 4.0]),
     "horizon": st.sampled_from([1.0, 2.0, 5.0]),
@@ -1004,7 +1083,6 @@ _GOOD = {
     "outputs": st.lists(st.sampled_from(["paths", "control", "bands", "cost"]),
                         max_size=4),
     "levels": st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
-    "demand_mode": st.sampled_from(["stochastic", "deterministic"]),
     "profile": _mean_config(_UNIT),
     "n_display_paths": st.one_of(st.integers(0, 8), st.just(3.0)),
 }
