@@ -1,22 +1,20 @@
 """numpy's random streams, drawn for many rows at once in uint64 arithmetic.
 
-One path draws its noise from one generator in this order: the jump counts
-of every grid step, ``rng.poisson(lam)``; one gaussian per step,
-``rng.standard_normal(steps)``; then, for each step holding c > 0 events in
-step order, the uniforms ``rng.random(c)`` and the c heights of the height
-law, which a constant law does not draw.
-
-:func:`draw` returns these draws for ``n`` paths.  From a seed, row ``i`` is
-the stream of ``SeedSequence((seed, i))`` (NEP 19).  While every step's mean
-is below 10, the draws of all rows are walked together from their PCG64
-states (O'Neill, HMC-CS-2014-0905): the counts by the rule of numpy's
+One path draws its noise from one generator in the order of
+:func:`powertrack.demand._draw_rows`, which draws a single path and every
+row this module does not walk.  :func:`draw` returns these draws for the
+``n`` rows of a seeded ensemble: row ``i`` is the stream of
+``SeedSequence((seed, i))`` (NEP 19).  While every step's mean is below
+10, the draws of all rows are walked together from their PCG64 states
+(O'Neill, HMC-CS-2014-0905): the counts by the rule of numpy's
 ``Generator.poisson``, the gaussians by numpy's ziggurat (Marsaglia and
 Tsang, 2000), and the uniforms of a constant height law.  A walked row goes
 on from a generator only at a ziggurat tail draw or for a height law that
-draws; at a mean of 10 or more every row is drawn from a generator set at
-its PCG64 state.  NEP 19 exempts ``Generator``'s draws from stream
-compatibility, so :func:`agrees` first compares crafted draws with the
-installed numpy; if any differs, every row is drawn from its generator.
+draws, and :func:`powertrack.demand._draw_events` draws its events; at a
+mean of 10 or more every row is drawn from a generator set at its PCG64
+state.  NEP 19 exempts ``Generator``'s draws from stream compatibility, so
+:func:`agrees` first compares crafted draws with the installed numpy; if
+any differs, every row is drawn from its generator.
 """
 
 from __future__ import annotations
@@ -27,6 +25,8 @@ from collections import namedtuple
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
+
+from . import demand
 
 # Constants of numpy's SeedSequence hash (NEP 19), and the 128-bit PCG
 # multiplier M (O'Neill, HMC-CS-2014-0905).
@@ -304,68 +304,37 @@ def _walk_doubles(words: _Words, sizes: np.ndarray, starts: np.ndarray,
         out[starts[rows] + k] = _next_double(hi, lo)
 
 
-def _draw(lam: np.ndarray, n: int, heights: Optional[Callable],
-          words: Optional[_Words], streams: Iterable[np.random.Generator]):
-    """:func:`draw` from the rows of ``words``, walked, or else from ``streams``.
-    A walked row leaves the walks for a reused generator, set once where
-    they stopped, when its gaussians reach the ziggurat's tail or when it
-    has events under a law that draws its heights.
+def _draw(lam: np.ndarray, heights: Optional[Callable], words: _Words):
+    """:func:`draw` from the rows of ``words``, walked.  A walked row leaves
+    the walks for a reused generator, set once where they stopped, when its
+    gaussians reach the ziggurat's tail or when it has events under a law
+    that draws its heights; :func:`powertrack.demand._draw_events` then
+    draws its events.
     """
-    nsteps, walk = lam.size, words is not None
-    if walk:
-        steps, offsets, words = _walk_counts(lam, words)
-        gaussians, walked, words = _walk_normals(nsteps, words)
-        back = np.flatnonzero(~walked if heights is None
-                              else ~walked | (np.diff(offsets) > 0))
-        streams = _generators(_Words(*(w[back] for w in words)))
-    else:
-        gaussians, walked = np.zeros((nsteps + 1, n)), np.zeros(n, dtype=bool)
-        back, grid, drawn_steps = np.arange(n), np.arange(nsteps), []
-    drawn = []
-    for i, rng in zip(back.tolist(), streams):
-        if walk:
-            row = steps[offsets[i]:offsets[i + 1]]
-        else:
-            row = np.repeat(grid, rng.poisson(lam))
-            drawn_steps.append(row)
+    nsteps = lam.size
+    steps, offsets, words = _walk_counts(lam, words)
+    gaussians, walked, words = _walk_normals(nsteps, words)
+    uniforms = np.empty(steps.size)
+    drawn = None if heights is None else np.empty(steps.size)
+    if heights is None:  # size 0 for the rows a generator draws
+        _walk_doubles(words, np.where(walked, np.diff(offsets), 0), offsets, uniforms)
+    back = np.flatnonzero(~walked if heights is None
+                          else ~walked | (np.diff(offsets) > 0))
+    for i, rng in zip(back.tolist(), _generators(_Words(*(w[back] for w in words)))):
         if not walked[i]:
             gaussians[1:, i] = rng.standard_normal(nsteps)
-        # one array per path: per-step pieces would cost memory per step
-        u, h = np.empty(row.size), None
-        if heights is None:
-            rng.random(out=u)
-        else:
-            h = np.empty(u.size)
-            a = 0
-            for c in np.unique(row, return_counts=True)[1].tolist():
-                rng.random(out=u[a:a + c])
-                h[a:a + c] = heights(rng, c)
-                a += c
-        drawn.append((i, u, h))
-    if not walk:
-        steps = np.concatenate([grid[:0], *drawn_steps])
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([row.size for row in drawn_steps], out=offsets[1:])
-    uniforms = np.empty(steps.size)
-    drawn_heights = None if heights is None else np.empty(uniforms.size)
-    if heights is None and walked.any():  # size 0 for the rows a generator drew
-        _walk_doubles(words, np.where(walked, np.diff(offsets), 0), offsets, uniforms)
-    for i, u, h in drawn:
-        uniforms[offsets[i]:offsets[i + 1]] = u
-        if h is not None:
-            drawn_heights[offsets[i]:offsets[i + 1]] = h
-    return steps, gaussians, uniforms, drawn_heights, offsets
+        a, b = offsets[i], offsets[i + 1]
+        demand._draw_events(rng, steps[a:b], heights, uniforms[a:b],
+                            None if drawn is None else drawn[a:b])
+    return steps, gaussians, uniforms, drawn, offsets
 
 
 def draw(lam: np.ndarray, n: int, heights: Optional[Callable] = None,
          seed: Optional[int] = None, streams: Iterable[np.random.Generator] = ()):
-    """The draws of ``n`` paths with per-step jump means ``lam``, as one
-    record of events: the grid step of every event in (row, step) order; the
-    (steps + 1, n) block of gaussians, whose row 1 + k holds every path's
-    normal of step k and whose row 0 is zeros; the uniforms and heights of
-    the events; and the n + 1 offsets of each row's events in them.
-    ``heights(rng, c)`` draws c heights; None stands for a constant law,
-    which draws none, and then None is returned for them.
+    """The record of :func:`powertrack.demand._draw_rows` for ``n`` paths
+    with per-step jump means ``lam``, row ``i`` the stream of
+    ``substream(seed, i)``, which ``streams`` yields.  ``heights(rng, c)``
+    draws c heights; None stands for a constant law, which draws none.
 
     For ``seed`` and ``n - 1`` in [0, 2**32), on a numpy that :func:`agrees`,
     the rows are walked while every lam < 10, and otherwise each row is drawn
@@ -377,9 +346,9 @@ def draw(lam: np.ndarray, n: int, heights: Optional[Callable] = None,
         words = _pcg64_states(int(seed), np.arange(n, dtype=np.uint32))
         # nan and inf fail this test too, and rng.poisson then rejects them
         if np.all(lam < _POISSON_MULT_LIMIT):
-            return _draw(lam, n, heights, words, ())
+            return _draw(lam, heights, words)
         streams = _generators(words)
-    return _draw(lam, n, heights, None, streams)
+    return demand._draw_rows(lam, n, heights, streams)
 
 
 @functools.cache
@@ -392,9 +361,9 @@ def agrees() -> bool:
     event at mean 9.5, then one at mean 0.5, on four doubles.  Their normals
     take the ziggurat's fast path, and then an accepted wedge, a rejected
     wedge and a tail draw; their uniforms follow.  The rows are drawn by the
-    walks and by generators.  Seeding is not probed: numpy keeps the streams
-    of its bit generators and their seeding stable; only ``Generator``'s
-    methods may draw differently.
+    walks and by :func:`powertrack.demand._draw_rows` from generators.
+    Seeding is not probed: numpy keeps the streams of its bit generators and
+    their seeding stable; only ``Generator``'s methods may draw differently.
     """
     inv = pow(_MULT, -1, 1 << 128)
     states = [divmod(((1 << 51) + (j << 20) - 1) * inv % (1 << 128), 1 << 64)
@@ -402,7 +371,7 @@ def agrees() -> bool:
     words = _Words(*(np.array(w, dtype=np.uint64)
                      for w in (*zip(*states), [0] * 4, [1] * 4)))
     lam = np.array([9.5, 0.5])
-    walked = _draw(lam, 4, None, words, ())
-    called = _draw(lam, 4, None, None, _generators(words))
+    walked = _draw(lam, None, words)
+    called = demand._draw_rows(lam, 4, None, _generators(words))
     return all(a.tobytes() == b.tobytes() for a, b in zip(walked, called)
                if a is not None)

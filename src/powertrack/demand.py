@@ -17,11 +17,12 @@ generator state.
 
 Monte-Carlo ensembles are a :class:`PathEnsemble`: values as a (paths,
 steps + 1) array and the jump times of all paths in one compressed-row
-record.  Row ``i`` is exactly the stream of ``substream(seed, i)``; the draw
-order of one path, and how the draws of every seeded row are walked at once
-while each step's mean is below 10, are in :mod:`powertrack._streams`.  The
-exact recursion runs step by step over all paths at once, in Python floats
-for a single path.  Indexing an ensemble gives :class:`DemandPath` views.
+record.  Row ``i`` is exactly the stream of ``substream(seed, i)``.  One
+path draws from its generator in the order of :func:`_draw_rows`, the only
+implementation of it.  :mod:`powertrack._streams` walks those draws for
+every seeded row at once while each step's mean is below 10; only a seeded
+ensemble loads it.  The exact recursion runs step by step over all paths at
+once, in Python floats for a single path.  Indexing an ensemble gives :class:`DemandPath` views.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -430,9 +431,9 @@ def _exact_values(params: DemandParams, times: np.ndarray, block: np.ndarray,
                   jump_times: np.ndarray,
                   heights: Union[np.ndarray, float]) -> np.ndarray:
     """Exact transitions from ``params.y0``, written in place over the
-    (nt+1, paths) ``block`` of :func:`powertrack._streams.draw`, whose row
-    k + 1 holds the gaussians of step k, and driven by the jump events laid
-    out as in :class:`PathEnsemble`, with the grid step, the cell (see
+    (nt+1, paths) ``block`` of :func:`_draw_rows`, whose row k + 1 holds
+    the gaussians of step k, and driven by the jump events laid out as in
+    :class:`PathEnsemble`, with the grid step, the cell (see
     :func:`_cells`) and the height of each (one float for a constant law);
     one grid step at a time and vectorised over paths.  Returns ``block``,
     whose transpose is the ensemble's values.
@@ -520,21 +521,76 @@ def _event_times(times: np.ndarray, steps: np.ndarray, cells: np.ndarray,
     return raw
 
 
+def _draw_events(rng: np.random.Generator, steps: np.ndarray,
+                 heights: Optional[Callable], uniforms: np.ndarray,
+                 drawn: Optional[np.ndarray]) -> None:
+    """Draw the events of one path, at the grid ``steps`` in step order,
+    from ``rng`` into ``uniforms`` and ``drawn``: for each step holding c
+    events, ``rng.random(c)`` and then ``heights(rng, c)``.  A constant law
+    (``heights`` None) draws no heights, so its uniforms are one call."""
+    if heights is None:
+        rng.random(out=uniforms)
+        return
+    a = 0
+    for c in np.unique(steps, return_counts=True)[1].tolist():
+        rng.random(out=uniforms[a:a + c])
+        drawn[a:a + c] = heights(rng, c)
+        a += c
+
+
+def _draw_rows(lam: np.ndarray, n: int, heights: Optional[Callable],
+               streams: Iterable[np.random.Generator]):
+    """The draws of ``n`` paths, row ``i`` from the ``i``-th generator of
+    ``streams``, with per-step jump means ``lam``, as one record of events:
+    the grid step of every event in (row, step) order; the (steps + 1, n)
+    block of gaussians, whose row 1 + k holds every path's normal of step k
+    and whose row 0 is zeros; the uniforms and heights of the events (None
+    for the heights of a constant law); and the n + 1 offsets of each row's
+    events in them.
+
+    A row draws the counts ``rng.poisson(lam)``, then the gaussians
+    ``rng.standard_normal(steps)``, then its events by :func:`_draw_events`.
+    """
+    nsteps = lam.size
+    grid = np.arange(nsteps)
+    gaussians = np.zeros((nsteps + 1, n))
+    rows, uniforms, drawn = [grid[:0]], [np.empty(0)], [np.empty(0)]
+    for i, rng in zip(range(n), streams):
+        row = np.repeat(grid, rng.poisson(lam))
+        gaussians[1:, i] = rng.standard_normal(nsteps)
+        # one array per path: per-step pieces would cost memory per step
+        u = np.empty(row.size)
+        h = None if heights is None else np.empty(row.size)
+        _draw_events(rng, row, heights, u, h)
+        rows.append(row)
+        uniforms.append(u)
+        drawn.append(h)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([row.size for row in rows[1:]], out=offsets[1:])
+    return (np.concatenate(rows), gaussians, np.concatenate(uniforms),
+            None if heights is None else np.concatenate(drawn), offsets)
+
+
 def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int] = None,
             streams: Iterable[np.random.Generator] = ()) -> PathEnsemble:
-    """``n`` paths on the grid, their noise drawn from ``seed`` or ``streams``
-    by :func:`powertrack._streams.draw`, whose module states the draw order;
+    """``n`` paths on the grid, their noise drawn by :func:`_draw_rows` from
+    ``streams``, or, given a ``seed``, by :func:`powertrack._streams.draw`,
+    which walks the same draws of every row at once where it can;
     :func:`_event_times` places the events, whose heights keep their draw
     order.  Only the values, the transposed view of the recursion's block,
     and the event times are kept.
     """
-    from ._streams import draw  # compiled by a first draw, not at import
-
     law = params.jump.height_law
     constant = isinstance(law, ConstantHeight)
-    steps, block, uniforms, heights, offsets = draw(
-        params.jump.intensity * np.diff(times), n,
-        None if constant else law.sample, seed, streams)
+    lam = params.jump.intensity * np.diff(times)
+    sample = None if constant else law.sample
+    if seed is None:
+        record = _draw_rows(lam, n, sample, streams)
+    else:
+        from ._streams import draw  # compiled by a first seeded draw, not at import
+
+        record = draw(lam, n, sample, seed, streams)
+    steps, block, uniforms, heights, offsets = record
     cells = _cells(steps, offsets)
     jump_times = _event_times(times, steps, cells, uniforms)  # in place
     _exact_values(params, times, block, offsets, steps, cells, jump_times,
@@ -545,8 +601,9 @@ def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int]
 def sample_path(params: DemandParams, times, rng: np.random.Generator) -> DemandPath:
     """Sample one trajectory on the given grid using exact transitions.
 
-    Deterministic for a fixed generator state; the returned path keeps its
-    values and jump times, not the draws that drove it.
+    Deterministic for a fixed generator state, from which it draws in the
+    order of :func:`_draw_rows`; the returned path keeps its values and jump
+    times, not the draws that drove it.
     """
     return _sample(params, _validate_grid(times), 1, streams=[rng])[0]
 
@@ -558,9 +615,10 @@ def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEn
     recursion then runs once over all paths, step by step.  Row ``i`` is
     bit-identical to ``sample_path(params, times, substream(seed, i))``, so
     the ensemble does not depend on generation order, and its first ``m``
-    rows are the ensemble of ``m`` paths, every seeded row walked while each
-    step's mean is below 10 (:mod:`powertrack._streams`).  A negative seed
-    raises :func:`substream`'s ``ValueError``.
+    rows are the ensemble of ``m`` paths.  :mod:`powertrack._streams` walks
+    the draws of :func:`_draw_rows` for all rows at once while each step's
+    mean is below 10, and otherwise draws each row from its generator.  A
+    negative seed raises :func:`substream`'s ``ValueError``.
     """
     times = _validate_grid(times)
     if n_paths < 1:

@@ -145,6 +145,10 @@ class Scenario:
         for artifact in self.outputs:
             if artifact not in ARTIFACTS:
                 raise ConfigError("outputs", f"unknown artifact {artifact!r}")
+        for key, entries in (("outputs", self.outputs), ("levels", self.levels)):
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ConfigError(key, f"{repeated[0]!r} is given more than once")
         writable = ARTIFACTS if self.profile is None else ("control", "cost")
         if not set(self.outputs) & set(writable):
             raise ConfigError("outputs", f"none of {writable}, which this demand writes")
@@ -497,6 +501,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _items(value) -> list:
+    """``value``, refusing anything but a list or a tuple: a string would
+    be read as its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{value!r} is not a list")
+    return value
+
+
 def _law_from_config(cfg, field: str, laws: dict):
     """The law ``{type, <argument keys>}`` out of ``laws``, or ConfigError(field)."""
     try:  # TypeError: not a mapping, or an unhashable type
@@ -533,8 +545,8 @@ _SCALARS: dict[str, tuple[str, Callable]] = {
     "paths": ("mc_paths", _integer),
     "seed": ("seed", _integer),
     "n_display_paths": ("n_display_paths", _integer),
-    "outputs": ("outputs", lambda v: tuple(str(a) for a in v)),
-    "levels": ("levels", lambda v: tuple(map(_real, v))),
+    "outputs": ("outputs", lambda v: tuple(str(a) for a in _items(v))),
+    "levels": ("levels", lambda v: tuple(map(_real, _items(v)))),
 }
 # Each law family by config type: the class, its argument keys in order and
 # the reader of every argument.
@@ -600,9 +612,10 @@ def scenario_from_config(cfg: dict, *, preset_name: str | None = None,
       scenario starts from speed 1, horizon 2 and dx 0.1.
     - Scalars: the numbers ``speed``, ``horizon``, ``dx`` and
       ``update_interval`` (null for none); the whole numbers ``paths``,
-      ``seed`` and ``n_display_paths``; ``outputs``, out of paths, control,
-      bands and cost, one at least that the demand writes; ``levels``,
-      confidence levels in (0, 1).  No boolean is read as a number.
+      ``seed`` and ``n_display_paths``; ``outputs``, a list out of paths,
+      control, bands and cost, one at least that the demand writes;
+      ``levels``, a list of confidence levels in (0, 1).  Neither list may
+      repeat an entry.  No boolean is read as a number.
     - Stochastic demand, read in this order: the numbers ``kappa``,
       ``sigma`` and ``y0``, a ``mean`` forecast and ``jump: {intensity,
       height}``, where ``height`` is ``{type: constant, value}`` (value 0 by

@@ -244,14 +244,17 @@ class TestScenario:
         ("PS1", {"levels": (1.5,)}, "levels"),
         ("PS1", {"outputs": ("plots",)}, "outputs"),
         ("PS1", {"outputs": ()}, "outputs"),
+        # a repeated artefact would be written twice, a level give two columns
+        ("PS1", {"outputs": ("cost", "cost")}, "outputs"),
+        ("PS1", {"levels": (0.5, 0.5)}, "levels"),
         # a known demand writes only control and cost
         ("deterministic-fig5", {"outputs": ("paths", "bands")}, "outputs"),
         ("PS1", {"horizon": 0.2}, "horizon"),  # under the delay 1/speed
         ("PS1", {"dx": 0.3}, "dx"),  # does not divide the unit line
     ], ids=["speed", "speed-null", "horizon", "dx", "params", "mean", "profile",
             "paths", "jump-budget", "display", "seed", "levels-empty",
-            "levels-range", "outputs", "outputs-empty", "outputs-unwritten",
-            "horizon-delay", "dx-lattice"])
+            "levels-range", "outputs", "outputs-empty", "outputs-repeated",
+            "levels-repeated", "outputs-unwritten", "horizon-delay", "dx-lattice"])
     def test_invalid_field_rejected_on_construction(self, base, changes, field):
         with pytest.raises(ConfigError) as err:
             replace(preset(base), **changes)
@@ -795,6 +798,11 @@ class TestCli:
         ("preset: PS1\nseed: 1.5\n", "seed", None, None),
         ("preset: PS1\nn_display_paths: 1.9\n", "n_display_paths", None, None),
         ("preset: PS1\nlevels: []\n", "levels", None, None),
+        ("preset: PS1\nlevels: [0.5, 0.5]\n", "levels", None, "more than once"),
+        ("preset: PS1\noutputs: [cost, cost]\n", "outputs", None, "more than once"),
+        # a string is no list: it was read as the artefacts 'p', 'a', ...
+        ("preset: PS1\noutputs: paths\n", "outputs", None, "cannot read 'paths'"),
+        ("preset: PS1\nlevels: 0.5\n", "levels", None, "cannot read 0.5"),
         # the transport delay 1/speed is 0.25
         ("preset: PS1\nhorizon: 0.2\n", "horizon", None, "transport delay"),
         # 40.4 time steps of 0.025
@@ -816,6 +824,8 @@ class TestCli:
                       "jump-height-scalar", "lognormal-overflow",
                       "constant-overflow", "normal-overflow", "paths-fraction",
                       "seed-fraction", "display-fraction", "levels-empty",
+                      "levels-repeated", "outputs-repeated", "outputs-text",
+                      "levels-scalar",
                       "horizon-short", "horizon-off-lattice", "dx-subnormal",
                       "jump-budget"]
 
@@ -961,11 +971,21 @@ class TestCli:
         assert self._modules_after_cli_import(is_json, argv) == "[]"
         assert (tmp_path / "r" / "cost.csv").exists()
 
-    def test_import_leaves_the_ziggurat_tables_out(self):
+    def test_import_leaves_the_ziggurat_tables_out(self, tmp_path):
         """Without written bytecode the tables and the stream emulation
-        compile on every start; only a draw of noise reads them."""
-        assert self._modules_after_cli_import(
-            "m in ('powertrack._ziggurat', 'powertrack._streams')") == "[]"
+        compile on every start; only a seeded ensemble reads them.  The
+        convergence study's one path is drawn from its generator, and
+        ``run``'s ensemble is walked."""
+        walk = "m in ('powertrack._ziggurat', 'powertrack._streams')"
+        assert self._modules_after_cli_import(walk) == "[]"
+        converge = ["converge", self._empty_cfg(tmp_path), "--preset", "PS1",
+                    "--dtup", "0.125", "--out-dir", str(tmp_path / "c")]
+        assert self._modules_after_cli_import(walk, converge) == "[]"
+        assert (tmp_path / "c" / "convergence.csv").exists()
+        run = ["run", self._empty_cfg(tmp_path), "--preset", "PS1",
+               "--paths", "20", "--out-dir", str(tmp_path / "r")]
+        assert self._modules_after_cli_import(walk, run) == (
+            "['powertrack._streams', 'powertrack._ziggurat']")
 
     def test_memory_error_gives_one_json_line(self, tmp_path, capsys,
                                               monkeypatch):
@@ -1081,8 +1101,8 @@ _GOOD = {
     "paths": st.one_of(st.integers(1, 40), st.just(20.0)),
     "seed": st.one_of(st.integers(0, 2 ** 64), st.sampled_from([2 ** 70, 1.0e30])),
     "outputs": st.lists(st.sampled_from(["paths", "control", "bands", "cost"]),
-                        max_size=4),
-    "levels": st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+                        unique=True, max_size=4),
+    "levels": st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3, unique=True),
     "profile": _mean_config(_UNIT),
     "n_display_paths": st.one_of(st.integers(0, 8), st.just(3.0)),
 }
