@@ -14,7 +14,8 @@ draws, and :func:`powertrack.demand._draw_events` draws its events; at a
 mean of 10 or more every row is drawn from a generator set at its PCG64
 state.  NEP 19 exempts ``Generator``'s draws from stream compatibility, so
 :func:`agrees` first compares crafted draws with the installed numpy; if
-any differs, every row is drawn from its generator.
+any differs, or a seed or row index is beyond 32 bits, row ``i`` is
+drawn from ``substream(seed, i)``, which :func:`draw` builds from the seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -329,18 +330,18 @@ def _draw(lam: np.ndarray, heights: Optional[Callable], words: _Words):
     return steps, gaussians, uniforms, drawn, offsets
 
 
-def draw(lam: np.ndarray, n: int, heights: Optional[Callable] = None,
-         seed: Optional[int] = None, streams: Iterable[np.random.Generator] = ()):
+def draw(lam: np.ndarray, n: int, heights: Optional[Callable], seed: int):
     """The record of :func:`powertrack.demand._draw_rows` for ``n`` paths
     with per-step jump means ``lam``, row ``i`` the stream of
-    ``substream(seed, i)``, which ``streams`` yields.  ``heights(rng, c)``
-    draws c heights; None stands for a constant law, which draws none.
+    ``substream(seed, i)``.  ``heights(rng, c)`` draws c heights; None
+    stands for a constant law, which draws none.
 
     For ``seed`` and ``n - 1`` in [0, 2**32), on a numpy that :func:`agrees`,
     the rows are walked while every lam < 10, and otherwise each row is drawn
-    from a generator set at its words; in every other case row ``i`` comes
-    from ``streams``.
+    from a generator set at its words; in every other case row ``i`` is
+    drawn from ``demand.substream(seed, i)``, built here.
     """
+    streams = (demand.substream(seed, i) for i in range(n))
     if (isinstance(seed, (int, np.integer)) and 0 <= seed <= _MASK32
             and n - 1 <= _MASK32 and agrees()):
         words = _pcg64_states(int(seed), np.arange(n, dtype=np.uint32))

@@ -38,15 +38,12 @@ def _aligned(times: np.ndarray, steps: np.ndarray, dt: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class UpdateSchedule:
-    """Observation instants t_hat_i = i * interval on the control horizon."""
+    """Observation instants on the control horizon, increasing from t_hat_0 = 0."""
 
-    interval: float
     times: np.ndarray
 
     def __post_init__(self) -> None:
         times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        if self.interval <= 0:
-            raise ValueError("update interval must be > 0")
         if times.size == 0 or times[0] != 0.0:
             raise ValueError("update schedule must start at t=0")
         if np.any(np.diff(times) <= 0):
@@ -69,7 +66,7 @@ class UpdateSchedule:
             times = interval * k
             # the update at 0 is on the lattice even where steps overflowed to inf
             if lattice_dt is None or _aligned(times[1:], steps * k[1:], lattice_dt):
-                return cls(interval=interval, times=times)
+                return cls(times)
         raise ValueError(f"update interval {interval} is not a multiple (>= 1) of "
                          f"the lattice step {lattice_dt}")
 

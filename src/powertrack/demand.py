@@ -571,26 +571,17 @@ def _draw_rows(lam: np.ndarray, n: int, heights: Optional[Callable],
             None if heights is None else np.concatenate(drawn), offsets)
 
 
-def _sample(params: DemandParams, times: np.ndarray, n: int, seed: Optional[int] = None,
-            streams: Iterable[np.random.Generator] = ()) -> PathEnsemble:
-    """``n`` paths on the grid, their noise drawn by :func:`_draw_rows` from
-    ``streams``, or, given a ``seed``, by :func:`powertrack._streams.draw`,
-    which walks the same draws of every row at once where it can;
-    :func:`_event_times` places the events, whose heights keep their draw
-    order.  Only the values, the transposed view of the recursion's block,
-    and the event times are kept.
+def _sample(params: DemandParams, times: np.ndarray, draw: Callable) -> PathEnsemble:
+    """Paths on the grid from ``draw(lam, heights)``, the record of their noise
+    for the per-step jump means and the height sampler (None for a constant
+    law); :func:`_event_times` places the events, whose heights keep their
+    draw order.  Only the values, the transposed view of the recursion's
+    block, and the event times are kept.
     """
     law = params.jump.height_law
     constant = isinstance(law, ConstantHeight)
     lam = params.jump.intensity * np.diff(times)
-    sample = None if constant else law.sample
-    if seed is None:
-        record = _draw_rows(lam, n, sample, streams)
-    else:
-        from ._streams import draw  # compiled by a first seeded draw, not at import
-
-        record = draw(lam, n, sample, seed, streams)
-    steps, block, uniforms, heights, offsets = record
+    steps, block, uniforms, heights, offsets = draw(lam, None if constant else law.sample)
     cells = _cells(steps, offsets)
     jump_times = _event_times(times, steps, cells, uniforms)  # in place
     _exact_values(params, times, block, offsets, steps, cells, jump_times,
@@ -605,7 +596,8 @@ def sample_path(params: DemandParams, times, rng: np.random.Generator) -> Demand
     order of :func:`_draw_rows`; the returned path keeps its values and jump
     times, not the draws that drove it.
     """
-    return _sample(params, _validate_grid(times), 1, streams=[rng])[0]
+    return _sample(params, _validate_grid(times),
+                   lambda lam, heights: _draw_rows(lam, 1, heights, [rng]))[0]
 
 
 def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEnsemble:
@@ -615,16 +607,17 @@ def sample_paths(params: DemandParams, times, n_paths: int, seed: int) -> PathEn
     recursion then runs once over all paths, step by step.  Row ``i`` is
     bit-identical to ``sample_path(params, times, substream(seed, i))``, so
     the ensemble does not depend on generation order, and its first ``m``
-    rows are the ensemble of ``m`` paths.  :mod:`powertrack._streams` walks
-    the draws of :func:`_draw_rows` for all rows at once while each step's
-    mean is below 10, and otherwise draws each row from its generator.  A
-    negative seed raises :func:`substream`'s ``ValueError``.
+    rows are the ensemble of ``m`` paths.  :mod:`powertrack._streams`, given
+    the seed alone, walks the draws of :func:`_draw_rows` for all rows at
+    once while each step's mean is below 10, and otherwise builds each row's
+    generator.  A negative seed raises :func:`substream`'s ``ValueError``.
     """
     times = _validate_grid(times)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    streams = (substream(seed, i) for i in range(n_paths))
-    return _sample(params, times, n_paths, seed, streams)
+    from ._streams import draw  # compiled by a first seeded draw, not at import
+
+    return _sample(params, times, lambda lam, heights: draw(lam, n_paths, heights, seed))
 
 
 def sample_ensemble(params_list: list[DemandParams], times,

@@ -105,7 +105,8 @@ class ArtifactError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one experiment run, validated on
-    construction: a field no run can use raises :class:`ConfigError`."""
+    construction: a field no run can use raises :class:`ConfigError`.  The
+    demand is exactly one of ``params`` (stochastic) and ``profile`` (known)."""
 
     speed: float
     horizon: float
@@ -121,9 +122,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         grid = scenario_grid(self)  # update_interval is checked by the runs that read it
+        if (self.params is None) == (self.profile is None):  # neither or both
+            raise ConfigError("params" if self.params is None else "profile",
+                              "need exactly one demand: parameters or a profile")
         _check_budget(grid, self.params, 2, "dx")  # every run can hold the fewest paths
-        if self.profile is None and self.params is None:
-            raise ConfigError("params", "stochastic scenarios need demand parameters")
         field, forecast = (("mean", self.params.mean) if self.profile is None
                            else ("profile", self.profile))
         try:
@@ -158,10 +160,6 @@ class Scenario:
             if not math.isfinite(peak * peak * self.horizon):
                 raise ConfigError("profile", f"peak |profile| {peak!r} squared over "
                                              f"the horizon is not finite")
-
-    @property
-    def demand_mode(self) -> str:
-        return "deterministic" if self.profile is not None else "stochastic"
 
 
 PRESET_NAMES = ("PS1", "PS2", "PS3", "deterministic-fig5")
@@ -257,6 +255,12 @@ def _write_artifacts(out_dir: str | Path,
                 fh.write(",".join(names) + "\n")
                 for row in zip(*(cells for _, cells in columns), strict=True):
                     fh.write(",".join(map(_fmt, row, names, repeat(artifact))) + "\n")
+        targets = {name: out_dir / f"{name}.csv" for name in temps}
+        # a rename cannot be undone, so none starts while one is sure to fail
+        for target in targets.values():
+            if target.is_dir():
+                raise IsADirectoryError(f"{target} is a directory; nothing was renamed")
+        return {name: temps[name].replace(target) for name, target in targets.items()}
     except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
@@ -264,7 +268,6 @@ def _write_artifacts(out_dir: str | Path,
             for directory in created:
                 directory.rmdir()
         raise
-    return {name: temp.replace(out_dir / f"{name}.csv") for name, temp in temps.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +314,7 @@ def confidence_bands(params: DemandParams, times, levels, mc_paths: int,
 
 def write_bands(scenario: Scenario, out_dir: str | Path) -> Path:
     """Write the ``bands`` artifact: demand mean and quantile curves."""
-    if scenario.demand_mode != "stochastic":
+    if scenario.profile is not None:
         raise ConfigError("profile", "bands need a stochastic demand")
     # the bands read no update schedule, so none is built or checked
     return run_scenario(replace(scenario, outputs=("bands",), update_interval=None),
@@ -426,7 +429,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     grid = scenario_grid(scenario)
     schedule = scenario_schedule(scenario, grid)
     artifacts = (_deterministic_artifacts(scenario, grid)
-                 if scenario.demand_mode == "deterministic"
+                 if scenario.profile is not None
                  else _stochastic_artifacts(scenario, grid, schedule))
     return _write_artifacts(out_dir, ((name, artifacts[name]())
                                       for name in scenario.outputs if name in artifacts))
@@ -447,7 +450,7 @@ def convergence_study(scenario: Scenario, update_intervals) -> list[dict]:
     through :func:`sequential_update_solve`.  At Courant 1 each is the
     control delayed by the transport time, with no march.
     """
-    if scenario.demand_mode != "stochastic":
+    if scenario.profile is not None:
         raise ConfigError("profile", "convergence study needs a stochastic demand")
     intervals = [float(dtup) for dtup in update_intervals]
     if not intervals:
@@ -585,10 +588,10 @@ def load_config(path: str | Path) -> dict:
     :func:`scenario_from_config` for the accepted keys)."""
     import yaml
 
-    # libyaml's parser, where PyYAML was built with it, under the same
-    # constructor and resolver as yaml.safe_load
+    # libyaml's parser, where PyYAML was built with it, under yaml.safe_load's
+    # constructor and resolver; read as bytes, whose encoding the parser detects
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
             cfg = yaml.load(fh, Loader=loader)
         except yaml.YAMLError as err:

@@ -116,7 +116,7 @@ def euler_values(params, times, n: int, seed: int) -> np.ndarray:
     The heights of a step are summed left to right from 0.0, in draw order.
     Requires kappa * dt < 1 on every step.  Returns the (paths, nt+1) values.
     """
-    from powertrack import ConstantHeight, _streams, substream
+    from powertrack import ConstantHeight, _streams
 
     times = np.asarray(times, dtype=float)
     dts = np.diff(times)
@@ -125,8 +125,7 @@ def euler_values(params, times, n: int, seed: int) -> np.ndarray:
     law = params.jump.height_law
     constant = isinstance(law, ConstantHeight)
     steps, gaussians, uniforms, heights, offsets = _streams.draw(
-        params.jump.intensity * dts, n, None if constant else law.sample, seed,
-        (substream(seed, i) for i in range(n)))
+        params.jump.intensity * dts, n, None if constant else law.sample, seed)
     if constant:
         heights = np.full(uniforms.size, float(law.value))
     nsteps = dts.size

@@ -545,7 +545,7 @@ class TestSequentialUpdateSolve:
     @staticmethod
     def _first_interval_times(grid, sched):
         # the first update interval [0, 0.125) fails: lattice steps 0..4
-        return grid.control_times()[:round(sched.interval / grid.dt)]
+        return grid.control_times()[:round(sched.times[1] / grid.dt)]
 
     def test_budget_exhaustion_reports_the_interval_times(self, ps1, ps_grid,
                                                           monkeypatch):

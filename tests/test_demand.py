@@ -351,7 +351,8 @@ class TestPathEnsemble:
         times = ps_grid.times()
         walked = sample_paths(ps3, times, 5000, seed=11)
         streams = (substream(11, i) for i in range(5000))
-        ref = demand._sample(ps3, times, 5000, streams=streams)
+        ref = demand._sample(ps3, times, lambda lam, heights: demand._draw_rows(
+            lam, 5000, heights, streams))
         assert _bytes(walked, _ENSEMBLE_FIELDS) == _bytes(ref, _ENSEMBLE_FIELDS)
 
     def test_many_jumps_in_one_step_add_left_to_right(self):
@@ -508,8 +509,7 @@ class TestVectorisedSeeding:
         lam = ps3.jump.intensity * np.diff(times)
         ensemble = sample_paths(ps3, times, 5, seed)
         assert ensemble.jump_times.size > 0
-        _, gaussians, uniforms, _, offsets = _streams.draw(
-            lam, 5, None, seed, (substream(seed, i) for i in range(5)))
+        _, gaussians, uniforms, _, offsets = _streams.draw(lam, 5, None, seed)
         for i, row in enumerate(ensemble):
             solo = sample_path(ps3, times, substream(seed, i))
             assert _bytes(row, _PATH_FIELDS) == _bytes(solo, _PATH_FIELDS)

@@ -110,7 +110,7 @@ class TestPresets:
 
     def test_deterministic_validation_preset(self):
         sc = preset("deterministic-fig5")
-        assert sc.demand_mode == "deterministic"
+        assert sc.params is None
         assert sc.profile == SinusoidMean(2.0, 1.0, 0.5 * np.pi)
         assert (sc.speed, sc.horizon, sc.dx) == (2.0, 5.0, 0.5)
 
@@ -180,6 +180,27 @@ class TestWholeArtefactSet:
             == "cost.csv"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_a_target_that_is_a_directory_renames_nothing(self, tmp_path, capsys):
+        # the first run is at another seed, so a rename over its files shows
+        out, cfg = tmp_path / "x", tmp_path / "ps1.yaml"
+        cfg.write_text("preset: PS1\n")
+        assert main(["run", str(cfg), "--paths", "50", "--seed", "3",
+                     "--out-dir", str(out)]) == 0
+        (out / "cost.csv").unlink()
+        (out / "cost.csv").mkdir()
+        (out / "cost.csv" / "kept").write_text("a file inside the directory")
+
+        def contents():
+            return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+                    for p in out.rglob("*")}
+
+        before = contents()
+        assert main(["run", str(cfg), "--paths", "50", "--out-dir", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["field"] is None and "cost.csv is a directory" in err["error"]
+        # every file byte for byte, and no temporary file
+        assert contents() == before
+
     @pytest.mark.parametrize("stage, out", [
         ("format", "."), ("write", "."), ("format", "a/b")],
         ids=["format", "write", "format-new-directory"])
@@ -233,6 +254,8 @@ class TestScenario:
             [0.0, 0.5], [1.0, 2.0]))}, "mean"),
         ("deterministic-fig5", {"profile": TabulatedMean([0.0, 1.0], [1.0, 2.0])},
          "profile"),
+        # both demands: a run would read one and ignore the other
+        ("PS1", {"profile": ConstantMean(1.0)}, "profile"),
         ("PS1", {"mc_paths": 0}, "paths"),
         # 2 paths x (2**23 + 1) x horizon 1 expected events, over the 2**24
         # budget: not even the smallest ensemble fits
@@ -252,7 +275,7 @@ class TestScenario:
         ("PS1", {"horizon": 0.2}, "horizon"),  # under the delay 1/speed
         ("PS1", {"dx": 0.3}, "dx"),  # does not divide the unit line
     ], ids=["speed", "speed-null", "horizon", "dx", "params", "mean", "profile",
-            "paths", "jump-budget", "display", "seed", "levels-empty",
+            "both-demands", "paths", "jump-budget", "display", "seed", "levels-empty",
             "levels-range", "outputs", "outputs-empty", "outputs-repeated",
             "levels-repeated", "outputs-unwritten", "horizon-delay", "dx-lattice"])
     def test_invalid_field_rejected_on_construction(self, base, changes, field):
@@ -668,7 +691,7 @@ class TestDemandFromKeys:
         sc = scenario_from_config({
             "preset": "deterministic-fig5", "kappa": 1.0, "sigma": 0.5, "y0": 2.0,
             "mean": {"type": "constant", "level": 2.0}, "jump": {"intensity": 0.0}})
-        assert (sc.demand_mode, sc.profile, sc.params.y0) == ("stochastic", None, 2.0)
+        assert (sc.profile, sc.params.y0) == (None, 2.0)
 
     def test_a_profile_beside_a_coefficient_names_the_first(self, tmp_path, capsys):
         profile = "preset: PS1\nprofile: {type: constant, level: 1.0}\n"
@@ -741,6 +764,8 @@ class TestCli:
     _BAD_INPUTS = [
         ("preset: PS1\nspeed: 0\n", "speed", None, None),
         ("preset: PS1\nkappa: [1\n", "config", None, None),
+        # not UTF-8: C3 starts a two-byte sequence, and "(" cannot end it
+        (b"preset: PS1\nseed: \xc3\x28\n", "config", None, "not valid YAML"),
         # the forecast ends at 0.5, before the horizon 1
         ("preset: PS3\nmean: {type: tabulated, times: [0.0, 0.5], "
          "values: [1.0, 2.0]}\n", "mean", None, None),
@@ -813,7 +838,7 @@ class TestCli:
         ("preset: PS3\njump: {intensity: 1.0e+12}\n", "jump.intensity", None,
          "16777216"),
     ]
-    _BAD_INPUT_IDS = ["zero-speed", "malformed-yaml", "short-forecast",
+    _BAD_INPUT_IDS = ["zero-speed", "malformed-yaml", "not-utf8", "short-forecast",
                       "tabulated-nan", "tabulated-inf", "tabulated-narrow",
                       "constant-nan", "sinusoid-nan", "sinusoid-inf",
                       "profile-inf", "convergence", "overflow", "kappa-text",
@@ -836,7 +861,10 @@ class TestCli:
         if budget is not None:
             monkeypatch.setattr(costopt, "_MAX_ITERS", budget)
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text(config)
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(config)
         code = main(["run", str(cfg), "--paths", "20",
                      "--out-dir", str(tmp_path / "x")])
         assert code == (2 if field is not None else 1)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from powertrack import _streams, _ziggurat, sample_paths, substream
+from powertrack import _streams, _ziggurat, sample_paths
 
 _FIELDS = ("values", "offsets", "jump_times")
 
@@ -71,8 +71,7 @@ def test_disagreeing_numpy_draws_every_row_from_its_generator(ps3, ps_grid,
 
     def draws():
         """The event steps, gaussians, uniforms and offsets of every row."""
-        streams = (substream(11, i) for i in range(5000))
-        return [a.tobytes() for a in _streams.draw(lam, 5000, None, 11, streams)
+        return [a.tobytes() for a in _streams.draw(lam, 5000, None, 11)
                 if a is not None]
 
     walked, walked_draws = sample_paths(ps3, times, 5000, seed=11), draws()
